@@ -16,7 +16,7 @@ from .errors import BudgetExceededError, SingularMatrixError, ValidationError
 from .linalg import as_matrix, as_vector, pseudoinverse, qr_decompose
 from .modem import ConstellationSpec
 from .reduction import round_gaussian
-from .switched import KlrResult
+from .switched import KlrResult, extend_channel
 
 DETECTOR_KINDS = ("zf", "mmse", "sic-zf", "sic-mmse")
 ML_DEFAULT_CAP = 1_000_000
@@ -60,11 +60,8 @@ def extend_system(h, y, sigma_n: float) -> tuple[np.ndarray, np.ndarray]:
     y = as_vector(y)
     if y.shape[0] != h.shape[0]:
         raise ValidationError("y length must match the row count of h")
-    if sigma_n < 0:
-        raise ValidationError("sigma_n must be >= 0")
-    n = h.shape[1]
-    h_ext = np.vstack([h, sigma_n * np.eye(n, dtype=np.complex128)])
-    y_ext = np.concatenate([y, np.zeros(n, dtype=np.complex128)])
+    h_ext = extend_channel(h, sigma_n)
+    y_ext = np.concatenate([y, np.zeros(h.shape[1], dtype=np.complex128)])
     return h_ext, y_ext
 
 
@@ -74,16 +71,7 @@ def sic_detect(h_tilde, y) -> np.ndarray:
     Returns the Gaussian-integer layer decisions (pre-quantizer): the top layer
     is rounded first, its contribution is subtracted, and so on downwards.
     """
-    h_tilde = as_matrix(h_tilde)
-    y = as_vector(y)
-    q, r = qr_decompose(h_tilde)
-    yt = q.conj().T @ y
-    n = h_tilde.shape[1]
-    z = np.zeros(n, dtype=np.complex128)
-    for i in range(n - 1, -1, -1):
-        resid = yt[i] - r[i, i + 1 :] @ z[i + 1 :]
-        z[i] = round_gaussian(resid / r[i, i])
-    return z
+    return sic_detect_batch(h_tilde, as_vector(y)[:, np.newaxis])[:, 0]
 
 
 def sic_detect_batch(h_tilde, y_cols: np.ndarray) -> np.ndarray:

@@ -15,7 +15,15 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .linalg import as_matrix, qr_decompose
-from .reduction import ReducedBasis, ReductionParams, odf, round_gaussian
+from .reduction import (
+    ReducedBasis,
+    _gdiv_exact,
+    _gmul,
+    _gsub,
+    _reduced_basis,
+    _size_reduce_column,
+    clll_reduce,
+)
 
 _EPS = 1e-9
 
@@ -121,14 +129,6 @@ def shortest_vector(h, budget: EnumerationBudget = DEFAULT_BUDGET):
 
 # --- Gaussian-integer extended gcd and unimodular completion -------------------
 
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gsub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def _gdivround(a, b):
     """Nearest-Gaussian-integer quotient of a/b (Euclidean division step)."""
     n = b[0] * b[0] + b[1] * b[1]
@@ -171,8 +171,8 @@ def _complete_unimodular(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if b == (0, 0):
             continue
         g, s, t_bez = _gxgcd(a, b)
-        p = _gdiv_pair(a, g)
-        q = _gdiv_pair(b, g)
+        p = _gdiv_exact(a, g)
+        q = _gdiv_exact(b, g)
         # block M on coords (0, i): [[s, t],[-q, p]], det = 1, M @ (a, b) = (g, 0)
         # inverse block: [[p, -t],[q, s]]
         m00, m01 = _to_complex(s), _to_complex(t_bez)
@@ -197,29 +197,7 @@ def _complete_unimodular(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, tinv
 
 
-def _gdiv_pair(a, b):
-    n = b[0] * b[0] + b[1] * b[1]
-    num = _gmul(a, (b[0], -b[1]))
-    qr, rr = divmod(num[0], n)
-    qi, ri = divmod(num[1], n)
-    if rr or ri:
-        raise ArithmeticError("inexact Gaussian-integer division")
-    return (qr, qi)
-
-
 # --- KZ reduction --------------------------------------------------------------
-
-def _size_reduce(r, t, tinv):
-    """Full size reduction of an upper-triangular r, mirrored on t / tinv."""
-    n = r.shape[1]
-    for k in range(1, n):
-        for l in range(k - 1, -1, -1):
-            mu = round_gaussian(r[l, k] / r[l, l])
-            if mu != 0:
-                r[: l + 1, k] -= mu * r[: l + 1, l]
-                t[:, k] -= mu * t[:, l]
-                tinv[l, :] += mu * tinv[k, :]
-
 
 def _kz_recurse(r: np.ndarray, budget: EnumerationBudget, nodes: list):
     n = r.shape[1]
@@ -239,7 +217,8 @@ def _kz_recurse(r: np.ndarray, budget: EnumerationBudget, nodes: list):
     t[:, 1:] = t1[:, 1:] @ ts
     tinv = t1inv.copy()
     tinv[1:, :] = tsinv @ t1inv[1:, :]
-    _size_reduce(r_new, t, tinv)
+    for k in range(1, n):  # full size reduction
+        _size_reduce_column(r_new, t, tinv, k)
     return r_new, t, tinv
 
 
@@ -250,37 +229,23 @@ def kz_reduce(h, budget: EnumerationBudget = DEFAULT_BUDGET) -> ReducedBasis:
     trailing sublattice is recursively KZ-reduced and all off-diagonal entries
     are size-reduced.  iteration_count reports total enumeration nodes.
 
-    Enumeration starts from the input basis: at every level of the recursion
-    its triangular factor sets the search order and its shortest column the
-    initial radius, so the node count depends strongly on how reduced the
-    input is.  Pass a CLLL-reduced basis and compose the transforms:
-
-        clll = clll_reduce(h)
-        kz = kz_reduce(clll.h_tilde, budget)   # h @ (clll.u @ kz.u)
-
-    On the first 1000 i.i.d. Gaussian 6x6 channels of seed 2024 (the ZF
-    acceptance sweep), 4 raw bases needed between 2e5 and more than 1e7 nodes;
-    after CLLL none needed more than 1254.
+    The input is CLLL-reduced first and enumeration starts from that basis:
+    at every level of the recursion its triangular factor sets the search
+    order and its shortest column the initial radius, so the node count
+    depends strongly on how reduced the starting basis is.  On the first 1000
+    i.i.d. Gaussian 6x6 channels of seed 2024, 4 raw bases needed between 2e5
+    and more than 1e7 nodes; after CLLL none needed more than 1254.
     """
     h = as_matrix(h)
     if h.shape[1] > budget.max_dim:
         raise BudgetExceededError(
             f"dimension {h.shape[1]} exceeds budget max_dim={budget.max_dim}"
         )
-    _, r0 = qr_decompose(h)
+    clll = clll_reduce(h)
     nodes = [0]
-    _, t, tinv = _kz_recurse(r0, budget, nodes)
-    h_tilde = h @ t
-    q2, r2 = qr_decompose(h_tilde)
-    return ReducedBasis(
-        h_tilde=h_tilde,
-        u=t,
-        u_inv=tinv,
-        q=q2,
-        r=r2,
-        odf_value=odf(h_tilde),
-        iteration_count=nodes[0],
-    )
+    _, t, tinv = _kz_recurse(clll.r, budget, nodes)
+    u = clll.u @ t
+    return _reduced_basis(h @ u, u, tinv @ clll.u_inv, nodes[0])
 
 
 def is_kz_reduced(r, budget: EnumerationBudget = DEFAULT_BUDGET) -> bool:

@@ -60,11 +60,29 @@ def odf(h) -> float:
     Equals 1 exactly when the columns are mutually orthogonal, > 1 otherwise.
     """
     h = as_matrix(h)
-    norms2 = np.sum(np.abs(h) ** 2, axis=0)
-    denom = gram_det(h)
+    return _odf(h, gram_det(h))
+
+
+def _odf(h: np.ndarray, denom: float) -> float:
+    """odf(h) given denom = det(h^H h)."""
     if denom <= 0.0:
         raise SingularMatrixError("orthogonality defect undefined for singular basis")
-    return float(np.prod(norms2) / denom)
+    return float(np.prod(np.sum(np.abs(h) ** 2, axis=0)) / denom)
+
+
+def _reduced_basis(h_tilde, u, u_inv, iteration_count: int) -> ReducedBasis:
+    """ReducedBasis of h_tilde; one QR gives both (q, r) and the ODF denominator."""
+    q, r = qr_decompose(h_tilde)
+    d = np.abs(np.diagonal(r))
+    return ReducedBasis(
+        h_tilde=h_tilde,
+        u=u,
+        u_inv=u_inv,
+        q=q,
+        r=r,
+        odf_value=_odf(h_tilde, float(np.prod(d * d))),
+        iteration_count=iteration_count,
+    )
 
 
 def condition_number(h) -> float:
@@ -128,12 +146,7 @@ def clll_reduce(h, params: ReductionParams = ReductionParams()) -> ReducedBasis:
     k = 1
     while k < n:
         iters += 1
-        for l in range(k - 1, -1, -1):
-            mu = round_gaussian(r[l, k] / r[l, l])
-            if mu != 0:
-                r[: l + 1, k] -= mu * r[: l + 1, l]
-                u[:, k] -= mu * u[:, l]
-                uinv[l, :] += mu * uinv[k, :]
+        _size_reduce_column(r, u, uinv, k)
         if params.delta * r[k - 1, k - 1].real ** 2 > (
             np.abs(r[k, k]) ** 2 + np.abs(r[k - 1, k]) ** 2
         ):
@@ -154,17 +167,17 @@ def clll_reduce(h, params: ReductionParams = ReductionParams()) -> ReducedBasis:
         else:
             k += 1
 
-    h_tilde = h @ u
-    q2, r2 = qr_decompose(h_tilde)
-    return ReducedBasis(
-        h_tilde=h_tilde,
-        u=u,
-        u_inv=uinv,
-        q=q2,
-        r=r2,
-        odf_value=odf(h_tilde),
-        iteration_count=iters,
-    )
+    return _reduced_basis(h @ u, u, uinv, iters)
+
+
+def _size_reduce_column(r, u, uinv, k: int) -> None:
+    """Size-reduce column k of upper-triangular r in place, mirrored on u / uinv."""
+    for l in range(k - 1, -1, -1):
+        mu = round_gaussian(r[l, k] / r[l, l])
+        if mu != 0:
+            r[: l + 1, k] -= mu * r[: l + 1, l]
+            u[:, k] -= mu * u[:, l]
+            uinv[l, :] += mu * uinv[k, :]
 
 
 # --- exact Gaussian-integer determinant (Bareiss) ------------------------------

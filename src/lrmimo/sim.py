@@ -23,23 +23,24 @@ from .detectors import (
 )
 from .errors import ValidationError
 from .modem import ConstellationSpec, map_bits, unmap_symbols
-from .reduction import ReducedBasis, ReductionParams, clll_reduce
-from .switched import KlrResult, extend_channel, sample_permutations
+from .reduction import ReductionParams, clll_reduce
+from .switched import _k_limit, _select, extend_channel, sample_permutations
 
-DETECTORS = (
-    "zf",
-    "clr-zf",
-    "klr-zf",
-    "mmse",
-    "clr-mmse",
-    "klr-mmse",
-    "clr-mmse-sic",
-    "klr-mmse-sic",
-    "ml",
-)
-_PLAIN_LR = {"clr-zf", "klr-zf"}
-_EXT_LR = {"clr-mmse", "klr-mmse", "clr-mmse-sic", "klr-mmse-sic"}
-_KLR = {"klr-zf", "klr-mmse", "klr-mmse-sic"}
+# detector -> (reduction flavour, estimator).  Flavour None runs the estimator
+# on H directly; False reduces H, True the extended channel [H; sigma_n I].
+# The "klr-" detectors pick among switched candidates, one row per K.
+_DETECTOR_TABLE = {
+    "zf": (None, "zf"),
+    "clr-zf": (False, "zf"),
+    "klr-zf": (False, "zf"),
+    "mmse": (None, "mmse"),
+    "clr-mmse": (True, "mmse"),
+    "klr-mmse": (True, "mmse"),
+    "clr-mmse-sic": (True, "sic-mmse"),
+    "klr-mmse-sic": (True, "sic-mmse"),
+    "ml": (None, "ml"),
+}
+DETECTORS = tuple(_DETECTOR_TABLE)
 
 CSV_HEADER = (
     "detector,k,snr_db,ebn0_db,trials,packet_len,bits_total,bit_errors,ber,sym_errors"
@@ -69,7 +70,16 @@ class SimConfig:
         for d in self.detectors:
             if d not in DETECTORS:
                 raise ValidationError(f"unknown detector {d!r}")
-        cap = min(math.factorial(self.n_t) - 1, 10)
+        # a repeated entry would add its errors to the same row twice
+        for what, vals in (
+            ("detector", self.detectors),
+            ("K value", self.k_candidates),
+            ("SNR point", self.snr_grid_db),
+        ):
+            if len(set(vals)) != len(vals):
+                raise ValidationError(f"duplicate {what} in {vals}")
+        # K only matters to the switched detectors, and n_t = 1 allows none
+        cap = _k_limit(self.n_t) if _switched(self.detectors) else math.inf
         for k in self.k_candidates:
             if not (1 <= k <= cap):
                 raise ValidationError(f"k={k} outside [1, {cap}]")
@@ -116,51 +126,22 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def _select_prefix(
-    baseline: ReducedBasis, cands: list, perms, k: int
-) -> KlrResult:
-    """Switched selection restricted to the first k candidates."""
-    odfs = tuple(c.odf_value for c in cands[:k])
-    idx = int(np.argmin(odfs))
-    if odfs[idx] < baseline.odf_value:
-        return KlrResult(
-            basis=cands[idx],
-            perm=perms[idx],
-            odf_selected=odfs[idx],
-            odf_baseline=baseline.odf_value,
-            candidate_odfs=odfs,
-        )
-    n = baseline.u.shape[0]
-    return KlrResult(
-        basis=baseline,
-        perm=tuple(range(n)),
-        odf_selected=baseline.odf_value,
-        odf_baseline=baseline.odf_value,
-        candidate_odfs=odfs,
-    )
+def _switched(detectors) -> set:
+    """Reduction flavours on which some listed detector needs switched candidates."""
+    return {_DETECTOR_TABLE[d][0] for d in detectors if d.startswith("klr-")}
 
 
-def _as_result(basis: ReducedBasis, extended: bool) -> KlrResult:
-    n = basis.u.shape[0]
-    return KlrResult(
-        basis=basis,
-        perm=tuple(range(n)),
-        odf_selected=basis.odf_value,
-        odf_baseline=basis.odf_value,
-        candidate_odfs=(),
-        extended=extended,
-    )
+def _selections(mat, extended: bool, perms, ks, params: ReductionParams) -> dict:
+    """Selections on basis mat keyed (extended, k) for k = 0 and each k in ks.
 
-
-def _with_extended(res: KlrResult) -> KlrResult:
-    return KlrResult(
-        basis=res.basis,
-        perm=res.perm,
-        odf_selected=res.odf_selected,
-        odf_baseline=res.odf_baseline,
-        candidate_odfs=res.candidate_odfs,
-        extended=True,
-    )
+    k = 0 keeps the CLLL baseline; k >= 1 picks among the first k candidates.
+    """
+    baseline = clll_reduce(mat, params)
+    cands = [clll_reduce(mat[:, list(p)], params) for p in perms[: max(ks, default=0)]]
+    return {
+        (extended, k): _select(baseline, cands[:k], perms[:k], extended)
+        for k in (0, *ks)
+    }
 
 
 def run_sweep(cfg: SimConfig) -> list[BerRecord]:
@@ -168,14 +149,13 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     spec = ConstellationSpec(cfg.m)
     params = ReductionParams(cfg.delta)
     bps = spec.bits_per_symbol
-    needs_plain = bool(_PLAIN_LR & set(cfg.detectors))
-    needs_ext = bool(_EXT_LR & set(cfg.detectors))
-    needs_klr = bool(_KLR & set(cfg.detectors))
-    kmax = max(cfg.k_candidates) if needs_klr else 0
+    flavours = {_DETECTOR_TABLE[d][0] for d in cfg.detectors}
+    switched = _switched(cfg.detectors)
+    ks = {f: cfg.k_candidates if f in switched else () for f in (False, True)}
 
     variants = []  # (detector, k) in output order
     for det in cfg.detectors:
-        if det in _KLR:
+        if det.startswith("klr-"):
             variants.extend((det, k) for k in cfg.k_candidates)
         else:
             variants.append((det, 0))
@@ -196,39 +176,25 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
             + 1j * rng.standard_normal((cfg.n_r, cfg.packet_len))
         ) / np.sqrt(2.0)
         perms = (
-            sample_permutations(cfg.n_t, max(kmax, 1), rng).perms if needs_klr else ()
+            sample_permutations(cfg.n_t, max(cfg.k_candidates), rng).perms
+            if switched
+            else ()
         )
 
-        plain_sel: dict[int, KlrResult] = {}
-        if needs_plain:
-            baseline = clll_reduce(h, params)
-            if "clr-zf" in cfg.detectors:
-                plain_sel[0] = _as_result(baseline, extended=False)
-            if "klr-zf" in cfg.detectors:
-                cands = [clll_reduce(h[:, list(p)], params) for p in perms]
-                for k in cfg.k_candidates:
-                    plain_sel[k] = _select_prefix(baseline, cands, perms, k)
+        sel = {}
+        if False in flavours:
+            sel.update(_selections(h, False, perms, ks[False], params))
 
         for snr in cfg.snr_grid_db:
             sigma2, _ = snr_config(snr, cfg)
             y = h @ x + np.sqrt(sigma2) * noise_unit
 
-            ext_sel: dict[int, KlrResult] = {}
-            if needs_ext:
+            if True in flavours:
                 h_ext = extend_channel(h, np.sqrt(sigma2))
-                baseline_e = clll_reduce(h_ext, params)
-                ext_sel[0] = _with_extended(_as_result(baseline_e, extended=False))
-                if {"klr-mmse", "klr-mmse-sic"} & set(cfg.detectors):
-                    cands_e = [clll_reduce(h_ext[:, list(p)], params) for p in perms]
-                    for k in cfg.k_candidates:
-                        ext_sel[k] = _with_extended(
-                            _select_prefix(baseline_e, cands_e, perms, k)
-                        )
+                sel.update(_selections(h_ext, True, perms, ks[True], params))
 
             for det, k in variants:
-                x_hat = _detect_packet(
-                    det, k, y, h, sigma2, spec, plain_sel, ext_sel
-                )
+                x_hat = _detect_packet(det, k, y, h, sigma2, spec, sel)
                 bit_hat = unmap_symbols(x_hat.T, spec)
                 e = errs[(det, k, snr)]
                 e[0] += int(np.sum(bit_hat != bits))
@@ -258,26 +224,15 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     return records
 
 
-def _detect_packet(det, k, y, h, sigma2, spec, plain_sel, ext_sel):
-    if det == "zf":
+def _detect_packet(det, k, y, h, sigma2, spec, sel):
+    extended, kind = _DETECTOR_TABLE[det]
+    if extended is not None:
+        return lr_detect_batch(y, h, sel[(extended, k)], kind, spec)
+    if kind == "zf":
         return hard_slice(pseudoinverse(h) @ y, spec)
-    if det == "mmse":
+    if kind == "mmse":
         return hard_slice(mmse_filter_direct(h, sigma2) @ y, spec)
-    if det == "ml":
-        return ml_detect_batch(y, h, spec)
-    if det == "clr-zf":
-        return lr_detect_batch(y, h, plain_sel[0], "zf", spec)
-    if det == "klr-zf":
-        return lr_detect_batch(y, h, plain_sel[k], "zf", spec)
-    if det == "clr-mmse":
-        return lr_detect_batch(y, h, ext_sel[0], "mmse", spec)
-    if det == "klr-mmse":
-        return lr_detect_batch(y, h, ext_sel[k], "mmse", spec)
-    if det == "clr-mmse-sic":
-        return lr_detect_batch(y, h, ext_sel[0], "sic-mmse", spec)
-    if det == "klr-mmse-sic":
-        return lr_detect_batch(y, h, ext_sel[k], "sic-mmse", spec)
-    raise ValidationError(f"unknown detector {det!r}")
+    return ml_detect_batch(y, h, spec)
 
 
 # --- persistence ---------------------------------------------------------------

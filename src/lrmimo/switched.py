@@ -8,13 +8,13 @@ order automatically.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix, qr_decompose
-from .reduction import ReducedBasis, ReductionParams, clll_reduce, odf
+from .linalg import as_matrix
+from .reduction import ReducedBasis, ReductionParams, _reduced_basis, clll_reduce
 
 MAX_CANDIDATES = 10
 
@@ -72,6 +72,29 @@ def _k_limit(n: int) -> int:
     return min(math.factorial(n) - 1, MAX_CANDIDATES)
 
 
+def _select(baseline: ReducedBasis, cands, perms, extended: bool) -> KlrResult:
+    """Keep the lowest-ODF candidate only if it strictly beats the baseline.
+
+    cands[i] is the reduction of the channel permuted by perms[i]; with no
+    candidates the baseline is returned with empty candidate_odfs.
+    """
+    odfs = tuple(c.odf_value for c in cands)
+    n = baseline.u.shape[0]
+    basis, perm = baseline, tuple(range(n))
+    if odfs:
+        idx = int(np.argmin(odfs))
+        if odfs[idx] < baseline.odf_value:
+            basis, perm = cands[idx], perms[idx]
+    return KlrResult(
+        basis=basis,
+        perm=perm,
+        odf_selected=basis.odf_value,
+        odf_baseline=baseline.odf_value,
+        candidate_odfs=odfs,
+        extended=extended,
+    )
+
+
 def sample_permutations(n: int, k: int, rng: np.random.Generator) -> PermutationSet:
     """Sample k distinct non-identity permutations uniformly without replacement."""
     if n < 2:
@@ -100,24 +123,8 @@ def klr_select_with(
     if perms.n != h.shape[1]:
         raise ValidationError("permutation size does not match column count")
     baseline = clll_reduce(h, params)
-    cand = [clll_reduce(h[:, list(p)], params) for p in perms.perms]
-    odfs = tuple(c.odf_value for c in cand)
-    idx = int(np.argmin(odfs))
-    if odfs[idx] < baseline.odf_value:
-        return KlrResult(
-            basis=cand[idx],
-            perm=perms.perms[idx],
-            odf_selected=odfs[idx],
-            odf_baseline=baseline.odf_value,
-            candidate_odfs=odfs,
-        )
-    return KlrResult(
-        basis=baseline,
-        perm=tuple(range(h.shape[1])),
-        odf_selected=baseline.odf_value,
-        odf_baseline=baseline.odf_value,
-        candidate_odfs=odfs,
-    )
+    cands = [clll_reduce(h[:, list(p)], params) for p in perms.perms]
+    return _select(baseline, cands, perms.perms, False)
 
 
 def klr_select(
@@ -152,14 +159,7 @@ def klr_select_extended(
 ) -> KlrResult:
     """Switched selection on the extended channel [H; sigma_n I] for MMSE."""
     res = klr_select(extend_channel(h, sigma_n), k, params, rng)
-    return KlrResult(
-        basis=res.basis,
-        perm=res.perm,
-        odf_selected=res.odf_selected,
-        odf_baseline=res.odf_baseline,
-        candidate_odfs=res.candidate_odfs,
-        extended=True,
-    )
+    return replace(res, extended=True)
 
 
 def identity_result(h, extended: bool = False, sigma_n: float = 0.0) -> KlrResult:
@@ -170,24 +170,5 @@ def identity_result(h, extended: bool = False, sigma_n: float = 0.0) -> KlrResul
     """
     h = as_matrix(h)
     mat = extend_channel(h, sigma_n) if extended else h
-    n = mat.shape[1]
-    eye = np.eye(n, dtype=np.complex128)
-    q, r = qr_decompose(mat)
-    basis = ReducedBasis(
-        h_tilde=mat,
-        u=eye,
-        u_inv=eye.copy(),
-        q=q,
-        r=r,
-        odf_value=odf(mat),
-        iteration_count=0,
-    )
-    val = odf(mat)
-    return KlrResult(
-        basis=basis,
-        perm=tuple(range(n)),
-        odf_selected=val,
-        odf_baseline=val,
-        candidate_odfs=(),
-        extended=extended,
-    )
+    eye = np.eye(mat.shape[1], dtype=np.complex128)
+    return _select(_reduced_basis(mat, eye, eye.copy(), 0), [], (), extended)

@@ -6,6 +6,7 @@ import pytest
 from lrmimo.errors import BudgetExceededError, ValidationError
 from lrmimo.kz import EnumerationBudget, is_kz_reduced, kz_reduce, shortest_vector
 from lrmimo.reduction import clll_reduce, is_clll_reduced, is_unimodular
+from lrmimo.sim import gen_channel
 
 from conftest import crandn
 
@@ -112,6 +113,17 @@ class TestKzReduce:
     def test_dimension_budget(self, rng):
         with pytest.raises(BudgetExceededError):
             kz_reduce(crandn(rng, 6, 6))
+
+    def test_raw_channel_is_pre_reduced(self):
+        # trial 282 of seed 2024: enumerating from the raw basis exhausts
+        # 1e7 nodes, from its CLLL-reduced basis it needs 410
+        seq = np.random.SeedSequence(2024, spawn_key=(282,))
+        h = gen_channel(6, 6, np.random.default_rng(seq))
+        budget = EnumerationBudget(max_dim=6, max_nodes=10_000)
+        out = kz_reduce(h, budget)
+        assert is_kz_reduced(out.r, budget)
+        assert np.array_equal(h @ out.u, out.h_tilde)
+        assert np.array_equal(out.u @ out.u_inv, np.eye(6).astype(complex))
 
 
 class TestIsKzReduced:

@@ -47,14 +47,24 @@ class TestSimConfig:
             dict(snr_grid_db=()),
             dict(detectors=("zf", "bogus")),
             dict(k_candidates=(0,)),
-            dict(k_candidates=(2,)),  # n_t=2 allows only k=1
+            dict(k_candidates=(2,), detectors=("klr-zf",)),  # n_t=2 allows only k=1
             dict(m=8),
             dict(delta=0.4),
+            dict(detectors=("zf", "zf")),
+            dict(k_candidates=(1, 1), detectors=("klr-zf",)),
+            dict(snr_grid_db=(10.0, 10.0)),
         ],
     )
     def test_invalid(self, kw):
         with pytest.raises(ValidationError):
             small_cfg(**kw)
+
+    def test_k_ignored_without_switched_detectors(self):
+        # n_t = 1 has no non-identity permutation, so K is capped at 0
+        cfg = small_cfg(n_t=1, detectors=("zf", "clr-zf", "mmse"))
+        assert len(run_sweep(cfg)) == 6
+        with pytest.raises(ValidationError):
+            small_cfg(n_t=1, detectors=("zf", "klr-zf"))
 
 
 class TestSnrConfig:
