@@ -11,6 +11,7 @@ from lrmimo.reduction import (
     is_unimodular,
     odf,
 )
+from lrmimo.switched import extend_channel
 
 from conftest import crandn
 
@@ -74,6 +75,97 @@ class TestClllReduce:
     def test_nonfinite_raises(self):
         with pytest.raises(ValidationError):
             clll_reduce(np.array([[np.inf, 0], [0, 1]]))
+
+
+# Exact CLLL outcomes of seeded bases: plain 6x6 and extended 12x6 ([H; sigma I]
+# at the SNR given, sigma^2 = n / 10^(SNR/10)) at both deltas, and n = 1..8.
+# Columns: seed, rows of H, n, SNR in dB (None: plain H), delta, iteration
+# count, U as rows separated by ";".
+CLLL_PINS = [
+    (1, 6, 6, None, 0.75, 39,
+     "1,0,0,0,0,0;-1+1j,0,0,0,0,-1j;-1-1j,-1,-1-1j,0,0,1;-1+1j,0,0,0,1,0;"
+     "-1-1j,-1,-1,0,1j,0;1,1,1,1,-1j,1"),
+    (1, 6, 6, None, 0.99, 39,
+     "1,0,0,-1,0,1j;-1+1j,0,0,1-1j,0,-1j;-1-1j,0,1,2+1j,1-1j,1;"
+     "-1+1j,0,0,2-1j,0,-1-1j;-1-1j,0,1,2+2j,-1j,1-1j;1,-1,-1,-2-1j,1j,1j"),
+    (2, 6, 6, None, 0.75, 11,
+     "1,0,0,0,0,1;0,1,0,0,0,-1;0,0,0,0,0,1;0,0,1,0,0,0;0,0,0,1,-1j,-1+1j;"
+     "0,0,0,0,1,-1j"),
+    (2, 6, 6, None, 0.99, 17,
+     "1,-1,-1,0,0,2;0,1,-1j,0,0,-1+1j;0,0,0,0,0,1;0,1,1-1j,0,0,-1;"
+     "0,1,-1j,-1,-1j,-1+2j;0,0,0,0,1,-1j"),
+    (3, 6, 6, None, 0.75, 32,
+     "0,0,0,0,1,0;0,0,0,1,1j,-1j;0,0,1j,1+1j,-1,0;0,0,0,0,0,1;"
+     "0,1j,1+1j,1,-1-2j,2j;1,-1-1j,-1-1j,-2-1j,4+1j,-1-1j"),
+    (3, 6, 6, None, 0.99, 48,
+     "0,0,1j,-1,1,0;0,0,-1,-1j,1+1j,-1j;0,0,-1j,2,-1+1j,0;0,0,0,0,0,1;"
+     "1j,0,2-1j,2+1j,-1-1j,2j;-1-1j,1,-1+4j,-5,4-1j,-1-1j"),
+    (4, 6, 6, None, 0.75, 17,
+     "1,0,0,1j,0,0;0,1,0,-1+1j,-1,-1;0,0,0,-1j,1-1j,-1j;0,0,1,1-2j,1,0;"
+     "0,0,1,1-1j,1,0;0,0,0,1,1,1-1j"),
+    (4, 6, 6, None, 0.99, 38,
+     "0,0,0,0,0,-1;0,1-1j,0,-1,-1-1j,-1-1j;-1j,-1+1j,0,1,1+1j,1+1j;"
+     "-1j,-2+1j,1,1+1j,2+2j,2+2j;-1j,-2+1j,1,1+1j,1+2j,1+2j;"
+     "1,-1,0,1,1j,-1+1j"),
+    (5, 6, 6, 14, 0.75, 15,
+     "1,-1j,-1,0,1j,-1;0,0,1,1,1-1j,1+1j;0,0,0,0,1,-1+1j;0,1,-1j,1,0,-1j;"
+     "0,0,0,0,0,1;0,0,1,0,-1j,1+1j"),
+    (5, 6, 6, 14, 0.99, 31,
+     "-1+1j,-1,0,1-1j,1j,-1;1-1j,1,1,-1,1-1j,1;0,0,0,0,1,-1+1j;"
+     "-1j,0,0,1j,0,-1j;0,0,0,0,0,1;1-1j,1,0,-1,-1j,1"),
+    (6, 6, 6, 18, 0.75, 7,
+     "1,-1,0,-1+1j,0,0;0,1,1,-1j,0,0;0,0,1,-1,1j,0;0,0,0,1,0,0;0,0,0,0,0,1;"
+     "0,0,0,0,1,0"),
+    (6, 6, 6, 18, 0.99, 9,
+     "1,0,-1,1j,1j,0;0,1,1,-1-1j,-1j,0;0,1,0,-1,0,0;0,0,0,1,0,0;0,0,0,0,0,1;"
+     "0,0,0,0,1,0"),
+    (7, 6, 6, 22, 0.75, 22,
+     "0,1,0,-1,0,-1j;-1j,1,-1j,0,1+1j,-1+3j;0,0,0,0,0,1;0,0,0,0,1,2j;"
+     "1j,-1,1+1j,0,-1,-1-3j;1,1j,1,-1j,-1+1j,-3-1j"),
+    (7, 6, 6, 22, 0.99, 38,
+     "-1j,0,-1,0,1j,1-1j;0,-1,1+1j,-1,1-1j,2j;0,0,0,0,0,1;0,0,1,0,-1j,1j;"
+     "0,1-1j,-1,1,1j,-2-2j;1,-1j,-1,-1j,1+1j,-2+1j"),
+    (8, 1, 1, None, 0.75, 0,
+     "1"),
+    (9, 2, 2, None, 0.99, 3,
+     "1,0;2-1j,1"),
+    (10, 4, 3, None, 0.75, 3,
+     "0,1,-1;1,-1,1+1j;0,0,1"),
+    (11, 4, 4, None, 0.99, 19,
+     "0,0,1j,0;0,-1j,0,0;0,1,0,1;1,1,-1j,-1j"),
+    (12, 5, 5, None, 0.75, 11,
+     "0,0,1,1,1j;1,0,-1-1j,-2-2j,1-2j;0,0,0,0,1;0,1,2+1j,3+1j,3j;0,0,0,1,0"),
+    (13, 8, 7, None, 0.99, 35,
+     "0,-1+1j,1,-1+1j,0,-1-1j,1j;0,0,0,0,0,1,0;0,0,0,1,0,0,0;1,1,1,0,0,1j,0;"
+     "0,-1j,0,-1j,0,1,0;0,0,0,0,1,-1j,0;0,1,0,1,0,1j,-1j"),
+    (14, 8, 8, None, 0.75, 42,
+     "-1j,1+1j,0,-1j,-1j,1,1+2j,1;2-1j,-2+1j,0,2,2,1+2j,-2+1j,1;"
+     "1j,-1j,0,1j,1j,-1,-1j,0;1-1j,-1+1j,0,1,1,1+1j,1j,1;"
+     "1+4j,-1-4j,1,-2+3j,-2+3j,-4+2j,-1-1j,2j;2-2j,-2+2j,0,2,2,2+2j,-1+2j,1;"
+     "2-1j,-2+1j,0,1,2,1+2j,-1+1j,1;0,0,0,0,0,1,1,-1j"),
+    (15, 8, 8, None, 0.99, 51,
+     "-1,-1j,0,1,1+1j,1j,-1j,0;0,1,0,0,0,0,0,1j;-1j,1,1,-1+1j,-1,-1,1j,0;"
+     "1,1j,0,-1j,0,1-1j,-1-1j,-1-1j;-1j,1+1j,0,0,1j,-1,0,-2;0,0,0,0,0,0,0,1;"
+     "1,1j,0,-1-1j,-1j,-1j,-1,-1;0,0,0,1+1j,1j,1j,1-1j,-1j"),
+]
+
+
+def pinned_basis(seed, rows, n, snr_db):
+    h = crandn(np.random.default_rng(seed), rows, n)
+    if snr_db is not None:
+        h = extend_channel(h, np.sqrt(n / 10 ** (snr_db / 10)))
+    return h
+
+
+def parse_u(text):
+    return np.array([[complex(t) for t in row.split(",")] for row in text.split(";")])
+
+
+@pytest.mark.parametrize("seed,rows,n,snr_db,delta,iters,u_text", CLLL_PINS)
+def test_clll_pinned_outcomes(seed, rows, n, snr_db, delta, iters, u_text):
+    out = clll_reduce(pinned_basis(seed, rows, n, snr_db), ReductionParams(delta))
+    assert out.iteration_count == iters
+    assert np.array_equal(out.u, parse_u(u_text))
 
 
 class TestIsClllReduced:
