@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
-from .linalg import as_matrix, as_vector, pseudoinverse, qr_decompose
+from .linalg import _pinv_from_qr, as_matrix, as_vector, pseudoinverse, qr_decompose
 from .modem import ConstellationSpec
 from .reduction import round_gaussian
 from .switched import KlrResult, extend_channel
@@ -76,10 +76,13 @@ def sic_detect(h_tilde, y) -> np.ndarray:
 
 def sic_detect_batch(h_tilde, y_cols: np.ndarray) -> np.ndarray:
     """sic_detect applied column-wise to a (rows, batch) array."""
-    h_tilde = as_matrix(h_tilde)
-    q, r = qr_decompose(h_tilde)
+    return _sic(*qr_decompose(as_matrix(h_tilde)), y_cols)
+
+
+def _sic(q: np.ndarray, r: np.ndarray, y_cols: np.ndarray) -> np.ndarray:
+    """SIC of every column of y_cols, given the QR factors (q, r) of the channel."""
     yt = q.conj().T @ y_cols
-    n = h_tilde.shape[1]
+    n = r.shape[1]
     z = np.zeros((n, y_cols.shape[1]), dtype=np.complex128)
     for i in range(n - 1, -1, -1):
         resid = yt[i, :] - r[i, i + 1 :] @ z[i + 1 :, :]
@@ -209,13 +212,15 @@ def _lr_estimate(
     else:
         y_use = y_cols
     tinv = klr.transform_inv
+    # the basis carries the QR of h_tilde, so neither path factors it again
+    q, r = klr.basis.q, klr.basis.r
     if kind in ("zf", "mmse"):
-        z_breve = pseudoinverse(ht) @ y_use
+        z_breve = _pinv_from_qr(q, r) @ y_use
         return shift_scale_quantize(z_breve, tinv, spec)
     ones = np.full(n_t, 1.0 + 1.0j)
     d = 0.5 * (tinv @ ones)
     y_shift = y_use / spec.a - (ht @ d)[:, np.newaxis]
-    z_int = sic_detect_batch(ht, y_shift)
+    z_int = _sic(q, r, y_shift)
     return spec.a * (z_int + d[:, np.newaxis])
 
 

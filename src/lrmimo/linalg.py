@@ -16,9 +16,17 @@ _RANK_TOL = 1e-12
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return a 2-D complex array (finite entries, nonempty)."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+    m = _as_stack(a)
+    if m.ndim != 2:
         raise ValidationError(f"expected a nonempty 2-D array, got shape {m.shape}")
+    return m
+
+
+def _as_stack(a) -> np.ndarray:
+    """Validate and return a (..., rows, cols) complex array of finite matrices."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
+        raise ValidationError(f"expected nonempty matrices, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValidationError("matrix entries must be finite")
     return m
@@ -38,30 +46,36 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR of a full-column-rank matrix, R diagonal real and positive.
 
     Returns (Q, R) with Q of shape (rows, cols) having orthonormal columns and
-    R upper triangular.  Raises SingularMatrixError when a diagonal entry of R
-    falls below 1e-12 times the largest column norm.
+    R upper triangular.  A (..., rows, cols) stack gives stacked factors, each
+    bitwise equal to the factors of its matrix alone.  Raises
+    SingularMatrixError when, in any matrix, a diagonal entry of R falls below
+    1e-12 times the largest column norm of that matrix.
     """
-    a = as_matrix(a)
-    rows, cols = a.shape
+    a = _as_stack(a)
+    rows, cols = a.shape[-2:]
     if rows < cols:
         raise ValidationError(f"need rows >= cols, got {rows}x{cols}")
     q, r = np.linalg.qr(a, mode="reduced")
-    d = np.diagonal(r).copy()
-    scale = np.max(np.linalg.norm(a, axis=0))
-    if scale == 0.0 or np.min(np.abs(d)) <= _RANK_TOL * scale:
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    scale = np.max(np.linalg.norm(a, axis=-2), axis=-1)
+    if np.any(scale == 0.0) or np.any(np.min(np.abs(d), axis=-1) <= _RANK_TOL * scale):
         raise SingularMatrixError("matrix is numerically rank deficient")
     phase = d / np.abs(d)
-    q = q * phase[np.newaxis, :]
-    r = r * np.conj(phase)[:, np.newaxis]
+    q = q * phase[..., np.newaxis, :]
+    r = r * np.conj(phase)[..., :, np.newaxis]
     # kill the O(eps) imaginary residue so the diagonal is exactly real
     idx = np.arange(cols)
-    r[idx, idx] = r[idx, idx].real
+    r[..., idx, idx] = r[..., idx, idx].real
     return q, r
 
 
 def pseudoinverse(a) -> np.ndarray:
     """Left pseudoinverse (A^H A)^-1 A^H of a full-column-rank matrix."""
-    q, r = qr_decompose(a)
+    return _pinv_from_qr(*qr_decompose(a))
+
+
+def _pinv_from_qr(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Pseudoinverse of the matrix whose QR factors are (q, r)."""
     return np.linalg.solve(r, q.conj().T)
 
 

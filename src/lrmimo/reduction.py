@@ -60,29 +60,43 @@ def odf(h) -> float:
     Equals 1 exactly when the columns are mutually orthogonal, > 1 otherwise.
     """
     h = as_matrix(h)
-    return _odf(h, gram_det(h))
+    return float(_odf(h, gram_det(h)))
 
 
-def _odf(h: np.ndarray, denom: float) -> float:
-    """odf(h) given denom = det(h^H h)."""
-    if denom <= 0.0:
+def _odf(h: np.ndarray, denom):
+    """odf of h, or of each matrix of a stack, given denom = det(h^H h)."""
+    if np.any(denom <= 0.0):
         raise SingularMatrixError("orthogonality defect undefined for singular basis")
-    return float(np.prod(np.sum(np.abs(h) ** 2, axis=0)) / denom)
+    return np.prod(np.sum(np.abs(h) ** 2, axis=-2), axis=-1) / denom
+
+
+def _reduced_bases(h_tilde, u, u_inv, iteration_counts) -> list[ReducedBasis]:
+    """ReducedBasis of each matrix of a stack h_tilde.
+
+    One batched QR gives both (q, r) and the ODF denominators.
+    """
+    q, r = qr_decompose(h_tilde)
+    d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    odfs = _odf(h_tilde, np.prod(d * d, axis=-1))
+    return [
+        ReducedBasis(
+            h_tilde=h_tilde[i],
+            u=u[i],
+            u_inv=u_inv[i],
+            q=q[i],
+            r=r[i],
+            odf_value=float(odfs[i]),
+            iteration_count=int(iteration_counts[i]),
+        )
+        for i in range(h_tilde.shape[0])
+    ]
 
 
 def _reduced_basis(h_tilde, u, u_inv, iteration_count: int) -> ReducedBasis:
-    """ReducedBasis of h_tilde; one QR gives both (q, r) and the ODF denominator."""
-    q, r = qr_decompose(h_tilde)
-    d = np.abs(np.diagonal(r))
-    return ReducedBasis(
-        h_tilde=h_tilde,
-        u=u,
-        u_inv=u_inv,
-        q=q,
-        r=r,
-        odf_value=_odf(h_tilde, float(np.prod(d * d))),
-        iteration_count=iteration_count,
-    )
+    """ReducedBasis of one matrix h_tilde."""
+    return _reduced_bases(
+        h_tilde[np.newaxis], u[np.newaxis], u_inv[np.newaxis], (iteration_count,)
+    )[0]
 
 
 def condition_number(h) -> float:
@@ -130,44 +144,97 @@ def is_clll_reduced(r, params: ReductionParams = ReductionParams()) -> tuple[boo
 
 
 def clll_reduce(h, params: ReductionParams = ReductionParams()) -> ReducedBasis:
-    """CLLL-reduce a full-column-rank complex basis.
+    """CLLL-reduce a full-column-rank complex basis (clll_reduce_batch of one).
 
     Size reduction uses nearest-Gaussian-integer rounding; a failed Lovasz test
     swaps the two columns and re-triangularizes R with a 2x2 unitary rotation.
     U and U^-1 are carried along exactly.
     """
-    h = as_matrix(h)
-    _, r = qr_decompose(h)  # raises on rank deficiency
-    n = h.shape[1]
-    u = np.eye(n, dtype=np.complex128)
-    uinv = np.eye(n, dtype=np.complex128)
-    iters = 0
+    return clll_reduce_batch([as_matrix(h)[np.newaxis]], params)[0][0]
 
-    k = 1
-    while k < n:
-        iters += 1
-        _size_reduce_column(r, u, uinv, k)
-        if params.delta * r[k - 1, k - 1].real ** 2 > (
-            np.abs(r[k, k]) ** 2 + np.abs(r[k - 1, k]) ** 2
-        ):
-            r[:, [k - 1, k]] = r[:, [k, k - 1]]
-            u[:, [k - 1, k]] = u[:, [k, k - 1]]
-            uinv[[k - 1, k], :] = uinv[[k, k - 1], :]
-            # Givens-style re-triangularization of the two affected rows
-            a, b = r[k - 1, k - 1], r[k, k - 1]
-            rad = np.hypot(np.abs(a), np.abs(b))
-            g = np.array([[np.conj(a), np.conj(b)], [-b, a]]) / rad
-            r[k - 1 : k + 1, k - 1 :] = g @ r[k - 1 : k + 1, k - 1 :]
-            r[k - 1, k - 1] = rad
-            r[k, k - 1] = 0.0
-            ph = r[k, k] / np.abs(r[k, k])
-            r[k, k:] *= np.conj(ph)
-            r[k, k] = r[k, k].real
-            k = max(k - 1, 1)
-        else:
-            k += 1
 
-    return _reduced_basis(h @ u, u, uinv, iters)
+def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> list:
+    """CLLL-reduce every basis of a list of (batch, rows, n) stacks in one loop.
+
+    The stacks share the column count n; their row counts may differ (say the
+    plain and the extended channel).  The R factors of all bases are reduced
+    together as a masked state machine: each basis keeps its own column index
+    k and iteration count, and each step of the sequential algorithm (a
+    size-reduction sub-step, the Lovasz test, a swap with its Givens rotation)
+    is a few vectorized operations over the bases still running.  Every basis
+    gets bitwise the result it gets alone.  Returns one list of ReducedBasis
+    per stack, in stack order.  Raises SingularMatrixError if any basis is
+    numerically rank deficient.
+    """
+    hs = [np.asarray(h, dtype=np.complex128) for h in stacks]
+    if not hs or any(h.ndim != 3 or h.shape[2] != hs[0].shape[2] for h in hs):
+        raise ValidationError("expected (batch, rows, n) stacks sharing n")
+    n = hs[0].shape[2]
+    r = np.concatenate([qr_decompose(h)[1] for h in hs])  # raises on rank deficiency
+    b = r.shape[0]
+    # cols[i, j] is column j of R, then column j of U, then row j of U^-1 of
+    # basis i, so one indexed operation moves all three
+    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (b, n, n))
+    cols = np.concatenate([r.transpose(0, 2, 1), eye, eye], axis=2)
+    ru, ui = slice(0, 2 * n), slice(2 * n, 3 * n)
+    k = np.ones(b, dtype=np.intp)
+    iters = np.zeros(b, dtype=np.int64)
+
+    act = np.flatnonzero(k < n)
+    while act.size:
+        iters[act] += 1
+        kc = k[act]
+        m = np.arange(act.size)
+        # size-reduce column k against l = k-1 .. 0; a basis whose l would
+        # be negative gets mu = 0, which leaves its U and U^-1 unchanged.
+        # Whole columns are updated: column l of R is zero below row l, so
+        # every nonzero entry changes exactly as in an update of rows 0..l.
+        ck = cols[act, kc]
+        for s in range(1, int(kc.max()) + 1):
+            l = np.maximum(kc - s, 0)
+            cl = cols[act, l]
+            mu = round_gaussian(ck[m, l] / cl[m, l])
+            mu[kc < s] = 0.0
+            ck[:, ru] -= mu[:, np.newaxis] * cl[:, ru]
+            cols[act, l, ui] = cl[:, ui] + mu[:, np.newaxis] * ck[:, ui]
+        cols[act, kc] = ck
+
+        km = kc - 1
+        swap = params.delta * cols[act, km, km].real ** 2 > (
+            np.abs(ck[m, kc]) ** 2 + np.abs(ck[m, km]) ** 2
+        )
+        sw, k1 = act[swap], kc[swap]
+        if sw.size:
+            k0 = k1 - 1
+            cols[sw, k0], cols[sw, k1] = cols[sw, k1], cols[sw, k0]
+            # Givens-style re-triangularization of rows k-1, k of R, written
+            # out elementwise over whole rows (zero left of column k-1)
+            ms = np.arange(sw.size)
+            row0, row1 = cols[sw, :, k0], cols[sw, :, k1]
+            a, c = row0[ms, k0], row1[ms, k0]
+            rad = np.hypot(np.abs(a), np.abs(c))
+            g00, g01 = np.conj(a) / rad, np.conj(c) / rad
+            g10, g11 = -c / rad, a / rad
+            new0 = g00[:, np.newaxis] * row0 + g01[:, np.newaxis] * row1
+            new1 = g10[:, np.newaxis] * row0 + g11[:, np.newaxis] * row1
+            new0[ms, k0] = rad
+            new1[ms, k0] = 0.0
+            ph = new1[ms, k1] / np.abs(new1[ms, k1])
+            new1 *= np.conj(ph)[:, np.newaxis]
+            new1[ms, k1] = new1[ms, k1].real
+            cols[sw, :, k0], cols[sw, :, k1] = new0, new1
+            k[sw] = np.maximum(k0, 1)
+        k[act[~swap]] += 1
+        act = np.flatnonzero(k < n)
+
+    u = np.ascontiguousarray(cols[:, :, n : 2 * n].transpose(0, 2, 1))
+    u_inv = np.ascontiguousarray(cols[:, :, ui])
+    out, start = [], 0
+    for h in hs:
+        part = slice(start, start + h.shape[0])
+        out.append(_reduced_bases(h @ u[part], u[part], u_inv[part], iters[part]))
+        start = part.stop
+    return out
 
 
 def _size_reduce_column(r, u, uinv, k: int) -> None:

@@ -23,8 +23,14 @@ from .detectors import (
 )
 from .errors import ValidationError
 from .modem import ConstellationSpec, map_bits, unmap_symbols
-from .reduction import ReductionParams, clll_reduce
-from .switched import _k_limit, _select, extend_channel, sample_permutations
+from .reduction import ReductionParams, clll_reduce_batch
+from .switched import (
+    _candidate_stack,
+    _k_limit,
+    _select,
+    extend_channel,
+    sample_permutations,
+)
 
 # detector -> (reduction flavour, estimator).  Flavour None runs the estimator
 # on H directly; False reduces H, True the extended channel [H; sigma_n I].
@@ -79,7 +85,10 @@ class SimConfig:
             if len(set(vals)) != len(vals):
                 raise ValidationError(f"duplicate {what} in {vals}")
         # K only matters to the switched detectors, and n_t = 1 allows none
-        cap = _k_limit(self.n_t) if _switched(self.detectors) else math.inf
+        switched = _switched(self.detectors)
+        if switched and not self.k_candidates:
+            raise ValidationError("switched detectors need at least one K value")
+        cap = _k_limit(self.n_t) if switched else math.inf
         for k in self.k_candidates:
             if not (1 <= k <= cap):
                 raise ValidationError(f"k={k} outside [1, {cap}]")
@@ -131,17 +140,35 @@ def _switched(detectors) -> set:
     return {_DETECTOR_TABLE[d][0] for d in detectors if d.startswith("klr-")}
 
 
-def _selections(mat, extended: bool, perms, ks, params: ReductionParams) -> dict:
-    """Selections on basis mat keyed (extended, k) for k = 0 and each k in ks.
+def _trial_selections(h, perms, sigma2s, flavours, ks, params) -> list[dict]:
+    """Selections of one trial, one dict per SNR point, keyed (extended, k).
 
-    k = 0 keeps the CLLL baseline; k >= 1 picks among the first k candidates.
+    Every basis of the trial goes through one clll_reduce_batch call: the
+    plain channel and, for each SNR point, the extended one, each followed by
+    its permuted candidates.  k = 0 keeps the CLLL baseline; k >= 1 picks
+    among the first k candidates.  Plain selections are shared by all points.
     """
-    baseline = clll_reduce(mat, params)
-    cands = [clll_reduce(mat[:, list(p)], params) for p in perms[: max(ks, default=0)]]
-    return {
-        (extended, k): _select(baseline, cands[:k], perms[:k], extended)
-        for k in (0, *ks)
-    }
+    groups = []  # (extended, channels, permutations), one selection per channel
+    if False in flavours:
+        groups.append((False, h[np.newaxis], perms[: max(ks[False], default=0)]))
+    if True in flavours:
+        ext = np.stack([extend_channel(h, np.sqrt(s2)) for s2 in sigma2s])
+        groups.append((True, ext, perms[: max(ks[True], default=0)]))
+    sel = [{} for _ in sigma2s]
+    if not groups:
+        return sel
+    reduced = clll_reduce_batch([_candidate_stack(m, p) for _, m, p in groups], params)
+    for (extended, mats, p), bases in zip(groups, reduced):
+        w = 1 + len(p)
+        for i in range(len(mats)):
+            baseline, cands = bases[i * w], bases[i * w + 1 : (i + 1) * w]
+            found = {
+                (extended, k): _select(baseline, cands[:k], p[:k], extended)
+                for k in (0, *ks[extended])
+            }
+            for point in [sel[i]] if extended else sel:
+                point.update(found)
+    return sel
 
 
 def run_sweep(cfg: SimConfig) -> list[BerRecord]:
@@ -166,6 +193,7 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
         for snr in cfg.snr_grid_db
     }
 
+    sigma2s = [snr_config(snr, cfg)[0] for snr in cfg.snr_grid_db]
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         h = gen_channel(cfg.n_r, cfg.n_t, rng)
@@ -181,24 +209,16 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
             else ()
         )
 
-        sel = {}
-        if False in flavours:
-            sel.update(_selections(h, False, perms, ks[False], params))
-
-        for snr in cfg.snr_grid_db:
-            sigma2, _ = snr_config(snr, cfg)
+        sel = _trial_selections(h, perms, sigma2s, flavours, ks, params)
+        for snr, sigma2, point in zip(cfg.snr_grid_db, sigma2s, sel):
             y = h @ x + np.sqrt(sigma2) * noise_unit
-
-            if True in flavours:
-                h_ext = extend_channel(h, np.sqrt(sigma2))
-                sel.update(_selections(h_ext, True, perms, ks[True], params))
-
             for det, k in variants:
-                x_hat = _detect_packet(det, k, y, h, sigma2, spec, sel)
+                x_hat = _detect_packet(det, k, y, h, sigma2, spec, point)
                 bit_hat = unmap_symbols(x_hat.T, spec)
                 e = errs[(det, k, snr)]
                 e[0] += int(np.sum(bit_hat != bits))
                 e[1] += int(np.sum(np.abs(x_hat - x) > spec.a / 4))
+        del sel, point  # free this trial's bases before the next trial reduces its own
 
     records = []
     vectors = cfg.trials * cfg.packet_len

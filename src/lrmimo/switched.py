@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_matrix
-from .reduction import ReducedBasis, ReductionParams, _reduced_basis, clll_reduce
+from .reduction import ReducedBasis, ReductionParams, _reduced_basis, clll_reduce_batch
 
 MAX_CANDIDATES = 10
 
@@ -122,9 +122,20 @@ def klr_select_with(
     h = as_matrix(h)
     if perms.n != h.shape[1]:
         raise ValidationError("permutation size does not match column count")
-    baseline = clll_reduce(h, params)
-    cands = [clll_reduce(h[:, list(p)], params) for p in perms.perms]
-    return _select(baseline, cands, perms.perms, False)
+    bases = clll_reduce_batch([_candidate_stack(h[np.newaxis], perms.perms)], params)[0]
+    return _select(bases[0], bases[1:], perms.perms, False)
+
+
+def _candidate_stack(mats: np.ndarray, perms) -> np.ndarray:
+    """Each matrix of a (count, rows, n) stack followed by its column permutations.
+
+    Returns a (count * (1 + len(perms)), rows, n) stack: matrix i sits at
+    index i * (1 + len(perms)), its candidate by perms[j] right after at
+    offset 1 + j.
+    """
+    _, rows, n = mats.shape
+    cols = np.array([tuple(range(n)), *perms], dtype=np.intp)
+    return mats[:, :, cols].transpose(0, 2, 1, 3).reshape(-1, rows, n)
 
 
 def klr_select(

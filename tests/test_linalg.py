@@ -53,6 +53,28 @@ class TestQrDecompose:
         with pytest.raises(ValidationError):
             qr_decompose(np.array([[np.nan, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("shape", [(5, 6, 4), (2, 3, 4, 4), (1, 3, 1)])
+    def test_stack_matches_matrix_by_matrix(self, rng, shape):
+        a = crandn(rng, *shape)
+        a[(0,) * (len(shape) - 2)] *= 1e-20  # rank is judged per matrix
+        q, r = qr_decompose(a)
+        for i in np.ndindex(shape[:-2]):
+            qi, ri = qr_decompose(a[i])
+            assert q[i].tobytes() == qi.tobytes()
+            assert r[i].tobytes() == ri.tobytes()
+
+    def test_stack_rejects_what_a_matrix_rejects(self, rng):
+        a = crandn(rng, 3, 4, 2)
+        a[1, 2, 0] = np.inf
+        with pytest.raises(ValidationError):
+            qr_decompose(a)
+        with pytest.raises(ValidationError):
+            qr_decompose(crandn(rng, 3, 2, 4))
+        b = crandn(rng, 3, 4, 2)
+        b[2, :, 1] = 2j * b[2, :, 0]
+        with pytest.raises(SingularMatrixError):
+            qr_decompose(b)
+
 
 class TestPseudoinverse:
     def test_identity(self):

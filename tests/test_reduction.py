@@ -6,6 +6,7 @@ from lrmimo.linalg import gram_det
 from lrmimo.reduction import (
     ReductionParams,
     clll_reduce,
+    clll_reduce_batch,
     condition_number,
     is_clll_reduced,
     is_unimodular,
@@ -166,6 +167,57 @@ def test_clll_pinned_outcomes(seed, rows, n, snr_db, delta, iters, u_text):
     out = clll_reduce(pinned_basis(seed, rows, n, snr_db), ReductionParams(delta))
     assert out.iteration_count == iters
     assert np.array_equal(out.u, parse_u(u_text))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def hard_basis(rng, rows):
+    """6-column basis scrambled by 40 random Gaussian-integer column shears."""
+    h = crandn(rng, rows, 6)
+    for _ in range(40):
+        i, j = rng.choice(6, 2, replace=False)
+        h[:, j] += complex(*rng.integers(-3, 4, 2)) * h[:, i]
+    return h
+
+
+class TestClllReduceBatch:
+    @pytest.mark.parametrize("delta", [0.75, 0.99])
+    def test_batch_invariance(self, rng, delta):
+        """A basis gets bitwise its lone result inside a shuffled mixed-height batch."""
+        params = ReductionParams(delta)
+        bases = [pinned_basis(*c[:4]) for c in CLLL_PINS if c[2] == 6]
+        bases += [hard_basis(rng, rows) for rows in (6, 12, 6, 12)]
+        alone = [clll_reduce(h, params) for h in bases]
+        easy = max(out.iteration_count for out in alone[:-4])
+        assert min(out.iteration_count for out in alone[-4:]) > 2 * easy
+
+        order = rng.permutation(len(bases))
+        by_rows = {6: [], 12: []}
+        for i in order:
+            by_rows[bases[i].shape[0]].append(i)
+        stacks = [np.stack([bases[i] for i in idx]) for idx in by_rows.values()]
+        for idx, outs in zip(by_rows.values(), clll_reduce_batch(stacks, params)):
+            for i, out in zip(idx, outs):
+                ref = alone[i]
+                assert out.iteration_count == ref.iteration_count
+                assert out.odf_value == ref.odf_value
+                for name in ("h_tilde", "u", "u_inv", "q", "r"):
+                    assert same_bits(getattr(out, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("stack,pos", [(0, 0), (0, 3), (1, 1)])
+    def test_rank_deficient_member_raises(self, rng, stack, pos):
+        stacks = [crandn(rng, 4, 5, 3), crandn(rng, 2, 8, 3)]
+        h = stacks[stack][pos]
+        h[:, 2] = h[:, 0] - 1j * h[:, 1]
+        with pytest.raises(SingularMatrixError):
+            clll_reduce_batch(stacks)
+
+    def test_stacks_must_share_column_count(self, rng):
+        with pytest.raises(ValidationError):
+            clll_reduce_batch([crandn(rng, 2, 4, 3), crandn(rng, 2, 4, 4)])
 
 
 class TestIsClllReduced:

@@ -53,6 +53,7 @@ class TestSimConfig:
             dict(detectors=("zf", "zf")),
             dict(k_candidates=(1, 1), detectors=("klr-zf",)),
             dict(snr_grid_db=(10.0, 10.0)),
+            dict(k_candidates=(), detectors=("klr-zf",)),
         ],
     )
     def test_invalid(self, kw):
@@ -245,6 +246,19 @@ class TestCli:
             ]
         )
         assert code == EXIT_VALIDATION
+
+    def test_simulate_empty_k_list(self, tmp_path, capsys):
+        code = main(
+            [
+                "simulate",
+                "--nt", "2", "--nr", "2",
+                "--detectors", "klr-zf",
+                "--k", ",",
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "K value" in capsys.readouterr().err
 
     def test_reduce_plain(self, tmp_path, capsys):
         path = tmp_path / "h.txt"
