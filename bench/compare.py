@@ -2,16 +2,16 @@
 
 Extracts a git ref (default HEAD~1) with `git archive` into a temporary
 directory, then runs `sweepbench/run.py --trace 0` on that copy ("parent")
-and on the working tree ("change") in alternating pairs for each workload:
-pair i runs both sides with benchmark seed `--seed + i`, the parent first on
-even i and the change first on odd i.  Each side uses the benchmark files of
-its own checkout.  Writes one JSON file with every run's end-to-end metrics
+and on the working tree ("change") in alternating pairs for each workload of
+BENCHMARK.json, every run as long as its `run_seconds` sets: pair i runs both
+sides with benchmark seed `--seed + i`, the parent first on even i and the
+change first on odd i.  Each side uses the benchmark files of its own
+checkout.  Writes one JSON file with every run's end-to-end metrics
 (each a median over that run's sweeps), per metric the quartiles of each
 side, the change/parent ratio of the medians and of each pair, the pairs the
 change wins, and the host facts.  Run from the root of a checkout:
 
-    python3 bench/compare.py --out BENCH.json
-    python3 bench/compare.py --ref main --workload klr-mmse --pairs 10 --out x.json
+    python3 bench/compare.py --ref HEAD~1 --pairs 10 --out BENCH.json
 """
 
 import argparse
@@ -45,11 +45,11 @@ def extract(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
 
 
-def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(root: Path, workload: str, seed: int) -> dict:
     """One `sweepbench/run.py --trace 0` run in checkout `root`."""
     cmd = [
         sys.executable, "sweepbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(SPEC["run_seconds"]), "--trace", "0",
     ]
     t0 = time.time()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -125,16 +125,13 @@ def host_facts() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ref", default="HEAD~1", help="git ref of the parent side")
-    parser.add_argument("--workload", default="all", choices=["all", *WORKLOADS])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     parser.add_argument("--seed", type=int, default=0, help="seed of pair 0")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
-    names = WORKLOADS if args.workload == "all" else [args.workload]
     record = {
         "parent_ref": args.ref,
         "parent_commit": git("rev-parse", args.ref),
@@ -142,7 +139,9 @@ def main(argv=None) -> int:
         "change_uncommitted": bool(
             git("status", "--porcelain", "--", "src", "sweepbench")
         ),
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed},
+        "settings": {
+            "pairs": args.pairs, "seconds": SPEC["run_seconds"], "seed": args.seed
+        },
         "host": host_facts(),
         "load_avg_start": os.getloadavg(),
         "workloads": {},
@@ -151,14 +150,14 @@ def main(argv=None) -> int:
         parent_root = Path(tmp)
         extract(args.ref, parent_root)
         sides = {"parent": parent_root, "change": ROOT}
-        for name in names:
+        for name in WORKLOADS:
             runs = []
             for i in range(args.pairs):
                 seed = args.seed + i
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_bench(sides[side], name, seed, args.seconds)
+                    pair[side] = run_bench(sides[side], name, seed)
                     rate = pair[side]["metrics"]["trials_per_s"]
                     print(f"{name} pair {i} {side}: trials_per_s {rate:.4g}",
                           flush=True)

@@ -20,8 +20,10 @@ from .reduction import (
     _gdiv_exact,
     _gmul,
     _gsub,
+    _columns,
     _reduced_basis,
-    _size_reduce_column,
+    _size_reduce,
+    _split_columns,
     clll_reduce,
 )
 
@@ -217,8 +219,11 @@ def _kz_recurse(r: np.ndarray, budget: EnumerationBudget, nodes: list):
     t[:, 1:] = t1[:, 1:] @ ts
     tinv = t1inv.copy()
     tinv[1:, :] = tsinv @ t1inv[1:, :]
+    cols = _columns(r_new[np.newaxis], t[np.newaxis], tinv[np.newaxis])
+    one = np.zeros(1, dtype=np.intp)
     for k in range(1, n):  # full size reduction
-        _size_reduce_column(r_new, t, tinv, k)
+        _size_reduce(cols, one, np.array([k]))
+    r_new, t, tinv = (x[0] for x in _split_columns(cols))
     return r_new, t, tinv
 
 

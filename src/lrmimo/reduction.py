@@ -172,11 +172,8 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     n = hs[0].shape[2]
     r = np.concatenate([qr_decompose(h)[1] for h in hs])  # raises on rank deficiency
     b = r.shape[0]
-    # cols[i, j] is column j of R, then column j of U, then row j of U^-1 of
-    # basis i, so one indexed operation moves all three
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (b, n, n))
-    cols = np.concatenate([r.transpose(0, 2, 1), eye, eye], axis=2)
-    ru, ui = slice(0, 2 * n), slice(2 * n, 3 * n)
+    cols = _columns(r, eye, eye)
     k = np.ones(b, dtype=np.intp)
     iters = np.zeros(b, dtype=np.int64)
 
@@ -184,21 +181,8 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     while act.size:
         iters[act] += 1
         kc = k[act]
+        ck = _size_reduce(cols, act, kc)
         m = np.arange(act.size)
-        # size-reduce column k against l = k-1 .. 0; a basis whose l would
-        # be negative gets mu = 0, which leaves its U and U^-1 unchanged.
-        # Whole columns are updated: column l of R is zero below row l, so
-        # every nonzero entry changes exactly as in an update of rows 0..l.
-        ck = cols[act, kc]
-        for s in range(1, int(kc.max()) + 1):
-            l = np.maximum(kc - s, 0)
-            cl = cols[act, l]
-            mu = round_gaussian(ck[m, l] / cl[m, l])
-            mu[kc < s] = 0.0
-            ck[:, ru] -= mu[:, np.newaxis] * cl[:, ru]
-            cols[act, l, ui] = cl[:, ui] + mu[:, np.newaxis] * ck[:, ui]
-        cols[act, kc] = ck
-
         km = kc - 1
         swap = params.delta * cols[act, km, km].real ** 2 > (
             np.abs(ck[m, kc]) ** 2 + np.abs(ck[m, km]) ** 2
@@ -227,8 +211,7 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
         k[act[~swap]] += 1
         act = np.flatnonzero(k < n)
 
-    u = np.ascontiguousarray(cols[:, :, n : 2 * n].transpose(0, 2, 1))
-    u_inv = np.ascontiguousarray(cols[:, :, ui])
+    _, u, u_inv = _split_columns(cols)
     out, start = [], 0
     for h in hs:
         part = slice(start, start + h.shape[0])
@@ -237,14 +220,50 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     return out
 
 
-def _size_reduce_column(r, u, uinv, k: int) -> None:
-    """Size-reduce column k of upper-triangular r in place, mirrored on u / uinv."""
-    for l in range(k - 1, -1, -1):
-        mu = round_gaussian(r[l, k] / r[l, l])
-        if mu != 0:
-            r[: l + 1, k] -= mu * r[: l + 1, l]
-            u[:, k] -= mu * u[:, l]
-            uinv[l, :] += mu * uinv[k, :]
+def _columns(r, u, u_inv) -> np.ndarray:
+    """Pack stacks of R, U and U^-1 (each (batch, n, n)) for _size_reduce.
+
+    Entry [i, j] is column j of R, then column j of U, then row j of U^-1 of
+    basis i, so one indexed operation moves all three.
+    """
+    return np.concatenate(
+        [r.transpose(0, 2, 1), u.transpose(0, 2, 1), u_inv], axis=2
+    )
+
+
+def _split_columns(cols):
+    """Inverse of _columns: contiguous stacks (r, u, u_inv)."""
+    n = cols.shape[1]
+    r, u, u_inv = (cols[:, :, j * n : (j + 1) * n] for j in range(3))
+    return (
+        np.ascontiguousarray(r.transpose(0, 2, 1)),
+        np.ascontiguousarray(u.transpose(0, 2, 1)),
+        np.ascontiguousarray(u_inv),
+    )
+
+
+def _size_reduce(cols, act, kc) -> np.ndarray:
+    """Size-reduce column kc[i] of basis act[i] against columns kc[i]-1 .. 0.
+
+    cols is packed by _columns and is updated in place (R and U columns k,
+    U^-1 rows l); returns the new packed columns k.  A basis whose l would be
+    negative gets mu = 0, which leaves its U and U^-1 unchanged.  Whole
+    columns are updated: column l of R is zero below row l, so every nonzero
+    entry changes exactly as in an update of rows 0..l.
+    """
+    n = cols.shape[1]
+    ru, ui = slice(0, 2 * n), slice(2 * n, 3 * n)
+    m = np.arange(act.size)
+    ck = cols[act, kc]
+    for s in range(1, int(kc.max()) + 1):
+        l = np.maximum(kc - s, 0)
+        cl = cols[act, l]
+        mu = round_gaussian(ck[m, l] / cl[m, l])
+        mu[kc < s] = 0.0
+        ck[:, ru] -= mu[:, np.newaxis] * cl[:, ru]
+        cols[act, l, ui] = cl[:, ui] + mu[:, np.newaxis] * ck[:, ui]
+    cols[act, kc] = ck
+    return ck
 
 
 # --- exact Gaussian-integer determinant (Bareiss) ------------------------------
