@@ -3,14 +3,14 @@
 Builds the bases that one trial of the `klr-mmse` benchmark workload reduces
 (a 6x6 i.i.d. channel extended for each SNR point of 14:1:22 dB, each
 followed by its 10 column-permuted candidates: 99 bases of 12x6) and times
-`clll_reduce_batch` on the whole trial and `clll_reduce` on each basis alone.
-Both times include the final QR and ODF.  Prints the median microseconds per
-basis over the trials, as one JSON line.  Run from the root of a checkout:
+`clll_reduce_batch` on the whole trial and `clll_reduce` on each basis alone,
+for 20 seeded trials.  Both times include the final QR and ODF.  Prints the
+median microseconds per basis over the trials, as one JSON line.  Run from
+the root of a checkout:
 
-    python3 bench/clll_timing.py --trials 20
+    python3 bench/clll_timing.py
 """
 
-import argparse
 import json
 import os
 import sys
@@ -28,6 +28,7 @@ from lrmimo import clll_reduce, clll_reduce_batch  # noqa: E402
 from lrmimo.switched import extend_channel, sample_permutations  # noqa: E402
 
 N, K, SNR_DB = 6, 10, range(14, 23)
+TRIALS = 20
 
 
 def trial_stack(rng) -> np.ndarray:
@@ -42,17 +43,10 @@ def trial_stack(rng) -> np.ndarray:
     return np.stack(out)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-
-    rng = np.random.default_rng(args.seed)
+def main() -> int:
+    rng = np.random.default_rng(0)
     batch_us, lone_us = [], []
-    for _ in range(args.trials):
+    for _ in range(TRIALS):
         stack = trial_stack(rng)
         t0 = time.perf_counter()
         clll_reduce_batch([stack])
@@ -64,7 +58,7 @@ def main(argv=None) -> int:
     batch, lone = float(np.median(batch_us)), float(np.median(lone_us))
     print(json.dumps({
         "bases_per_trial": len(stack),
-        "trials": args.trials,
+        "trials": TRIALS,
         "batch_us_per_basis": round(batch, 1),
         "lone_us_per_basis": round(lone, 1),
         "lone_over_batch": round(lone / batch, 2),
