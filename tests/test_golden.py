@@ -1,4 +1,4 @@
-"""Golden pin: exact error counts of two small sweeps.
+"""Golden pin: exact error counts of three small sweeps.
 
 The counts were produced by the implementation before the selection, basis
 construction, size reduction and SIC paths were merged; any change to how a
@@ -80,6 +80,36 @@ GOLDEN_B = [
     ("klr-mmse-sic", 2, 18.0, 12, 12),
 ]
 
+# 2x3 64-QAM: the only pin of the 8-level slicer and bit table
+SWEEP_C = SimConfig(
+    n_t=2,
+    n_r=3,
+    m=64,
+    snr_grid_db=(12.0, 18.0, 24.0),
+    detectors=("zf", "mmse", "clr-zf", "klr-mmse-sic", "ml"),
+    k_candidates=(1,),
+    trials=40,
+    packet_len=20,
+    seed=5,
+)
+GOLDEN_C = [
+    ("zf", 0, 12.0, 1340, 954),
+    ("zf", 0, 18.0, 401, 353),
+    ("zf", 0, 24.0, 49, 46),
+    ("mmse", 0, 12.0, 1330, 963),
+    ("mmse", 0, 18.0, 405, 360),
+    ("mmse", 0, 24.0, 48, 45),
+    ("clr-zf", 0, 12.0, 1356, 955),
+    ("clr-zf", 0, 18.0, 402, 349),
+    ("clr-zf", 0, 24.0, 31, 29),
+    ("klr-mmse-sic", 1, 12.0, 1352, 962),
+    ("klr-mmse-sic", 1, 18.0, 379, 325),
+    ("klr-mmse-sic", 1, 24.0, 16, 16),
+    ("ml", 0, 12.0, 1252, 907),
+    ("ml", 0, 18.0, 337, 294),
+    ("ml", 0, 24.0, 17, 17),
+]
+
 
 def _rows(cfg):
     return [
@@ -98,3 +128,7 @@ def test_golden_all_detectors():
 
 def test_golden_16qam_delta_099():
     assert _rows(SWEEP_B) == GOLDEN_B
+
+
+def test_golden_64qam():
+    assert _rows(SWEEP_C) == GOLDEN_C
