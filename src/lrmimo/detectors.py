@@ -13,7 +13,14 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
-from .linalg import _pinv_from_qr, as_matrix, as_vector, pseudoinverse, qr_decompose
+from .linalg import (
+    _as_stack,
+    _pinv_from_qr,
+    as_matrix,
+    as_vector,
+    pseudoinverse,
+    qr_decompose,
+)
 from .modem import ConstellationSpec
 from .reduction import round_gaussian
 from .switched import KlrResult, extend_channel
@@ -79,14 +86,19 @@ def sic_detect_batch(h_tilde, y_cols: np.ndarray) -> np.ndarray:
     return _sic(*qr_decompose(as_matrix(h_tilde)), y_cols)
 
 
-def _sic(q: np.ndarray, r: np.ndarray, y_cols: np.ndarray) -> np.ndarray:
-    """SIC of every column of y_cols, given the QR factors (q, r) of the channel."""
-    yt = q.conj().T @ y_cols
-    n = r.shape[1]
-    z = np.zeros((n, y_cols.shape[1]), dtype=np.complex128)
+def _sic(q: np.ndarray, r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SIC of every column of y, given the QR factors (q, r) of the channel.
+
+    q and r may carry a leading stack axis, and y (..., rows, batch) any
+    leading axes that broadcast against them.
+    """
+    yt = np.swapaxes(q.conj(), -1, -2) @ y
+    n = r.shape[-1]
+    z = np.zeros(yt.shape, dtype=np.complex128)
     for i in range(n - 1, -1, -1):
-        resid = yt[i, :] - r[i, i + 1 :] @ z[i + 1 :, :]
-        z[i, :] = round_gaussian(resid / r[i, i])
+        done = r[..., i, np.newaxis, i + 1 :] @ z[..., i + 1 :, :]
+        resid = yt[..., i, :] - done[..., 0, :]
+        z[..., i, :] = round_gaussian(resid / r[..., i, i, np.newaxis])
     return z
 
 
@@ -94,14 +106,15 @@ def shift_scale_quantize(z_breve, u_inv, spec: ConstellationSpec) -> np.ndarray:
     """Snap reduced-domain estimates onto the shifted-scaled integer lattice.
 
     The constellation lattice is a * (Z[i]^n + (1+j)/2 per dimension); in the
-    reduced domain the offset becomes (1/2) U^-1 (1+j) 1.
+    reduced domain the offset becomes (1/2) U^-1 (1+j) 1.  z_breve is a vector
+    or a (n, batch) block; u_inv may be a stack of S matrices, one per member
+    of an (S, n, batch) z_breve.
     """
     z_breve = np.asarray(z_breve, dtype=np.complex128)
-    u_inv = as_matrix(u_inv)
-    ones = np.full(u_inv.shape[1], 1.0 + 1.0j)
-    d = 0.5 * (u_inv @ ones)
-    if z_breve.ndim == 2:
-        d = d[:, np.newaxis]
+    u_inv = _as_stack(u_inv)
+    d = 0.5 * (u_inv @ np.full(u_inv.shape[-1], 1.0 + 1.0j))
+    if z_breve.ndim >= 2:
+        d = d[..., np.newaxis]
     return spec.a * (round_gaussian(z_breve / spec.a - d) + d)
 
 
@@ -111,20 +124,27 @@ def hard_slice(v, spec: ConstellationSpec) -> np.ndarray:
     Midpoint ties go to the lower-magnitude level.
     """
     v = np.asarray(v, dtype=np.complex128)
-    return _slice_axis(v.real, spec) + 1j * _slice_axis(v.imag, spec)
+    levels = spec.levels
+    return levels[_slice_index(v.real, spec)] + 1j * levels[_slice_index(v.imag, spec)]
 
 
-def _slice_axis(vals: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+def _slice_index(vals: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+    """Index into spec.levels of the level nearest to each real value.
+
+    Out-of-range values clip to the outer levels.  On a midpoint tie the
+    level closer to zero wins; if both are equally far (the +-a/2 pair) the
+    lower index.  A NaN gives an index outside [0, side).
+    """
     side = spec.side
     center = (side - 1) / 2
     t = vals / spec.a + center
-    k = np.floor(t + 0.5)
-    tie = (t + 0.5) == k
-    # on a midpoint tie prefer the level closer to zero; if both are equally
-    # far (the +-a/2 pair) take the lower index
-    k = np.where(tie & (np.abs(k - center) >= np.abs(k - 1 - center)), k - 1, k)
-    k = np.clip(k, 0, side - 1).astype(np.int64)
-    return spec.levels[k]
+    t += 0.5
+    k = np.floor(t)
+    tie = t == k
+    if tie.any():
+        k = np.where(tie & (np.abs(k - center) >= np.abs(k - 1 - center)), k - 1, k)
+    np.clip(k, 0, side - 1, out=k)
+    return k.astype(np.intp)
 
 
 def ml_detect(
@@ -185,48 +205,67 @@ def lr_detect(
     one.
     """
     y = as_vector(y)
-    h = as_matrix(h)
-    if kind not in DETECTOR_KINDS:
-        raise ValidationError(f"unknown detector kind {kind!r}")
-    extended = kind in ("mmse", "sic-mmse")
-    if extended != klr.extended:
-        raise ValidationError(
-            f"detector kind {kind!r} does not match the reduction flavor "
-            f"(extended={klr.extended})"
-        )
-    z_hat = _lr_estimate(y[:, np.newaxis], h, klr, kind, spec)[:, 0]
-    x_raw = klr.transform @ z_hat
-    return DetectionOutput(x_hat=hard_slice(x_raw, spec), z_hat=z_hat)
-
-
-def _lr_estimate(
-    y_cols: np.ndarray, h, klr: KlrResult, kind: str, spec: ConstellationSpec
-) -> np.ndarray:
-    """Reduced-domain symbol estimates for a block of received columns."""
-    n_t = h.shape[1]
-    ht = klr.basis.h_tilde
-    if klr.extended:
-        y_use = np.vstack(
-            [y_cols, np.zeros((n_t, y_cols.shape[1]), dtype=np.complex128)]
-        )
-    else:
-        y_use = y_cols
-    tinv = klr.transform_inv
-    # the basis carries the QR of h_tilde, so neither path factors it again
-    q, r = klr.basis.q, klr.basis.r
-    if kind in ("zf", "mmse"):
-        z_breve = _pinv_from_qr(q, r) @ y_use
-        return shift_scale_quantize(z_breve, tinv, spec)
-    ones = np.full(n_t, 1.0 + 1.0j)
-    d = 0.5 * (tinv @ ones)
-    y_shift = y_use / spec.a - (ht @ d)[:, np.newaxis]
-    z_int = _sic(q, r, y_shift)
-    return spec.a * (z_int + d[:, np.newaxis])
+    as_matrix(h)  # validated only: klr carries the reduced channel
+    z_hat, x_raw = _lr_estimate(y[np.newaxis, :, np.newaxis], [klr], kind, spec)
+    return DetectionOutput(x_hat=hard_slice(x_raw[0, :, 0], spec), z_hat=z_hat[0, :, 0])
 
 
 def lr_detect_batch(
-    y_cols: np.ndarray, h, klr: KlrResult, kind: str, spec: ConstellationSpec
+    y_cols: np.ndarray, h, klr, kind: str, spec: ConstellationSpec
 ) -> np.ndarray:
-    """LR-aided detection of every column of y_cols; returns sliced symbols."""
-    z = _lr_estimate(y_cols, h, klr, kind, spec)
-    return hard_slice(klr.transform @ z, spec)
+    """LR-aided detection of every column of y_cols; returns sliced symbols.
+
+    y_cols is a (rows, batch) block or an (S, rows, batch) stack of blocks.
+    klr is one KlrResult, which serves every block, or a sequence of S of
+    them, block s detected with klr[s].  The result has the shape of y_cols
+    with n_t rows.
+    """
+    klrs = [klr] if isinstance(klr, KlrResult) else list(klr)
+    y = np.asarray(y_cols, dtype=np.complex128)
+    if y.ndim not in (2, 3):
+        raise ValidationError(f"expected a 2-D block or 3-D stack, got shape {y.shape}")
+    stack = y if y.ndim == 3 else y[np.newaxis]
+    if len(klrs) not in (1, len(stack)):
+        raise ValidationError(f"{len(klrs)} selections for a stack of {len(stack)}")
+    x = hard_slice(_lr_estimate(stack, klrs, kind, spec)[1], spec)
+    return x if y.ndim == 3 else x[0]
+
+
+def _lr_estimate(
+    y: np.ndarray, klrs, kind: str, spec: ConstellationSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unsliced LR-aided estimates of an (S, n_r, batch) stack of blocks.
+
+    klrs holds S selections, block s detected with klrs[s], or one; when
+    every entry is the same object its filter is solved once.  Returns the
+    reduced-domain estimates z and their constellation-domain image T z, both
+    (S, n_t, batch).
+    """
+    if kind not in DETECTOR_KINDS:
+        raise ValidationError(f"unknown detector kind {kind!r}")
+    extended = kind in ("mmse", "sic-mmse")
+    if any(klr.extended != extended for klr in klrs):
+        raise ValidationError(
+            f"detector kind {kind!r} does not match the reduction flavor "
+            f"(extended={not extended})"
+        )
+
+    shared = all(k is klrs[0] for k in klrs)
+
+    def stacked(get):
+        return get(klrs[0]) if shared else np.stack([get(k) for k in klrs])
+
+    # the basis carries the QR of h_tilde, so neither path factors it again
+    q, r = stacked(lambda k: k.basis.q), stacked(lambda k: k.basis.r)
+    tinv = stacked(lambda k: k.transform_inv)
+    n_t = r.shape[-1]
+    if extended:
+        pad = np.zeros((len(y), n_t, y.shape[2]), dtype=np.complex128)
+        y = np.concatenate([y, pad], axis=1)
+    if kind in ("zf", "mmse"):
+        z = shift_scale_quantize(_pinv_from_qr(q, r) @ y, tinv, spec)
+    else:
+        d = 0.5 * (tinv @ np.full(n_t, 1.0 + 1.0j))[..., np.newaxis]
+        y_shift = y / spec.a - stacked(lambda k: k.basis.h_tilde) @ d
+        z = spec.a * (_sic(q, r, y_shift) + d)
+    return z, stacked(lambda k: k.transform) @ z

@@ -75,8 +75,9 @@ def pseudoinverse(a) -> np.ndarray:
 
 
 def _pinv_from_qr(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Pseudoinverse of the matrix whose QR factors are (q, r)."""
-    return np.linalg.solve(r, q.conj().T)
+    """Pseudoinverse of the matrix whose QR factors are (q, r), or of each
+    matrix of a stack."""
+    return np.linalg.solve(r, np.swapaxes(q.conj(), -1, -2))
 
 
 def singular_values(a) -> np.ndarray:

@@ -90,6 +90,13 @@ def _levels_to_bits(vals: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     return (g[..., np.newaxis] >> shifts) & 1
 
 
+def _bit_distance(spec: ConstellationSpec) -> np.ndarray:
+    """(side, side) table: bits that differ between the Gray labels of level
+    indices i and j of one axis."""
+    g = _gray_encode(np.arange(spec.side))
+    return np.bitwise_count(g[:, np.newaxis] ^ g).astype(np.intp)
+
+
 def map_bits(bits: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     """Gray-map bit blocks to symbols; bits shape (..., bits_per_symbol)."""
     bits = np.asarray(bits)

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import (
-    hard_slice,
-    lr_detect_batch,
+    _lr_estimate,
+    _slice_index,
     ml_detect_batch,
     mmse_filter_direct,
     pseudoinverse,
 )
-from .errors import ValidationError
-from .modem import ConstellationSpec, map_bits, unmap_symbols
+from .errors import SingularMatrixError, ValidationError
+from .modem import ConstellationSpec, _bit_distance, map_bits
 from .reduction import ReductionParams, clll_reduce_batch
 from .switched import (
     _candidate_stack,
@@ -47,6 +47,12 @@ _DETECTOR_TABLE = {
     "ml": (None, "ml"),
 }
 DETECTORS = tuple(_DETECTOR_TABLE)
+
+# Received columns per detection call: the SNR points of a trial are detected
+# together until their blocks hold this many, which shares the fixed cost of
+# each numpy call among short packets and keeps the temporaries of a long
+# packet at the size of one point's.
+_COLUMNS_PER_CALL = 2048
 
 CSV_HEADER = (
     "detector,k,snr_db,ebn0_db,trials,packet_len,bits_total,bit_errors,ber,sym_errors"
@@ -140,13 +146,14 @@ def _switched(detectors) -> set:
     return {_DETECTOR_TABLE[d][0] for d in detectors if d.startswith("klr-")}
 
 
-def _trial_selections(h, perms, sigma2s, flavours, ks, params) -> list[dict]:
-    """Selections of one trial, one dict per SNR point, keyed (extended, k).
+def _trial_selections(h, perms, sigma2s, flavours, ks, params) -> dict:
+    """Selections of one trial keyed (extended, k), each a list of KlrResults.
 
     Every basis of the trial goes through one clll_reduce_batch call: the
     plain channel and, for each SNR point, the extended one, each followed by
     its permuted candidates.  k = 0 keeps the CLLL baseline; k >= 1 picks
-    among the first k candidates.  Plain selections are shared by all points.
+    among the first k candidates.  Each list has one entry per SNR point;
+    the plain selection is one object shared by all of them.
     """
     groups = []  # (extended, channels, permutations), one selection per channel
     if False in flavours:
@@ -154,7 +161,7 @@ def _trial_selections(h, perms, sigma2s, flavours, ks, params) -> list[dict]:
     if True in flavours:
         ext = np.stack([extend_channel(h, np.sqrt(s2)) for s2 in sigma2s])
         groups.append((True, ext, perms[: max(ks[True], default=0)]))
-    sel = [{} for _ in sigma2s]
+    sel = {}
     if not groups:
         return sel
     reduced = clll_reduce_batch([_candidate_stack(m, p) for _, m, p in groups], params)
@@ -162,12 +169,10 @@ def _trial_selections(h, perms, sigma2s, flavours, ks, params) -> list[dict]:
         w = 1 + len(p)
         for i in range(len(mats)):
             baseline, cands = bases[i * w], bases[i * w + 1 : (i + 1) * w]
-            found = {
-                (extended, k): _select(baseline, cands[:k], p[:k], extended)
-                for k in (0, *ks[extended])
-            }
-            for point in [sel[i]] if extended else sel:
-                point.update(found)
+            for k in (0, *ks[extended]):
+                found = _select(baseline, cands[:k], p[:k], extended)
+                copies = 1 if extended else len(sigma2s)
+                sel.setdefault((extended, k), []).extend([found] * copies)
     return sel
 
 
@@ -187,13 +192,13 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
         else:
             variants.append((det, 0))
 
-    errs = {
-        (det, k, snr): [0, 0]  # bit errors, symbol errors
-        for det, k in variants
-        for snr in cfg.snr_grid_db
-    }
+    # per variant, bit and symbol errors at each SNR point
+    errs = {v: np.zeros((2, len(cfg.snr_grid_db)), dtype=np.int64) for v in variants}
+    bit_distance = _bit_distance(spec)
 
     sigma2s = [snr_config(snr, cfg)[0] for snr in cfg.snr_grid_db]
+    sigmas = np.sqrt(sigma2s)[:, np.newaxis, np.newaxis]
+    per_call = max(1, _COLUMNS_PER_CALL // cfg.packet_len)
     for trial in range(cfg.trials):
         rng = _trial_rng(cfg.seed, trial)
         h = gen_channel(cfg.n_r, cfg.n_t, rng)
@@ -210,23 +215,23 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
         )
 
         sel = _trial_selections(h, perms, sigma2s, flavours, ks, params)
-        for snr, sigma2, point in zip(cfg.snr_grid_db, sigma2s, sel):
-            y = h @ x + np.sqrt(sigma2) * noise_unit
+        hx = h @ x
+        sent = _level_indices(x, spec)
+        for lo in range(0, len(sigma2s), per_call):
+            pts = slice(lo, lo + per_call)
+            y = hx + sigmas[pts] * noise_unit  # (points, n_r, packet_len)
             for det, k in variants:
-                x_hat = _detect_packet(det, k, y, h, sigma2, spec, point)
-                bit_hat = unmap_symbols(x_hat.T, spec)
-                e = errs[(det, k, snr)]
-                e[0] += int(np.sum(bit_hat != bits))
-                e[1] += int(np.sum(np.abs(x_hat - x) > spec.a / 4))
-        del sel, point  # free this trial's bases before the next trial reduces its own
+                est = _estimates(det, k, y, h, sigma2s[pts], spec, sel, pts)
+                errs[(det, k)][:, pts] += _count_errors(est, sent, bit_distance, spec)
+        del sel  # free this trial's bases before the next trial reduces its own
 
     records = []
     vectors = cfg.trials * cfg.packet_len
     bits_total = vectors * cfg.n_t * bps
     for det, k in variants:
-        for snr in cfg.snr_grid_db:
+        for i, snr in enumerate(cfg.snr_grid_db):
             sigma2, ebn0 = snr_config(snr, cfg)
-            be, se = errs[(det, k, snr)]
+            be, se = (int(e) for e in errs[(det, k)][:, i])
             records.append(
                 BerRecord(
                     detector=det,
@@ -244,15 +249,44 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     return records
 
 
-def _detect_packet(det, k, y, h, sigma2, spec, sel):
+def _estimates(det, k, y, h, sigma2s, spec, sel, pts) -> np.ndarray:
+    """Unsliced estimates (points, n_t, packet_len) of one detector variant at
+    the SNR points pts.  A filter that serves several points is solved once.
+    """
     extended, kind = _DETECTOR_TABLE[det]
     if extended is not None:
-        return lr_detect_batch(y, h, sel[(extended, k)], kind, spec)
+        return _lr_estimate(y, sel[(extended, k)][pts], kind, spec)[1]
     if kind == "zf":
-        return hard_slice(pseudoinverse(h) @ y, spec)
+        return pseudoinverse(h) @ y
     if kind == "mmse":
-        return hard_slice(mmse_filter_direct(h, sigma2) @ y, spec)
-    return ml_detect_batch(y, h, spec)
+        return np.stack([mmse_filter_direct(h, s2) for s2 in sigma2s]) @ y
+    return np.stack([ml_detect_batch(y_s, h, spec) for y_s in y])
+
+
+def _level_indices(v: np.ndarray, spec) -> np.ndarray:
+    """Slice indices of a complex array, real and imaginary parts interleaved
+    along the last axis.
+
+    Slicing clips to the grid, so only a NaN could give an index outside
+    [0, side); one raises instead.
+    """
+    flat = np.ascontiguousarray(v).view(np.float64)
+    if np.isnan(flat.max()):
+        raise SingularMatrixError("NaN estimate has no constellation index")
+    return _slice_index(flat, spec)
+
+
+def _count_errors(est, sent, bit_distance, spec) -> np.ndarray:
+    """Bit and symbol errors (2, snr points) of estimates against sent indices.
+
+    A symbol is in error when its I or Q level differs; its bit errors are
+    the Gray-label distances of both levels.
+    """
+    idx = _level_indices(est, spec)
+    bit = bit_distance[idx, sent].sum(axis=(1, 2))
+    wrong = idx != sent
+    sym = np.count_nonzero(wrong[..., 0::2] | wrong[..., 1::2], axis=(1, 2))
+    return np.stack([bit, sym])
 
 
 # --- persistence ---------------------------------------------------------------

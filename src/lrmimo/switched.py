@@ -9,6 +9,7 @@ order automatically.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,17 +56,20 @@ class KlrResult:
     candidate_odfs: tuple
     extended: bool = False
 
-    @property
+    # each is built once per result; the matmuls keep the exact bits of the
+    # Gaussian-integer entries, signed zeros included
+    @cached_property
     def transform(self) -> np.ndarray:
-        n = self.basis.u.shape[0]
-        p = np.eye(n, dtype=np.complex128)[:, list(self.perm)]
-        return p @ self.basis.u
+        return self._perm_matrix @ self.basis.u
 
-    @property
+    @cached_property
     def transform_inv(self) -> np.ndarray:
+        return self.basis.u_inv @ self._perm_matrix.T
+
+    @cached_property
+    def _perm_matrix(self) -> np.ndarray:
         n = self.basis.u.shape[0]
-        p = np.eye(n, dtype=np.complex128)[:, list(self.perm)]
-        return self.basis.u_inv @ p.T
+        return np.eye(n, dtype=np.complex128)[:, list(self.perm)]
 
 
 def _k_limit(n: int) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from lrmimo.detectors import (
     DetectionOutput,
+    _slice_index,
     extend_system,
     hard_slice,
     lr_detect,
@@ -159,6 +160,57 @@ class TestQuantizeAndSlice:
         assert hard_slice(np.array([-a + 0.0j]), QAM16)[0].real == pytest.approx(-a / 2)
 
 
+def nearest_level_oracle(v, spec):
+    """Nearest level of each real value by distance; on a tie the level closer
+    to zero, and between the +-a/2 pair the lower one."""
+    lv = spec.levels
+    dist = np.abs(v[:, np.newaxis] - lv)
+    best = dist.min(axis=1, keepdims=True)
+    out = []
+    for row in dist == best:
+        tied = lv[row]
+        out.append(tied[np.lexsort((tied, np.abs(tied)))][0])
+    return np.array(out)
+
+
+class TestSliceIndex:
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_lookup_equals_hard_slice_and_nearest_level(self, rng, m):
+        spec = ConstellationSpec(m)
+        a, side = spec.a, spec.side
+        center = (side - 1) / 2
+        # midpoints between adjacent levels are integer multiples of a; the
+        # one at 0 lies between the +-a/2 pair
+        mids = np.arange(side - 1) - center + 0.5
+        assert np.all((mids * a) / a == mids)  # exact midpoints, not near ones
+        spread = side * a * rng.standard_normal(500)  # in and beyond the grid
+        far = np.array([1e6, -1e6, side * a, -side * a])
+        v = np.concatenate([spread, far, mids * a, [0.0, -0.0, np.inf, -np.inf]])
+        idx = _slice_index(v, spec)
+        assert idx.dtype == np.intp and idx.min() >= 0 and idx.max() < side
+        lookup = spec.levels[idx]
+        assert np.array_equal(lookup, hard_slice(v, spec).real)
+        on_q = np.zeros(len(v), dtype=np.complex128)
+        on_q.imag = v  # 1j * inf would put a NaN on the real axis
+        assert np.array_equal(lookup, hard_slice(on_q, spec).imag)
+        # off the midpoints (distances tie only in exact arithmetic there)
+        plain = np.concatenate([spread, far])
+        assert np.array_equal(lookup[: len(plain)], nearest_level_oracle(plain, spec))
+        assert np.array_equal(lookup[-2:], [spec.levels[-1], spec.levels[0]])
+        assert np.array_equal(lookup[-4:-2], spec.levels[[side // 2 - 1] * 2])
+        # a tie goes toward zero: every midpoint but 0 lands on the inner level
+        at_mids = spec.levels[_slice_index(mids * a, spec)]
+        expected = np.where(mids > 0, mids - 0.5, mids + 0.5) * a
+        expected[mids == 0] = -a / 2
+        assert np.allclose(at_mids, expected, rtol=0, atol=1e-12)
+
+    def test_stacked_values(self, rng):
+        v = 2.0 * rng.standard_normal((3, 4, 5))
+        idx = _slice_index(v, QAM16)
+        assert idx.shape == v.shape
+        assert np.array_equal(idx.ravel(), _slice_index(v.ravel(), QAM16))
+
+
 def ml_oracle(y, h, spec):
     """Plain nested-loop exhaustive search (independent of ml_detect)."""
     best, bestx = None, None
@@ -269,3 +321,50 @@ class TestLrDetect:
                 assert np.allclose(
                     xb[:, j], lr_detect(ys[:, j], h, klr, kind, QPSK).x_hat
                 )
+
+    @staticmethod
+    def _selections(rng, kind, count):
+        """count distinct selections of one channel for detector kind."""
+        h = crandn(rng, 4, 3)
+        if kind in ("mmse", "sic-mmse"):
+            return h, [klr_select_extended(h, 0.3 + 0.2 * s, 2, rng=rng) for s in range(count)]
+        return h, [klr_select(h @ _shear(rng, 3), 2, rng=rng) for _ in range(count)]
+
+    @pytest.mark.parametrize("kind", ["zf", "mmse", "sic-zf", "sic-mmse"])
+    def test_stack_equals_separate_calls(self, rng, kind):
+        for spec in (QPSK, QAM16):
+            h, klrs = self._selections(rng, kind, 4)
+            ys = h @ random_symbols(rng, spec, 4, 3, 7) + 0.4 * crandn(rng, 4, 4, 7)
+            stacked = lr_detect_batch(ys, h, klrs, kind, spec)
+            assert stacked.shape == (4, 3, 7)
+            for s in range(4):
+                one = lr_detect_batch(ys[s], h, klrs[s], kind, spec)
+                assert np.array_equal(stacked[s], one)
+            # one selection serves every block of a stack
+            shared = lr_detect_batch(ys, h, klrs[1], kind, spec)
+            for s in range(4):
+                assert np.array_equal(shared[s], lr_detect_batch(ys[s], h, klrs[1], kind, spec))
+
+    def test_stack_flavour_and_length_checked(self, rng):
+        h = crandn(rng, 3, 3)
+        plain = klr_select(h, 2, rng=rng)
+        ext = klr_select_extended(h, 0.1, 2, rng=rng)
+        ys = crandn(rng, 2, 3, 4)
+        with pytest.raises(ValidationError):
+            lr_detect_batch(ys, h, [plain, ext], "zf", QPSK)
+        with pytest.raises(ValidationError):
+            lr_detect_batch(ys, h, [ext, plain], "mmse", QPSK)
+        with pytest.raises(ValidationError):
+            lr_detect_batch(ys, h, [ext, ext], "sic-zf", QPSK)
+        with pytest.raises(ValidationError):
+            lr_detect_batch(ys[0], h, plain, "sic-mmse", QPSK)
+        with pytest.raises(ValidationError):
+            lr_detect_batch(ys, h, [plain, plain, plain], "zf", QPSK)
+
+
+def _shear(rng, n):
+    """A random unimodular Gaussian-integer matrix (unit upper triangular)."""
+    u = np.eye(n, dtype=np.complex128)
+    iu = np.triu_indices(n, 1)
+    u[iu] = rng.integers(-2, 3, len(iu[0])) + 1j * rng.integers(-2, 3, len(iu[0]))
+    return u

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from lrmimo.errors import ValidationError
-from lrmimo.modem import ConstellationSpec, demodulate, map_bits, modulate, unmap_symbols
+from lrmimo.modem import (
+    ConstellationSpec,
+    _bit_distance,
+    demodulate,
+    map_bits,
+    modulate,
+    unmap_symbols,
+)
 
 
 class TestConstellationSpec:
@@ -109,3 +116,25 @@ class TestModulateDemodulate:
     def test_bit_count_checked(self):
         with pytest.raises(ValidationError):
             modulate(np.zeros(5, dtype=int), ConstellationSpec(4), 2)
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_bit_distance_is_hamming_distance_of_unmapped_levels(m):
+    spec = ConstellationSpec(m)
+    table = _bit_distance(spec)
+    side, half = spec.side, spec.bits_per_symbol // 2
+    assert table.shape == (side, side)
+    # every pair of levels on the I axis and on the Q axis
+    lv = spec.levels
+    for axis in (1.0, 1j):
+        bits = unmap_symbols(axis * lv + (1j / axis) * lv[0], spec)
+        part = slice(0, half) if axis == 1.0 else slice(half, None)
+        ham = np.sum(bits[:, np.newaxis, part] != bits[np.newaxis, :, part], axis=-1)
+        assert np.array_equal(table, ham)
+    # every pair of symbols: the I and Q distances add up
+    sym = spec.alphabet
+    bits = unmap_symbols(sym, spec)
+    ham = np.sum(bits[:, np.newaxis] != bits[np.newaxis], axis=-1)
+    ii = np.rint(sym.real / spec.a + (side - 1) / 2).astype(int)
+    qq = np.rint(sym.imag / spec.a + (side - 1) / 2).astype(int)
+    assert np.array_equal(ham, table[ii[:, None], ii] + table[qq[:, None], qq])

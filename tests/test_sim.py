@@ -1,13 +1,25 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lrmimo.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
+from lrmimo.detectors import (
+    hard_slice,
+    lr_detect_batch,
+    ml_detect_batch,
+    mmse_filter_direct,
+)
 from lrmimo.errors import ValidationError
+from lrmimo.linalg import pseudoinverse
+from lrmimo.modem import ConstellationSpec, map_bits, unmap_symbols
+from lrmimo.reduction import ReductionParams
 from lrmimo.sim import (
     CSV_HEADER,
+    DETECTORS,
+    BerRecord,
     SimConfig,
     format_complex_matrix,
     gen_channel,
@@ -15,6 +27,12 @@ from lrmimo.sim import (
     run_sweep,
     snr_config,
     write_records,
+)
+from lrmimo.switched import (
+    PermutationSet,
+    extend_channel,
+    klr_select_with,
+    sample_permutations,
 )
 
 
@@ -172,6 +190,105 @@ class TestRunSweep:
         for r in run_sweep(cfg):
             assert r.bit_errors == 0
             assert r.sym_errors == 0
+
+
+def reference_sweep(cfg):
+    """run_sweep written as a loop over SNR points and detector variants.
+
+    Each (trial, SNR point, variant) makes its own detection, slicing and
+    demapping call through the public API, with symbol errors counted as
+    |x_hat - x| > a/4 on the sliced symbols.
+    """
+    spec = ConstellationSpec(cfg.m)
+    params = ReductionParams(cfg.delta)
+    bps = spec.bits_per_symbol
+    switched = any(d.startswith("klr-") for d in cfg.detectors)
+    variants = [
+        (d, k)
+        for d in cfg.detectors
+        for k in (cfg.k_candidates if d.startswith("klr-") else (0,))
+    ]
+    errs = {(d, k, snr): [0, 0] for d, k in variants for snr in cfg.snr_grid_db}
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(trial,)))
+        h = gen_channel(cfg.n_r, cfg.n_t, rng)
+        bits = rng.integers(0, 2, size=(cfg.packet_len, cfg.n_t, bps))
+        x = map_bits(bits, spec).T
+        noise = (
+            rng.standard_normal((cfg.n_r, cfg.packet_len))
+            + 1j * rng.standard_normal((cfg.n_r, cfg.packet_len))
+        ) / np.sqrt(2.0)
+        perms = (
+            sample_permutations(cfg.n_t, max(cfg.k_candidates), rng).perms
+            if switched
+            else ()
+        )
+
+        def select(mat, k, extended):
+            res = klr_select_with(mat, PermutationSet(cfg.n_t, perms[:k]), params)
+            return replace(res, extended=extended)
+
+        for snr in cfg.snr_grid_db:
+            sigma2, _ = snr_config(snr, cfg)
+            y = h @ x + np.sqrt(sigma2) * noise
+            for det, k in variants:
+                if det == "zf":
+                    x_hat = hard_slice(pseudoinverse(h) @ y, spec)
+                elif det == "mmse":
+                    x_hat = hard_slice(mmse_filter_direct(h, sigma2) @ y, spec)
+                elif det == "ml":
+                    x_hat = ml_detect_batch(y, h, spec)
+                elif det.endswith("-zf"):
+                    x_hat = lr_detect_batch(y, h, select(h, k, False), "zf", spec)
+                else:
+                    kind = "sic-mmse" if det.endswith("-sic") else "mmse"
+                    ext = select(extend_channel(h, np.sqrt(sigma2)), k, True)
+                    x_hat = lr_detect_batch(y, h, ext, kind, spec)
+                e = errs[(det, k, snr)]
+                e[0] += int(np.sum(unmap_symbols(x_hat.T, spec) != bits))
+                e[1] += int(np.sum(np.abs(x_hat - x) > spec.a / 4))
+    bits_total = cfg.trials * cfg.packet_len * cfg.n_t * bps
+    return [
+        BerRecord(
+            detector=det,
+            k=k,
+            snr_db=float(snr),
+            ebn0_db=snr_config(snr, cfg)[1],
+            trials=cfg.trials,
+            packet_len=cfg.packet_len,
+            bits_total=bits_total,
+            bit_errors=errs[(det, k, snr)][0],
+            ber=errs[(det, k, snr)][0] / bits_total,
+            sym_errors=errs[(det, k, snr)][1],
+        )
+        for det, k in variants
+        for snr in cfg.snr_grid_db
+    ]
+
+
+class TestReferenceReplay:
+    @pytest.mark.parametrize(
+        "seed, m, packet_len, trials",
+        [
+            (1, 16, 15, 10),  # every SNR point in one detection call
+            (2, 4, 700, 3),  # two points per call, then one
+        ],
+    )
+    def test_run_sweep_equals_per_snr_loop(self, seed, m, packet_len, trials):
+        cfg = SimConfig(
+            n_t=3,
+            n_r=4,
+            m=m,
+            snr_grid_db=(6.0, 14.0, 22.0),
+            detectors=DETECTORS,
+            k_candidates=(1, 3),
+            trials=trials,
+            packet_len=packet_len,
+            seed=seed,
+        )
+        got = run_sweep(cfg)
+        assert got == reference_sweep(cfg)
+        assert sum(r.bit_errors for r in got) > 0
 
 
 class TestPersistence:
