@@ -12,7 +12,7 @@ from lrmimo.reduction import (
     is_unimodular,
     odf,
 )
-from lrmimo.switched import extend_channel
+from lrmimo.switched import _candidate_stack, extend_channel, sample_permutations
 
 from conftest import crandn
 
@@ -79,9 +79,10 @@ class TestClllReduce:
 
 
 # Exact CLLL outcomes of seeded bases: plain 6x6 and extended 12x6 ([H; sigma I]
-# at the SNR given, sigma^2 = n / 10^(SNR/10)) at both deltas, and n = 1..8.
-# Columns: seed, rows of H, n, SNR in dB (None: plain H), delta, iteration
-# count, U as rows separated by ";".
+# at the SNR given, sigma^2 = n / 10^(SNR/10)) at both deltas, n = 1..8, and
+# near-dependent 6x6 and 12x6 bases (column 1 = (1+0.3j) column 0 + 1e-3
+# noise).  Columns: seed, rows of H, n, SNR in dB (None: plain H; "near": the
+# near-dependent H), delta, iteration count, U as rows separated by ";".
 CLLL_PINS = [
     (1, 6, 6, None, 0.75, 39,
      "1,0,0,0,0,0;-1+1j,0,0,0,0,-1j;-1-1j,-1,-1-1j,0,0,1;-1+1j,0,0,0,1,0;"
@@ -148,12 +149,31 @@ CLLL_PINS = [
      "-1,-1j,0,1,1+1j,1j,-1j,0;0,1,0,0,0,0,0,1j;-1j,1,1,-1+1j,-1,-1,1j,0;"
      "1,1j,0,-1j,0,1-1j,-1-1j,-1-1j;-1j,1+1j,0,0,1j,-1,0,-2;0,0,0,0,0,0,0,1;"
      "1,1j,0,-1-1j,-1j,-1j,-1,-1;0,0,0,1+1j,1j,1j,1-1j,-1j"),
+    (16, 6, 6, "near", 0.75, 14,
+     "-10-3j,-1+40j,32+401j,416-339j,290-30j,-517-511j;"
+     "10,-10-37j,-139-359j,-289+425j,-258+106j,613+327j;0,0,0,1,1j,0;0,0,0,0,0,1;"
+     "0,0,1,-1-1j,-1j,-1+1j;0,0,0,0,1,-1j"),
+    (16, 6, 6, "near", 0.99, 22,
+     "-10-3j,-1+40j,290-30j,32+401j,78+344j,-113-553j;"
+     "10,-10-37j,-258+106j,-139-359j,-165-294j,254+476j;0,0,1j,0,0,0;0,0,0,0,0,1;"
+     "0,0,-1j,1,1,-1;0,0,1,0,1j,-1j"),
+    (17, 12, 6, "near", 0.75, 12,
+     "-10-3j,-3-26j,-527-124j,-340+309j,57+297j,371-262j;"
+     "10,10+23j,518-31j,227-377j,-134-257j,-268+343j;0,0,1,0,0,0;0,0,0,0,1,0;"
+     "0,0,0,0,0,1;0,0,0,1,0,0"),
+    (17, 12, 6, "near", 0.99, 14,
+     "-10-3j,-3-26j,-340+309j,-527-124j,57+297j,371-262j;"
+     "10,10+23j,227-377j,518-31j,-134-257j,-268+343j;0,0,0,1,0,0;0,0,0,0,1,0;"
+     "0,0,0,0,0,1;0,0,1,0,0,0"),
 ]
 
 
 def pinned_basis(seed, rows, n, snr_db):
-    h = crandn(np.random.default_rng(seed), rows, n)
-    if snr_db is not None:
+    rng = np.random.default_rng(seed)
+    h = crandn(rng, rows, n)
+    if snr_db == "near":
+        h[:, 1] = (1 + 0.3j) * h[:, 0] + 1e-3 * crandn(rng, rows)
+    elif snr_db is not None:
         h = extend_channel(h, np.sqrt(n / 10 ** (snr_db / 10)))
     return h
 
@@ -202,6 +222,24 @@ class TestClllReduceBatch:
         for idx, outs in zip(by_rows.values(), clll_reduce_batch(stacks, params)):
             for i, out in zip(idx, outs):
                 ref = alone[i]
+                assert out.iteration_count == ref.iteration_count
+                assert out.odf_value == ref.odf_value
+                for name in ("h_tilde", "u", "u_inv", "q", "r"):
+                    assert same_bits(getattr(out, name), getattr(ref, name)), name
+
+    def test_trial_chunk_equals_per_trial_calls(self):
+        """The 11 bases of each of 16 klr-zf-shaped trials (a 6x6 channel and
+        10 column permutations) get bitwise their per-trial results when all
+        176 go through one call."""
+        rng = np.random.default_rng(2026)
+        trials = [
+            _candidate_stack(crandn(rng, 1, 6, 6), sample_permutations(6, 10, rng).perms)
+            for _ in range(16)
+        ]
+        chunk = clll_reduce_batch([np.concatenate(trials)])[0]
+        for t, stack in enumerate(trials):
+            for i, ref in enumerate(clll_reduce_batch([stack])[0]):
+                out = chunk[t * len(stack) + i]
                 assert out.iteration_count == ref.iteration_count
                 assert out.odf_value == ref.odf_value
                 for name in ("h_tilde", "u", "u_inv", "q", "r"):
