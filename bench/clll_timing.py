@@ -1,12 +1,16 @@
-"""CLLL cost per basis: one batch per trial against one basis at a time.
+"""CLLL cost per basis and per trial, by how many bases share one call.
 
 Builds the bases that one trial of the `klr-mmse` benchmark workload reduces
 (a 6x6 i.i.d. channel extended for each SNR point of 14:1:22 dB, each
 followed by its 10 column-permuted candidates: 99 bases of 12x6) and times
 `clll_reduce_batch` on the whole trial and `clll_reduce` on each basis alone,
-for 20 seeded trials.  Both times include the final QR and ODF.  Prints the
-median microseconds per basis over the trials, as one JSON line.  Run from
-the root of a checkout:
+for 20 seeded trials.  Then builds 64 trials of the `klr-zf` shape (a 6x6
+channel and its 10 candidates: 11 bases of 6x6) and times reducing them 1,
+4, 16 and 64 trials per `clll_reduce_batch` call, the chunk sizes the sweep
+can choose.  All times include the final QR and ODF.  Prints the median
+microseconds per `klr-mmse` basis over the trials and the `klr-zf`
+milliseconds per trial (median of 3 passes over the 64 trials), as one JSON
+line.  Run from the root of a checkout:
 
     python3 bench/clll_timing.py
 """
@@ -29,6 +33,7 @@ from lrmimo.switched import extend_channel, sample_permutations  # noqa: E402
 
 N, K, SNR_DB = 6, 10, range(14, 23)
 TRIALS = 20
+ZF_TRIALS, ZF_PER_CALL, ZF_PASSES = 64, (1, 4, 16, 64), 3
 
 
 def trial_stack(rng) -> np.ndarray:
@@ -41,6 +46,24 @@ def trial_stack(rng) -> np.ndarray:
         out.append(ext)
         out.extend(ext[:, list(p)] for p in perms)
     return np.stack(out)
+
+
+def zf_trial_stack(rng) -> np.ndarray:
+    """The 11 plain bases of one klr-zf trial: the channel, then its candidates."""
+    h = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / np.sqrt(2)
+    perms = sample_permutations(N, K, rng).perms
+    return np.stack([h] + [h[:, list(p)] for p in perms])
+
+
+def zf_ms_per_trial(trials, per_call: int) -> float:
+    """Median over passes of CLLL ms per trial, per_call trials per call."""
+    passes = []
+    for _ in range(ZF_PASSES):
+        t0 = time.perf_counter()
+        for i in range(0, len(trials), per_call):
+            clll_reduce_batch([np.concatenate(trials[i : i + per_call])])
+        passes.append(1e3 * (time.perf_counter() - t0) / len(trials))
+    return float(np.median(passes))
 
 
 def main() -> int:
@@ -56,12 +79,20 @@ def main() -> int:
             clll_reduce(h)
         lone_us.append(1e6 * (time.perf_counter() - t0) / len(stack))
     batch, lone = float(np.median(batch_us)), float(np.median(lone_us))
+    zf = [zf_trial_stack(rng) for _ in range(ZF_TRIALS)]
     print(json.dumps({
         "bases_per_trial": len(stack),
         "trials": TRIALS,
         "batch_us_per_basis": round(batch, 1),
         "lone_us_per_basis": round(lone, 1),
         "lone_over_batch": round(lone / batch, 2),
+        "klr_zf": {
+            "bases_per_trial": len(zf[0]),
+            "trials": ZF_TRIALS,
+            "ms_per_trial_by_trials_per_call": {
+                str(c): round(zf_ms_per_trial(zf, c), 3) for c in ZF_PER_CALL
+            },
+        },
     }))
     return 0
 

@@ -161,10 +161,10 @@ def ml_detect(
     return DetectionOutput(x_hat=x, z_hat=x.copy())
 
 
-def ml_candidates(h, spec: ConstellationSpec, max_candidates: int = ML_DEFAULT_CAP):
+def ml_candidates(
+    n_t: int, spec: ConstellationSpec, max_candidates: int = ML_DEFAULT_CAP
+) -> np.ndarray:
     """All candidate transmit vectors (n_t, M^n_t) in lexicographic order."""
-    h = as_matrix(h)
-    n_t = h.shape[1]
     count = spec.m**n_t
     if count > max_candidates:
         raise BudgetExceededError(
@@ -179,13 +179,23 @@ def ml_detect_batch(
 ) -> np.ndarray:
     """ML detection for every column of y_cols; returns (n_t, batch) symbols."""
     h = as_matrix(h)
-    cands = ml_candidates(h, spec, max_candidates)
+    cands = ml_candidates(h.shape[1], spec, max_candidates)
+    return _ml_search(y_cols, _ml_table(h, cands))
+
+
+def _ml_table(h: np.ndarray, cands: np.ndarray) -> tuple:
+    """(cands, H cands, squared column norms of H cands): the part of ML
+    detection that depends only on the channel, reused for every block."""
     s = h @ cands  # (n_r, n_cand)
+    return cands, s, np.sum(np.abs(s) ** 2, axis=0)
+
+
+def _ml_search(y_cols: np.ndarray, table) -> np.ndarray:
+    """ML decisions (n_t, batch) for the columns of y_cols, given _ml_table."""
+    cands, s, norms = table
     # ||y - s_c||^2 = ||y||^2 - 2 Re(s_c^H y) + ||s_c||^2; the ||y||^2 term is
     # constant per column and can be dropped
-    cost = np.sum(np.abs(s) ** 2, axis=0)[:, np.newaxis] - 2.0 * np.real(
-        s.conj().T @ y_cols
-    )
+    cost = norms[:, np.newaxis] - 2.0 * np.real(s.conj().T @ y_cols)
     idx = np.argmin(cost, axis=0)
     return cands[:, idx]
 

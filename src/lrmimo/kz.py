@@ -21,8 +21,8 @@ from .reduction import (
     _gmul,
     _gsub,
     _columns,
-    _reduced_basis,
-    _size_reduce,
+    _reduced_stack,
+    _size_reduce_all,
     _split_columns,
     clll_reduce,
 )
@@ -220,9 +220,7 @@ def _kz_recurse(r: np.ndarray, budget: EnumerationBudget, nodes: list):
     tinv = t1inv.copy()
     tinv[1:, :] = tsinv @ t1inv[1:, :]
     cols = _columns(r_new[np.newaxis], t[np.newaxis], tinv[np.newaxis])
-    one = np.zeros(1, dtype=np.intp)
-    for k in range(1, n):  # full size reduction
-        _size_reduce(cols, one, np.array([k]))
+    _size_reduce_all(cols)
     r_new, t, tinv = (x[0] for x in _split_columns(cols))
     return r_new, t, tinv
 
@@ -249,8 +247,10 @@ def kz_reduce(h, budget: EnumerationBudget = DEFAULT_BUDGET) -> ReducedBasis:
     clll = clll_reduce(h)
     nodes = [0]
     _, t, tinv = _kz_recurse(clll.r, budget, nodes)
-    u = clll.u @ t
-    return _reduced_basis(h @ u, u, tinv @ clll.u_inv, nodes[0])
+    u, u_inv = clll.u @ t, tinv @ clll.u_inv
+    return _reduced_stack(
+        (h @ u)[np.newaxis], u[np.newaxis], u_inv[np.newaxis], (nodes[0],)
+    )[0]
 
 
 def is_kz_reduced(r, budget: EnumerationBudget = DEFAULT_BUDGET) -> bool:

@@ -61,8 +61,9 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     if np.any(scale == 0.0) or np.any(np.min(np.abs(d), axis=-1) <= _RANK_TOL * scale):
         raise SingularMatrixError("matrix is numerically rank deficient")
     phase = d / np.abs(d)
-    q = q * phase[..., np.newaxis, :]
-    r = r * np.conj(phase)[..., :, np.newaxis]
+    # in place: the factors of a large stack are its largest temporaries
+    q *= phase[..., np.newaxis, :]
+    r *= np.conj(phase)[..., :, np.newaxis]
     # kill the O(eps) imaginary residue so the diagonal is exactly real
     idx = np.arange(cols)
     r[..., idx, idx] = r[..., idx, idx].real

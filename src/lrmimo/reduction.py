@@ -6,7 +6,7 @@ Gaussian-integer arithmetic (integer-valued complex arrays; all updates are
 integer column/row operations, so no rounding ever occurs in U or U^-1).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -70,33 +70,54 @@ def _odf(h: np.ndarray, denom):
     return np.prod(np.sum(np.abs(h) ** 2, axis=-2), axis=-1) / denom
 
 
-def _reduced_bases(h_tilde, u, u_inv, iteration_counts) -> list[ReducedBasis]:
-    """ReducedBasis of each matrix of a stack h_tilde.
+@dataclass(frozen=True)
+class ReducedStack:
+    """The reduced bases of one stack, as stacked arrays.
+
+    h_tilde and q are (B, rows, n), u, u_inv and r are (B, n, n), odf and
+    iterations are (B,); member i satisfies everything ReducedBasis states.
+    An int index gives the ReducedBasis view of one member; a slice or an
+    index array gives a ReducedStack (of copies, for an index array, as numpy
+    indexing makes them); iteration yields the members in order.
+    """
+
+    h_tilde: np.ndarray
+    u: np.ndarray
+    u_inv: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    odf: np.ndarray
+    iterations: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.odf)
+
+    def __getitem__(self, i):
+        if isinstance(i, (slice, np.ndarray)):
+            return ReducedStack(*(getattr(self, f.name)[i] for f in fields(self)))
+        return ReducedBasis(
+            h_tilde=self.h_tilde[i],
+            u=self.u[i],
+            u_inv=self.u_inv[i],
+            q=self.q[i],
+            r=self.r[i],
+            odf_value=float(self.odf[i]),
+            iteration_count=int(self.iterations[i]),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def _reduced_stack(h_tilde, u, u_inv, iterations) -> ReducedStack:
+    """ReducedStack of a stack h_tilde = original @ u.
 
     One batched QR gives both (q, r) and the ODF denominators.
     """
     q, r = qr_decompose(h_tilde)
     d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     odfs = _odf(h_tilde, np.prod(d * d, axis=-1))
-    return [
-        ReducedBasis(
-            h_tilde=h_tilde[i],
-            u=u[i],
-            u_inv=u_inv[i],
-            q=q[i],
-            r=r[i],
-            odf_value=float(odfs[i]),
-            iteration_count=int(iteration_counts[i]),
-        )
-        for i in range(h_tilde.shape[0])
-    ]
-
-
-def _reduced_basis(h_tilde, u, u_inv, iteration_count: int) -> ReducedBasis:
-    """ReducedBasis of one matrix h_tilde."""
-    return _reduced_bases(
-        h_tilde[np.newaxis], u[np.newaxis], u_inv[np.newaxis], (iteration_count,)
-    )[0]
+    return ReducedStack(h_tilde, u, u_inv, q, r, odfs, np.asarray(iterations))
 
 
 def condition_number(h) -> float:
@@ -159,11 +180,15 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     The stacks share the column count n; their row counts may differ (say the
     plain and the extended channel).  The R factors of all bases are reduced
     together as a masked state machine: each basis keeps its own column index
-    k and iteration count, and each step of the sequential algorithm (a
-    size-reduction sub-step, the Lovasz test, a swap with its Givens rotation)
-    is a few vectorized operations over the bases still running.  Every basis
-    gets bitwise the result it gets alone.  Returns one list of ReducedBasis
-    per stack, in stack order.  Raises SingularMatrixError if any basis is
+    k and iteration count, and each step of the sequential algorithm (size
+    reduction of column k against column k-1, the Lovasz test, a swap with
+    its Givens rotation) is a few vectorized operations over the bases still
+    running.  The Lovasz test reads only r_{k-1,k-1}, r_{k-1,k} and r_kk,
+    which size reduction against columns l < k-1 leaves unchanged, so that
+    reduction is deferred to one full pass over every basis after the loop
+    (effective CLLL; Ling and Howgrave-Graham, ISIT 2007).  Every basis gets
+    bitwise the result it gets alone.  Returns one ReducedStack per input
+    stack, in stack order.  Raises SingularMatrixError if any basis is
     numerically rank deficient.
     """
     hs = [np.asarray(h, dtype=np.complex128) for h in stacks]
@@ -174,6 +199,7 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     b = r.shape[0]
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (b, n, n))
     cols = _columns(r, eye, eye)
+    del r  # cols carries R from here on
     k = np.ones(b, dtype=np.intp)
     iters = np.zeros(b, dtype=np.int64)
 
@@ -181,9 +207,9 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     while act.size:
         iters[act] += 1
         kc = k[act]
-        ck = _size_reduce(cols, act, kc)
-        m = np.arange(act.size)
         km = kc - 1
+        ck = _size_reduce(cols, act, kc, km)
+        m = np.arange(act.size)
         swap = params.delta * cols[act, km, km].real ** 2 > (
             np.abs(ck[m, kc]) ** 2 + np.abs(ck[m, km]) ** 2
         )
@@ -210,12 +236,14 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
             k[sw] = np.maximum(k0, 1)
         k[act[~swap]] += 1
         act = np.flatnonzero(k < n)
-
+    _size_reduce_all(cols)
     _, u, u_inv = _split_columns(cols)
+    del cols  # the final QR below is the peak of memory; R comes from it
+
     out, start = [], 0
     for h in hs:
         part = slice(start, start + h.shape[0])
-        out.append(_reduced_bases(h @ u[part], u[part], u_inv[part], iters[part]))
+        out.append(_reduced_stack(h @ u[part], u[part], u_inv[part], iters[part]))
         start = part.stop
     return out
 
@@ -242,28 +270,34 @@ def _split_columns(cols):
     )
 
 
-def _size_reduce(cols, act, kc) -> np.ndarray:
-    """Size-reduce column kc[i] of basis act[i] against columns kc[i]-1 .. 0.
+def _size_reduce(cols, idx, k, l) -> np.ndarray:
+    """Size-reduce column k[i] of basis idx[i] against its column l[i] < k[i].
 
-    cols is packed by _columns and is updated in place (R and U columns k,
-    U^-1 rows l); returns the new packed columns k.  A basis whose l would be
-    negative gets mu = 0, which leaves its U and U^-1 unchanged.  Whole
-    columns are updated: column l of R is zero below row l, so every nonzero
-    entry changes exactly as in an update of rows 0..l.
+    cols is packed by _columns and is updated in place: R and U columns k
+    lose mu times columns l and U^-1 rows l gain mu times rows k, mu the
+    nearest Gaussian integer to r_lk / r_ll.  k and l may also be scalars.
+    Whole columns are updated: column l of R is zero below row l, so every
+    nonzero entry changes exactly as in an update of rows 0..l.  Returns the
+    new packed columns k.
     """
     n = cols.shape[1]
     ru, ui = slice(0, 2 * n), slice(2 * n, 3 * n)
-    m = np.arange(act.size)
-    ck = cols[act, kc]
-    for s in range(1, int(kc.max()) + 1):
-        l = np.maximum(kc - s, 0)
-        cl = cols[act, l]
-        mu = round_gaussian(ck[m, l] / cl[m, l])
-        mu[kc < s] = 0.0
-        ck[:, ru] -= mu[:, np.newaxis] * cl[:, ru]
-        cols[act, l, ui] = cl[:, ui] + mu[:, np.newaxis] * ck[:, ui]
-    cols[act, kc] = ck
+    m = np.arange(idx.size)
+    ck, cl = cols[idx, k], cols[idx, l]
+    mu = round_gaussian(ck[m, l] / cl[m, l])
+    ck[:, ru] -= mu[:, np.newaxis] * cl[:, ru]
+    cols[idx, l, ui] = cl[:, ui] + mu[:, np.newaxis] * ck[:, ui]
+    cols[idx, k] = ck
     return ck
+
+
+def _size_reduce_all(cols) -> None:
+    """Full size reduction of every basis of packed cols, in place: column
+    k = 1 .. n-1 against columns k-1 .. 0, in that order."""
+    every = np.arange(cols.shape[0])
+    for k in range(1, cols.shape[1]):
+        for l in range(k - 1, -1, -1):
+            _size_reduce(cols, every, k, l)
 
 
 # --- exact Gaussian-integer determinant (Bareiss) ------------------------------

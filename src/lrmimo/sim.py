@@ -16,8 +16,10 @@ import numpy as np
 
 from .detectors import (
     _lr_estimate,
+    _ml_search,
+    _ml_table,
     _slice_index,
-    ml_detect_batch,
+    ml_candidates,
     mmse_filter_direct,
     pseudoinverse,
 )
@@ -53,6 +55,13 @@ DETECTORS = tuple(_DETECTOR_TABLE)
 # each numpy call among short packets and keeps the temporaries of a long
 # packet at the size of one point's.
 _COLUMNS_PER_CALL = 2048
+
+# Bases per CLLL call: the trials of a chunk are drawn together and all their
+# bases go through one clll_reduce_batch call, which shares the fixed cost of
+# each step of its masked loop among them.  A chunk also holds at most
+# _COLUMNS_PER_CALL received columns (trials x packet_len), so a long packet
+# keeps one trial per chunk.
+_BASES_PER_CALL = 256
 
 CSV_HEADER = (
     "detector,k,snr_db,ebn0_db,trials,packet_len,bits_total,bit_errors,ber,sym_errors"
@@ -146,44 +155,78 @@ def _switched(detectors) -> set:
     return {_DETECTOR_TABLE[d][0] for d in detectors if d.startswith("klr-")}
 
 
-def _trial_selections(h, perms, sigma2s, flavours, ks, params) -> dict:
-    """Selections of one trial keyed (extended, k), each a list of KlrResults.
+def _draw_trial(cfg: SimConfig, trial: int, spec, switched) -> tuple:
+    """(h, x, unit noise, permutations) of one trial, drawn in that order
+    from the trial's own stream."""
+    rng = _trial_rng(cfg.seed, trial)
+    h = gen_channel(cfg.n_r, cfg.n_t, rng)
+    bits = rng.integers(0, 2, size=(cfg.packet_len, cfg.n_t, spec.bits_per_symbol))
+    x = map_bits(bits, spec).T  # (n_t, packet_len)
+    noise_unit = (
+        rng.standard_normal((cfg.n_r, cfg.packet_len))
+        + 1j * rng.standard_normal((cfg.n_r, cfg.packet_len))
+    ) / np.sqrt(2.0)
+    perms = (
+        sample_permutations(cfg.n_t, max(cfg.k_candidates), rng).perms
+        if switched
+        else ()
+    )
+    return h, x, noise_unit, perms
 
-    Every basis of the trial goes through one clll_reduce_batch call: the
-    plain channel and, for each SNR point, the extended one, each followed by
-    its permuted candidates.  k = 0 keeps the CLLL baseline; k >= 1 picks
-    among the first k candidates.  Each list has one entry per SNR point;
-    the plain selection is one object shared by all of them.
+
+def _channels(h, sigma2s, extended: bool) -> np.ndarray:
+    """The channels a trial reduces in one flavour: H, or [H; sigma I] for
+    each SNR point."""
+    if not extended:
+        return h[np.newaxis]
+    return np.stack([extend_channel(h, np.sqrt(s2)) for s2 in sigma2s])
+
+
+def _chunk_selections(trials, sigma2s, ks, params) -> list:
+    """Selections of each trial of a chunk, keyed (extended, k), each a list
+    with one KlrResult per SNR point.
+
+    ks maps each reduction flavour the sweep uses to its K values.  Every
+    basis of the chunk goes through one clll_reduce_batch call, one stack per
+    flavour: for each trial in order, its plain channel or its extended
+    channel at each SNR point, each followed by its permuted candidates.
+    k = 0 keeps the CLLL baseline; k >= 1 picks among the first k
+    candidates.  The plain selection of a trial is one object shared by all
+    its SNR points.
     """
-    groups = []  # (extended, channels, permutations), one selection per channel
-    if False in flavours:
-        groups.append((False, h[np.newaxis], perms[: max(ks[False], default=0)]))
-    if True in flavours:
-        ext = np.stack([extend_channel(h, np.sqrt(s2)) for s2 in sigma2s])
-        groups.append((True, ext, perms[: max(ks[True], default=0)]))
-    sel = {}
-    if not groups:
-        return sel
-    reduced = clll_reduce_batch([_candidate_stack(m, p) for _, m, p in groups], params)
-    for (extended, mats, p), bases in zip(groups, reduced):
-        w = 1 + len(p)
-        for i in range(len(mats)):
-            baseline, cands = bases[i * w], bases[i * w + 1 : (i + 1) * w]
-            for k in (0, *ks[extended]):
-                found = _select(baseline, cands[:k], p[:k], extended)
-                copies = 1 if extended else len(sigma2s)
-                sel.setdefault((extended, k), []).extend([found] * copies)
-    return sel
+    sels = [{} for _ in trials]
+    if not ks:
+        return sels
+    flavours = sorted(ks)
+    width = {f: max(ks[f], default=0) for f in flavours}
+    stacks = [
+        np.concatenate(
+            [
+                _candidate_stack(_channels(h, sigma2s, f), perms[: width[f]])
+                for h, _, _, perms in trials
+            ]
+        )
+        for f in flavours
+    ]
+    points = len(sigma2s)
+    for extended, stack in zip(flavours, clll_reduce_batch(stacks, params)):
+        per = points if extended else 1  # channels per trial
+        groups = [t[3][: width[extended]] for t in trials for _ in range(per)]
+        for k in (0, *ks[extended]):
+            found = _select(stack, groups, k, extended)
+            for t, sel in enumerate(sels):
+                mine = found[t * per : (t + 1) * per]
+                sel[(extended, k)] = mine if extended else mine * points
+    return sels
 
 
 def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     """Run the full Monte Carlo sweep and return one record per curve point."""
     spec = ConstellationSpec(cfg.m)
     params = ReductionParams(cfg.delta)
-    bps = spec.bits_per_symbol
-    flavours = {_DETECTOR_TABLE[d][0] for d in cfg.detectors}
     switched = _switched(cfg.detectors)
-    ks = {f: cfg.k_candidates if f in switched else () for f in (False, True)}
+    flavours = {_DETECTOR_TABLE[d][0] for d in cfg.detectors} - {None}
+    ks = {f: cfg.k_candidates if f in switched else () for f in flavours}
 
     variants = []  # (detector, k) in output order
     for det in cfg.detectors:
@@ -195,39 +238,32 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     # per variant, bit and symbol errors at each SNR point
     errs = {v: np.zeros((2, len(cfg.snr_grid_db)), dtype=np.int64) for v in variants}
     bit_distance = _bit_distance(spec)
+    cands = ml_candidates(cfg.n_t, spec) if "ml" in cfg.detectors else None
 
     sigma2s = [snr_config(snr, cfg)[0] for snr in cfg.snr_grid_db]
-    sigmas = np.sqrt(sigma2s)[:, np.newaxis, np.newaxis]
-    per_call = max(1, _COLUMNS_PER_CALL // cfg.packet_len)
-    for trial in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, trial)
-        h = gen_channel(cfg.n_r, cfg.n_t, rng)
-        bits = rng.integers(0, 2, size=(cfg.packet_len, cfg.n_t, bps))
-        x = map_bits(bits, spec).T  # (n_t, packet_len)
-        noise_unit = (
-            rng.standard_normal((cfg.n_r, cfg.packet_len))
-            + 1j * rng.standard_normal((cfg.n_r, cfg.packet_len))
-        ) / np.sqrt(2.0)
-        perms = (
-            sample_permutations(cfg.n_t, max(cfg.k_candidates), rng).perms
-            if switched
-            else ()
-        )
-
-        sel = _trial_selections(h, perms, sigma2s, flavours, ks, params)
-        hx = h @ x
-        sent = _level_indices(x, spec)
-        for lo in range(0, len(sigma2s), per_call):
-            pts = slice(lo, lo + per_call)
-            y = hx + sigmas[pts] * noise_unit  # (points, n_r, packet_len)
-            for det, k in variants:
-                est = _estimates(det, k, y, h, sigma2s[pts], spec, sel, pts)
-                errs[(det, k)][:, pts] += _count_errors(est, sent, bit_distance, spec)
-        del sel  # free this trial's bases before the next trial reduces its own
+    # bases of one trial: per flavour, its channels times (1 + candidates)
+    bases = sum(
+        (len(sigma2s) if f else 1) * (1 + max(k, default=0)) for f, k in ks.items()
+    )
+    chunk = max(
+        1,
+        min(_BASES_PER_CALL // max(bases, 1), _COLUMNS_PER_CALL // cfg.packet_len),
+    )
+    for first in range(0, cfg.trials, chunk):
+        trials = [
+            _draw_trial(cfg, t, spec, switched)
+            for t in range(first, min(first + chunk, cfg.trials))
+        ]
+        sels = _chunk_selections(trials, sigma2s, ks, params)
+        for trial, sel in zip(trials, sels):
+            _detect_trial(
+                trial, sel, variants, sigma2s, spec, cands, bit_distance, errs
+            )
+        del trials, sels, sel  # free this chunk before the next one is drawn
 
     records = []
     vectors = cfg.trials * cfg.packet_len
-    bits_total = vectors * cfg.n_t * bps
+    bits_total = vectors * cfg.n_t * spec.bits_per_symbol
     for det, k in variants:
         for i, snr in enumerate(cfg.snr_grid_db):
             sigma2, ebn0 = snr_config(snr, cfg)
@@ -249,9 +285,29 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     return records
 
 
-def _estimates(det, k, y, h, sigma2s, spec, sel, pts) -> np.ndarray:
+def _detect_trial(trial, sel, variants, sigma2s, spec, cands, bit_distance, errs):
+    """Detect one trial with every variant at every SNR point and add the bit
+    and symbol errors to errs.  sel holds the trial's selections, cands the
+    ML candidates (None without the ml detector).
+    """
+    h, x, noise_unit, _ = trial
+    ml = None if cands is None else _ml_table(h, cands)
+    sigmas = np.sqrt(sigma2s)[:, np.newaxis, np.newaxis]
+    per_call = max(1, _COLUMNS_PER_CALL // x.shape[1])
+    hx = h @ x
+    sent = _level_indices(x, spec)
+    for lo in range(0, len(sigma2s), per_call):
+        pts = slice(lo, lo + per_call)
+        y = hx + sigmas[pts] * noise_unit  # (points, n_r, packet_len)
+        for det, k in variants:
+            est = _estimates(det, k, y, h, sigma2s[pts], spec, sel, pts, ml)
+            errs[det, k][:, pts] += _count_errors(est, sent, bit_distance, spec)
+
+
+def _estimates(det, k, y, h, sigma2s, spec, sel, pts, ml) -> np.ndarray:
     """Unsliced estimates (points, n_t, packet_len) of one detector variant at
-    the SNR points pts.  A filter that serves several points is solved once.
+    the SNR points pts.  A filter that serves several points is solved once;
+    ml is the trial's _ml_table (None without the ml detector).
     """
     extended, kind = _DETECTOR_TABLE[det]
     if extended is not None:
@@ -260,7 +316,7 @@ def _estimates(det, k, y, h, sigma2s, spec, sel, pts) -> np.ndarray:
         return pseudoinverse(h) @ y
     if kind == "mmse":
         return np.stack([mmse_filter_direct(h, s2) for s2 in sigma2s]) @ y
-    return np.stack([ml_detect_batch(y_s, h, spec) for y_s in y])
+    return np.stack([_ml_search(y_s, ml) for y_s in y])
 
 
 def _level_indices(v: np.ndarray, spec) -> np.ndarray:

@@ -15,7 +15,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import as_matrix
-from .reduction import ReducedBasis, ReductionParams, _reduced_basis, clll_reduce_batch
+from .reduction import (
+    ReducedBasis,
+    ReducedStack,
+    ReductionParams,
+    _reduced_stack,
+    clll_reduce_batch,
+)
 
 MAX_CANDIDATES = 10
 
@@ -76,27 +82,36 @@ def _k_limit(n: int) -> int:
     return min(math.factorial(n) - 1, MAX_CANDIDATES)
 
 
-def _select(baseline: ReducedBasis, cands, perms, extended: bool) -> KlrResult:
-    """Keep the lowest-ODF candidate only if it strictly beats the baseline.
+def _select(reduced: ReducedStack, perms, k: int, extended: bool) -> list:
+    """Switched selection on every channel of a candidate stack.
 
-    cands[i] is the reduction of the channel permuted by perms[i]; with no
-    candidates the baseline is returned with empty candidate_odfs.
+    reduced holds one group per channel, as _candidate_stack lays it out:
+    the baseline, then its candidates by perms[g] (the same count for every
+    group).  Among the first k candidates the lowest-ODF one is kept only if
+    it strictly beats the baseline; k = 0 gives the baseline with empty
+    candidate_odfs.  Returns one KlrResult per group; their bases are
+    copies, so they do not keep the whole stack alive.
     """
-    odfs = tuple(c.odf_value for c in cands)
-    n = baseline.u.shape[0]
-    basis, perm = baseline, tuple(range(n))
-    if odfs:
-        idx = int(np.argmin(odfs))
-        if odfs[idx] < baseline.odf_value:
-            basis, perm = cands[idx], perms[idx]
-    return KlrResult(
-        basis=basis,
-        perm=perm,
-        odf_selected=basis.odf_value,
-        odf_baseline=baseline.odf_value,
-        candidate_odfs=odfs,
-        extended=extended,
-    )
+    odfs = reduced.odf.reshape(len(perms), -1)
+    base, cands = odfs[:, 0], odfs[:, 1 : 1 + k]
+    groups = np.arange(len(odfs))
+    pick = np.zeros(len(odfs), dtype=np.intp)
+    if k:
+        best = np.argmin(cands, axis=1)
+        pick = np.where(cands[groups, best] < base, 1 + best, 0)
+    kept = reduced[groups * odfs.shape[1] + pick]
+    ident = tuple(range(reduced.u.shape[-1]))
+    return [
+        KlrResult(
+            basis=kept[g],
+            perm=perms[g][i - 1] if i else ident,
+            odf_selected=float(odfs[g, i]),
+            odf_baseline=float(base[g]),
+            candidate_odfs=tuple(cands[g].tolist()),
+            extended=extended,
+        )
+        for g, i in enumerate(pick.tolist())
+    ]
 
 
 def sample_permutations(n: int, k: int, rng: np.random.Generator) -> PermutationSet:
@@ -126,8 +141,8 @@ def klr_select_with(
     h = as_matrix(h)
     if perms.n != h.shape[1]:
         raise ValidationError("permutation size does not match column count")
-    bases = clll_reduce_batch([_candidate_stack(h[np.newaxis], perms.perms)], params)[0]
-    return _select(bases[0], bases[1:], perms.perms, False)
+    reduced = clll_reduce_batch([_candidate_stack(h[np.newaxis], perms.perms)], params)
+    return _select(reduced[0], [perms.perms], len(perms.perms), False)[0]
 
 
 def _candidate_stack(mats: np.ndarray, perms) -> np.ndarray:
@@ -185,5 +200,6 @@ def identity_result(h, extended: bool = False, sigma_n: float = 0.0) -> KlrResul
     """
     h = as_matrix(h)
     mat = extend_channel(h, sigma_n) if extended else h
-    eye = np.eye(mat.shape[1], dtype=np.complex128)
-    return _select(_reduced_basis(mat, eye, eye.copy(), 0), [], (), extended)
+    eye = np.eye(mat.shape[1], dtype=np.complex128)[np.newaxis]
+    basis = _reduced_stack(mat[np.newaxis], eye, eye.copy(), (0,))
+    return _select(basis, [()], 0, extended)[0]

@@ -4,6 +4,8 @@ import pytest
 from lrmimo.errors import SingularMatrixError, ValidationError
 from lrmimo.linalg import gram_det
 from lrmimo.reduction import (
+    ReducedBasis,
+    ReducedStack,
     ReductionParams,
     clll_reduce,
     clll_reduce_batch,
@@ -232,10 +234,10 @@ class TestClllReduceBatch:
         10 column permutations) get bitwise their per-trial results when all
         176 go through one call."""
         rng = np.random.default_rng(2026)
-        trials = [
-            _candidate_stack(crandn(rng, 1, 6, 6), sample_permutations(6, 10, rng).perms)
-            for _ in range(16)
-        ]
+        trials = []
+        for _ in range(16):
+            h = crandn(rng, 1, 6, 6)
+            trials.append(_candidate_stack(h, sample_permutations(6, 10, rng).perms))
         chunk = clll_reduce_batch([np.concatenate(trials)])[0]
         for t, stack in enumerate(trials):
             for i, ref in enumerate(clll_reduce_batch([stack])[0]):
@@ -244,6 +246,21 @@ class TestClllReduceBatch:
                 assert out.odf_value == ref.odf_value
                 for name in ("h_tilde", "u", "u_inv", "q", "r"):
                     assert same_bits(getattr(out, name), getattr(ref, name)), name
+
+    def test_reduced_stack_indexing(self, rng):
+        stack = clll_reduce_batch([crandn(rng, 5, 4, 3)])[0]
+        assert isinstance(stack, ReducedStack) and len(stack) == len(list(stack)) == 5
+        one = stack[3]
+        assert isinstance(one, ReducedBasis)
+        assert one.odf_value == stack.odf[3]
+        assert one.iteration_count == stack.iterations[3]
+        for name in ("h_tilde", "u", "u_inv", "q", "r"):
+            assert same_bits(getattr(one, name), getattr(stack, name)[3]), name
+        part = stack[1:3]
+        assert isinstance(part, ReducedStack) and same_bits(part.odf, stack.odf[1:3])
+        picked = stack[np.array([4, 0])]
+        assert same_bits(picked.u_inv, stack.u_inv[[4, 0]])
+        assert same_bits(picked.iterations, stack.iterations[[4, 0]])
 
     @pytest.mark.parametrize("stack,pos", [(0, 0), (0, 3), (1, 1)])
     def test_rank_deficient_member_raises(self, rng, stack, pos):

@@ -270,8 +270,8 @@ class TestReferenceReplay:
     @pytest.mark.parametrize(
         "seed, m, packet_len, trials",
         [
-            (1, 16, 15, 10),  # every SNR point in one detection call
-            (2, 4, 700, 3),  # two points per call, then one
+            (1, 16, 15, 10),  # every SNR point in one detection call, one chunk
+            (2, 4, 700, 3),  # two points per call, then one; chunks of 2, then 1
         ],
     )
     def test_run_sweep_equals_per_snr_loop(self, seed, m, packet_len, trials):
