@@ -211,7 +211,7 @@ def _chunk_selections(trials, sigma2s, ks, params) -> list:
     points = len(sigma2s)
     for extended, stack in zip(flavours, clll_reduce_batch(stacks, params)):
         per = points if extended else 1  # channels per trial
-        groups = [t[3][: width[extended]] for t in trials for _ in range(per)]
+        groups = [perms[: width[extended]] for *_, perms in trials for _ in range(per)]
         for k in (0, *ks[extended]):
             found = _select(stack, groups, k, extended)
             for t, sel in enumerate(sels):
