@@ -19,8 +19,12 @@ from lrmimo.detectors import (
     zf_error_covariance,
     zf_filter,
 )
-from lrmimo.errors import BudgetExceededError, ValidationError
+from lrmimo.detectors import _sic
+from lrmimo.errors import BudgetExceededError, SingularMatrixError, ValidationError
+from lrmimo.linalg import _pinv_from_qr
 from lrmimo.modem import ConstellationSpec
+from lrmimo.reduction import round_gaussian
+from lrmimo.sim import _level_indices
 from lrmimo.switched import identity_result, klr_select, klr_select_extended
 
 from conftest import crandn
@@ -368,3 +372,105 @@ def _shear(rng, n):
     iu = np.triu_indices(n, 1)
     u[iu] = rng.integers(-2, 3, len(iu[0])) + 1j * rng.integers(-2, 3, len(iu[0]))
     return u
+
+
+def _transform(rng, n, big=False):
+    """A random unimodular Gaussian-integer T = P U and its exact inverse.
+
+    U is a product of small shears, or with big one shear whose entry is
+    near 2^40; P permutes the columns.
+    """
+    t, t_inv = np.eye(n, dtype=np.complex128), np.eye(n, dtype=np.complex128)
+    for _ in range(1 if big else 6):
+        i, j = rng.choice(n, 2, replace=False)
+        c = complex(*rng.integers(-2, 3, 2))
+        if big:
+            c += complex(2**40 - int(rng.integers(1, 100)), int(rng.integers(-50, 50)))
+        e = np.zeros((n, n), dtype=np.complex128)
+        e[i, j] = c
+        t, t_inv = t @ (np.eye(n) + e), (np.eye(n) - e) @ t_inv
+    p = np.eye(n, dtype=np.complex128)[:, rng.permutation(n)]
+    assert np.array_equal(p @ t @ t_inv @ p.T, np.eye(n))
+    return p @ t, t_inv @ p.T
+
+
+def integer_indices(tm, spec):
+    """Slice indices of integer images T m, I and Q interleaved."""
+    flat = np.ascontiguousarray(tm).view(np.float64)
+    return np.clip(flat + spec.side / 2, 0, spec.side - 1).astype(np.intp)
+
+
+def float_tail(y, klr, kind, spec):
+    """LR detection of a (rows, batch) block through the float tail.
+
+    The reduced-domain estimate z = a (round(w) + d) is mapped back to T z
+    and sliced there; returns (z, sliced symbols).
+    """
+    q, r = klr.basis.q, klr.basis.r
+    n = r.shape[1]
+    if kind in ("mmse", "sic-mmse"):
+        y = np.concatenate([y, np.zeros((n, y.shape[1]), dtype=np.complex128)])
+    if kind in ("zf", "mmse"):
+        z = shift_scale_quantize(_pinv_from_qr(q, r) @ y, klr.transform_inv, spec)
+    else:
+        d = 0.5 * (klr.transform_inv @ np.full(n, 1.0 + 1.0j))[:, np.newaxis]
+        z = spec.a * (_sic(q, r, y / spec.a - klr.basis.h_tilde @ d) + d)
+    return z, hard_slice(klr.transform @ z, spec)
+
+
+class TestIntegerTail:
+    """The LR tail slices the integer image T m of the rounded estimate m.
+
+    T d = (1+j)/2 per entry for the offset d = T^-1 (1+j)/2, so the float
+    image T z = a (T m + (1+j)/2) sits exactly half a level from a decision
+    boundary and slicing it gives the index clip(T m + side/2).
+    """
+
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    @pytest.mark.parametrize("big", [False, True])
+    def test_indices_equal_float_slice(self, rng, m, big):
+        spec = ConstellationSpec(m)
+        a, side, n, stack, batch = spec.a, spec.side, 4, 5, 80
+        t, t_inv = (np.stack(v) for v in zip(*(_transform(rng, n, big) for _ in range(stack))))
+        # half the columns are exact lattice points a (T^-1 x + d) for
+        # Gaussian integers x in and beyond the grid, half are noise
+        x = rng.integers(-side, side, (stack, n, batch)) + 1j * rng.integers(
+            -side, side, (stack, n, batch)
+        )
+        z_breve = a * (t_inv @ (x + 0.5 + 0.5j))
+        noisy = rng.random(batch) < 0.5
+        noisy[:4] = True
+        z_breve[..., noisy] = side * a * crandn(rng, stack, n, int(noisy.sum()))
+        z_breve[0, 0, :4] *= 1e6  # far out: clipped at both ends
+        z = shift_scale_quantize(z_breve, t_inv, spec)
+        old = _slice_index((t @ z).view(np.float64), spec)
+        d = 0.5 * (t_inv @ np.full(n, 1.0 + 1.0j))[..., np.newaxis]
+        new = integer_indices(t @ round_gaussian(z_breve / a - d), spec)
+        assert np.array_equal(new, old)
+        assert new.min() == 0 and new.max() == side - 1
+        # the exact lattice points come back as x, clipped to the grid
+        pairs = new.reshape(stack, n, batch, 2)[..., ~noisy, :]
+        for part, got in ((x.real, pairs[..., 0]), (x.imag, pairs[..., 1])):
+            assert np.array_equal(got, np.clip(part[..., ~noisy] + side // 2, 0, side - 1))
+
+    def test_nan_image_raises(self):
+        image = np.array([[1.0 + 0.0j, np.nan + 2.0j]])
+        with pytest.raises(SingularMatrixError):
+            _level_indices(image, QAM16)
+
+    @pytest.mark.parametrize("kind", ["zf", "mmse", "sic-zf", "sic-mmse"])
+    def test_detect_equals_float_tail(self, rng, kind):
+        for spec in (QPSK, QAM16, ConstellationSpec(64)):
+            h, klrs = TestLrDetect._selections(rng, kind, 3)
+            # moderate and heavy noise: the heavy one clips
+            sent = random_symbols(rng, spec, 3, 3, 40)
+            ys = h @ sent + np.array([0.2, 0.6, 3.0])[:, None, None] * crandn(rng, 3, 4, 40)
+            stacked = lr_detect_batch(ys, h, klrs, kind, spec)
+            for s, klr in enumerate(klrs):
+                z, x = float_tail(ys[s], klr, kind, spec)
+                assert np.array_equal(stacked[s], x)
+                assert np.array_equal(lr_detect_batch(ys[s], h, klr, kind, spec), x)
+                for j in range(0, 40, 7):
+                    out = lr_detect(ys[s, :, j], h, klr, kind, spec)
+                    assert np.array_equal(out.z_hat, z[:, j])
+                    assert np.array_equal(out.x_hat, x[:, j])
