@@ -1,0 +1,97 @@
+"""Time of the LR detection tail per detected symbol.
+
+The tail is what a sweep does with one trial after its bases are reduced
+and selected: form the received blocks, estimate, take slice indices and
+count bit and symbol errors (`sim._detect_trial`).  Draws 32 seeded trials
+of two benchmark shapes, reduces and selects them as `run_sweep` does, and
+times `_detect_trial` on each:
+
+- `klr-zf`: 6x6 QPSK, 9 SNR points (14:1:22 dB), packet 100, so one call
+  detects a 9x6x100 block;
+- `detect-16qam`: 4x4 16-QAM, 3 SNR points (10:6:22 dB), packet 2000, one
+  4x2000 block per call.
+
+`lr_zf` detects with the `clr-zf` variant alone, the LR-ZF tail of one
+block.  `klr_zf` also detects with every variant of the `klr-zf` workload
+(clr-zf, klr-zf K=1 and K=10) in one call, as the sweep does.  Each figure
+is ns per detected symbol (points x n_t x packet_len per variant), the
+median of 15 passes over the trials, printed as one JSON line.  BLAS runs on
+one thread.  Run from the root of a checkout:
+
+    python3 bench/tail_timing.py
+"""
+
+import json
+import os
+import sys
+import time
+from pathlib import Path
+
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from lrmimo.modem import ConstellationSpec, _bit_distance  # noqa: E402
+from lrmimo.reduction import ReductionParams  # noqa: E402
+from lrmimo.sim import (  # noqa: E402
+    SimConfig,
+    _chunk_selections,
+    _detect_trial,
+    _draw_trial,
+    snr_config,
+)
+
+TRIALS, PASSES = 32, 15
+SHAPES = {
+    "klr_zf": SimConfig(
+        n_t=6, n_r=6, m=4, snr_grid_db=tuple(range(14, 23)),
+        detectors=("clr-zf", "klr-zf"), k_candidates=(1, 10), packet_len=100,
+    ),
+    "detect_16qam": SimConfig(
+        n_t=4, n_r=4, m=16, snr_grid_db=(10, 16, 22),
+        detectors=("clr-zf",), k_candidates=(1,), packet_len=2000,
+    ),
+}
+
+
+def ns_per_symbol(cfg: SimConfig, variants) -> float:
+    """Median over passes of _detect_trial ns per detected symbol."""
+    spec = ConstellationSpec(cfg.m)
+    switched = {False} if "klr-zf" in cfg.detectors else set()
+    ks = {False: cfg.k_candidates if switched else ()}
+    sigma2s = [snr_config(s, cfg)[0] for s in cfg.snr_grid_db]
+    trials = [_draw_trial(cfg, t, spec, switched) for t in range(TRIALS)]
+    sels = _chunk_selections(trials, sigma2s, ks, ReductionParams(cfg.delta))
+    bit_distance = _bit_distance(spec)
+    errs = {v: np.zeros((2, len(sigma2s)), dtype=np.int64) for v in variants}
+    symbols = TRIALS * len(sigma2s) * cfg.n_t * cfg.packet_len * len(variants)
+    passes = []
+    for _ in range(PASSES):
+        t0 = time.perf_counter()
+        for trial, sel in zip(trials, sels):
+            _detect_trial(trial, sel, variants, sigma2s, spec, None, bit_distance, errs)
+        passes.append(1e9 * (time.perf_counter() - t0) / symbols)
+    return round(float(np.median(passes)), 2)
+
+
+def main() -> int:
+    zf, qam = SHAPES["klr_zf"], SHAPES["detect_16qam"]
+    out = {
+        "trials": TRIALS,
+        "lr_zf_ns_per_symbol": {
+            "klr_zf_9x6x100": ns_per_symbol(zf, [("clr-zf", 0)]),
+            "detect_16qam_4x2000": ns_per_symbol(qam, [("clr-zf", 0)]),
+        },
+        "klr_zf_variants_ns_per_symbol": ns_per_symbol(
+            zf, [("clr-zf", 0), ("klr-zf", 1), ("klr-zf", 10)]
+        ),
+    }
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,10 +1,15 @@
 """LR-aided and conventional MIMO detectors.
 
-All detectors share the same tail: estimate the reduced-domain symbols, snap
-them to the shifted-scaled Gaussian-integer lattice, map back through the
-composed unimodular transform, and slice onto the constellation.  SIC performs
-the integer rounding inside a QR back-substitution on a pre-shifted received
-signal so that noise-free detection is exact.
+The LR-aided detectors share one tail on Gaussian integers: estimate the
+reduced-domain symbols, round them to the integer vector m of the shifted,
+scaled lattice a (Z[i]^n + d), and map m back through the composed unimodular
+transform T.  Since T d = (1+j)/2 per entry, the estimate a (T m + (1+j)/2)
+lies half a level from every decision boundary, so the I and Q parts of the
+integer image T m, shifted by side/2 and clipped to the grid, are its slice
+indices, and the estimate itself is never sliced.  SIC performs the integer
+rounding inside a QR back-substitution on a pre-shifted received signal so
+that noise-free detection is exact.  The conventional detectors slice their
+floating-point estimates onto the constellation.
 """
 
 from dataclasses import dataclass
@@ -111,11 +116,35 @@ def shift_scale_quantize(z_breve, u_inv, spec: ConstellationSpec) -> np.ndarray:
     of an (S, n, batch) z_breve.
     """
     z_breve = np.asarray(z_breve, dtype=np.complex128)
-    u_inv = _as_stack(u_inv)
-    d = 0.5 * (u_inv @ np.full(u_inv.shape[-1], 1.0 + 1.0j))
+    d = _offset(_as_stack(u_inv))
     if z_breve.ndim >= 2:
         d = d[..., np.newaxis]
-    return spec.a * (round_gaussian(z_breve / spec.a - d) + d)
+    return spec.a * (_round_shifted(z_breve, d, spec.a) + d)
+
+
+def _offset(t_inv: np.ndarray) -> np.ndarray:
+    """d = (1/2) T^-1 (1+j) 1, the reduced-domain image of the half-level
+    offset of the constellation, for T^-1 or a stack of them."""
+    return 0.5 * (t_inv @ np.full(t_inv.shape[-1], 1.0 + 1.0j))
+
+
+def _round_shifted(v: np.ndarray, d, a: float) -> np.ndarray:
+    """Gaussian integers nearest to v / a - d (ties to even), a new array."""
+    m = _scaled(v, a) - d
+    flat = m.view(np.float64)
+    np.rint(flat, out=flat)
+    return m
+
+
+def _scaled(v: np.ndarray, a: float) -> np.ndarray:
+    """v / a for a complex array v and a real a > 0, with the same bits.
+
+    numpy divides a complex array by a real scalar as a product with the
+    scalar's reciprocal; this forms that product on the float view, without
+    the complex division loop.
+    """
+    w = np.ascontiguousarray(v).view(np.float64) * (1.0 / a)
+    return w.view(np.complex128)
 
 
 def hard_slice(v, spec: ConstellationSpec) -> np.ndarray:
@@ -145,6 +174,41 @@ def _slice_index(vals: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
         k = np.where(tie & (np.abs(k - center) >= np.abs(k - 1 - center)), k - 1, k)
     np.clip(k, 0, side - 1, out=k)
     return k.astype(np.intp)
+
+
+def _interleaved(v: np.ndarray) -> np.ndarray:
+    """Float view of a complex array, I and Q interleaved along the last axis.
+
+    A NaN (a failed filter) has no constellation index; it raises.
+    """
+    flat = np.ascontiguousarray(v).view(np.float64)
+    if np.isnan(flat.max()):
+        raise SingularMatrixError("NaN estimate has no constellation index")
+    return flat
+
+
+def _level_indices(v: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+    """Slice indices of complex estimates, I and Q interleaved (_slice_index)."""
+    return _slice_index(_interleaved(v), spec)
+
+
+def _lattice_indices(tm: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+    """Slice indices of the integer images T m of LR decisions, I and Q
+    interleaved along the last axis.
+
+    Each part of T m plus side/2 is the index of the level nearest to the
+    estimate a (T m + (1+j)/2), which lies half a level from a boundary, so
+    no tie arises; values beyond the grid clip to the outer levels.
+    """
+    k = _interleaved(tm) + spec.side / 2
+    np.clip(k, 0, spec.side - 1, out=k)
+    return k.astype(np.intp)
+
+
+def _lattice_symbols(tm: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+    """Constellation symbols of the integer images T m of LR decisions."""
+    idx = _lattice_indices(tm, spec)
+    return spec.levels[idx[..., 0::2]] + 1j * spec.levels[idx[..., 1::2]]
 
 
 def ml_detect(
@@ -212,12 +276,14 @@ def lr_detect(
 
     kind is one of "zf", "mmse", "sic-zf", "sic-mmse".  The MMSE kinds require
     a KlrResult built on the extended channel; the ZF kinds require a plain
-    one.
+    one.  z_hat is the reduced-domain estimate a (m + d) on the shifted,
+    scaled lattice; x_hat slices its image.
     """
     y = as_vector(y)
     as_matrix(h)  # validated only: klr carries the reduced channel
-    z_hat, x_raw = _lr_estimate(y[np.newaxis, :, np.newaxis], [klr], kind, spec)
-    return DetectionOutput(x_hat=hard_slice(x_raw[0, :, 0], spec), z_hat=z_hat[0, :, 0])
+    m, tm = _lr_estimate(y[np.newaxis, :, np.newaxis], [klr], kind, spec)
+    z_hat = spec.a * (m[0, :, 0] + _offset(klr.transform_inv))
+    return DetectionOutput(x_hat=_lattice_symbols(tm, spec)[0, :, 0], z_hat=z_hat)
 
 
 def lr_detect_batch(
@@ -237,19 +303,20 @@ def lr_detect_batch(
     stack = y if y.ndim == 3 else y[np.newaxis]
     if len(klrs) not in (1, len(stack)):
         raise ValidationError(f"{len(klrs)} selections for a stack of {len(stack)}")
-    x = hard_slice(_lr_estimate(stack, klrs, kind, spec)[1], spec)
+    x = _lattice_symbols(_lr_estimate(stack, klrs, kind, spec)[1], spec)
     return x if y.ndim == 3 else x[0]
 
 
 def _lr_estimate(
     y: np.ndarray, klrs, kind: str, spec: ConstellationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unsliced LR-aided estimates of an (S, n_r, batch) stack of blocks.
+    """LR-aided decisions on an (S, n_r, batch) stack of blocks.
 
     klrs holds S selections, block s detected with klrs[s], or one; when
     every entry is the same object its filter is solved once.  Returns the
-    reduced-domain estimates z and their constellation-domain image T z, both
-    (S, n_t, batch).
+    Gaussian-integer decisions m and their integer image T m, both
+    (S, n_t, batch).  The reduced-domain estimate is a (m + d) with
+    d = _offset(T^-1); _lattice_indices slices it from T m.
     """
     if kind not in DETECTOR_KINDS:
         raise ValidationError(f"unknown detector kind {kind!r}")
@@ -267,15 +334,12 @@ def _lr_estimate(
 
     # the basis carries the QR of h_tilde, so neither path factors it again
     q, r = stacked(lambda k: k.basis.q), stacked(lambda k: k.basis.r)
-    tinv = stacked(lambda k: k.transform_inv)
-    n_t = r.shape[-1]
+    d = _offset(stacked(lambda k: k.transform_inv))[..., np.newaxis]
     if extended:
-        pad = np.zeros((len(y), n_t, y.shape[2]), dtype=np.complex128)
+        pad = np.zeros((len(y), r.shape[-1], y.shape[2]), dtype=np.complex128)
         y = np.concatenate([y, pad], axis=1)
     if kind in ("zf", "mmse"):
-        z = shift_scale_quantize(_pinv_from_qr(q, r) @ y, tinv, spec)
+        m = _round_shifted(_pinv_from_qr(q, r) @ y, d, spec.a)
     else:
-        d = 0.5 * (tinv @ np.full(n_t, 1.0 + 1.0j))[..., np.newaxis]
-        y_shift = y / spec.a - stacked(lambda k: k.basis.h_tilde) @ d
-        z = spec.a * (_sic(q, r, y_shift) + d)
-    return z, stacked(lambda k: k.transform) @ z
+        m = _sic(q, r, _scaled(y, spec.a) - stacked(lambda k: k.basis.h_tilde) @ d)
+    return m, stacked(lambda k: k.transform) @ m

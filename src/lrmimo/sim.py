@@ -15,15 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import (
+    _lattice_indices,
+    _level_indices,
     _lr_estimate,
     _ml_search,
     _ml_table,
-    _slice_index,
     ml_candidates,
     mmse_filter_direct,
     pseudoinverse,
 )
-from .errors import SingularMatrixError, ValidationError
+from .errors import ValidationError
 from .modem import ConstellationSpec, _bit_distance, map_bits
 from .reduction import ReductionParams, clll_reduce_batch
 from .switched import (
@@ -289,9 +290,17 @@ def _detect_trial(trial, sel, variants, sigma2s, spec, cands, bit_distance, errs
     """Detect one trial with every variant at every SNR point and add the bit
     and symbol errors to errs.  sel holds the trial's selections, cands the
     ML candidates (None without the ml detector).
+
+    Variants that run the same estimator on the same selected bases (clr-zf
+    and a klr-zf that kept the baseline, or two K that chose the same
+    candidate) share one detection.
     """
     h, x, noise_unit, _ = trial
-    ml = None if cands is None else _ml_table(h, cands)
+    # the filters that depend only on the channel, shared by every point
+    fixed = {
+        "zf": pseudoinverse(h) if ("zf", 0) in variants else None,
+        "ml": None if cands is None else _ml_table(h, cands),
+    }
     sigmas = np.sqrt(sigma2s)[:, np.newaxis, np.newaxis]
     per_call = max(1, _COLUMNS_PER_CALL // x.shape[1])
     hx = h @ x
@@ -299,50 +308,57 @@ def _detect_trial(trial, sel, variants, sigma2s, spec, cands, bit_distance, errs
     for lo in range(0, len(sigma2s), per_call):
         pts = slice(lo, lo + per_call)
         y = hx + sigmas[pts] * noise_unit  # (points, n_r, packet_len)
+        counts = {}
         for det, k in variants:
-            est = _estimates(det, k, y, h, sigma2s[pts], spec, sel, pts, ml)
-            errs[det, k][:, pts] += _count_errors(est, sent, bit_distance, spec)
+            key = _detection_key(det, k, sel, pts)
+            if key not in counts:
+                idx = _indices(det, k, y, h, sigma2s[pts], spec, sel, pts, fixed)
+                counts[key] = _count_errors(idx, sent, bit_distance)
+            errs[det, k][:, pts] += counts[key]
 
 
-def _estimates(det, k, y, h, sigma2s, spec, sel, pts, ml) -> np.ndarray:
-    """Unsliced estimates (points, n_t, packet_len) of one detector variant at
-    the SNR points pts.  A filter that serves several points is solved once;
-    ml is the trial's _ml_table (None without the ml detector).
+def _detection_key(det, k, sel, pts):
+    """What decides the detection of a variant at the SNR points pts: its
+    estimator and, for the LR detectors, the reduction flavour and the
+    permutation selected at each point (one permutation of a channel is one
+    reduced basis)."""
+    extended, kind = _DETECTOR_TABLE[det]
+    if extended is None:
+        return det
+    return kind, extended, tuple(s.perm for s in sel[(extended, k)][pts])
+
+
+def _indices(det, k, y, h, sigma2s, spec, sel, pts, fixed) -> np.ndarray:
+    """Slice indices (points, n_t, 2 packet_len) of one detector variant at
+    the SNR points pts, I and Q interleaved.  fixed holds the trial's ZF
+    filter and _ml_table (None where no detector uses them).
     """
     extended, kind = _DETECTOR_TABLE[det]
     if extended is not None:
-        return _lr_estimate(y, sel[(extended, k)][pts], kind, spec)[1]
+        tm = _lr_estimate(y, sel[(extended, k)][pts], kind, spec)[1]
+        return _lattice_indices(tm, spec)
     if kind == "zf":
-        return pseudoinverse(h) @ y
-    if kind == "mmse":
-        return np.stack([mmse_filter_direct(h, s2) for s2 in sigma2s]) @ y
-    return np.stack([_ml_search(y_s, ml) for y_s in y])
+        est = fixed["zf"] @ y
+    elif kind == "mmse":
+        est = np.stack([mmse_filter_direct(h, s2) for s2 in sigma2s]) @ y
+    else:
+        est = np.stack([_ml_search(y_s, fixed["ml"]) for y_s in y])
+    return _level_indices(est, spec)
 
 
-def _level_indices(v: np.ndarray, spec) -> np.ndarray:
-    """Slice indices of a complex array, real and imaginary parts interleaved
-    along the last axis.
+def _count_errors(idx, sent, bit_distance) -> np.ndarray:
+    """Bit and symbol errors (2, points) of slice indices against the sent
+    ones, both with I and Q interleaved.
 
-    Slicing clips to the grid, so only a NaN could give an index outside
-    [0, side); one raises instead.
+    The bit errors of a symbol are the Gray-label distances of its I and Q
+    levels; it is in error when they are not both zero.
     """
-    flat = np.ascontiguousarray(v).view(np.float64)
-    if np.isnan(flat.max()):
-        raise SingularMatrixError("NaN estimate has no constellation index")
-    return _slice_index(flat, spec)
-
-
-def _count_errors(est, sent, bit_distance, spec) -> np.ndarray:
-    """Bit and symbol errors (2, snr points) of estimates against sent indices.
-
-    A symbol is in error when its I or Q level differs; its bit errors are
-    the Gray-label distances of both levels.
-    """
-    idx = _level_indices(est, spec)
-    bit = bit_distance[idx, sent].sum(axis=(1, 2))
-    wrong = idx != sent
-    sym = np.count_nonzero(wrong[..., 0::2] | wrong[..., 1::2], axis=(1, 2))
-    return np.stack([bit, sym])
+    side = len(bit_distance)
+    dist = np.take(bit_distance.ravel(), idx * side + sent)
+    per_symbol = dist[..., 0::2] + dist[..., 1::2]
+    return np.stack(
+        [per_symbol.sum(axis=(1, 2)), np.count_nonzero(per_symbol, axis=(1, 2))]
+    )
 
 
 # --- persistence ---------------------------------------------------------------

@@ -19,12 +19,11 @@ from lrmimo.detectors import (
     zf_error_covariance,
     zf_filter,
 )
-from lrmimo.detectors import _sic
+from lrmimo.detectors import _lattice_indices, _sic
 from lrmimo.errors import BudgetExceededError, SingularMatrixError, ValidationError
 from lrmimo.linalg import _pinv_from_qr
 from lrmimo.modem import ConstellationSpec
 from lrmimo.reduction import round_gaussian
-from lrmimo.sim import _level_indices
 from lrmimo.switched import identity_result, klr_select, klr_select_extended
 
 from conftest import crandn
@@ -394,12 +393,6 @@ def _transform(rng, n, big=False):
     return p @ t, t_inv @ p.T
 
 
-def integer_indices(tm, spec):
-    """Slice indices of integer images T m, I and Q interleaved."""
-    flat = np.ascontiguousarray(tm).view(np.float64)
-    return np.clip(flat + spec.side / 2, 0, spec.side - 1).astype(np.intp)
-
-
 def float_tail(y, klr, kind, spec):
     """LR detection of a (rows, batch) block through the float tail.
 
@@ -445,7 +438,7 @@ class TestIntegerTail:
         z = shift_scale_quantize(z_breve, t_inv, spec)
         old = _slice_index((t @ z).view(np.float64), spec)
         d = 0.5 * (t_inv @ np.full(n, 1.0 + 1.0j))[..., np.newaxis]
-        new = integer_indices(t @ round_gaussian(z_breve / a - d), spec)
+        new = _lattice_indices(t @ round_gaussian(z_breve / a - d), spec)
         assert np.array_equal(new, old)
         assert new.min() == 0 and new.max() == side - 1
         # the exact lattice points come back as x, clipped to the grid
@@ -456,7 +449,7 @@ class TestIntegerTail:
     def test_nan_image_raises(self):
         image = np.array([[1.0 + 0.0j, np.nan + 2.0j]])
         with pytest.raises(SingularMatrixError):
-            _level_indices(image, QAM16)
+            _lattice_indices(image, QAM16)
 
     @pytest.mark.parametrize("kind", ["zf", "mmse", "sic-zf", "sic-mmse"])
     def test_detect_equals_float_tail(self, rng, kind):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lrmimo import sim
 from lrmimo.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from lrmimo.detectors import (
     hard_slice,
@@ -289,6 +290,41 @@ class TestReferenceReplay:
         got = run_sweep(cfg)
         assert got == reference_sweep(cfg)
         assert sum(r.bit_errors for r in got) > 0
+
+
+class TestSharedDetections:
+    def test_variants_with_one_selection_detect_once(self, monkeypatch):
+        # 3 variants, both SNR points in one detection call per trial
+        cfg = SimConfig(
+            n_t=4,
+            n_r=4,
+            m=4,
+            snr_grid_db=(8.0, 16.0),
+            detectors=("clr-zf", "klr-zf"),
+            k_candidates=(1, 10),
+            trials=12,
+            packet_len=10,
+            seed=1,
+        )
+        calls = []  # LR estimator calls, one entry per trial
+        estimate, detect = sim._lr_estimate, sim._detect_trial
+
+        def counting_estimate(*args):
+            calls[-1] += 1
+            return estimate(*args)
+
+        def counting_detect(*args):
+            calls.append(0)
+            return detect(*args)
+
+        monkeypatch.setattr(sim, "_lr_estimate", counting_estimate)
+        monkeypatch.setattr(sim, "_detect_trial", counting_detect)
+        got = run_sweep(cfg)
+        assert len(calls) == cfg.trials
+        # 1: K=1 and K=10 both kept the baseline; 2: one of them did, or
+        # both chose the same candidate; 3: three distinct bases
+        assert set(calls) == {1, 2, 3}
+        assert got == reference_sweep(cfg)
 
 
 class TestPersistence:
