@@ -291,6 +291,26 @@ class TestReferenceReplay:
         assert got == reference_sweep(cfg)
         assert sum(r.bit_errors for r in got) > 0
 
+    def test_extended_trials_span_several_chunks(self):
+        # 3 extended channels per trial, each with 10 candidates: 33 bases
+        cfg = SimConfig(
+            n_t=6,
+            n_r=6,
+            m=4,
+            snr_grid_db=(10.0, 14.0, 18.0),
+            detectors=("mmse", "clr-mmse", "klr-mmse", "klr-mmse-sic"),
+            k_candidates=(10,),
+            trials=40,
+            packet_len=10,
+            seed=3,
+        )
+        per_chunk = sim._BASES_PER_CALL // 33
+        # at least three CLLL calls, the last one with fewer trials
+        assert cfg.trials > 2 * per_chunk and cfg.trials % per_chunk
+        got = run_sweep(cfg)
+        assert got == reference_sweep(cfg)
+        assert all(r.bit_errors > 0 for r in got if r.snr_db == 10.0)
+
 
 class TestSharedDetections:
     def test_variants_with_one_selection_detect_once(self, monkeypatch):

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from lrmimo.errors import ValidationError
-from lrmimo.reduction import is_unimodular
+from lrmimo.reduction import ReductionParams, clll_reduce_batch, is_unimodular
 from lrmimo.switched import (
     PermutationSet,
+    _candidate_stack,
+    _select,
+    extend_channel,
     identity_result,
     klr_select,
     klr_select_extended,
@@ -114,6 +117,46 @@ class TestKlrSelect:
         perms = sample_permutations(3, 2, rng)
         with pytest.raises(ValidationError):
             klr_select_with(crandn(rng, 4, 4), perms)
+
+
+class TestStackedSelection:
+    """_select over the candidate stack of several channels, as the sweep
+    lays it out, against klr_select_with on each channel alone."""
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("delta", [0.75, 0.99])
+    def test_members_equal_klr_select_with(self, rng, extended, delta):
+        n, width, params = 4, 5, ReductionParams(delta)
+        chans = crandn(rng, 8, 5, n)
+        if extended:
+            chans = np.stack([extend_channel(h, 0.4) for h in chans])
+        groups = [sample_permutations(n, width, rng).perms for _ in chans]
+        stack = np.concatenate(
+            [_candidate_stack(h[np.newaxis], p) for h, p in zip(chans, groups)]
+        )
+        reduced = clll_reduce_batch([stack], params)[0]
+        replaced = 0
+        for k in (0, 2, width):
+            sel = _select(reduced, groups, k, extended)
+            assert len(sel) == len(chans)
+            for g, h in enumerate(chans):
+                got = sel[g]
+                want = klr_select_with(h, PermutationSet(n, groups[g][:k]), params)
+                assert got.extended == extended
+                assert got.perm == want.perm
+                assert got.odf_selected == want.odf_selected
+                assert got.odf_baseline == want.odf_baseline
+                assert got.candidate_odfs == want.candidate_odfs
+                assert got.basis.iteration_count == want.basis.iteration_count
+                assert got.basis.odf_value == want.basis.odf_value
+                for name in ("h_tilde", "u", "u_inv", "q", "r"):
+                    assert np.array_equal(
+                        getattr(got.basis, name), getattr(want.basis, name)
+                    ), name
+                assert np.array_equal(got.transform, want.transform)
+                assert np.array_equal(got.transform_inv, want.transform_inv)
+                replaced += got.perm != tuple(range(n))
+        assert replaced > 0
 
 
 class TestKlrSelectExtended:
