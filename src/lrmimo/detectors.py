@@ -28,7 +28,7 @@ from .linalg import (
 )
 from .modem import ConstellationSpec
 from .reduction import round_gaussian
-from .switched import KlrResult, extend_channel
+from .switched import KlrResult, KlrStack, _stack_results, extend_channel
 
 DETECTOR_KINDS = ("zf", "mmse", "sic-zf", "sic-mmse")
 ML_DEFAULT_CAP = 1_000_000
@@ -53,13 +53,18 @@ def zf_error_covariance(g, sigma2: float) -> np.ndarray:
     return sigma2 * (g @ g.conj().T)
 
 
-def mmse_filter_direct(h, sigma2: float) -> np.ndarray:
-    """MMSE filter (H^H H + sigma^2 I)^-1 H^H."""
+def mmse_filter_direct(h, sigma2) -> np.ndarray:
+    """MMSE filter (H^H H + sigma^2 I)^-1 H^H.
+
+    For a 1-D array of sigma^2 values, the stack of their filters, solved
+    in one call; each is bitwise the filter of its value alone.
+    """
     h = as_matrix(h)
-    if sigma2 < 0:
-        raise ValidationError("sigma2 must be >= 0")
+    sigma2 = np.asarray(sigma2, dtype=np.float64)
+    if sigma2.ndim > 1 or np.any(sigma2 < 0):
+        raise ValidationError("sigma2 must be >= 0, a scalar or a 1-D array")
     n = h.shape[1]
-    gram = h.conj().T @ h + sigma2 * np.eye(n)
+    gram = h.conj().T @ h + sigma2[..., np.newaxis, np.newaxis] * np.eye(n)
     try:
         return np.linalg.solve(gram, h.conj().T)
     except np.linalg.LinAlgError as exc:
@@ -280,9 +285,10 @@ def lr_detect(
     scaled lattice; x_hat slices its image.
     """
     y = as_vector(y)
-    as_matrix(h)  # validated only: klr carries the reduced channel
-    m, tm = _lr_estimate(y[np.newaxis, :, np.newaxis], [klr], kind, spec)
-    z_hat = spec.a * (m[0, :, 0] + _offset(klr.transform_inv))
+    _check_rows(y.shape[0], h)  # h is validated only: klr carries the channel
+    sel = _stack_results([klr])
+    m, tm = _lr_estimate(y[np.newaxis, :, np.newaxis], sel, kind, spec)
+    z_hat = spec.a * (m[0, :, 0] + _offset(sel.transform_inv[0]))
     return DetectionOutput(x_hat=_lattice_symbols(tm, spec)[0, :, 0], z_hat=z_hat)
 
 
@@ -298,48 +304,58 @@ def lr_detect_batch(
     """
     klrs = [klr] if isinstance(klr, KlrResult) else list(klr)
     y = np.asarray(y_cols, dtype=np.complex128)
-    if y.ndim not in (2, 3):
-        raise ValidationError(f"expected a 2-D block or 3-D stack, got shape {y.shape}")
+    if y.ndim not in (2, 3) or 0 in y.shape:
+        raise ValidationError(
+            f"expected a nonempty 2-D block or 3-D stack, got shape {y.shape}"
+        )
+    _check_rows(y.shape[-2], h)
     stack = y if y.ndim == 3 else y[np.newaxis]
     if len(klrs) not in (1, len(stack)):
         raise ValidationError(f"{len(klrs)} selections for a stack of {len(stack)}")
-    x = _lattice_symbols(_lr_estimate(stack, klrs, kind, spec)[1], spec)
+    tm = _lr_estimate(stack, _stack_results(klrs), kind, spec)[1]
+    x = _lattice_symbols(tm, spec)
     return x if y.ndim == 3 else x[0]
 
 
+def _check_rows(rows: int, h) -> None:
+    """A received block must have as many rows as the channel h."""
+    h_rows = as_matrix(h).shape[0]
+    if rows != h_rows:
+        raise ValidationError(f"{rows} received rows for a channel of {h_rows}")
+
+
 def _lr_estimate(
-    y: np.ndarray, klrs, kind: str, spec: ConstellationSpec
+    y: np.ndarray, sel: KlrStack, kind: str, spec: ConstellationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """LR-aided decisions on an (S, n_r, batch) stack of blocks.
 
-    klrs holds S selections, block s detected with klrs[s], or one; when
-    every entry is the same object its filter is solved once.  Returns the
-    Gaussian-integer decisions m and their integer image T m, both
-    (S, n_t, batch).  The reduced-domain estimate is a (m + d) with
-    d = _offset(T^-1); _lattice_indices slices it from T m.
+    sel holds S selections, block s detected with sel[s], or one that
+    serves every block.  Returns the Gaussian-integer decisions m and their
+    integer image T m, both (S, n_t, batch).  The reduced-domain estimate is
+    a (m + d) with d = _offset(T^-1); _lattice_indices slices it from T m.
     """
     if kind not in DETECTOR_KINDS:
         raise ValidationError(f"unknown detector kind {kind!r}")
     extended = kind in ("mmse", "sic-mmse")
-    if any(klr.extended != extended for klr in klrs):
+    if sel.extended != extended:
         raise ValidationError(
             f"detector kind {kind!r} does not match the reduction flavor "
             f"(extended={not extended})"
         )
-
-    shared = all(k is klrs[0] for k in klrs)
-
-    def stacked(get):
-        return get(klrs[0]) if shared else np.stack([get(k) for k in klrs])
-
     # the basis carries the QR of h_tilde, so neither path factors it again
-    q, r = stacked(lambda k: k.basis.q), stacked(lambda k: k.basis.r)
-    d = _offset(stacked(lambda k: k.transform_inv))[..., np.newaxis]
+    basis = sel.basis
+    q, r = basis.q, basis.r
+    n = r.shape[-1]
+    if y.shape[1] + (n if extended else 0) != q.shape[-2]:
+        raise ValidationError(
+            f"{y.shape[1]} received rows for a reduced channel of {q.shape[-2]}"
+        )
+    d = _offset(sel.transform_inv)[..., np.newaxis]
     if extended:
-        pad = np.zeros((len(y), r.shape[-1], y.shape[2]), dtype=np.complex128)
+        pad = np.zeros((len(y), n, y.shape[2]), dtype=np.complex128)
         y = np.concatenate([y, pad], axis=1)
     if kind in ("zf", "mmse"):
         m = _round_shifted(_pinv_from_qr(q, r) @ y, d, spec.a)
     else:
-        m = _sic(q, r, _scaled(y, spec.a) - stacked(lambda k: k.basis.h_tilde) @ d)
-    return m, stacked(lambda k: k.transform) @ m
+        m = _sic(q, r, _scaled(y, spec.a) - basis.h_tilde @ d)
+    return m, sel.transform @ m

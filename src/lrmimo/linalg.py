@@ -51,18 +51,36 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     SingularMatrixError when, in any matrix, a diagonal entry of R falls below
     1e-12 times the largest column norm of that matrix.
     """
+    return _qr(a, True)
+
+
+def _qr_r(a) -> np.ndarray:
+    """The R of qr_decompose(a), bitwise, without forming Q."""
+    return _qr(a, False)[1]
+
+
+def _qr(a, with_q: bool) -> tuple:
+    """qr_decompose(a), or (None, R) without with_q.
+
+    Both modes take R from the same Householder factorization (LAPACK
+    geqrf); Q is formed from its reflectors only when asked for.
+    """
     a = _as_stack(a)
     rows, cols = a.shape[-2:]
     if rows < cols:
         raise ValidationError(f"need rows >= cols, got {rows}x{cols}")
-    q, r = np.linalg.qr(a, mode="reduced")
+    if with_q:
+        q, r = np.linalg.qr(a, mode="reduced")
+    else:
+        q, r = None, np.linalg.qr(a, mode="r")
     d = np.diagonal(r, axis1=-2, axis2=-1)
     scale = np.max(np.linalg.norm(a, axis=-2), axis=-1)
     if np.any(scale == 0.0) or np.any(np.min(np.abs(d), axis=-1) <= _RANK_TOL * scale):
         raise SingularMatrixError("matrix is numerically rank deficient")
     phase = d / np.abs(d)
     # in place: the factors of a large stack are its largest temporaries
-    q *= phase[..., np.newaxis, :]
+    if with_q:
+        q *= phase[..., np.newaxis, :]
     r *= np.conj(phase)[..., :, np.newaxis]
     # kill the O(eps) imaginary residue so the diagonal is exactly real
     idx = np.arange(cols)

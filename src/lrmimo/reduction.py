@@ -7,11 +7,12 @@ integer column/row operations, so no rounding ever occurs in U or U^-1).
 """
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .linalg import as_matrix, gram_det, qr_decompose, singular_values
+from .linalg import _qr_r, as_matrix, gram_det, qr_decompose, singular_values
 
 # Relative slack on the reducedness inequalities so that a floating-point QR
 # of an exactly reduced basis still passes.
@@ -37,16 +38,19 @@ class ReducedBasis:
 
     h_tilde = original @ u, u unimodular with Gaussian-integer entries,
     u @ u_inv = I exactly, and (q, r) is the QR of h_tilde with real positive
-    R diagonal.
+    R diagonal.  q is factored on first access.
     """
 
     h_tilde: np.ndarray
     u: np.ndarray
     u_inv: np.ndarray
-    q: np.ndarray
     r: np.ndarray
     odf_value: float
     iteration_count: int
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return qr_decompose(self.h_tilde)[0]
 
 
 def round_gaussian(z):
@@ -76,34 +80,43 @@ class ReducedStack:
 
     h_tilde and q are (B, rows, n), u, u_inv and r are (B, n, n), odf and
     iterations are (B,); member i satisfies everything ReducedBasis states.
+    q is factored on first access, bitwise the Q of the QR whose R is r, so
+    a stack of which only some members are read factors Q for those alone.
     An int index gives the ReducedBasis view of one member; a slice or an
     index array gives a ReducedStack (of copies, for an index array, as numpy
-    indexing makes them); iteration yields the members in order.
+    indexing makes them); either keeps its part of a q already factored.
+    Iteration yields the members in order.
     """
 
     h_tilde: np.ndarray
     u: np.ndarray
     u_inv: np.ndarray
-    q: np.ndarray
     r: np.ndarray
     odf: np.ndarray
     iterations: np.ndarray
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return qr_decompose(self.h_tilde)[0]
 
     def __len__(self) -> int:
         return len(self.odf)
 
     def __getitem__(self, i):
         if isinstance(i, (slice, np.ndarray)):
-            return ReducedStack(*(getattr(self, f.name)[i] for f in fields(self)))
-        return ReducedBasis(
-            h_tilde=self.h_tilde[i],
-            u=self.u[i],
-            u_inv=self.u_inv[i],
-            q=self.q[i],
-            r=self.r[i],
-            odf_value=float(self.odf[i]),
-            iteration_count=int(self.iterations[i]),
-        )
+            part = ReducedStack(*(getattr(self, f.name)[i] for f in fields(self)))
+        else:
+            part = ReducedBasis(
+                h_tilde=self.h_tilde[i],
+                u=self.u[i],
+                u_inv=self.u_inv[i],
+                r=self.r[i],
+                odf_value=float(self.odf[i]),
+                iteration_count=int(self.iterations[i]),
+            )
+        if "q" in vars(self):  # the cached property, once factored
+            vars(part)["q"] = self.q[i]
+        return part
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -112,12 +125,25 @@ class ReducedStack:
 def _reduced_stack(h_tilde, u, u_inv, iterations) -> ReducedStack:
     """ReducedStack of a stack h_tilde = original @ u.
 
-    One batched QR gives both (q, r) and the ODF denominators.
+    One batched R-only QR gives r and the ODF denominators; q waits until
+    it is read.
     """
-    q, r = qr_decompose(h_tilde)
+    r = _qr_r(h_tilde)
     d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     odfs = _odf(h_tilde, np.prod(d * d, axis=-1))
-    return ReducedStack(h_tilde, u, u_inv, q, r, odfs, np.asarray(iterations))
+    return ReducedStack(h_tilde, u, u_inv, r, odfs, np.asarray(iterations))
+
+
+def _stack_bases(bases) -> ReducedStack:
+    """ReducedStack of a sequence of ReducedBasis, their Q included."""
+    arrays = ("h_tilde", "u", "u_inv", "r")
+    stack = ReducedStack(
+        *(np.stack([getattr(b, name) for b in bases]) for name in arrays),
+        np.array([b.odf_value for b in bases]),
+        np.array([b.iteration_count for b in bases]),
+    )
+    vars(stack)["q"] = np.stack([b.q for b in bases])
+    return stack
 
 
 def condition_number(h) -> float:
@@ -187,15 +213,16 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     which size reduction against columns l < k-1 leaves unchanged, so that
     reduction is deferred to one full pass over every basis after the loop
     (effective CLLL; Ling and Howgrave-Graham, ISIT 2007).  Every basis gets
-    bitwise the result it gets alone.  Returns one ReducedStack per input
-    stack, in stack order.  Raises SingularMatrixError if any basis is
-    numerically rank deficient.
+    bitwise the result it gets alone.  Both QRs, of the input and of the
+    reduced bases, form R only.  Returns one ReducedStack per input stack,
+    in stack order, whose Q is factored when read.  Raises
+    SingularMatrixError if any basis is numerically rank deficient.
     """
     hs = [np.asarray(h, dtype=np.complex128) for h in stacks]
     if not hs or any(h.ndim != 3 or h.shape[2] != hs[0].shape[2] for h in hs):
         raise ValidationError("expected (batch, rows, n) stacks sharing n")
     n = hs[0].shape[2]
-    r = np.concatenate([qr_decompose(h)[1] for h in hs])  # raises on rank deficiency
+    r = np.concatenate([_qr_r(h) for h in hs])  # raises on rank deficiency
     b = r.shape[0]
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (b, n, n))
     cols = _columns(r, eye, eye)
@@ -237,7 +264,7 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
         k[act[~swap]] += 1
         act = np.flatnonzero(k < n)
     _size_reduce_all(cols)
-    _, u, u_inv = _split_columns(cols)
+    u, u_inv = _split_columns(cols)[1:]
     del cols  # the final QR below is the peak of memory; R comes from it
 
     out, start = [], 0

@@ -27,13 +27,7 @@ from .detectors import (
 from .errors import ValidationError
 from .modem import ConstellationSpec, _bit_distance, map_bits
 from .reduction import ReductionParams, clll_reduce_batch
-from .switched import (
-    _candidate_stack,
-    _k_limit,
-    _select,
-    extend_channel,
-    sample_permutations,
-)
+from .switched import _candidate_stack, _k_limit, _select, sample_permutations
 
 # detector -> (reduction flavour, estimator).  Flavour None runs the estimator
 # on H directly; False reduces H, True the extended channel [H; sigma_n I].
@@ -61,8 +55,9 @@ _COLUMNS_PER_CALL = 2048
 # bases go through one clll_reduce_batch call, which shares the fixed cost of
 # each step of its masked loop among them.  A chunk also holds at most
 # _COLUMNS_PER_CALL received columns (trials x packet_len), so a long packet
-# keeps one trial per chunk.
-_BASES_PER_CALL = 256
+# keeps one trial per chunk.  Only the kept bases of a chunk carry Q, so
+# its memory is about that of the CLLL state of its bases.
+_BASES_PER_CALL = 512
 
 CSV_HEADER = (
     "detector,k,snr_db,ebn0_db,trials,packet_len,bits_total,bit_errors,ber,sym_errors"
@@ -175,49 +170,50 @@ def _draw_trial(cfg: SimConfig, trial: int, spec, switched) -> tuple:
     return h, x, noise_unit, perms
 
 
-def _channels(h, sigma2s, extended: bool) -> np.ndarray:
+def _channels(h, sigmas, extended: bool) -> np.ndarray:
     """The channels a trial reduces in one flavour: H, or [H; sigma I] for
-    each SNR point."""
+    each sigma of the SNR points."""
     if not extended:
         return h[np.newaxis]
-    return np.stack([extend_channel(h, np.sqrt(s2)) for s2 in sigma2s])
+    lower = sigmas[:, np.newaxis, np.newaxis] * np.eye(h.shape[1], dtype=np.complex128)
+    return np.concatenate([np.broadcast_to(h, (len(sigmas), *h.shape)), lower], axis=1)
 
 
 def _chunk_selections(trials, sigma2s, ks, params) -> list:
-    """Selections of each trial of a chunk, keyed (extended, k), each a list
-    with one KlrResult per SNR point.
+    """Selections of each trial of a chunk, keyed (extended, k), each a
+    KlrStack: one member per SNR point for the extended flavour, one member
+    that serves every point for the plain one.
 
     ks maps each reduction flavour the sweep uses to its K values.  Every
     basis of the chunk goes through one clll_reduce_batch call, one stack per
     flavour: for each trial in order, its plain channel or its extended
     channel at each SNR point, each followed by its permuted candidates.
     k = 0 keeps the CLLL baseline; k >= 1 picks among the first k
-    candidates.  The plain selection of a trial is one object shared by all
-    its SNR points.
+    candidates.  Each (flavour, k) is one KlrStack over the chunk, and a
+    trial's entry is a slice of it.
     """
     sels = [{} for _ in trials]
     if not ks:
         return sels
     flavours = sorted(ks)
     width = {f: max(ks[f], default=0) for f in flavours}
+    sigmas = np.sqrt(sigma2s)
     stacks = [
         np.concatenate(
             [
-                _candidate_stack(_channels(h, sigma2s, f), perms[: width[f]])
+                _candidate_stack(_channels(h, sigmas, f), perms[: width[f]])
                 for h, _, _, perms in trials
             ]
         )
         for f in flavours
     ]
-    points = len(sigma2s)
     for extended, stack in zip(flavours, clll_reduce_batch(stacks, params)):
-        per = points if extended else 1  # channels per trial
+        per = len(sigma2s) if extended else 1  # channels per trial
         groups = [perms[: width[extended]] for *_, perms in trials for _ in range(per)]
         for k in (0, *ks[extended]):
             found = _select(stack, groups, k, extended)
             for t, sel in enumerate(sels):
-                mine = found[t * per : (t + 1) * per]
-                sel[(extended, k)] = mine if extended else mine * points
+                sel[(extended, k)] = found[t * per : (t + 1) * per]
     return sels
 
 
@@ -308,39 +304,43 @@ def _detect_trial(trial, sel, variants, sigma2s, spec, cands, bit_distance, errs
     for lo in range(0, len(sigma2s), per_call):
         pts = slice(lo, lo + per_call)
         y = hx + sigmas[pts] * noise_unit  # (points, n_r, packet_len)
+        # the selections at these points: the extended stack has one member
+        # per point, the plain one a member that serves them all
+        at = {key: s[pts] if s.extended else s for key, s in sel.items()}
         counts = {}
         for det, k in variants:
-            key = _detection_key(det, k, sel, pts)
+            key = _detection_key(det, k, at)
             if key not in counts:
-                idx = _indices(det, k, y, h, sigma2s[pts], spec, sel, pts, fixed)
+                idx = _indices(det, k, y, h, sigma2s[pts], spec, at, fixed)
                 counts[key] = _count_errors(idx, sent, bit_distance)
             errs[det, k][:, pts] += counts[key]
 
 
-def _detection_key(det, k, sel, pts):
-    """What decides the detection of a variant at the SNR points pts: its
-    estimator and, for the LR detectors, the reduction flavour and the
-    permutation selected at each point (one permutation of a channel is one
-    reduced basis)."""
+def _detection_key(det, k, at):
+    """What decides the detection of a variant at some SNR points, given
+    the selections at them: its estimator and, for the LR detectors, the
+    reduction flavour and the permutation selected at each point (one
+    permutation of a channel is one reduced basis)."""
     extended, kind = _DETECTOR_TABLE[det]
     if extended is None:
         return det
-    return kind, extended, tuple(s.perm for s in sel[(extended, k)][pts])
+    return kind, extended, at[(extended, k)].perms
 
 
-def _indices(det, k, y, h, sigma2s, spec, sel, pts, fixed) -> np.ndarray:
+def _indices(det, k, y, h, sigma2s, spec, at, fixed) -> np.ndarray:
     """Slice indices (points, n_t, 2 packet_len) of one detector variant at
-    the SNR points pts, I and Q interleaved.  fixed holds the trial's ZF
-    filter and _ml_table (None where no detector uses them).
+    the SNR points of y, I and Q interleaved.  at holds the selections at
+    those points, fixed the trial's ZF filter and _ml_table (None where no
+    detector uses them).
     """
     extended, kind = _DETECTOR_TABLE[det]
     if extended is not None:
-        tm = _lr_estimate(y, sel[(extended, k)][pts], kind, spec)[1]
+        tm = _lr_estimate(y, at[(extended, k)], kind, spec)[1]
         return _lattice_indices(tm, spec)
     if kind == "zf":
         est = fixed["zf"] @ y
     elif kind == "mmse":
-        est = np.stack([mmse_filter_direct(h, s2) for s2 in sigma2s]) @ y
+        est = mmse_filter_direct(h, sigma2s) @ y
     else:
         est = np.stack([_ml_search(y_s, fixed["ml"]) for y_s in y])
     return _level_indices(est, spec)

@@ -20,6 +20,7 @@ from .reduction import (
     ReducedStack,
     ReductionParams,
     _reduced_stack,
+    _stack_bases,
     clll_reduce_batch,
 )
 
@@ -78,19 +79,95 @@ class KlrResult:
         return np.eye(n, dtype=np.complex128)[:, list(self.perm)]
 
 
+@dataclass(frozen=True)
+class KlrStack:
+    """The switched selections of a stack of channels, as stacked arrays.
+
+    Member i is what KlrResult states of one channel: basis holds the kept
+    reduced bases (their Q factored), perms and candidate_odfs hold one
+    tuple per member, odf_selected and odf_baseline are (B,), and transform
+    = P U and transform_inv = U^-1 P^T are (B, n, n).  An int index gives
+    the KlrResult of one member, a slice a KlrStack of views.
+    """
+
+    basis: ReducedStack
+    perms: tuple
+    odf_selected: np.ndarray
+    odf_baseline: np.ndarray
+    candidate_odfs: tuple
+    transform: np.ndarray
+    transform_inv: np.ndarray
+    extended: bool = False
+
+    def __len__(self) -> int:
+        return len(self.perms)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return KlrStack(
+                self.basis[i],
+                self.perms[i],
+                self.odf_selected[i],
+                self.odf_baseline[i],
+                self.candidate_odfs[i],
+                self.transform[i],
+                self.transform_inv[i],
+                self.extended,
+            )
+        return KlrResult(
+            basis=self.basis[i],
+            perm=self.perms[i],
+            odf_selected=float(self.odf_selected[i]),
+            odf_baseline=float(self.odf_baseline[i]),
+            candidate_odfs=self.candidate_odfs[i],
+            extended=self.extended,
+        )
+
+
+def _klr_stack(basis, perms, odf_selected, odf_baseline, candidate_odfs, extended):
+    """KlrStack of the kept bases and their selections; forms T and T^-1."""
+    n = basis.u.shape[-1]
+    p_t = np.eye(n, dtype=np.complex128)[np.array(perms, dtype=np.intp)]  # P^T
+    return KlrStack(
+        basis,
+        tuple(perms),
+        odf_selected,
+        odf_baseline,
+        tuple(candidate_odfs),
+        np.swapaxes(p_t, -1, -2) @ basis.u,
+        basis.u_inv @ p_t,
+        extended,
+    )
+
+
+def _stack_results(results) -> KlrStack:
+    """One KlrStack of a nonempty sequence of KlrResults of one flavour."""
+    if any(r.extended != results[0].extended for r in results):
+        raise ValidationError("selections of both reduction flavours in one stack")
+    return _klr_stack(
+        _stack_bases([r.basis for r in results]),
+        [r.perm for r in results],
+        np.array([r.odf_selected for r in results]),
+        np.array([r.odf_baseline for r in results]),
+        [r.candidate_odfs for r in results],
+        results[0].extended,
+    )
+
+
 def _k_limit(n: int) -> int:
     return min(math.factorial(n) - 1, MAX_CANDIDATES)
 
 
-def _select(reduced: ReducedStack, perms, k: int, extended: bool) -> list:
+def _select(reduced: ReducedStack, perms, k: int, extended: bool) -> KlrStack:
     """Switched selection on every channel of a candidate stack.
 
     reduced holds one group per channel, as _candidate_stack lays it out:
     the baseline, then its candidates by perms[g] (the same count for every
     group).  Among the first k candidates the lowest-ODF one is kept only if
     it strictly beats the baseline; k = 0 gives the baseline with empty
-    candidate_odfs.  Returns one KlrResult per group; their bases are
-    copies, so they do not keep the whole stack alive.
+    candidate_odfs.  Returns one KlrStack, member g for group g; its bases
+    are copies, so they do not keep the whole stack alive, and their Q is
+    factored here, once for every slice taken of them.
     """
     odfs = reduced.odf.reshape(len(perms), -1)
     base, cands = odfs[:, 0], odfs[:, 1 : 1 + k]
@@ -100,18 +177,16 @@ def _select(reduced: ReducedStack, perms, k: int, extended: bool) -> list:
         best = np.argmin(cands, axis=1)
         pick = np.where(cands[groups, best] < base, 1 + best, 0)
     kept = reduced[groups * odfs.shape[1] + pick]
+    kept.q  # factored now, once for every slice later taken of the stack
     ident = tuple(range(reduced.u.shape[-1]))
-    return [
-        KlrResult(
-            basis=kept[g],
-            perm=perms[g][i - 1] if i else ident,
-            odf_selected=float(odfs[g, i]),
-            odf_baseline=float(base[g]),
-            candidate_odfs=tuple(cands[g].tolist()),
-            extended=extended,
-        )
-        for g, i in enumerate(pick.tolist())
-    ]
+    return _klr_stack(
+        kept,
+        [perms[g][i - 1] if i else ident for g, i in enumerate(pick.tolist())],
+        odfs[groups, pick],
+        base.copy(),
+        map(tuple, cands.tolist()),
+        extended,
+    )
 
 
 def sample_permutations(n: int, k: int, rng: np.random.Generator) -> PermutationSet:

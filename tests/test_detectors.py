@@ -364,6 +364,33 @@ class TestLrDetect:
         with pytest.raises(ValidationError):
             lr_detect_batch(ys, h, [plain, plain, plain], "zf", QPSK)
 
+    def test_empty_stack_rejected(self, rng):
+        h = crandn(rng, 3, 3)
+        with pytest.raises(ValidationError):
+            lr_detect_batch(np.zeros((0, 3, 4), dtype=complex), h, [], "zf", QPSK)
+        plain = klr_select(h, 2, rng=rng)
+        with pytest.raises(ValidationError):
+            lr_detect_batch(np.zeros((0, 3, 4), dtype=complex), h, plain, "zf", QPSK)
+        with pytest.raises(ValidationError):
+            lr_detect_batch(np.zeros((3, 0), dtype=complex), h, plain, "zf", QPSK)
+
+    @pytest.mark.parametrize("kind", ["zf", "mmse", "sic-zf", "sic-mmse"])
+    def test_row_count_mismatch_rejected(self, rng, kind):
+        h = crandn(rng, 3, 3)
+        if kind in ("mmse", "sic-mmse"):
+            klr = klr_select_extended(h, 0.2, 2, rng=rng)
+        else:
+            klr = klr_select(h, 2, rng=rng)
+        with pytest.raises(ValidationError):
+            lr_detect(crandn(rng, 2), h, klr, kind, QPSK)
+        with pytest.raises(ValidationError):
+            lr_detect_batch(crandn(rng, 2, 5), h, klr, kind, QPSK)
+        with pytest.raises(ValidationError):
+            lr_detect_batch(crandn(rng, 4, 2, 5), h, klr, kind, QPSK)
+        # a channel that does not match the selection
+        with pytest.raises(ValidationError):
+            lr_detect_batch(crandn(rng, 4, 5), crandn(rng, 4, 3), klr, kind, QPSK)
+
 
 def _shear(rng, n):
     """A random unimodular Gaussian-integer matrix (unit upper triangular)."""

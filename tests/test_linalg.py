@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrmimo.errors import SingularMatrixError, ValidationError
-from lrmimo.linalg import gram_det, pseudoinverse, qr_decompose, singular_values
+from lrmimo.linalg import _qr_r, gram_det, pseudoinverse, qr_decompose, singular_values
 
 from conftest import crandn
 
@@ -74,6 +74,32 @@ class TestQrDecompose:
         b[2, :, 1] = 2j * b[2, :, 0]
         with pytest.raises(SingularMatrixError):
             qr_decompose(b)
+
+
+class TestQrROnly:
+    """_qr_r forms R alone; it is the R of qr_decompose, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "shape", [(198, 12, 6), (7, 6, 6), (2, 3, 5, 4), (1, 4, 1)]
+    )
+    def test_equals_qr_decompose_r(self, rng, shape):
+        a = crandn(rng, *shape)
+        r = qr_decompose(a)[1]
+        assert _qr_r(a).tobytes() == r.tobytes()
+        # a sub-stack gives the same members
+        assert _qr_r(a[::2]).tobytes() == r[::2].tobytes()
+
+    def test_rejects_what_qr_decompose_rejects(self, rng):
+        a = crandn(rng, 5, 4, 3)
+        a[3, :, 2] = (1 - 2j) * a[3, :, 0]
+        with pytest.raises(SingularMatrixError):
+            _qr_r(a)
+        b = crandn(rng, 2, 3, 4, 4)
+        b[1, 2, 0, 0] = np.nan
+        with pytest.raises(ValidationError):
+            _qr_r(b)
+        with pytest.raises(ValidationError):
+            _qr_r(crandn(rng, 3, 2, 4))
 
 
 class TestPseudoinverse:
