@@ -4,12 +4,14 @@ Builds the bases that one trial of the `klr-mmse` benchmark workload reduces
 (a 6x6 i.i.d. channel extended for each SNR point of 14:1:22 dB, each
 followed by its 10 column-permuted candidates: 99 bases of 12x6) and times
 `clll_reduce_batch` on the whole trial and `clll_reduce` on each basis alone,
-for 20 seeded trials.  Then builds 64 trials of the `klr-zf` shape (a 6x6
-channel and its 10 candidates: 11 bases of 6x6) and times reducing them 1,
-4, 16 and 64 trials per `clll_reduce_batch` call, the chunk sizes the sweep
-can choose.  All times include the final QR and ODF.  Prints the median
-microseconds per `klr-mmse` basis over the trials and the `klr-zf`
-milliseconds per trial (median of 3 passes over the 64 trials), as one JSON
+for 20 seeded trials, and times reducing those trials 1, 2, 5 and 10 per
+`clll_reduce_batch` call (the sweep's chunk holds at most 512 bases, 5 such
+trials).  Then builds 64 trials of the `klr-zf` shape (a 6x6 channel and
+its 10 candidates: 11 bases of 6x6) and times reducing them 1, 4, 16 and
+64 trials per call, the chunk sizes the sweep can choose.  All times
+include the final QR and ODF.  Prints the median microseconds per
+`klr-mmse` basis over the trials, and for both shapes the milliseconds per
+trial by trials per call (median of 3 passes over the trials), as one JSON
 line.  Run from the root of a checkout:
 
     python3 bench/clll_timing.py
@@ -32,8 +34,8 @@ from lrmimo import clll_reduce, clll_reduce_batch  # noqa: E402
 from lrmimo.switched import extend_channel, sample_permutations  # noqa: E402
 
 N, K, SNR_DB = 6, 10, range(14, 23)
-TRIALS = 20
-ZF_TRIALS, ZF_PER_CALL, ZF_PASSES = 64, (1, 4, 16, 64), 3
+TRIALS, PER_CALL = 20, (1, 2, 5, 10)
+ZF_TRIALS, ZF_PER_CALL, PASSES = 64, (1, 4, 16, 64), 3
 
 
 def trial_stack(rng) -> np.ndarray:
@@ -55,10 +57,10 @@ def zf_trial_stack(rng) -> np.ndarray:
     return np.stack([h] + [h[:, list(p)] for p in perms])
 
 
-def zf_ms_per_trial(trials, per_call: int) -> float:
+def ms_per_trial(trials, per_call: int) -> float:
     """Median over passes of CLLL ms per trial, per_call trials per call."""
     passes = []
-    for _ in range(ZF_PASSES):
+    for _ in range(PASSES):
         t0 = time.perf_counter()
         for i in range(0, len(trials), per_call):
             clll_reduce_batch([np.concatenate(trials[i : i + per_call])])
@@ -69,8 +71,8 @@ def zf_ms_per_trial(trials, per_call: int) -> float:
 def main() -> int:
     rng = np.random.default_rng(0)
     batch_us, lone_us = [], []
-    for _ in range(TRIALS):
-        stack = trial_stack(rng)
+    mmse = [trial_stack(rng) for _ in range(TRIALS)]
+    for stack in mmse:
         t0 = time.perf_counter()
         clll_reduce_batch([stack])
         batch_us.append(1e6 * (time.perf_counter() - t0) / len(stack))
@@ -86,11 +88,14 @@ def main() -> int:
         "batch_us_per_basis": round(batch, 1),
         "lone_us_per_basis": round(lone, 1),
         "lone_over_batch": round(lone / batch, 2),
+        "klr_mmse_ms_per_trial_by_trials_per_call": {
+            str(c): round(ms_per_trial(mmse, c), 3) for c in PER_CALL
+        },
         "klr_zf": {
             "bases_per_trial": len(zf[0]),
             "trials": ZF_TRIALS,
             "ms_per_trial_by_trials_per_call": {
-                str(c): round(zf_ms_per_trial(zf, c), 3) for c in ZF_PER_CALL
+                str(c): round(ms_per_trial(zf, c), 3) for c in ZF_PER_CALL
             },
         },
     }))

@@ -3,20 +3,24 @@
 The tail is what a sweep does with one trial after its bases are reduced
 and selected: form the received blocks, estimate, take slice indices and
 count bit and symbol errors (`sim._detect_trial`).  Draws 32 seeded trials
-of two benchmark shapes, reduces and selects them as `run_sweep` does, and
-times `_detect_trial` on each:
+of three benchmark shapes, reduces and selects them as `run_sweep` does,
+and times `_detect_trial` on each:
 
 - `klr-zf`: 6x6 QPSK, 9 SNR points (14:1:22 dB), packet 100, so one call
   detects a 9x6x100 block;
 - `detect-16qam`: 4x4 16-QAM, 3 SNR points (10:6:22 dB), packet 2000, one
-  4x2000 block per call.
+  4x2000 block per call;
+- `klr-mmse`: the `klr-zf` shape with the extended (MMSE) detectors, whose
+  LR estimators work on the 9x12x100 stack of padded blocks.
 
 `lr_zf` detects with the `clr-zf` variant alone, the LR-ZF tail of one
 block.  `klr_zf` also detects with every variant of the `klr-zf` workload
-(clr-zf, klr-zf K=1 and K=10) in one call, as the sweep does.  Each figure
-is ns per detected symbol (points x n_t x packet_len per variant), the
-median of 15 passes over the trials, printed as one JSON line.  BLAS runs on
-one thread.  Run from the root of a checkout:
+(clr-zf, klr-zf K=1 and K=10) in one call, as the sweep does, and
+`klr_mmse` with every variant of the `klr-mmse` workload (mmse, clr-mmse,
+klr-mmse K=10, clr-mmse-sic, klr-mmse-sic K=10).  Each figure is ns per
+detected symbol (points x n_t x packet_len per variant), the median of 15
+passes over the trials, printed as one JSON line.  BLAS runs on one thread.
+Run from the root of a checkout:
 
     python3 bench/tail_timing.py
 """
@@ -37,10 +41,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from lrmimo.modem import ConstellationSpec, _bit_distance  # noqa: E402
 from lrmimo.reduction import ReductionParams  # noqa: E402
 from lrmimo.sim import (  # noqa: E402
+    _DETECTOR_TABLE,
     SimConfig,
     _chunk_selections,
     _detect_trial,
     _draw_trial,
+    _switched,
     snr_config,
 )
 
@@ -54,14 +60,24 @@ SHAPES = {
         n_t=4, n_r=4, m=16, snr_grid_db=(10, 16, 22),
         detectors=("clr-zf",), k_candidates=(1,), packet_len=2000,
     ),
+    "klr_mmse": SimConfig(
+        n_t=6, n_r=6, m=4, snr_grid_db=tuple(range(14, 23)),
+        detectors=("mmse", "clr-mmse", "klr-mmse", "clr-mmse-sic", "klr-mmse-sic"),
+        k_candidates=(10,), packet_len=100,
+    ),
 }
+MMSE_VARIANTS = [
+    ("mmse", 0), ("clr-mmse", 0), ("klr-mmse", 10), ("clr-mmse-sic", 0),
+    ("klr-mmse-sic", 10),
+]
 
 
 def ns_per_symbol(cfg: SimConfig, variants) -> float:
     """Median over passes of _detect_trial ns per detected symbol."""
     spec = ConstellationSpec(cfg.m)
-    switched = {False} if "klr-zf" in cfg.detectors else set()
-    ks = {False: cfg.k_candidates if switched else ()}
+    switched = _switched(cfg.detectors)
+    flavours = {_DETECTOR_TABLE[d][0] for d in cfg.detectors} - {None}
+    ks = {f: cfg.k_candidates if f in switched else () for f in flavours}
     sigma2s = [snr_config(s, cfg)[0] for s in cfg.snr_grid_db]
     trials = [_draw_trial(cfg, t, spec, switched) for t in range(TRIALS)]
     sels = _chunk_selections(trials, sigma2s, ks, ReductionParams(cfg.delta))
@@ -78,7 +94,7 @@ def ns_per_symbol(cfg: SimConfig, variants) -> float:
 
 
 def main() -> int:
-    zf, qam = SHAPES["klr_zf"], SHAPES["detect_16qam"]
+    zf, qam, mmse = SHAPES["klr_zf"], SHAPES["detect_16qam"], SHAPES["klr_mmse"]
     out = {
         "trials": TRIALS,
         "lr_zf_ns_per_symbol": {
@@ -88,6 +104,7 @@ def main() -> int:
         "klr_zf_variants_ns_per_symbol": ns_per_symbol(
             zf, [("clr-zf", 0), ("klr-zf", 1), ("klr-zf", 10)]
         ),
+        "klr_mmse_variants_ns_per_symbol": ns_per_symbol(mmse, MMSE_VARIANTS),
     }
     print(json.dumps(out))
     return 0

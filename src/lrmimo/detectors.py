@@ -342,14 +342,14 @@ def _lr_estimate(
             f"detector kind {kind!r} does not match the reduction flavor "
             f"(extended={not extended})"
         )
-    # the basis carries the QR of h_tilde, so neither path factors it again
     basis = sel.basis
-    q, r = basis.q, basis.r
-    n = r.shape[-1]
-    if y.shape[1] + (n if extended else 0) != q.shape[-2]:
+    rows, n = basis.h_tilde.shape[-2:]
+    if y.shape[1] + (n if extended else 0) != rows:
         raise ValidationError(
-            f"{y.shape[1]} received rows for a reduced channel of {q.shape[-2]}"
+            f"{y.shape[1]} received rows for a reduced channel of {rows}"
         )
+    # the basis carries the QR of h_tilde, so neither path factors it again
+    q, r = basis.q, basis.r
     d = _offset(sel.transform_inv)[..., np.newaxis]
     if extended:
         pad = np.zeros((len(y), n, y.shape[2]), dtype=np.complex128)
