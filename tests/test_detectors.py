@@ -391,6 +391,27 @@ class TestLrDetect:
         with pytest.raises(ValidationError):
             lr_detect_batch(crandn(rng, 4, 5), crandn(rng, 4, 3), klr, kind, QPSK)
 
+    def test_channel_shape_mismatch_rejected(self, rng):
+        h = crandn(rng, 4, 4)
+        y = crandn(rng, 4, 5)
+        plain = klr_select(h, 2, rng=rng)
+        # the received rows match, but the channel lost a column
+        with pytest.raises(ValidationError):
+            lr_detect_batch(y, h[:, :3], plain, "zf", QPSK)
+        with pytest.raises(ValidationError):
+            lr_detect(y[:, 0], h[:, :3], plain, "zf", QPSK)
+        # an extended selection of a 4x4 channel (8x4 basis) and a 4x3 or
+        # 4x5 channel
+        ext = klr_select_extended(h, 0.3, 2, rng=rng)
+        for wrong in (h[:, :3], crandn(rng, 4, 5)):
+            with pytest.raises(ValidationError):
+                lr_detect_batch(y, wrong, ext, "mmse", QPSK)
+            with pytest.raises(ValidationError):
+                lr_detect(y[:, 0], wrong, ext, "sic-mmse", QPSK)
+        # the right shapes still detect
+        assert lr_detect_batch(y, h, plain, "zf", QPSK).shape == (4, 5)
+        assert lr_detect_batch(y, h, ext, "mmse", QPSK).shape == (4, 5)
+
 
 def _shear(rng, n):
     """A random unimodular Gaussian-integer matrix (unit upper triangular)."""

@@ -267,6 +267,22 @@ def reference_sweep(cfg):
     ]
 
 
+def long_packet_cfg(detectors, trials, seed):
+    """A 3x4 QPSK sweep at 3 SNR points whose packets exceed the columns of
+    one detection call."""
+    return SimConfig(
+        n_t=3,
+        n_r=4,
+        m=4,
+        snr_grid_db=(6.0, 14.0, 22.0),
+        detectors=detectors,
+        k_candidates=(1, 3),
+        trials=trials,
+        packet_len=sim._COLUMNS_PER_CALL + 52,
+        seed=seed,
+    )
+
+
 class TestReferenceReplay:
     @pytest.mark.parametrize(
         "seed, m, packet_len, trials",
@@ -310,6 +326,52 @@ class TestReferenceReplay:
         got = run_sweep(cfg)
         assert got == reference_sweep(cfg)
         assert all(r.bit_errors > 0 for r in got if r.snr_db == 10.0)
+
+
+    def test_long_packets_span_several_chunks(self, monkeypatch):
+        cfg = long_packet_cfg(("zf", "mmse", "clr-zf", "clr-mmse-sic", "ml"), 5, 4)
+        # 4 bases per trial, the plain channel and 3 extended ones: 2 trials
+        # per CLLL call, so three calls, the last one with 1 trial
+        monkeypatch.setattr(sim, "_BASES_PER_CALL", 8)
+        got = run_sweep(cfg)
+        assert got == reference_sweep(cfg)
+        assert all(r.bit_errors > 0 for r in got if r.snr_db == 6.0)
+
+
+class TestChunks:
+    """A non-switched sweep draws its packets when it detects them, so its
+    chunks are capped by bases alone; a switched one holds its packets, so a
+    long packet keeps one trial per chunk."""
+
+    @staticmethod
+    def count_calls(monkeypatch) -> list:
+        """Bases of each clll_reduce_batch call the sweep makes."""
+        calls = []
+        reduce = sim.clll_reduce_batch
+
+        def counting_reduce(stacks, params):
+            calls.append(sum(len(s) for s in stacks))
+            return reduce(stacks, params)
+
+        monkeypatch.setattr(sim, "clll_reduce_batch", counting_reduce)
+        return calls
+
+    def test_non_switched_long_packets_share_calls(self, monkeypatch):
+        monkeypatch.setattr(sim, "_BASES_PER_CALL", 16)
+        calls = self.count_calls(monkeypatch)
+        cfg = long_packet_cfg(("clr-zf", "clr-mmse"), 10, 5)
+        run_sweep(cfg)
+        per_call = sim._BASES_PER_CALL // 4  # trials of 4 bases each
+        assert len(calls) == math.ceil(cfg.trials / per_call)
+        assert calls == [4 * per_call, 4 * per_call, 4 * 2]
+
+    def test_switched_long_packets_keep_one_trial_per_call(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        cfg = long_packet_cfg(("clr-zf", "klr-zf"), 3, 6)
+        got = run_sweep(cfg)
+        # per trial the channel and its 3 candidates
+        assert calls == [4] * cfg.trials
+        assert got == reference_sweep(cfg)
 
 
 class TestSharedDetections:
