@@ -75,15 +75,14 @@ def qam_trial_stacks(rng) -> list:
 
 def ms_per_trial(trials, per_call: int) -> float:
     """Median over passes of CLLL ms per trial, per_call trials per call.
-    A trial is one stack of bases or a list of stacks that differ in rows,
-    which a call reduces stack by stack."""
-    trials = [t if isinstance(t, list) else [t] for t in trials]
+    A trial is a list of stacks of bases that differ in rows; a call
+    concatenates the trials stack by stack."""
     passes = []
     for _ in range(PASSES):
         t0 = time.perf_counter()
         for i in range(0, len(trials), per_call):
-            calls = trials[i : i + per_call]
-            clll_reduce_batch([np.concatenate(s) for s in zip(*calls)])
+            chunk = trials[i : i + per_call]
+            clll_reduce_batch([np.concatenate(s) for s in zip(*chunk)])
         passes.append(1e3 * (time.perf_counter() - t0) / len(trials))
     return float(np.median(passes))
 
@@ -110,13 +109,13 @@ def main() -> int:
         "lone_us_per_basis": round(lone, 1),
         "lone_over_batch": round(lone / batch, 2),
         "klr_mmse_ms_per_trial_by_trials_per_call": {
-            str(c): round(ms_per_trial(mmse, c), 3) for c in PER_CALL
+            str(c): round(ms_per_trial([[t] for t in mmse], c), 3) for c in PER_CALL
         },
         "klr_zf": {
             "bases_per_trial": len(zf[0]),
             "trials": ZF_TRIALS,
             "ms_per_trial_by_trials_per_call": {
-                str(c): round(ms_per_trial(zf, c), 3) for c in ZF_PER_CALL
+                str(c): round(ms_per_trial([[t] for t in zf], c), 3) for c in ZF_PER_CALL
             },
         },
         "detect_16qam": {

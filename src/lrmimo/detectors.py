@@ -286,7 +286,7 @@ def lr_detect(
     """
     y = as_vector(y)
     sel = _stack_results([klr])
-    _check_channel(y.shape[0], h, sel)  # h is validated only: sel carries it
+    _check_channel(h, sel)  # h is validated only: sel carries the channel
     m, tm = _lr_estimate(y[np.newaxis, :, np.newaxis], sel, kind, spec)
     z_hat = spec.a * (m[0, :, 0] + _offset(sel.transform_inv[0]))
     return DetectionOutput(x_hat=_lattice_symbols(tm, spec)[0, :, 0], z_hat=z_hat)
@@ -312,16 +312,16 @@ def lr_detect_batch(
     if len(klrs) not in (1, len(stack)):
         raise ValidationError(f"{len(klrs)} selections for a stack of {len(stack)}")
     sel = _stack_results(klrs)
-    _check_channel(y.shape[-2], h, sel)
+    _check_channel(h, sel)
     tm = _lr_estimate(stack, sel, kind, spec)[1]
     x = _lattice_symbols(tm, spec)
     return x if y.ndim == 3 else x[0]
 
 
-def _check_channel(rows: int, h, sel: KlrStack) -> None:
-    """The channel h must have the shape of the one sel was reduced from
-    (the basis, less its n_t padding rows if extended), and a received block
-    as many rows as h."""
+def _check_channel(h, sel: KlrStack) -> None:
+    """The channel h must have the shape of the one sel was reduced from:
+    the basis, less its n_t padding rows if extended.  _lr_estimate checks
+    the received rows against the basis, so against h too."""
     shape = as_matrix(h).shape
     b_rows, n_t = sel.basis.h_tilde.shape[-2:]
     reduced = (b_rows - n_t if sel.extended else b_rows, n_t)
@@ -330,8 +330,6 @@ def _check_channel(rows: int, h, sel: KlrStack) -> None:
             f"a {shape[0]}x{shape[1]} channel for a selection reduced from "
             f"a {reduced[0]}x{reduced[1]} one"
         )
-    if rows != shape[0]:
-        raise ValidationError(f"{rows} received rows for a channel of {shape[0]}")
 
 
 def _lr_estimate(
