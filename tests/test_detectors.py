@@ -19,12 +19,19 @@ from lrmimo.detectors import (
     zf_error_covariance,
     zf_filter,
 )
-from lrmimo.detectors import _lattice_indices, _sic
+from lrmimo.detectors import _lattice_indices, _lattice_symbols, _lr_estimate, _sic
 from lrmimo.errors import BudgetExceededError, SingularMatrixError, ValidationError
 from lrmimo.linalg import _pinv_from_qr
 from lrmimo.modem import ConstellationSpec
-from lrmimo.reduction import round_gaussian
-from lrmimo.switched import identity_result, klr_select, klr_select_extended
+from lrmimo.reduction import ReductionParams, clll_reduce_batch, round_gaussian
+from lrmimo.switched import (
+    _candidate_stack,
+    _select,
+    identity_result,
+    klr_select,
+    klr_select_extended,
+    sample_permutations,
+)
 
 from conftest import crandn
 
@@ -411,6 +418,52 @@ class TestLrDetect:
         # the right shapes still detect
         assert lr_detect_batch(y, h, plain, "zf", QPSK).shape == (4, 5)
         assert lr_detect_batch(y, h, ext, "mmse", QPSK).shape == (4, 5)
+
+
+class TestStackedEstimator:
+    """_lr_estimate on an S-member KlrStack from _select, in one call,
+    against lr_detect_batch on each block with that member alone."""
+
+    @pytest.mark.parametrize("kind", ["zf", "mmse", "sic-zf", "sic-mmse"])
+    def test_members_equal_single_detections(self, rng, kind):
+        extended = kind in ("mmse", "sic-mmse")
+        n_r, n, count, width = 5, 4, 6, 3
+        if extended:
+            # one channel at several noise levels, as a sweep reduces it
+            h = crandn(rng, n_r, n)
+            chans = [h] * count
+            sigmas = 0.2 + 0.15 * np.arange(count)
+            mats = np.stack(
+                [np.vstack([h, s * np.eye(n, dtype=complex)]) for s in sigmas]
+            )
+        else:
+            chans = list(crandn(rng, count, n_r, n))
+            mats = np.stack(chans)
+        groups = [sample_permutations(n, width, rng).perms for _ in range(count)]
+        stack = np.concatenate(
+            [_candidate_stack(m[np.newaxis], p) for m, p in zip(mats, groups)]
+        )
+        reduced = clll_reduce_batch([stack], ReductionParams())[0]
+        ident = tuple(range(n))
+        for spec in (QPSK, QAM16):
+            x = random_symbols(rng, spec, count, n, 9)
+            y = np.stack([h @ xs for h, xs in zip(chans, x)])
+            y += 0.3 * crandn(rng, *y.shape)
+            for k in (0, width):
+                sel = _select(reduced, groups, k, extended)
+                assert len(sel) == count >= 3
+                kept = sum(sel[s].perm != ident for s in range(count))
+                assert kept == 0 if k == 0 else kept >= 1
+                m, tm = _lr_estimate(y, sel, kind, spec)
+                got = _lattice_symbols(tm, spec)
+                assert got.shape == (count, n, 9)
+                for s in range(count):
+                    one = sel[s]
+                    want = lr_detect_batch(y[s], chans[s], one, kind, spec)
+                    assert np.array_equal(got[s], want)
+                    m1, tm1 = _lr_estimate(y[s][np.newaxis], one, kind, spec)
+                    assert m1.tobytes() == m[s].tobytes()
+                    assert tm1.tobytes() == tm[s].tobytes()
 
 
 def _shear(rng, n):
