@@ -1,6 +1,7 @@
 """Command-line front end: BER sweeps and single-matrix reduction inspection."""
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -29,6 +30,8 @@ def _parse_snr_grid(text: str) -> tuple:
         start, step, stop = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise ValidationError(f"SNR grid must be start:step:stop, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise ValidationError(f"SNR grid bounds must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise ValidationError(f"bad SNR grid {text!r}")
     grid = []
@@ -88,6 +91,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.k < 0 or args.seed < 0:
+        raise ValidationError("--k and --seed must be >= 0")
     h = load_complex_matrix(args.infile)
     params = ReductionParams(args.delta)
     if args.k > 0:

@@ -28,7 +28,7 @@ from .linalg import (
 )
 from .modem import ConstellationSpec
 from .reduction import round_gaussian
-from .switched import KlrResult, KlrStack, _stack_results, extend_channel
+from .switched import KlrResult, KlrStack, extend_channel
 
 DETECTOR_KINDS = ("zf", "mmse", "sic-zf", "sic-mmse")
 ML_DEFAULT_CAP = 1_000_000
@@ -285,10 +285,9 @@ def lr_detect(
     scaled lattice; x_hat slices its image.
     """
     y = as_vector(y)
-    sel = _stack_results([klr])
-    _check_channel(h, sel)  # h is validated only: sel carries the channel
-    m, tm = _lr_estimate(y[np.newaxis, :, np.newaxis], sel, kind, spec)
-    z_hat = spec.a * (m[0, :, 0] + _offset(sel.transform_inv[0]))
+    _check_channel(h, klr)  # h is validated only: klr carries the channel
+    m, tm = _lr_estimate(y[np.newaxis, :, np.newaxis], klr, kind, spec)
+    z_hat = spec.a * (m[0, :, 0] + _offset(klr.transform_inv))
     return DetectionOutput(x_hat=_lattice_symbols(tm, spec)[0, :, 0], z_hat=z_hat)
 
 
@@ -311,14 +310,16 @@ def lr_detect_batch(
     stack = y if y.ndim == 3 else y[np.newaxis]
     if len(klrs) not in (1, len(stack)):
         raise ValidationError(f"{len(klrs)} selections for a stack of {len(stack)}")
-    sel = _stack_results(klrs)
-    _check_channel(h, sel)
-    tm = _lr_estimate(stack, sel, kind, spec)[1]
-    x = _lattice_symbols(tm, spec)
+    blocks = [stack] if len(klrs) == 1 else stack[:, np.newaxis]
+    tms = []
+    for block, sel in zip(blocks, klrs):
+        _check_channel(h, sel)
+        tms.append(_lr_estimate(block, sel, kind, spec)[1])
+    x = _lattice_symbols(np.concatenate(tms), spec)
     return x if y.ndim == 3 else x[0]
 
 
-def _check_channel(h, sel: KlrStack) -> None:
+def _check_channel(h, sel: KlrResult) -> None:
     """The channel h must have the shape of the one sel was reduced from:
     the basis, less its n_t padding rows if extended.  _lr_estimate checks
     the received rows against the basis, so against h too."""
@@ -333,14 +334,16 @@ def _check_channel(h, sel: KlrStack) -> None:
 
 
 def _lr_estimate(
-    y: np.ndarray, sel: KlrStack, kind: str, spec: ConstellationSpec
+    y: np.ndarray, sel: KlrResult | KlrStack, kind: str, spec: ConstellationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """LR-aided decisions on an (S, n_r, batch) stack of blocks.
 
-    sel holds S selections, block s detected with sel[s], or one that
-    serves every block.  Returns the Gaussian-integer decisions m and their
-    integer image T m, both (S, n_t, batch).  The reduced-domain estimate is
-    a (m + d) with d = _offset(T^-1); _lattice_indices slices it from T m.
+    sel is a KlrResult, which serves every block, or a KlrStack of S
+    selections, block s detected with sel[s], or of one that serves every
+    block; the arrays of either broadcast against the stack.  Returns the
+    Gaussian-integer decisions m and their integer image T m, both
+    (S, n_t, batch).  The reduced-domain estimate is a (m + d) with
+    d = _offset(T^-1); _lattice_indices slices it from T m.
     """
     if kind not in DETECTOR_KINDS:
         raise ValidationError(f"unknown detector kind {kind!r}")

@@ -134,18 +134,6 @@ def _reduced_stack(h_tilde, u, u_inv, iterations) -> ReducedStack:
     return ReducedStack(h_tilde, u, u_inv, r, odfs, np.asarray(iterations))
 
 
-def _stack_bases(bases) -> ReducedStack:
-    """ReducedStack of a sequence of ReducedBasis, their Q included."""
-    arrays = ("h_tilde", "u", "u_inv", "r")
-    stack = ReducedStack(
-        *(np.stack([getattr(b, name) for b in bases]) for name in arrays),
-        np.array([b.odf_value for b in bases]),
-        np.array([b.iteration_count for b in bases]),
-    )
-    vars(stack)["q"] = np.stack([b.q for b in bases])
-    return stack
-
-
 def condition_number(h) -> float:
     """Ratio of the largest to the smallest singular value (>= 1)."""
     s = singular_values(h)

@@ -27,7 +27,13 @@ from .detectors import (
 from .errors import ValidationError
 from .modem import ConstellationSpec, _bit_distance, map_bits
 from .reduction import ReductionParams, clll_reduce_batch
-from .switched import _candidate_stack, _k_limit, _select, sample_permutations
+from .switched import (
+    _candidate_stack,
+    _k_limit,
+    _select,
+    extend_channel,
+    sample_permutations,
+)
 
 # detector -> (reduction flavour, estimator).  Flavour None runs the estimator
 # on H directly; False reduces H, True the extended channel [H; sigma_n I].
@@ -85,6 +91,8 @@ class SimConfig:
             raise ValidationError("need 1 <= n_t <= n_r")
         if self.trials < 1 or self.packet_len < 1:
             raise ValidationError("trials and packet_len must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.snr_grid_db:
             raise ValidationError("empty SNR grid")
         for d in self.detectors:
@@ -184,15 +192,6 @@ def _draw_packet(cfg: SimConfig, spec, rng) -> tuple:
     return x, noise_unit
 
 
-def _channels(h, sigmas, extended: bool) -> np.ndarray:
-    """The channels a trial reduces in one flavour: H, or [H; sigma I] for
-    each sigma of the SNR points."""
-    if not extended:
-        return h[np.newaxis]
-    lower = sigmas[:, np.newaxis, np.newaxis] * np.eye(h.shape[1], dtype=np.complex128)
-    return np.concatenate([np.broadcast_to(h, (len(sigmas), *h.shape)), lower], axis=1)
-
-
 def _chunk_selections(trials, sigma2s, ks, params) -> list:
     """Selections of each trial of a chunk, keyed (extended, k), each a
     KlrStack: one member per SNR point for the extended flavour, one member
@@ -215,7 +214,9 @@ def _chunk_selections(trials, sigma2s, ks, params) -> list:
     stacks = [
         np.concatenate(
             [
-                _candidate_stack(_channels(h, sigmas, f), perms[: width[f]])
+                _candidate_stack(
+                    extend_channel(h, sigmas) if f else h[np.newaxis], perms[: width[f]]
+                )
                 for h, *_, perms in trials
             ]
         )

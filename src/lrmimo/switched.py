@@ -20,7 +20,6 @@ from .reduction import (
     ReducedStack,
     ReductionParams,
     _reduced_stack,
-    _stack_bases,
     clll_reduce_batch,
 )
 
@@ -47,6 +46,15 @@ class PermutationSet:
             seen.add(p)
 
 
+def _transforms(perm, u: np.ndarray, u_inv: np.ndarray) -> tuple:
+    """(T, T^-1) = (P U, U^-1 P^T) for the permutation matrix P of perm, whose
+    column j is unit vector perm[j]; or, for a sequence of perms, of each
+    member of stacked u and u_inv.  The matmuls keep the exact bits of the
+    Gaussian-integer entries, signed zeros included."""
+    p_t = np.eye(u.shape[-1], dtype=np.complex128)[np.array(perm, dtype=np.intp)]
+    return np.swapaxes(p_t, -1, -2) @ u, u_inv @ p_t
+
+
 @dataclass(frozen=True)
 class KlrResult:
     """Outcome of the switched selection.
@@ -63,20 +71,14 @@ class KlrResult:
     candidate_odfs: tuple
     extended: bool = False
 
-    # each is built once per result; the matmuls keep the exact bits of the
-    # Gaussian-integer entries, signed zeros included
+    # each is built once per result
     @cached_property
     def transform(self) -> np.ndarray:
-        return self._perm_matrix @ self.basis.u
+        return _transforms(self.perm, self.basis.u, self.basis.u_inv)[0]
 
     @cached_property
     def transform_inv(self) -> np.ndarray:
-        return self.basis.u_inv @ self._perm_matrix.T
-
-    @cached_property
-    def _perm_matrix(self) -> np.ndarray:
-        n = self.basis.u.shape[0]
-        return np.eye(n, dtype=np.complex128)[:, list(self.perm)]
+        return _transforms(self.perm, self.basis.u, self.basis.u_inv)[1]
 
 
 @dataclass(frozen=True)
@@ -85,19 +87,23 @@ class KlrStack:
 
     Member i is what KlrResult states of one channel: basis holds the kept
     reduced bases (their Q factored), perms and candidate_odfs hold one
-    tuple per member, odf_selected and odf_baseline are (B,), and transform
-    = P U and transform_inv = U^-1 P^T are (B, n, n).  An int index gives
-    the KlrResult of one member, a slice a KlrStack of views.
+    tuple per member, odf_baseline is (B,), and transform = P U and
+    transform_inv = U^-1 P^T are (B, n, n).  An int index gives the
+    KlrResult of one member, a slice a KlrStack of views.
     """
 
     basis: ReducedStack
     perms: tuple
-    odf_selected: np.ndarray
     odf_baseline: np.ndarray
     candidate_odfs: tuple
     transform: np.ndarray
     transform_inv: np.ndarray
     extended: bool = False
+
+    @property
+    def odf_selected(self) -> np.ndarray:
+        """(B,) ODF of each kept basis."""
+        return self.basis.odf
 
     def __len__(self) -> int:
         return len(self.perms)
@@ -107,7 +113,6 @@ class KlrStack:
             return KlrStack(
                 self.basis[i],
                 self.perms[i],
-                self.odf_selected[i],
                 self.odf_baseline[i],
                 self.candidate_odfs[i],
                 self.transform[i],
@@ -117,41 +122,11 @@ class KlrStack:
         return KlrResult(
             basis=self.basis[i],
             perm=self.perms[i],
-            odf_selected=float(self.odf_selected[i]),
+            odf_selected=float(self.basis.odf[i]),
             odf_baseline=float(self.odf_baseline[i]),
             candidate_odfs=self.candidate_odfs[i],
             extended=self.extended,
         )
-
-
-def _klr_stack(basis, perms, odf_selected, odf_baseline, candidate_odfs, extended):
-    """KlrStack of the kept bases and their selections; forms T and T^-1."""
-    n = basis.u.shape[-1]
-    p_t = np.eye(n, dtype=np.complex128)[np.array(perms, dtype=np.intp)]  # P^T
-    return KlrStack(
-        basis,
-        tuple(perms),
-        odf_selected,
-        odf_baseline,
-        tuple(candidate_odfs),
-        np.swapaxes(p_t, -1, -2) @ basis.u,
-        basis.u_inv @ p_t,
-        extended,
-    )
-
-
-def _stack_results(results) -> KlrStack:
-    """One KlrStack of a nonempty sequence of KlrResults of one flavour."""
-    if any(r.extended != results[0].extended for r in results):
-        raise ValidationError("selections of both reduction flavours in one stack")
-    return _klr_stack(
-        _stack_bases([r.basis for r in results]),
-        [r.perm for r in results],
-        np.array([r.odf_selected for r in results]),
-        np.array([r.odf_baseline for r in results]),
-        [r.candidate_odfs for r in results],
-        results[0].extended,
-    )
 
 
 def _k_limit(n: int) -> int:
@@ -179,12 +154,13 @@ def _select(reduced: ReducedStack, perms, k: int, extended: bool) -> KlrStack:
     kept = reduced[groups * odfs.shape[1] + pick]
     kept.q  # factored now, once for every slice later taken of the stack
     ident = tuple(range(reduced.u.shape[-1]))
-    return _klr_stack(
+    chosen = tuple(perms[g][i - 1] if i else ident for g, i in enumerate(pick.tolist()))
+    return KlrStack(
         kept,
-        [perms[g][i - 1] if i else ident for g, i in enumerate(pick.tolist())],
-        odfs[groups, pick],
+        chosen,
         base.copy(),
-        map(tuple, cands.tolist()),
+        tuple(map(tuple, cands.tolist())),
+        *_transforms(chosen, kept.u, kept.u_inv),
         extended,
     )
 
@@ -246,13 +222,19 @@ def klr_select(
     return klr_select_with(h, perms, params)
 
 
-def extend_channel(h, sigma_n: float) -> np.ndarray:
-    """Stack [H; sigma_n * I] for the extended (MMSE) system model."""
+def extend_channel(h, sigma_n) -> np.ndarray:
+    """Stack [H; sigma_n * I] for the extended (MMSE) system model.
+
+    For a 1-D array of sigma_n values, the stack of their extended
+    channels; each is bitwise the extended channel of its value alone.
+    """
     h = as_matrix(h)
-    if sigma_n < 0:
-        raise ValidationError("sigma_n must be >= 0")
-    n = h.shape[1]
-    return np.vstack([h, sigma_n * np.eye(n, dtype=np.complex128)])
+    sigma_n = np.asarray(sigma_n, dtype=np.float64)
+    if sigma_n.ndim > 1 or np.any(sigma_n < 0):
+        raise ValidationError("sigma_n must be >= 0, a scalar or a 1-D array")
+    lower = sigma_n[..., np.newaxis, np.newaxis] * np.eye(h.shape[1], dtype=np.complex128)
+    upper = np.broadcast_to(h, (*sigma_n.shape, *h.shape))
+    return np.concatenate([upper, lower], axis=-2)
 
 
 def klr_select_extended(

@@ -73,6 +73,7 @@ class TestSimConfig:
             dict(k_candidates=(1, 1), detectors=("klr-zf",)),
             dict(snr_grid_db=(10.0, 10.0)),
             dict(k_candidates=(), detectors=("klr-zf",)),
+            dict(seed=-1),
         ],
     )
     def test_invalid(self, kw):
@@ -482,6 +483,34 @@ class TestCli:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("grid", ["0:1:inf", "nan:1:5", "0:inf:5"])
+    def test_simulate_non_finite_snr_grid(self, tmp_path, capsys, grid):
+        code = main(
+            [
+                "simulate",
+                "--nt", "2", "--nr", "2",
+                "--snr", grid,
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "finite" in capsys.readouterr().err
+
+    def test_simulate_negative_seed(self, tmp_path, capsys):
+        code = main(
+            [
+                "simulate",
+                "--nt", "2", "--nr", "2",
+                "--snr", "10:10:20",
+                "--trials", "2",
+                "--seed", "-1",
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_simulate_empty_k_list(self, tmp_path, capsys):
         code = main(
             [
@@ -510,6 +539,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ODF baseline:" in out
         assert "ODF selected:" in out
+
+    @pytest.mark.parametrize(
+        "args", [["--k", "-3"], ["--k", "2", "--seed", "-1"]]
+    )
+    def test_reduce_negative_k_or_seed(self, tmp_path, capsys, args):
+        path = tmp_path / "h.txt"
+        path.write_text("1.2-0.3j,0.4+1j\n-0.7+0.2j,0.9-1.1j\n")
+        assert main(["reduce", "--in", str(path), *args]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "must be >= 0" in captured.err
+        assert captured.out == ""
 
     def test_reduce_missing_file(self, tmp_path, capsys):
         assert main(["reduce", "--in", str(tmp_path / "nope.txt")]) == EXIT_VALIDATION

@@ -180,6 +180,24 @@ class TestKlrSelectExtended:
             klr_select_extended(crandn(rng, 3, 3), -0.1, 2, rng=rng)
 
 
+class TestExtendChannel:
+    def test_sigma_array_stacks_scalar_calls(self, rng):
+        h = crandn(rng, 5, 3)
+        sigmas = np.sqrt(3 / 10.0 ** (np.arange(14, 23) / 10.0))
+        got = extend_channel(h, sigmas)
+        want = np.stack([extend_channel(h, float(s)) for s in sigmas])
+        assert got.shape == (9, 8, 3) and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert extend_channel(h, sigmas[:1]).tobytes() == want[:1].tobytes()
+
+    @pytest.mark.parametrize(
+        "sigma", [-0.1, np.array([0.2, -0.1, 0.3]), np.full((2, 2), 0.3)]
+    )
+    def test_bad_sigma_rejected(self, rng, sigma):
+        with pytest.raises(ValidationError):
+            extend_channel(crandn(rng, 3, 3), sigma)
+
+
 class TestIdentityResult:
     def test_identity_transform(self, rng):
         h = crandn(rng, 4, 4)

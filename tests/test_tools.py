@@ -1,0 +1,38 @@
+"""The timing scripts under bench/ still run against the package.
+
+bench/tail_timing.py drives private sim functions directly, so a change to
+them shows up here as a failure rather than as a broken script.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_tail_timing_prints_its_figures():
+    proc = subprocess.run(
+        [sys.executable, "bench/tail_timing.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(out) == {
+        "trials",
+        "lr_zf_ns_per_symbol",
+        "klr_zf_variants_ns_per_symbol",
+        "klr_mmse_variants_ns_per_symbol",
+    }
+    assert set(out["lr_zf_ns_per_symbol"]) == {"klr_zf_9x6x100", "detect_16qam_4x2000"}
+    figures = [
+        out["trials"],
+        *out["lr_zf_ns_per_symbol"].values(),
+        out["klr_zf_variants_ns_per_symbol"],
+        out["klr_mmse_variants_ns_per_symbol"],
+    ]
+    assert all(isinstance(v, (int, float)) and v > 0 for v in figures), out
