@@ -310,12 +310,11 @@ def lr_detect_batch(
     stack = y if y.ndim == 3 else y[np.newaxis]
     if len(klrs) not in (1, len(stack)):
         raise ValidationError(f"{len(klrs)} selections for a stack of {len(stack)}")
-    blocks = [stack] if len(klrs) == 1 else stack[:, np.newaxis]
-    tms = []
-    for block, sel in zip(blocks, klrs):
+    for sel in klrs:
         _check_channel(h, sel)
-        tms.append(_lr_estimate(block, sel, kind, spec)[1])
-    x = _lattice_symbols(np.concatenate(tms), spec)
+    blocks = [stack] if len(klrs) == 1 else stack[:, np.newaxis]
+    tm = [_lr_estimate(b, sel, kind, spec)[1] for b, sel in zip(blocks, klrs)]
+    x = _lattice_symbols(np.concatenate(tm), spec)
     return x if y.ndim == 3 else x[0]
 
 
