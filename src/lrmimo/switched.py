@@ -230,9 +230,10 @@ def extend_channel(h, sigma_n) -> np.ndarray:
     """
     h = as_matrix(h)
     sigma_n = np.asarray(sigma_n, dtype=np.float64)
-    if sigma_n.ndim > 1 or np.any(sigma_n < 0):
-        raise ValidationError("sigma_n must be >= 0, a scalar or a 1-D array")
-    lower = sigma_n[..., np.newaxis, np.newaxis] * np.eye(h.shape[1], dtype=np.complex128)
+    if sigma_n.ndim > 1 or not np.all((sigma_n >= 0) & np.isfinite(sigma_n)):
+        raise ValidationError("sigma_n must be finite and >= 0, scalar or 1-D")
+    eye = np.eye(h.shape[1], dtype=np.complex128)
+    lower = sigma_n[..., np.newaxis, np.newaxis] * eye
     upper = np.broadcast_to(h, (*sigma_n.shape, *h.shape))
     return np.concatenate([upper, lower], axis=-2)
 

@@ -191,7 +191,8 @@ class TestExtendChannel:
         assert extend_channel(h, sigmas[:1]).tobytes() == want[:1].tobytes()
 
     @pytest.mark.parametrize(
-        "sigma", [-0.1, np.array([0.2, -0.1, 0.3]), np.full((2, 2), 0.3)]
+        "sigma",
+        [-0.1, np.inf, np.nan, np.array([0.2, -0.1, 0.3]), np.full((2, 2), 0.3)],
     )
     def test_bad_sigma_rejected(self, rng, sigma):
         with pytest.raises(ValidationError):
