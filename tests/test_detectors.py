@@ -19,7 +19,13 @@ from lrmimo.detectors import (
     zf_error_covariance,
     zf_filter,
 )
-from lrmimo.detectors import _lattice_indices, _lattice_symbols, _lr_estimate, _sic
+from lrmimo.detectors import (
+    _lattice_indices,
+    _lattice_symbols,
+    _level_indices,
+    _lr_estimate,
+    _sic,
+)
 from lrmimo.errors import BudgetExceededError, SingularMatrixError, ValidationError
 from lrmimo.linalg import _pinv_from_qr
 from lrmimo.modem import ConstellationSpec
@@ -27,6 +33,7 @@ from lrmimo.reduction import ReductionParams, clll_reduce_batch, round_gaussian
 from lrmimo.switched import (
     _candidate_stack,
     _select,
+    extend_channel,
     identity_result,
     klr_select,
     klr_select_extended,
@@ -219,6 +226,30 @@ class TestSliceIndex:
         idx = _slice_index(v, QAM16)
         assert idx.shape == v.shape
         assert np.array_equal(idx.ravel(), _slice_index(v.ravel(), QAM16))
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_sweep_slicing_equals_slice_index(self, rng, m):
+        # the sweep's integer slicing of complex estimates, I and Q
+        # interleaved, against _slice_index on each part; the two rules part
+        # only at exact midpoints and within an ulp of a boundary
+        spec = ConstellationSpec(m)
+        a, side = spec.a, spec.side
+        v = side * a * rng.standard_normal(4000)  # in and beyond the grid
+        frac = v / a + side / 2
+        v = v[np.abs(frac - np.rint(frac)) > 1e-9]  # away from the boundaries
+        v = v[: len(v) // 2 * 2]
+        far = [1e6, -1e6, 1e300, -1e300, side * a, -side * a, np.inf, -np.inf]
+        v = np.concatenate([v, far, far[::-1]])
+        est = v.view(np.complex128).reshape(2, 1, -1)  # (points, n_t, batch)
+        idx = _level_indices(est, spec)
+        assert idx.shape == (2, 1, len(v) // 2)
+        assert np.array_equal(idx.ravel(), _slice_index(v, spec))
+        assert idx.min() == 0 and idx.max() == side - 1
+
+    def test_sweep_slicing_of_nan_raises(self):
+        est = np.array([[0.3 + 0.1j, 0.2 + np.nan * 1j]])
+        with pytest.raises(SingularMatrixError):
+            _level_indices(est, QAM16)
 
 
 def ml_oracle(y, h, spec):
@@ -464,6 +495,48 @@ class TestStackedEstimator:
                     m1, tm1 = _lr_estimate(y[s][np.newaxis], one, kind, spec)
                     assert m1.tobytes() == m[s].tobytes()
                     assert tm1.tobytes() == tm[s].tobytes()
+
+
+def reference_sic_estimate(y, sel, spec):
+    """m and T m of the SIC kinds, the input built by concatenation and
+    subtraction: [y; 0] for an extended selection, then y / a - H~ d."""
+    basis = sel.basis
+    n = basis.r.shape[-1]
+    d = 0.5 * (sel.transform_inv @ np.full(n, 1.0 + 1.0j))[..., np.newaxis]
+    if sel.extended:
+        pad = np.zeros((len(y), n, y.shape[2]), dtype=np.complex128)
+        y = np.concatenate([y, pad], axis=1)
+    m = _sic(basis.q, basis.r, y / spec.a - basis.h_tilde @ d)
+    return m, sel.transform @ m
+
+
+class TestSicInput:
+    """_lr_estimate's SIC kinds build their input in one buffer of their own;
+    m and T m keep the bytes of the concatenate-and-subtract reference."""
+
+    @pytest.mark.parametrize("kind", ["sic-zf", "sic-mmse"])
+    def test_equals_concatenate_and_subtract(self, rng, kind):
+        extended = kind == "sic-mmse"
+        n_r, n, count, width = 5, 4, 5, 3
+        h = crandn(rng, n_r, n)
+        sigmas = 0.1 + 0.2 * np.arange(count)
+        mats = extend_channel(h, sigmas) if extended else crandn(rng, count, n_r, n)
+        groups = [sample_permutations(n, width, rng).perms for _ in range(count)]
+        stack = np.concatenate(
+            [_candidate_stack(mat[np.newaxis], p) for mat, p in zip(mats, groups)]
+        )
+        reduced = clll_reduce_batch([stack], ReductionParams())[0]
+        sel = _select(reduced, groups, width, extended)
+        for spec in (QPSK, QAM16, ConstellationSpec(64)):
+            y = 2.0 * crandn(rng, count, n_r, 30)
+            y_before = y.copy()
+            # a stack of S members, one that serves every block, a KlrResult
+            for s in (sel, sel[1:2], sel[2]):
+                m, tm = _lr_estimate(y, s, kind, spec)
+                m_ref, tm_ref = reference_sic_estimate(y, s, spec)
+                assert m.tobytes() == m_ref.tobytes()
+                assert tm.tobytes() == tm_ref.tobytes()
+            assert y.tobytes() == y_before.tobytes()  # the input is left alone
 
 
 def _shear(rng, n):

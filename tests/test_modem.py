@@ -7,6 +7,7 @@ from lrmimo.errors import ValidationError
 from lrmimo.modem import (
     ConstellationSpec,
     _bit_distance,
+    _gray_decode,
     demodulate,
     map_bits,
     modulate,
@@ -88,6 +89,19 @@ class TestGrayMapping:
         syms = map_bits(bits, spec)
         assert syms.shape == (7, 5)
         assert np.array_equal(unmap_symbols(syms, spec), bits)
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_map_bits_equals_weighted_bit_sum(self, m):
+        # each half of a symbol's bits, read MSB first as one integer, is
+        # the Gray label of its level index
+        spec = ConstellationSpec(m)
+        half = spec.bits_per_symbol // 2
+        bits = np.random.default_rng(5).integers(0, 2, size=(300, 3, 2 * half))
+        weights = 1 << np.arange(half - 1, -1, -1)
+        gi, gq = bits[..., :half] @ weights, bits[..., half:] @ weights
+        lv = spec.levels
+        want = lv[_gray_decode(gi, half)] + 1j * lv[_gray_decode(gq, half)]
+        assert map_bits(bits, spec).tobytes() == want.tobytes()
 
     def test_wrong_bit_count(self):
         with pytest.raises(ValidationError):

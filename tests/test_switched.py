@@ -6,6 +6,7 @@ from lrmimo.reduction import ReductionParams, clll_reduce_batch, is_unimodular
 from lrmimo.switched import (
     PermutationSet,
     _candidate_stack,
+    _k_limit,
     _select,
     extend_channel,
     identity_result,
@@ -42,6 +43,26 @@ class TestSamplePermutations:
         a = sample_permutations(5, 8, np.random.default_rng(9))
         b = sample_permutations(5, 8, np.random.default_rng(9))
         assert a == b
+
+    def test_equals_one_at_a_time_loop(self):
+        # the draw of every missing row in one call against the loop of one
+        # rng.permutation per row: the same tuples and generator state
+        def loop(n, k, rng):
+            ident, seen, out = tuple(range(n)), set(), []
+            while len(out) < k:
+                p = tuple(int(v) for v in rng.permutation(n))
+                if p == ident or p in seen:
+                    continue
+                seen.add(p)
+                out.append(p)
+            return tuple(out)
+
+        for seed in range(150):
+            for n in range(2, 9):
+                for k in sorted({1, 1 + seed % _k_limit(n), _k_limit(n)}):
+                    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+                    assert sample_permutations(n, k, got).perms == loop(n, k, want)
+                    assert got.bit_generator.state == want.bit_generator.state
 
     def test_set_validation(self):
         with pytest.raises(ValidationError):
