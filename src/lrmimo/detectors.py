@@ -27,7 +27,6 @@ from .linalg import (
     qr_decompose,
 )
 from .modem import ConstellationSpec
-from .reduction import round_gaussian
 from .switched import KlrResult, KlrStack, extend_channel
 
 DETECTOR_KINDS = ("zf", "mmse", "sic-zf", "sic-mmse")
@@ -100,15 +99,18 @@ def _sic(q: np.ndarray, r: np.ndarray, y: np.ndarray) -> np.ndarray:
     """SIC of every column of y, given the QR factors (q, r) of the channel.
 
     q and r may carry a leading stack axis, and y (..., rows, batch) any
-    leading axes that broadcast against them.
+    leading axes that broadcast against them.  The decisions overwrite
+    Q^H y row by row, each row read once before it is overwritten.  Each
+    is rounded in place on the float view (ties to even), which gives the
+    values of round_gaussian; only the sign of a zero part can differ.
     """
-    yt = np.swapaxes(q.conj(), -1, -2) @ y
-    n = r.shape[-1]
-    z = np.zeros(yt.shape, dtype=np.complex128)
-    for i in range(n - 1, -1, -1):
-        done = r[..., i, np.newaxis, i + 1 :] @ z[..., i + 1 :, :]
-        resid = yt[..., i, :] - done[..., 0, :]
-        z[..., i, :] = round_gaussian(resid / r[..., i, i, np.newaxis])
+    z = np.swapaxes(q.conj(), -1, -2) @ y
+    for i in range(r.shape[-1] - 1, -1, -1):
+        zi = z[..., i, :]
+        zi -= (r[..., i, np.newaxis, i + 1 :] @ z[..., i + 1 :, :])[..., 0, :]
+        zi /= r[..., i, i, np.newaxis]
+        flat = zi.view(np.float64)
+        np.rint(flat, out=flat)
     return z
 
 
@@ -135,20 +137,23 @@ def _offset(t_inv: np.ndarray) -> np.ndarray:
 
 def _round_shifted(v: np.ndarray, d, a: float) -> np.ndarray:
     """Gaussian integers nearest to v / a - d (ties to even), a new array."""
-    m = _scaled(v, a) - d
+    m = _scaled(v, a)
+    m -= d
     flat = m.view(np.float64)
     np.rint(flat, out=flat)
     return m
 
 
-def _scaled(v: np.ndarray, a: float) -> np.ndarray:
-    """v / a for a complex array v and a real a > 0, with the same bits.
+def _scaled(v: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
+    """v / a for a complex array v and a real a > 0, with the same bits,
+    written to out (a contiguous complex array, v itself allowed) if given.
 
     numpy divides a complex array by a real scalar as a product with the
     scalar's reciprocal; this forms that product on the float view, without
     the complex division loop.
     """
-    w = np.ascontiguousarray(v).view(np.float64) * (1.0 / a)
+    flat = np.ascontiguousarray(v).view(np.float64)
+    w = np.multiply(flat, 1.0 / a, out=None if out is None else out.view(np.float64))
     return w.view(np.complex128)
 
 
@@ -193,8 +198,15 @@ def _interleaved(v: np.ndarray) -> np.ndarray:
 
 
 def _level_indices(v: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
-    """Slice indices of complex estimates, I and Q interleaved (_slice_index)."""
-    return _slice_index(_interleaved(v), spec)
+    """Slice indices of complex estimates, I and Q interleaved along the
+    last axis: floor(v (1/a) + side/2) per part, clipped to the grid.
+
+    This is the nearest level, as _slice_index gives it, except at an exact
+    midpoint or within an ulp of one, where either neighbour may come out.
+    """
+    t = _interleaved(v) * (1.0 / spec.a)
+    t += spec.side / 2
+    return _grid_index(t, spec)
 
 
 def _lattice_indices(tm: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
@@ -205,9 +217,15 @@ def _lattice_indices(tm: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     estimate a (T m + (1+j)/2), which lies half a level from a boundary, so
     no tie arises; values beyond the grid clip to the outer levels.
     """
-    k = _interleaved(tm) + spec.side / 2
-    np.clip(k, 0, spec.side - 1, out=k)
-    return k.astype(np.intp)
+    return _grid_index(_interleaved(tm) + spec.side / 2, spec)
+
+
+def _grid_index(t: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+    """floor(t) clipped to [0, side - 1], in the smallest unsigned integer
+    type that holds side - 1; t is clipped in place, after which the cast's
+    truncation is the floor."""
+    np.clip(t, 0, spec.side - 1, out=t)
+    return t.astype(np.min_scalar_type(spec.side - 1))
 
 
 def _lattice_symbols(tm: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
@@ -361,11 +379,16 @@ def _lr_estimate(
     # the basis carries the QR of h_tilde, so neither path factors it again
     q, r = basis.q, basis.r
     d = _offset(sel.transform_inv)[..., np.newaxis]
-    if extended:
-        pad = np.zeros((len(y), n, y.shape[2]), dtype=np.complex128)
-        y = np.concatenate([y, pad], axis=1)
+    if extended:  # [y; 0] in one buffer of its own
+        ext = np.empty((len(y), rows, y.shape[2]), dtype=np.complex128)
+        ext[:, : rows - n] = y
+        ext[:, rows - n :] = 0
+        y = ext
     if kind in ("zf", "mmse"):
         m = _round_shifted(_pinv_from_qr(q, r) @ y, d, spec.a)
     else:
-        m = _sic(q, r, _scaled(y, spec.a) - basis.h_tilde @ d)
+        # the padded buffer is ours to scale in place; the caller's y is not
+        y = _scaled(y, spec.a, out=y if extended else None)
+        y -= basis.h_tilde @ d
+        m = _sic(q, r, y)
     return m, sel.transform @ m

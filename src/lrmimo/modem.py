@@ -72,8 +72,10 @@ class ConstellationSpec:
 def _bits_to_levels(bits: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     """bits shape (..., bits_per_symbol/2) -> amplitude levels."""
     half = spec.bits_per_symbol // 2
-    weights = 1 << np.arange(half - 1, -1, -1)
-    g = bits @ weights
+    g = bits[..., 0].astype(np.intp)  # MSB first, shifted up bit by bit
+    for j in range(1, half):
+        g <<= 1
+        g |= bits[..., j]
     return spec.levels[_gray_decode(g, half)]
 
 
@@ -92,7 +94,8 @@ def _levels_to_bits(vals: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
 
 def _bit_distance(spec: ConstellationSpec) -> np.ndarray:
     """(side, side) table: bits that differ between the Gray labels of level
-    indices i and j of one axis."""
+    indices i and j of one axis.  The sweep's error count (sim._count_errors)
+    XORs the labels instead; its tests check it against this table."""
     g = _gray_encode(np.arange(spec.side))
     return np.bitwise_count(g[:, np.newaxis] ^ g).astype(np.intp)
 

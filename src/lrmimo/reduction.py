@@ -290,10 +290,9 @@ def _size_reduce(cols, idx, k, l) -> np.ndarray:
 
     cols is packed by _columns and is updated in place: R and U columns k
     lose mu times columns l and U^-1 rows l gain mu times rows k, mu the
-    nearest Gaussian integer to r_lk / r_ll.  k and l may also be scalars.
-    Whole columns are updated: column l of R is zero below row l, so every
-    nonzero entry changes exactly as in an update of rows 0..l.  Returns the
-    new packed columns k.
+    nearest Gaussian integer to r_lk / r_ll.  Whole columns are updated:
+    column l of R is zero below row l, so every nonzero entry changes
+    exactly as in an update of rows 0..l.  Returns the new packed columns k.
     """
     n = cols.shape[1]
     ru, ui = slice(0, 2 * n), slice(2 * n, 3 * n)
@@ -308,11 +307,17 @@ def _size_reduce(cols, idx, k, l) -> np.ndarray:
 
 def _size_reduce_all(cols) -> None:
     """Full size reduction of every basis of packed cols, in place: column
-    k = 1 .. n-1 against columns k-1 .. 0, in that order."""
-    every = np.arange(cols.shape[0])
-    for k in range(1, cols.shape[1]):
+    k = 1 .. n-1 against columns k-1 .. 0, in that order, each step the
+    update of _size_reduce made on views of the columns."""
+    n = cols.shape[1]
+    ru, ui = slice(0, 2 * n), slice(2 * n, 3 * n)
+    for k in range(1, n):
+        ck = cols[:, k]
         for l in range(k - 1, -1, -1):
-            _size_reduce(cols, every, k, l)
+            cl = cols[:, l]
+            mu = round_gaussian(ck[:, l] / cl[:, l])[:, np.newaxis]
+            ck[:, ru] -= mu * cl[:, ru]
+            cl[:, ui] += mu * ck[:, ui]
 
 
 # --- exact Gaussian-integer determinant (Bareiss) ------------------------------

@@ -25,7 +25,7 @@ from .detectors import (
     pseudoinverse,
 )
 from .errors import ValidationError
-from .modem import ConstellationSpec, _bit_distance, map_bits
+from .modem import ConstellationSpec, map_bits
 from .reduction import ReductionParams, clll_reduce_batch
 from .switched import (
     _candidate_stack,
@@ -249,7 +249,6 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
 
     # per variant, bit and symbol errors at each SNR point
     errs = {v: np.zeros((2, len(cfg.snr_grid_db)), dtype=np.int64) for v in variants}
-    bit_distance = _bit_distance(spec)
     cands = ml_candidates(cfg.n_t, spec) if "ml" in cfg.detectors else None
 
     sigma2s = [snr_config(snr, cfg)[0] for snr in cfg.snr_grid_db]
@@ -269,9 +268,7 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
         sels = _chunk_selections(trials, sigma2s, ks, params)
         for (h, rng, packet, _), sel in zip(trials, sels):
             packet = packet or _draw_packet(cfg, spec, rng)
-            _detect_trial(
-                h, packet, sel, variants, sigma2s, spec, cands, bit_distance, errs
-            )
+            _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs)
         # free this chunk before the next one is drawn
         del trials, sels, sel, packet
 
@@ -299,7 +296,7 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     return records
 
 
-def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, bit_distance, errs):
+def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs):
     """Detect one trial, channel h and packet (x, unit noise), with every
     variant at every SNR point and add the bit and symbol errors to errs.
     sel holds the trial's selections, cands the ML candidates (None without
@@ -321,7 +318,8 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, bit_distance, 
     sent = _level_indices(x, spec)
     for lo in range(0, len(sigma2s), per_call):
         pts = slice(lo, lo + per_call)
-        y = hx + sigmas[pts] * noise_unit  # (points, n_r, packet_len)
+        y = sigmas[pts] * noise_unit  # (points, n_r, packet_len)
+        y += hx
         # the selections at these points: the extended stack has one member
         # per point, the plain one a member that serves them all
         at = {key: s[pts] if s.extended else s for key, s in sel.items()}
@@ -330,7 +328,7 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, bit_distance, 
             key = _detection_key(det, k, at)
             if key not in counts:
                 idx = _indices(det, k, y, h, sigma2s[pts], spec, at, fixed)
-                counts[key] = _count_errors(idx, sent, bit_distance)
+                counts[key] = _count_errors(idx, sent)
             errs[det, k][:, pts] += counts[key]
 
 
@@ -364,18 +362,25 @@ def _indices(det, k, y, h, sigma2s, spec, at, fixed) -> np.ndarray:
     return _level_indices(est, spec)
 
 
-def _count_errors(idx, sent, bit_distance) -> np.ndarray:
+def _count_errors(idx, sent) -> np.ndarray:
     """Bit and symbol errors (2, points) of slice indices against the sent
-    ones, both with I and Q interleaved.
+    ones, both unsigned with I and Q interleaved.
 
-    The bit errors of a symbol are the Gray-label distances of its I and Q
-    levels; it is in error when they are not both zero.
+    The bit errors of a level are the bits in which the Gray labels
+    g(i) = i ^ (i >> 1) of the decided and the sent index differ.  Gray
+    labelling is linear over XOR, so those bits are g(idx ^ sent).  Read as
+    one word twice as wide, a symbol's I and Q labels give its bit errors as
+    the word's set bits; the symbol is in error when the word is not zero.
     """
-    side = len(bit_distance)
-    dist = np.take(bit_distance.ravel(), idx * side + sent)
-    per_symbol = dist[..., 0::2] + dist[..., 1::2]
+    diff = idx ^ sent
+    diff ^= diff >> 1
+    words = diff.view(np.dtype(f"u{2 * diff.itemsize}"))
     return np.stack(
-        [per_symbol.sum(axis=(1, 2)), np.count_nonzero(per_symbol, axis=(1, 2))]
+        [
+            np.bitwise_count(words).sum(axis=(1, 2), dtype=np.int64),
+            # count_nonzero is faster per point than along axes
+            [np.count_nonzero(w) for w in words],
+        ]
     )
 
 

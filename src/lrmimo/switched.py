@@ -177,11 +177,15 @@ def sample_permutations(n: int, k: int, rng: np.random.Generator) -> Permutation
     seen: set = set()
     out = []
     while len(out) < k:
-        p = tuple(int(v) for v in rng.permutation(n))
-        if p == ident or p in seen:
-            continue
-        seen.add(p)
-        out.append(p)
+        # one call draws the rows still missing, each shuffled in turn as
+        # rng.permutation(n) shuffles it; every row drawn is one a loop of
+        # single draws would draw too, so the stream ends where the loop's does
+        rows = rng.permuted(np.tile(np.arange(n), (k - len(out), 1)), axis=1)
+        for p in map(tuple, rows.tolist()):
+            if p == ident or p in seen:
+                continue
+            seen.add(p)
+            out.append(p)
     return PermutationSet(n=n, perms=tuple(out))
 
 

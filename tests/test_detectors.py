@@ -243,6 +243,7 @@ class TestSliceIndex:
         est = v.view(np.complex128).reshape(2, 1, -1)  # (points, n_t, batch)
         idx = _level_indices(est, spec)
         assert idx.shape == (2, 1, len(v) // 2)
+        assert idx.dtype == np.min_scalar_type(side - 1) == np.uint8
         assert np.array_equal(idx.ravel(), _slice_index(v, spec))
         assert idx.min() == 0 and idx.max() == side - 1
 
@@ -613,6 +614,7 @@ class TestIntegerTail:
         old = _slice_index((t @ z).view(np.float64), spec)
         d = 0.5 * (t_inv @ np.full(n, 1.0 + 1.0j))[..., np.newaxis]
         new = _lattice_indices(t @ round_gaussian(z_breve / a - d), spec)
+        assert new.dtype == np.uint8
         assert np.array_equal(new, old)
         assert new.min() == 0 and new.max() == side - 1
         # the exact lattice points come back as x, clipped to the grid

@@ -15,7 +15,7 @@ from lrmimo.detectors import (
 )
 from lrmimo.errors import ValidationError
 from lrmimo.linalg import pseudoinverse
-from lrmimo.modem import ConstellationSpec, map_bits, unmap_symbols
+from lrmimo.modem import ConstellationSpec, _bit_distance, map_bits, unmap_symbols
 from lrmimo.reduction import ReductionParams
 from lrmimo.sim import (
     CSV_HEADER,
@@ -373,6 +373,49 @@ class TestChunks:
         # per trial the channel and its 3 candidates
         assert calls == [4] * cfg.trials
         assert got == reference_sweep(cfg)
+
+
+class TestCountErrors:
+    """sim._count_errors XORs Gray labels; modem._bit_distance is the table
+    of Gray-label distances it must agree with."""
+
+    @staticmethod
+    def table_count(idx, sent, table):
+        dist = table[idx, sent]
+        per_symbol = dist[..., 0::2] + dist[..., 1::2]
+        return np.stack(
+            [per_symbol.sum(axis=(1, 2)), np.count_nonzero(per_symbol, axis=(1, 2))]
+        )
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_every_level_pair(self, m):
+        spec = ConstellationSpec(m)
+        side, table = spec.side, _bit_distance(spec)
+        dtype = np.min_scalar_type(side - 1)
+        for s in range(side):
+            # point d decides level d where s was sent: on I in its first
+            # symbol, on Q in its second; the other parts are right
+            idx = np.zeros((side, 1, 4), dtype=dtype)
+            idx[:, 0, 0] = idx[:, 0, 3] = np.arange(side)
+            sent = np.array([[s, 0, 0, s]], dtype=dtype)
+            got = sim._count_errors(idx, sent)
+            assert got.dtype == np.int64
+            assert np.array_equal(got[0], 2 * table[:, s])
+            assert np.array_equal(got[1], 2 * (np.arange(side) != s))
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_random_blocks(self, rng, m):
+        spec = ConstellationSpec(m)
+        side, table = spec.side, _bit_distance(spec)
+        dtype = np.min_scalar_type(side - 1)
+        sent = rng.integers(0, side, (5, 2 * 300)).astype(dtype)
+        idx = np.repeat(sent[np.newaxis], 7, axis=0)
+        # point p gets errors on a share p/7 of the parts
+        wrong = rng.random(idx.shape) < np.arange(7)[:, None, None] / 7
+        idx[wrong] = rng.integers(0, side, int(wrong.sum()))
+        got = sim._count_errors(idx, sent)
+        assert np.array_equal(got, self.table_count(idx, sent, table))
+        assert got[0, 0] == 0 and got[1, -1] > 0
 
 
 class TestSharedDetections:

@@ -26,13 +26,20 @@ def test_tail_timing_prints_its_figures():
         "trials",
         "lr_zf_ns_per_symbol",
         "klr_zf_variants_ns_per_symbol",
+        "detect_16qam_variants_ns_per_symbol",
         "klr_mmse_variants_ns_per_symbol",
+        "minflt_per_trial",
     }
     assert set(out["lr_zf_ns_per_symbol"]) == {"klr_zf_9x6x100", "detect_16qam_4x2000"}
     figures = [
         out["trials"],
         *out["lr_zf_ns_per_symbol"].values(),
         out["klr_zf_variants_ns_per_symbol"],
+        out["detect_16qam_variants_ns_per_symbol"],
         out["klr_mmse_variants_ns_per_symbol"],
     ]
     assert all(isinstance(v, (int, float)) and v > 0 for v in figures), out
+    faults = out["minflt_per_trial"]
+    assert set(faults) == {"klr_zf", "detect_16qam", "klr_mmse"}
+    # a page fault count: none at all is a valid reading
+    assert all(isinstance(v, (int, float)) and v >= 0 for v in faults.values()), out
