@@ -1,4 +1,4 @@
-"""Time of the LR detection tail per detected symbol.
+"""Time per detected symbol and page faults per trial of the detection tail.
 
 The tail is what a sweep does with one trial after its bases are reduced
 and selected: form the received blocks, estimate, take slice indices and
@@ -23,7 +23,9 @@ the median of 15 passes over the trials.  `minflt_per_trial` gives, for
 each workload's variant set, the minor page faults of the process per
 `_detect_trial` call (getrusage, median pass): block temporaries that the
 allocator hands back to the kernel are faulted in again on the next call.
-The figures are printed as one JSON line.  BLAS runs on one thread.  Run
+The packets are drawn before the passes and held, whereas a sweep draws
+and frees one per trial, so the heap differs from a sweep's: the count
+compares two trees under one layout, not a sweep's own count.  The figures are printed as one JSON line.  BLAS runs on one thread.  Run
 from the root of a checkout:
 
     python3 bench/tail_timing.py
