@@ -20,14 +20,13 @@ import numpy as np
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
 from .linalg import (
     _as_stack,
-    _pinv_from_qr,
     as_matrix,
     as_vector,
     pseudoinverse,
     qr_decompose,
 )
 from .modem import ConstellationSpec
-from .switched import KlrResult, KlrStack, extend_channel
+from .switched import KlrResult, KlrStack, _offset, extend_channel
 
 DETECTOR_KINDS = ("zf", "mmse", "sic-zf", "sic-mmse")
 ML_DEFAULT_CAP = 1_000_000
@@ -127,12 +126,6 @@ def shift_scale_quantize(z_breve, u_inv, spec: ConstellationSpec) -> np.ndarray:
     if z_breve.ndim >= 2:
         d = d[..., np.newaxis]
     return spec.a * (_round_shifted(z_breve, d, spec.a) + d)
-
-
-def _offset(t_inv: np.ndarray) -> np.ndarray:
-    """d = (1/2) T^-1 (1+j) 1, the reduced-domain image of the half-level
-    offset of the constellation, for T^-1 or a stack of them."""
-    return 0.5 * (t_inv @ np.full(t_inv.shape[-1], 1.0 + 1.0j))
 
 
 def _round_shifted(v: np.ndarray, d, a: float) -> np.ndarray:
@@ -305,7 +298,7 @@ def lr_detect(
     y = as_vector(y)
     _check_channel(h, klr)  # h is validated only: klr carries the channel
     m, tm = _lr_estimate(y[np.newaxis, :, np.newaxis], klr, kind, spec)
-    z_hat = spec.a * (m[0, :, 0] + _offset(klr.transform_inv))
+    z_hat = spec.a * (m[0, :, 0] + klr.offset)
     return DetectionOutput(x_hat=_lattice_symbols(tm, spec)[0, :, 0], z_hat=z_hat)
 
 
@@ -360,7 +353,9 @@ def _lr_estimate(
     block; the arrays of either broadcast against the stack.  Returns the
     Gaussian-integer decisions m and their integer image T m, both
     (S, n_t, batch).  The reduced-domain estimate is a (m + d) with
-    d = _offset(T^-1); _lattice_indices slices it from T m.
+    d = sel.offset; _lattice_indices slices it from T m.  The filter and d
+    are cached on sel, so a selection that serves several calls forms them
+    once.
     """
     if kind not in DETECTOR_KINDS:
         raise ValidationError(f"unknown detector kind {kind!r}")
@@ -376,19 +371,18 @@ def _lr_estimate(
         raise ValidationError(
             f"{y.shape[1]} received rows for a reduced channel of {rows}"
         )
-    # the basis carries the QR of h_tilde, so neither path factors it again
-    q, r = basis.q, basis.r
-    d = _offset(sel.transform_inv)[..., np.newaxis]
+    d = sel.offset[..., np.newaxis]
     if extended:  # [y; 0] in one buffer of its own
         ext = np.empty((len(y), rows, y.shape[2]), dtype=np.complex128)
         ext[:, : rows - n] = y
         ext[:, rows - n :] = 0
         y = ext
     if kind in ("zf", "mmse"):
-        m = _round_shifted(_pinv_from_qr(q, r) @ y, d, spec.a)
+        m = _round_shifted(sel.pinv @ y, d, spec.a)
     else:
         # the padded buffer is ours to scale in place; the caller's y is not
         y = _scaled(y, spec.a, out=y if extended else None)
         y -= basis.h_tilde @ d
-        m = _sic(q, r, y)
+        # the basis carries the QR of h_tilde, so SIC does not factor it
+        m = _sic(basis.q, basis.r, y)
     return m, sel.transform @ m

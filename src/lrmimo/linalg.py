@@ -27,7 +27,8 @@ def _as_stack(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-2] < 1 or m.shape[-1] < 1:
         raise ValidationError(f"expected nonempty matrices, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    # one pass: a complex entry is finite when both of its parts are
+    if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
     return m
 
@@ -73,18 +74,21 @@ def _qr(a, with_q: bool) -> tuple:
         q, r = np.linalg.qr(a, mode="reduced")
     else:
         q, r = None, np.linalg.qr(a, mode="r")
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    scale = np.max(np.linalg.norm(a, axis=-2), axis=-1)
-    if np.any(scale == 0.0) or np.any(np.min(np.abs(d), axis=-1) <= _RANK_TOL * scale):
+    d = np.einsum("...ii->...i", r)  # a writable view of the diagonal
+    abs_d = np.abs(d)
+    # the largest column norm of each matrix, by np.linalg.norm's own
+    # arithmetic without its wrapper; it is 0 for a matrix whose squares
+    # underflow, and inf where they overflow
+    scale = np.sqrt(np.add.reduce((a.conj() * a).real, axis=-2).max(axis=-1))
+    if ((scale == 0.0) | (abs_d.min(axis=-1) <= _RANK_TOL * scale)).any():
         raise SingularMatrixError("matrix is numerically rank deficient")
-    phase = d / np.abs(d)
+    phase = d / abs_d
     # in place: the factors of a large stack are its largest temporaries
     if with_q:
         q *= phase[..., np.newaxis, :]
     r *= np.conj(phase)[..., :, np.newaxis]
     # kill the O(eps) imaginary residue so the diagonal is exactly real
-    idx = np.arange(cols)
-    r[..., idx, idx] = r[..., idx, idx].real
+    d.imag = 0.0
     return q, r
 
 

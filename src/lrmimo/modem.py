@@ -69,14 +69,20 @@ class ConstellationSpec:
         return self.levels[gi] + 1j * self.levels[gq]
 
 
-def _bits_to_levels(bits: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
-    """bits shape (..., bits_per_symbol/2) -> amplitude levels."""
+def _level_index_pairs(bits: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+    """bits shape (..., bits_per_symbol) -> level indices (..., 2) of the I
+    and Q halves, in the smallest unsigned type that holds side - 1.
+
+    Each half, read MSB first, is the Gray label of its level index.
+    """
     half = spec.bits_per_symbol // 2
-    g = bits[..., 0].astype(np.intp)  # MSB first, shifted up bit by bit
-    for j in range(1, half):
+    planes = bits.astype(np.min_scalar_type(spec.side - 1))
+    planes = planes.reshape(*bits.shape[:-1], 2, half)
+    g = planes[..., 0].copy()
+    for j in range(1, half):  # shifted up bit by bit
         g <<= 1
-        g |= bits[..., j]
-    return spec.levels[_gray_decode(g, half)]
+        g |= planes[..., j]
+    return _gray_decode(g, half)
 
 
 def _levels_to_bits(vals: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
@@ -106,10 +112,8 @@ def map_bits(bits: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     bps = spec.bits_per_symbol
     if bits.shape[-1] != bps:
         raise ValidationError(f"need {bps} bits per symbol, got {bits.shape[-1]}")
-    half = bps // 2
-    return _bits_to_levels(bits[..., :half], spec) + 1j * _bits_to_levels(
-        bits[..., half:], spec
-    )
+    levels = spec.levels[_level_index_pairs(bits, spec)]
+    return levels[..., 0] + 1j * levels[..., 1]
 
 
 def unmap_symbols(symbols: np.ndarray, spec: ConstellationSpec) -> np.ndarray:

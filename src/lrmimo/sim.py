@@ -25,7 +25,7 @@ from .detectors import (
     pseudoinverse,
 )
 from .errors import ValidationError
-from .modem import ConstellationSpec, map_bits
+from .modem import ConstellationSpec, _level_index_pairs
 from .reduction import ReductionParams, clll_reduce_batch
 from .switched import (
     _candidate_stack,
@@ -54,9 +54,14 @@ DETECTORS = tuple(_DETECTOR_TABLE)
 # Received columns per detection call: the SNR points of a trial are detected
 # together until their blocks hold this many, which shares the fixed cost of
 # each numpy call among short packets and keeps the temporaries of a long
-# packet at the size of one point's.  It also bounds the packets a chunk
-# holds (trials x packet_len), so a switched sweep with a long packet keeps
-# one trial per chunk.
+# packet at the size of one point's.  Only the work that differs per point
+# runs per block (received signals, estimates, slicing, error counts and the
+# filters of the extended selections); what depends only on the trial (its
+# packet and sent indices, H x, the conventional filters, the plain
+# selection's LR filter) is formed once per trial, however many blocks its
+# points take.  It also bounds the packets a chunk holds (trials x
+# packet_len), so a switched sweep with a long packet keeps one trial per
+# chunk.
 _COLUMNS_PER_CALL = 2048
 
 # Bases per CLLL call: the channels of a chunk of trials are drawn together
@@ -165,11 +170,11 @@ def _switched(detectors) -> set:
 def _draw_trial(cfg: SimConfig, trial: int, spec, switched) -> tuple:
     """(h, stream, packet, permutations) of one trial.
 
-    The trial's own stream yields h, the packet (x, unit noise) and the
-    permutations in that order.  Only a switched sweep needs the permutations
-    before detection, so only it draws the packet here; otherwise packet is
-    None, the stream stands after h, and _draw_packet draws the packet from
-    it when the trial is detected.
+    The trial's own stream yields h, the packet (x, sent, unit noise; see
+    _draw_packet) and the permutations in that order.  Only a switched
+    sweep needs the permutations before detection, so only it draws the
+    packet here; otherwise packet is None, the stream stands after h, and
+    _draw_packet draws the packet from it when the trial is detected.
     """
     rng = _trial_rng(cfg.seed, trial)
     h = gen_channel(cfg.n_r, cfg.n_t, rng)
@@ -181,15 +186,34 @@ def _draw_trial(cfg: SimConfig, trial: int, spec, switched) -> tuple:
 
 
 def _draw_packet(cfg: SimConfig, spec, rng) -> tuple:
-    """(x, unit noise) of one trial: its symbols (n_t, packet_len) and a
-    noise block (n_r, packet_len) of unit variance."""
+    """(x, sent, unit noise) of one trial: its symbols (n_t, packet_len),
+    their slice indices (n_t, 2 packet_len), I and Q interleaved as
+    _level_indices gives them, and a noise block (n_r, packet_len) of unit
+    variance.
+
+    The bits are Gray-decoded to level indices once: x looks them up and
+    sent reorders them, so the symbols are never sliced.  x is the
+    transposed view of the symbols laid out as map_bits lays them out.  The
+    noise is one draw of its real parts, then its imaginary parts, scaled
+    by 1/sqrt(2) into its complex buffer: the numbers of
+    (a + 1j * b) / np.sqrt(2.0), without the temporaries.
+    """
     bits = rng.integers(0, 2, size=(cfg.packet_len, cfg.n_t, spec.bits_per_symbol))
-    x = map_bits(bits, spec).T
-    noise_unit = (
-        rng.standard_normal((cfg.n_r, cfg.packet_len))
-        + 1j * rng.standard_normal((cfg.n_r, cfg.packet_len))
-    ) / np.sqrt(2.0)
-    return x, noise_unit
+    idx = _level_index_pairs(bits, spec)  # (packet_len, n_t, 2)
+    del bits  # its memory serves the noise draw
+    noise_unit = np.empty((cfg.n_r, cfg.packet_len), dtype=np.complex128)
+    parts = noise_unit.view(np.float64).reshape(cfg.n_r, cfg.packet_len, 2)
+    np.multiply(
+        rng.standard_normal((2, cfg.n_r, cfg.packet_len)),
+        1.0 / np.sqrt(2.0),
+        out=np.moveaxis(parts, -1, 0),
+    )
+    x = spec.levels.take(idx).view(np.complex128)[..., 0].T
+    # each symbol's I and Q index pair read as one word, so the transpose
+    # moves words, not bytes
+    words = idx.view(np.dtype(f"u{2 * idx.itemsize}"))[..., 0]
+    sent = np.ascontiguousarray(words.T).view(idx.dtype)
+    return x, sent, noise_unit
 
 
 def _chunk_selections(trials, sigma2s, ks, params) -> list:
@@ -297,25 +321,30 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
 
 
 def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs):
-    """Detect one trial, channel h and packet (x, unit noise), with every
-    variant at every SNR point and add the bit and symbol errors to errs.
-    sel holds the trial's selections, cands the ML candidates (None without
-    the ml detector).
+    """Detect one trial, channel h and packet (x, sent, unit noise), with
+    every variant at every SNR point and add the bit and symbol errors to
+    errs.  sel holds the trial's selections, cands the ML candidates (None
+    without the ml detector).
 
-    Variants that run the same estimator on the same selected bases (clr-zf
-    and a klr-zf that kept the baseline, or two K that chose the same
-    candidate) share one detection.
+    What depends only on the trial is formed once, before the blocks of
+    SNR points: H x, the conventional ZF and MMSE filters (the MMSE one of
+    every point in one stacked solve), the ML table and, through the cache
+    of the plain selection that serves every block, its LR filter and
+    offset.  Each block forms its received signals and, for the extended
+    selections, whose members differ per point, their filters.  Variants
+    that run the same estimator on the same selected bases (clr-zf and a
+    klr-zf that kept the baseline, or two K that chose the same candidate)
+    share one detection.
     """
-    x, noise_unit = packet
-    # the filters that depend only on the channel, shared by every point
+    x, sent, noise_unit = packet
     fixed = {
         "zf": pseudoinverse(h) if ("zf", 0) in variants else None,
+        "mmse": mmse_filter_direct(h, sigma2s) if ("mmse", 0) in variants else None,
         "ml": None if cands is None else _ml_table(h, cands),
     }
     sigmas = np.sqrt(sigma2s)[:, np.newaxis, np.newaxis]
     per_call = max(1, _COLUMNS_PER_CALL // x.shape[1])
     hx = h @ x
-    sent = _level_indices(x, spec)
     for lo in range(0, len(sigma2s), per_call):
         pts = slice(lo, lo + per_call)
         y = sigmas[pts] * noise_unit  # (points, n_r, packet_len)
@@ -327,7 +356,7 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs):
         for det, k in variants:
             key = _detection_key(det, k, at)
             if key not in counts:
-                idx = _indices(det, k, y, h, sigma2s[pts], spec, at, fixed)
+                idx = _indices(det, k, y, pts, spec, at, fixed)
                 counts[key] = _count_errors(idx, sent)
             errs[det, k][:, pts] += counts[key]
 
@@ -343,10 +372,11 @@ def _detection_key(det, k, at):
     return kind, extended, at[(extended, k)].perms
 
 
-def _indices(det, k, y, h, sigma2s, spec, at, fixed) -> np.ndarray:
+def _indices(det, k, y, pts, spec, at, fixed) -> np.ndarray:
     """Slice indices (points, n_t, 2 packet_len) of one detector variant at
-    the SNR points of y, I and Q interleaved.  at holds the selections at
-    those points, fixed the trial's ZF filter and _ml_table (None where no
+    the SNR points pts, whose received blocks are y, I and Q interleaved.
+    at holds the selections at those points, fixed the trial's ZF filter,
+    its MMSE filters at every point and its _ml_table (None where no
     detector uses them).
     """
     extended, kind = _DETECTOR_TABLE[det]
@@ -356,7 +386,7 @@ def _indices(det, k, y, h, sigma2s, spec, at, fixed) -> np.ndarray:
     if kind == "zf":
         est = fixed["zf"] @ y
     elif kind == "mmse":
-        est = mmse_filter_direct(h, sigma2s) @ y
+        est = fixed["mmse"][pts] @ y
     else:
         est = np.stack([_ml_search(y_s, fixed["ml"]) for y_s in y])
     return _level_indices(est, spec)

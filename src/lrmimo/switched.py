@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_matrix
+from .linalg import _pinv_from_qr, as_matrix
 from .reduction import (
     ReducedBasis,
     ReducedStack,
@@ -55,8 +55,30 @@ def _transforms(perm, u: np.ndarray, u_inv: np.ndarray) -> tuple:
     return np.swapaxes(p_t, -1, -2) @ u, u_inv @ p_t
 
 
+def _offset(t_inv: np.ndarray) -> np.ndarray:
+    """d = (1/2) T^-1 (1+j) 1, the reduced-domain image of the half-level
+    offset of the constellation, for T^-1 or a stack of them."""
+    return 0.5 * (t_inv @ np.full(t_inv.shape[-1], 1.0 + 1.0j))
+
+
+class _LrFilter:
+    """What LR detection needs of a selection beyond its basis, formed on
+    first read and kept, as the basis keeps its Q: pinv, the pseudoinverse
+    of the kept basis from its QR factors (the LR-ZF and LR-MMSE filter),
+    and offset, d = _offset(T^-1).  A selection that serves several blocks
+    of received signals forms them once for all of them."""
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        return _pinv_from_qr(self.basis.q, self.basis.r)
+
+    @cached_property
+    def offset(self) -> np.ndarray:
+        return _offset(self.transform_inv)
+
+
 @dataclass(frozen=True)
-class KlrResult:
+class KlrResult(_LrFilter):
     """Outcome of the switched selection.
 
     basis.h_tilde equals H[:, perm] @ basis.u; `transform` composes the
@@ -82,7 +104,7 @@ class KlrResult:
 
 
 @dataclass(frozen=True)
-class KlrStack:
+class KlrStack(_LrFilter):
     """The switched selections of a stack of channels, as stacked arrays.
 
     Member i is what KlrResult states of one channel: basis holds the kept

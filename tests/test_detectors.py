@@ -75,6 +75,17 @@ class TestLinearFilters:
         alt = h.conj().T @ np.linalg.inv(h @ h.conj().T + s2 * np.eye(5))
         assert np.allclose(mmse_filter_direct(h, s2), alt)
 
+    def test_mmse_stack_members_equal_single_solves(self, rng):
+        # the sweep solves the filters of all SNR points of a trial at once
+        # and hands each block its slice of them
+        h = crandn(rng, 4, 4)
+        s2 = 4.0 / 10.0 ** (np.arange(10.0, 23.0, 3.0) / 10.0)
+        stacked = mmse_filter_direct(h, s2)
+        for i in range(len(s2)):
+            alone = mmse_filter_direct(h, s2[i : i + 1])[0]
+            assert stacked[i].tobytes() == alone.tobytes()
+            assert stacked[i].tobytes() == mmse_filter_direct(h, s2[i]).tobytes()
+
     def test_mmse_equals_extended_zf(self, rng):
         h = crandn(rng, 4, 4)
         sigma = 0.7

@@ -76,6 +76,42 @@ class TestQrDecompose:
             qr_decompose(b)
 
 
+class TestQrChecks:
+    """The QR wrapper checks finiteness in one pass over the complex entries
+    and ranks each matrix by its largest column norm.  Every entry point
+    still raises ValidationError for a non-finite real or imaginary part
+    and SingularMatrixError for a rank-deficient member of a stack."""
+
+    FUNCS = [qr_decompose, _qr_r, pseudoinverse]
+
+    @pytest.mark.parametrize("f", FUNCS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_non_finite_part_raises(self, rng, f, bad, part, stacked):
+        a = crandn(rng, 3, 4, 3) if stacked else crandn(rng, 4, 3)
+        at = (1, 2, 0) if stacked else (2, 0)
+        z = a[at]
+        a[at] = complex(bad, z.imag) if part == "real" else complex(z.real, bad)
+        with pytest.raises(ValidationError, match="finite"):
+            f(a)
+
+    @pytest.mark.parametrize("f", FUNCS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("member", [0, 2])
+    def test_rank_deficient_member_raises(self, rng, f, member):
+        a = crandn(rng, 3, 4, 3)
+        a[member, :, 2] = (0.5 - 1j) * a[member, :, 0]
+        with pytest.raises(SingularMatrixError):
+            f(a)
+
+    @pytest.mark.parametrize("f", FUNCS, ids=lambda f: f.__name__)
+    def test_underflowing_column_norms_raise(self, rng, f):
+        # the squares of entries near 1e-170 underflow, so every column
+        # norm reads 0 although R does not: the rank check has no scale
+        with pytest.raises(SingularMatrixError):
+            f(1e-170 * crandn(rng, 4, 3))
+
+
 class TestQrROnly:
     """_qr_r forms R alone; it is the R of qr_decompose, bit for bit."""
 

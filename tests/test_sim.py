@@ -1,3 +1,4 @@
+import collections
 import csv
 import math
 from dataclasses import replace
@@ -5,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lrmimo import sim
+from lrmimo import sim, switched
 from lrmimo.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from lrmimo.detectors import (
+    _level_indices,
     hard_slice,
     lr_detect_batch,
     ml_detect_batch,
@@ -268,13 +270,13 @@ def reference_sweep(cfg):
     ]
 
 
-def long_packet_cfg(detectors, trials, seed):
-    """A 3x4 QPSK sweep at 3 SNR points whose packets exceed the columns of
-    one detection call."""
+def long_packet_cfg(detectors, trials, seed, m=4):
+    """A 3x4 sweep (QPSK unless m is given) at 3 SNR points whose packets
+    exceed the columns of one detection call: one point per block."""
     return SimConfig(
         n_t=3,
         n_r=4,
-        m=4,
+        m=m,
         snr_grid_db=(6.0, 14.0, 22.0),
         detectors=detectors,
         k_candidates=(1, 3),
@@ -337,6 +339,97 @@ class TestReferenceReplay:
         got = run_sweep(cfg)
         assert got == reference_sweep(cfg)
         assert all(r.bit_errors > 0 for r in got if r.snr_db == 6.0)
+
+
+    @pytest.mark.parametrize("m, seed", [(16, 9), (64, 10)])
+    def test_long_qam_packets_one_point_per_block(self, m, seed):
+        dets = ("zf", "mmse", "clr-zf", "clr-mmse", "clr-mmse-sic")
+        cfg = long_packet_cfg(dets, 3, seed, m=m)
+        got = run_sweep(cfg)
+        assert got == reference_sweep(cfg)
+        assert all(r.bit_errors > 0 for r in got if r.snr_db <= 14.0)
+
+
+class TestDrawPacket:
+    """_draw_packet against the three lines it replaces: from the same
+    generator calls, x with the bytes and strides of map_bits(bits).T,
+    noise with the bytes of (a + 1j b) / sqrt(2), sent indices equal to
+    slicing x, and the generator left in the same state."""
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    @pytest.mark.parametrize("packet_len", [1, 7, 2000])
+    def test_equals_three_line_formula(self, m, packet_len):
+        cfg = SimConfig(
+            n_t=3,
+            n_r=5,
+            m=m,
+            snr_grid_db=(10.0,),
+            detectors=("zf",),
+            packet_len=packet_len,
+            seed=m + packet_len,
+        )
+        spec = ConstellationSpec(m)
+        old, new = sim._trial_rng(cfg.seed, 0), sim._trial_rng(cfg.seed, 0)
+        bits = old.integers(0, 2, size=(packet_len, cfg.n_t, spec.bits_per_symbol))
+        want_x = map_bits(bits, spec).T
+        shape = (cfg.n_r, packet_len)
+        want_noise = (
+            old.standard_normal(shape) + 1j * old.standard_normal(shape)
+        ) / np.sqrt(2.0)
+        x, sent, noise = sim._draw_packet(cfg, spec, new)
+        assert (x.shape, x.strides, x.dtype) == (
+            want_x.shape,
+            want_x.strides,
+            want_x.dtype,
+        )
+        assert x.tobytes() == want_x.tobytes()
+        assert (noise.shape, noise.dtype) == (want_noise.shape, want_noise.dtype)
+        assert noise.tobytes() == want_noise.tobytes()
+        want_sent = _level_indices(want_x, spec)
+        assert sent.dtype == want_sent.dtype
+        assert np.array_equal(sent, want_sent)
+        assert new.bit_generator.state == old.bit_generator.state
+
+
+class TestTrialInvariants:
+    """What depends only on the trial is formed once per trial, however
+    many blocks of SNR points its packet takes."""
+
+    def test_filters_formed_once_per_trial(self, monkeypatch):
+        cfg = long_packet_cfg(("zf", "mmse", "clr-zf", "clr-mmse-sic"), 3, 8, m=16)
+        counts = []  # per trial, the calls of each counted function
+        detect = sim._detect_trial
+
+        def counting_detect(*args):
+            counts.append(collections.Counter())
+            return detect(*args)
+
+        def count(module, name):
+            func = getattr(module, name)
+
+            def counting(*args):
+                counts[-1][name] += 1
+                return func(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count(sim, "pseudoinverse")
+        count(sim, "mmse_filter_direct")
+        count(switched, "_pinv_from_qr")  # the LR filter of a selection
+        count(sim, "_lr_estimate")
+        monkeypatch.setattr(sim, "_detect_trial", counting_detect)
+        got = run_sweep(cfg)
+        assert len(counts) == cfg.trials
+        for c in counts:
+            # 3 blocks of one point for each of the 2 LR estimators, but one
+            # plain selection whose filter serves all of them
+            assert c == {
+                "pseudoinverse": 1,
+                "mmse_filter_direct": 1,
+                "_pinv_from_qr": 1,
+                "_lr_estimate": 6,
+            }
+        assert got == reference_sweep(cfg)
 
 
 class TestChunks:

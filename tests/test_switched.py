@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from lrmimo.errors import ValidationError
+from lrmimo.linalg import _pinv_from_qr
 from lrmimo.reduction import ReductionParams, clll_reduce_batch, is_unimodular
 from lrmimo.switched import (
     PermutationSet,
     _candidate_stack,
+    _offset,
     _k_limit,
     _select,
     extend_channel,
@@ -178,6 +180,32 @@ class TestStackedSelection:
                 assert np.array_equal(got.transform_inv, want.transform_inv)
                 replaced += got.perm != tuple(range(n))
         assert replaced > 0
+
+
+class TestLrFilterCache:
+    """pinv and offset, formed on first read and kept by a selection, have
+    the bytes of the per-call forms they replace, on a KlrStack, its slices
+    and its members."""
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_cached_filter_equals_per_call_forms(self, rng, extended):
+        n, width = 4, 3
+        chans = crandn(rng, 6, 5, n)
+        if extended:
+            chans = np.stack([extend_channel(h, 0.3) for h in chans])
+        groups = [sample_permutations(n, width, rng).perms for _ in chans]
+        stack = np.concatenate(
+            [_candidate_stack(h[np.newaxis], p) for h, p in zip(chans, groups)]
+        )
+        reduced = clll_reduce_batch([stack], ReductionParams())[0]
+        sel = _select(reduced, groups, width, extended)
+        for part in (sel, sel[1:4], sel[2:3], sel[2]):
+            pinv, offset = part.pinv, part.offset
+            want = _pinv_from_qr(part.basis.q, part.basis.r)
+            assert pinv.shape == want.shape
+            assert pinv.tobytes() == want.tobytes()
+            assert offset.tobytes() == _offset(part.transform_inv).tobytes()
+            assert part.pinv is pinv and part.offset is offset  # formed once
 
 
 class TestKlrSelectExtended:

@@ -29,6 +29,8 @@ def test_tail_timing_prints_its_figures():
         "detect_16qam_variants_ns_per_symbol",
         "klr_mmse_variants_ns_per_symbol",
         "minflt_per_trial",
+        "draw_us_per_trial",
+        "detect_16qam_stage_us_per_trial",
     }
     assert set(out["lr_zf_ns_per_symbol"]) == {"klr_zf_9x6x100", "detect_16qam_4x2000"}
     figures = [
@@ -39,6 +41,11 @@ def test_tail_timing_prints_its_figures():
         out["klr_mmse_variants_ns_per_symbol"],
     ]
     assert all(isinstance(v, (int, float)) and v > 0 for v in figures), out
+    draws = out["draw_us_per_trial"]
+    assert set(draws) == {"klr_zf", "detect_16qam", "klr_mmse"}
+    stages = out["detect_16qam_stage_us_per_trial"]
+    assert set(stages) == {"pseudoinverse", "mmse_filters", "lr_zf_setup"}
+    assert all(v > 0 for v in [*draws.values(), *stages.values()]), out
     faults = out["minflt_per_trial"]
     assert set(faults) == {"klr_zf", "detect_16qam", "klr_mmse"}
     # a page fault count: none at all is a valid reading
