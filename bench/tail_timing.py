@@ -59,9 +59,9 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from lrmimo.modem import ConstellationSpec  # noqa: E402
 from lrmimo.detectors import mmse_filter_direct  # noqa: E402
 from lrmimo.linalg import pseudoinverse  # noqa: E402
+from lrmimo.modem import ConstellationSpec  # noqa: E402
 from lrmimo.reduction import ReductionParams  # noqa: E402
 from lrmimo.sim import (  # noqa: E402
     _DETECTOR_TABLE,
