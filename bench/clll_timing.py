@@ -1,24 +1,34 @@
-"""CLLL cost per basis and per trial, by how many bases share one call.
+"""CLLL cost per basis and per trial, by how many bases share one call, and
+the CLLL calls and traced memory of the benchmark's sweeps.
 
 Builds the bases that one trial of the `klr-mmse` benchmark workload reduces
 (a 6x6 i.i.d. channel extended for each SNR point of 14:1:22 dB, each
 followed by its 10 column-permuted candidates: 99 bases of 12x6) and times
 `clll_reduce_batch` on the whole trial and `clll_reduce` on each basis alone,
 for 20 seeded trials, and times reducing those trials 1, 2, 5 and 10 per
-`clll_reduce_batch` call (the sweep's chunk holds at most 512 bases, 5 such
-trials).  Then builds 64 trials of the `klr-zf` shape (a 6x6 channel and
-its 10 candidates: 11 bases of 6x6) and times reducing them 1, 4, 16 and
-64 trials per call, the chunk sizes the sweep can choose.  Last, builds
-64 trials of the `detect-16qam` shape (a 4x4 channel and its three 8x4
-extended channels at 10, 16 and 22 dB: 4 bases in two stacks, no
-candidates) and times them 1, 16 and 64 trials per call.  One trial per
-call is what a chunk gets when it holds 2000-symbol packets (a switched
-sweep's chunk does); 64 is the whole benchmark sweep in one call, as a
-non-switched sweep, which draws each packet at detection, makes it.  All
-times include the final QR and ODF.  Prints the median microseconds per
-`klr-mmse` basis over the trials, and for every shape the milliseconds per
-trial by trials per call (median of 3 passes over the trials), as one JSON
-line.  Run from the root of a checkout:
+`clll_reduce_batch` call (the sweep's chunk holds the input stacks of at
+most 5 such trials).  Then builds 64 trials of the `klr-zf` shape (a 6x6
+channel and its 10 candidates: 11 bases of 6x6) and times reducing them 1,
+4, 16 and 64 trials per call; the sweep reduces up to 93 such trials per
+call.  Last, builds 64 trials of the `detect-16qam` shape (a 4x4 channel
+and its three 8x4 extended channels at 10, 16 and 22 dB: 4 bases in two
+stacks, no candidates) and times them 1, 16 and 64 trials per call.  One
+trial per call is what a switched sweep's chunk gets when the packets it
+holds exceed the sweep's cap on held bytes; 64 is a whole benchmark sweep
+in one call, as the `klr-zf` and the non-switched `detect-16qam` sweeps
+make it.  All times include the final QR and ODF.  Prints the median
+microseconds per `klr-mmse` basis over the trials, and for every shape the
+milliseconds per trial by trials per call (median of 3 passes over the
+trials).
+
+Then, for each workload of the benchmark (sweepbench/workloads.py) at its
+sweep size and simulate seed 5, runs `run_sweep` in this process twice:
+once counting its `clll_reduce_batch` calls, their loop steps (the largest
+iteration count of a call's bases, since each step advances every basis
+still running) and basis steps (the sum of the iteration counts), and once
+under tracemalloc, whose peak (MiB) is the most memory the sweep's own
+allocations held at once.  These figures repeat exactly from run to run.
+Prints everything as one JSON line.  Run from the root of a checkout:
 
     python3 bench/clll_timing.py
 """
@@ -27,6 +37,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -34,15 +45,20 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "sweepbench"))
 
-from lrmimo import clll_reduce, clll_reduce_batch  # noqa: E402
+import workloads  # noqa: E402
+
+from lrmimo import clll_reduce, clll_reduce_batch, sim  # noqa: E402
 from lrmimo.switched import extend_channel, sample_permutations  # noqa: E402
 
 N, K, SNR_DB = 6, 10, range(14, 23)
 TRIALS, PER_CALL = 20, (1, 2, 5, 10)
 ZF_TRIALS, ZF_PER_CALL, PASSES = 64, (1, 4, 16, 64), 3
 QAM_N, QAM_SNR_DB, QAM_TRIALS, QAM_PER_CALL = 4, (10, 16, 22), 64, (1, 16, 64)
+SWEEP_SEED = 5
 
 
 def trial_stack(rng) -> np.ndarray:
@@ -87,6 +103,42 @@ def ms_per_trial(trials, per_call: int) -> float:
     return float(np.median(passes))
 
 
+def sweep_figures(wl) -> dict:
+    """CLLL calls, loop steps and basis steps of one run_sweep of workload
+    wl at its sweep size, and the tracemalloc peak of a second one."""
+    cfg = sim.SimConfig(
+        n_t=wl.n_t, n_r=wl.n_r, m=wl.m, snr_grid_db=wl.snr_points,
+        detectors=wl.detectors, k_candidates=wl.k, trials=wl.sweep_trials,
+        packet_len=wl.packet_len, seed=SWEEP_SEED,
+    )
+    reduce, iterations = sim.clll_reduce_batch, []
+
+    def counting(stacks, params):
+        out = reduce(stacks, params)
+        iterations.append(np.concatenate([s.iterations for s in out]))
+        return out
+
+    sim.clll_reduce_batch = counting
+    try:
+        sim.run_sweep(cfg)
+    finally:
+        sim.clll_reduce_batch = reduce
+    tracemalloc.start()
+    try:
+        sim.run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {
+        "trials": cfg.trials,
+        "clll_calls": len(iterations),
+        "bases_per_call": [len(i) for i in iterations],
+        "loop_steps": sum(int(i.max()) for i in iterations),
+        "basis_steps": sum(int(i.sum()) for i in iterations),
+        "peak_traced_mb": round(peak / 2**20, 3),
+    }
+
+
 def main() -> int:
     rng = np.random.default_rng(0)
     batch_us, lone_us = [], []
@@ -124,6 +176,9 @@ def main() -> int:
             "ms_per_trial_by_trials_per_call": {
                 str(c): round(ms_per_trial(qam, c), 3) for c in QAM_PER_CALL
             },
+        },
+        "sweeps": {
+            name: sweep_figures(wl) for name, wl in workloads.WORKLOADS.items()
         },
     }))
     return 0

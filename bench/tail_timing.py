@@ -21,10 +21,12 @@ one call, as the sweep does: `klr_zf` with clr-zf, klr-zf K=1 and K=10,
 mmse, clr-mmse, klr-mmse K=10, clr-mmse-sic and klr-mmse-sic K=10.  Each
 figure is ns per detected symbol (points x n_t x packet_len per variant),
 the median of 15 passes over the trials.  Every pass draws each packet
-(`sim._draw_packet`: symbols, sent slice indices and unit noise) from its
-trial's stream, detects it with a fresh copy of its selections (whose LR
-filters are not yet formed, as in a sweep) and frees it, as `run_sweep`
-does; the draw is timed apart, as `draw_us_per_trial`.
+(`sim._draw_packet`: level index pairs and unit noise) from its trial's
+stream, detects it with a fresh copy of its selections (whose LR filters
+are not yet formed, as in a sweep) and frees it, as `run_sweep` does; the
+draw is timed apart, as `draw_us_per_trial`.  The symbols and sent slice
+indices are formed from the pairs inside `_detect_trial`, so their time
+counts as detection.
 `minflt_per_trial` gives, for each workload's variant set, the minor page
 faults of the process per trial of a pass (getrusage, median pass): the
 packet and the block temporaries that the allocator hands back to the
@@ -64,12 +66,12 @@ from lrmimo.linalg import pseudoinverse  # noqa: E402
 from lrmimo.modem import ConstellationSpec  # noqa: E402
 from lrmimo.reduction import ReductionParams  # noqa: E402
 from lrmimo.sim import (  # noqa: E402
-    _DETECTOR_TABLE,
     SimConfig,
     _chunk_selections,
     _detect_trial,
     _draw_packet,
     _draw_trial,
+    _reduction_ks,
     _switched,
     snr_config,
 )
@@ -106,8 +108,7 @@ def prepared(cfg: SimConfig) -> tuple:
     each stream stands after its channel, where the packet draw begins."""
     spec = ConstellationSpec(cfg.m)
     switched = _switched(cfg.detectors)
-    flavours = {_DETECTOR_TABLE[d][0] for d in cfg.detectors} - {None}
-    ks = {f: cfg.k_candidates if f in switched else () for f in flavours}
+    ks = _reduction_ks(cfg)
     sigma2s = [snr_config(s, cfg)[0] for s in cfg.snr_grid_db]
     trials = [_draw_trial(cfg, t, spec, switched) for t in range(TRIALS)]
     sels = _chunk_selections(trials, sigma2s, ks, ReductionParams(cfg.delta))

@@ -26,6 +26,7 @@ from .linalg import (
     qr_decompose,
 )
 from .modem import ConstellationSpec
+from .reduction import _rounded
 from .switched import KlrResult, KlrStack, _offset, extend_channel
 
 DETECTOR_KINDS = ("zf", "mmse", "sic-zf", "sic-mmse")
@@ -108,8 +109,7 @@ def _sic(q: np.ndarray, r: np.ndarray, y: np.ndarray) -> np.ndarray:
         zi = z[..., i, :]
         zi -= (r[..., i, np.newaxis, i + 1 :] @ z[..., i + 1 :, :])[..., 0, :]
         zi /= r[..., i, i, np.newaxis]
-        flat = zi.view(np.float64)
-        np.rint(flat, out=flat)
+        _rounded(zi)
     return z
 
 
@@ -132,9 +132,7 @@ def _round_shifted(v: np.ndarray, d, a: float) -> np.ndarray:
     """Gaussian integers nearest to v / a - d (ties to even), a new array."""
     m = _scaled(v, a)
     m -= d
-    flat = m.view(np.float64)
-    np.rint(flat, out=flat)
-    return m
+    return _rounded(m)
 
 
 def _scaled(v: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:

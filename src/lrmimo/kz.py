@@ -221,7 +221,7 @@ def _kz_recurse(r: np.ndarray, budget: EnumerationBudget, nodes: list):
     tinv[1:, :] = tsinv @ t1inv[1:, :]
     cols = _columns(r_new[np.newaxis], t[np.newaxis], tinv[np.newaxis])
     _size_reduce_all(cols)
-    r_new, t, tinv = (x[0] for x in _split_columns(cols))
+    r_new, t, tinv = (np.ascontiguousarray(x[0]) for x in _split_columns(cols))
     return r_new, t, tinv
 
 

@@ -13,6 +13,10 @@ from .errors import SingularMatrixError, ValidationError
 # Relative threshold under which an R diagonal entry counts as numerically zero.
 _RANK_TOL = 1e-12
 
+# Bytes of the matrices whose column norms _qr forms in one pass: its complex
+# temporaries stay this size, not the size of a large stack.
+_NORM_BLOCK_BYTES = 1 << 16
+
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return a 2-D complex array (finite entries, nonempty)."""
@@ -73,13 +77,16 @@ def _qr(a, with_q: bool) -> tuple:
     if with_q:
         q, r = np.linalg.qr(a, mode="reduced")
     else:
-        q, r = None, np.linalg.qr(a, mode="r")
+        # mode "r" copies the triangle out of the factored copy of a; taking
+        # it in place, with the zeros np.triu writes below the diagonal,
+        # gives the same bits and spares a square stack a second array
+        f = np.swapaxes(np.linalg.qr(a, mode="raw")[0], -1, -2)[..., :cols, :]
+        q, r = None, (f if rows == cols else f.copy())
+        below = np.tril_indices(cols, -1)
+        r[..., below[0], below[1]] = 0
     d = np.einsum("...ii->...i", r)  # a writable view of the diagonal
     abs_d = np.abs(d)
-    # the largest column norm of each matrix, by np.linalg.norm's own
-    # arithmetic without its wrapper; it is 0 for a matrix whose squares
-    # underflow, and inf where they overflow
-    scale = np.sqrt(np.add.reduce((a.conj() * a).real, axis=-2).max(axis=-1))
+    scale = np.sqrt(_max_col_norm2(a))
     if ((scale == 0.0) | (abs_d.min(axis=-1) <= _RANK_TOL * scale)).any():
         raise SingularMatrixError("matrix is numerically rank deficient")
     phase = d / abs_d
@@ -90,6 +97,20 @@ def _qr(a, with_q: bool) -> tuple:
     # kill the O(eps) imaginary residue so the diagonal is exactly real
     d.imag = 0.0
     return q, r
+
+
+def _max_col_norm2(a: np.ndarray) -> np.ndarray:
+    """The largest squared column norm of each matrix of a stack, by
+    np.linalg.norm's own arithmetic without its wrapper: 0 for a matrix
+    whose squares underflow, inf where they overflow.  A stack is taken in
+    blocks along its first axis, each with the arithmetic of the whole, so
+    the temporaries stay small and every matrix gets the same bits."""
+    step = max(1, _NORM_BLOCK_BYTES // a[0].nbytes) if a.ndim > 2 else len(a)
+    parts = [
+        np.add.reduce((b.conj() * b).real, axis=-2).max(axis=-1)
+        for b in (a[i : i + step] for i in range(0, len(a), step))
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def pseudoinverse(a) -> np.ndarray:

@@ -41,15 +41,15 @@ class ConstellationSpec:
         if side * side != self.m or (side & (side - 1)) != 0:
             raise ValidationError(f"M must be 4, 16, 64, ... got {self.m}")
 
-    @property
+    @cached_property
     def a(self) -> float:
         return float(np.sqrt(6.0 / (self.m - 1)))
 
-    @property
+    @cached_property
     def side(self) -> int:
         return int(round(self.m**0.5))
 
-    @property
+    @cached_property
     def bits_per_symbol(self) -> int:
         return int(round(np.log2(self.m)))
 

@@ -6,7 +6,7 @@ Gaussian-integer arithmetic (integer-valued complex arrays; all updates are
 integer column/row operations, so no rounding ever occurs in U or U^-1).
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +58,15 @@ def round_gaussian(z):
     return np.rint(np.real(z)) + 1j * np.rint(np.imag(z))
 
 
+def _rounded(z: np.ndarray) -> np.ndarray:
+    """z rounded in place on its float view, each part to the nearest
+    integer (ties to even), and returned: the values of round_gaussian(z)
+    without its temporaries.  Only the sign of a zero part can differ."""
+    flat = z.view(np.float64)
+    np.rint(flat, out=flat)
+    return z
+
+
 def odf(h) -> float:
     """Orthogonality defect factor: prod of squared column norms over det(H^H H).
 
@@ -71,7 +80,9 @@ def _odf(h: np.ndarray, denom):
     """odf of h, or of each matrix of a stack, given denom = det(h^H h)."""
     if np.any(denom <= 0.0):
         raise SingularMatrixError("orthogonality defect undefined for singular basis")
-    return np.prod(np.sum(np.abs(h) ** 2, axis=-2), axis=-1) / denom
+    sq = np.abs(h)
+    sq *= sq  # the bits of np.abs(h) ** 2, in one temporary
+    return np.prod(np.sum(sq, axis=-2), axis=-1) / denom
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,14 @@ class ReducedStack:
 
     def __getitem__(self, i):
         if isinstance(i, (slice, np.ndarray)):
-            part = ReducedStack(*(getattr(self, f.name)[i] for f in fields(self)))
+            part = ReducedStack(
+                self.h_tilde[i],
+                self.u[i],
+                self.u_inv[i],
+                self.r[i],
+                self.odf[i],
+                self.iterations[i],
+            )
         else:
             part = ReducedBasis(
                 h_tilde=self.h_tilde[i],
@@ -228,32 +246,17 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
         swap = params.delta * cols[act, km, km].real ** 2 > (
             np.abs(ck[m, kc]) ** 2 + np.abs(ck[m, km]) ** 2
         )
+        del ck  # the next step's columns take its place
         sw, k1 = act[swap], kc[swap]
         if sw.size:
-            k0 = k1 - 1
-            cols[sw, k0], cols[sw, k1] = cols[sw, k1], cols[sw, k0]
-            # Givens-style re-triangularization of rows k-1, k of R, written
-            # out elementwise over whole rows (zero left of column k-1)
-            ms = np.arange(sw.size)
-            row0, row1 = cols[sw, :, k0], cols[sw, :, k1]
-            a, c = row0[ms, k0], row1[ms, k0]
-            rad = np.hypot(np.abs(a), np.abs(c))
-            g00, g01 = np.conj(a) / rad, np.conj(c) / rad
-            g10, g11 = -c / rad, a / rad
-            new0 = g00[:, np.newaxis] * row0 + g01[:, np.newaxis] * row1
-            new1 = g10[:, np.newaxis] * row0 + g11[:, np.newaxis] * row1
-            new0[ms, k0] = rad
-            new1[ms, k0] = 0.0
-            ph = new1[ms, k1] / np.abs(new1[ms, k1])
-            new1 *= np.conj(ph)[:, np.newaxis]
-            new1[ms, k1] = new1[ms, k1].real
-            cols[sw, :, k0], cols[sw, :, k1] = new0, new1
-            k[sw] = np.maximum(k0, 1)
+            _swap(cols, sw, k1)  # its temporaries go before the next step
+            k[sw] = np.maximum(k1 - 1, 1)
         k[act[~swap]] += 1
         act = np.flatnonzero(k < n)
     _size_reduce_all(cols)
-    u, u_inv = _split_columns(cols)[1:]
-    del cols  # the final QR below is the peak of memory; R comes from it
+    # R comes from the final QR below
+    u, u_inv = (np.ascontiguousarray(a) for a in _split_columns(cols)[1:])
+    del cols
 
     out, start = [], 0
     for h in hs:
@@ -261,6 +264,29 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
         out.append(_reduced_stack(h @ u[part], u[part], u_inv[part], iters[part]))
         start = part.stop
     return out
+
+
+def _swap(cols, sw, k1) -> None:
+    """Swap columns k1[i] - 1 and k1[i] of basis sw[i] of packed cols, in
+    place, and re-triangularize rows k1[i] - 1 and k1[i] of its R with a
+    Givens-style rotation, written out elementwise over whole rows (zero
+    left of column k1[i] - 1)."""
+    k0 = k1 - 1
+    cols[sw, k0], cols[sw, k1] = cols[sw, k1], cols[sw, k0]
+    ms = np.arange(sw.size)
+    row0, row1 = cols[sw, :, k0], cols[sw, :, k1]
+    a, c = row0[ms, k0], row1[ms, k0]
+    rad = np.hypot(np.abs(a), np.abs(c))
+    g00, g01 = np.conj(a) / rad, np.conj(c) / rad
+    g10, g11 = -c / rad, a / rad
+    new0 = g00[:, np.newaxis] * row0 + g01[:, np.newaxis] * row1
+    new1 = g10[:, np.newaxis] * row0 + g11[:, np.newaxis] * row1
+    new0[ms, k0] = rad
+    new1[ms, k0] = 0.0
+    ph = new1[ms, k1] / np.abs(new1[ms, k1])
+    new1 *= np.conj(ph)[:, np.newaxis]
+    new1[ms, k1] = new1[ms, k1].real
+    cols[sw, :, k0], cols[sw, :, k1] = new0, new1
 
 
 def _columns(r, u, u_inv) -> np.ndarray:
@@ -275,14 +301,11 @@ def _columns(r, u, u_inv) -> np.ndarray:
 
 
 def _split_columns(cols):
-    """Inverse of _columns: contiguous stacks (r, u, u_inv)."""
+    """Inverse of _columns: views (r, u, u_inv) of cols, of which the
+    caller copies what it keeps."""
     n = cols.shape[1]
     r, u, u_inv = (cols[:, :, j * n : (j + 1) * n] for j in range(3))
-    return (
-        np.ascontiguousarray(r.transpose(0, 2, 1)),
-        np.ascontiguousarray(u.transpose(0, 2, 1)),
-        np.ascontiguousarray(u_inv),
-    )
+    return r.transpose(0, 2, 1), u.transpose(0, 2, 1), u_inv
 
 
 def _size_reduce(cols, idx, k, l) -> np.ndarray:
@@ -293,12 +316,18 @@ def _size_reduce(cols, idx, k, l) -> np.ndarray:
     nearest Gaussian integer to r_lk / r_ll.  Whole columns are updated:
     column l of R is zero below row l, so every nonzero entry changes
     exactly as in an update of rows 0..l.  Returns the new packed columns k.
+
+    mu is rounded by _rounded, and the sign of a zero part of mu changes no
+    output bit: U and U^-1 start as I with +0 entries and change only by
+    x - p and x + p, which give -0 only from a -0 operand; the signed zeros
+    of the loop's R decide no comparison and no nonzero value; and the
+    output R comes from the final QR.
     """
     n = cols.shape[1]
     ru, ui = slice(0, 2 * n), slice(2 * n, 3 * n)
     m = np.arange(idx.size)
     ck, cl = cols[idx, k], cols[idx, l]
-    mu = round_gaussian(ck[m, l] / cl[m, l])
+    mu = _rounded(ck[m, l] / cl[m, l])
     ck[:, ru] -= mu[:, np.newaxis] * cl[:, ru]
     cols[idx, l, ui] = cl[:, ui] + mu[:, np.newaxis] * ck[:, ui]
     cols[idx, k] = ck
@@ -315,7 +344,7 @@ def _size_reduce_all(cols) -> None:
         ck = cols[:, k]
         for l in range(k - 1, -1, -1):
             cl = cols[:, l]
-            mu = round_gaussian(ck[:, l] / cl[:, l])[:, np.newaxis]
+            mu = _rounded(ck[:, l] / cl[:, l])[:, np.newaxis]
             ck[:, ru] -= mu * cl[:, ru]
             cl[:, ui] += mu * ck[:, ui]
 

@@ -30,7 +30,8 @@ from .reduction import ReductionParams, clll_reduce_batch
 from .switched import (
     _candidate_stack,
     _k_limit,
-    _select,
+    _pick,
+    _selection,
     extend_channel,
     sample_permutations,
 )
@@ -57,21 +58,32 @@ DETECTORS = tuple(_DETECTOR_TABLE)
 # packet at the size of one point's.  Only the work that differs per point
 # runs per block (received signals, estimates, slicing, error counts and the
 # filters of the extended selections); what depends only on the trial (its
-# packet and sent indices, H x, the conventional filters, the plain
+# symbols and sent indices, H x, the conventional filters, the plain
 # selection's LR filter) is formed once per trial, however many blocks its
-# points take.  It also bounds the packets a chunk holds (trials x
-# packet_len), so a switched sweep with a long packet keeps one trial per
-# chunk.
+# points take.
 _COLUMNS_PER_CALL = 2048
 
-# Bases per CLLL call: the channels of a chunk of trials are drawn together
-# and all their bases go through one clll_reduce_batch call, which shares the
-# fixed cost of each step of its masked loop among them.  A sweep without
+# Bytes of the input stacks of one CLLL call (rows x n_t complex entries per
+# basis), what 512 extended 12x6 bases take: the channels of a chunk of
+# trials are drawn together and all their bases go through one
+# clll_reduce_batch call, which shares the fixed cost of each step of its
+# masked loop among them.  The call's state and output are a few times its
+# input, so this bounds its memory.  A call takes 5 trials of 99 extended
+# 12x6 bases (the klr-mmse benchmark shape), 93 of 11 plain 6x6 bases
+# (klr-zf) or 329 of one plain and three extended 4x4 channels
+# (detect-16qam).
+_CALL_BYTES = 512 * 12 * 6 * 16
+
+# Bytes of the packets a chunk of a switched sweep holds, each its level
+# index pairs and unit noise as _draw_packet gives them, from the chunk's
+# draw (a trial's packet precedes its permutations in its stream) to its
+# detection, where _packet_symbols forms the symbols and sent indices of
+# one trial at a time.  1 MiB holds 97 packets of 100 symbols on a 6x6 QPSK
+# channel (10 800 bytes each); packets of 7490 symbols or more on a 3x4
+# one (70 bytes per symbol) are held one per chunk.  A sweep without
 # switched detectors draws each packet only when its trial is detected, so
-# its chunks are capped by this alone, whatever the packet length.  Only the
-# kept bases of a chunk carry Q, so its memory is about that of the CLLL
-# state of its bases.
-_BASES_PER_CALL = 512
+# its chunks are capped by _CALL_BYTES alone, whatever the packet length.
+_HELD_BYTES = 1 << 20
 
 CSV_HEADER = (
     "detector,k,snr_db,ebn0_db,trials,packet_len,bits_total,bit_errors,ber,sym_errors"
@@ -170,11 +182,12 @@ def _switched(detectors) -> set:
 def _draw_trial(cfg: SimConfig, trial: int, spec, switched) -> tuple:
     """(h, stream, packet, permutations) of one trial.
 
-    The trial's own stream yields h, the packet (x, sent, unit noise; see
-    _draw_packet) and the permutations in that order.  Only a switched
-    sweep needs the permutations before detection, so only it draws the
-    packet here; otherwise packet is None, the stream stands after h, and
-    _draw_packet draws the packet from it when the trial is detected.
+    The trial's own stream yields h, the packet (level index pairs and unit
+    noise; see _draw_packet) and the permutations in that order.  Only a
+    switched sweep needs the permutations before detection, so only it
+    draws the packet here; otherwise packet is None, the stream stands
+    after h, and _draw_packet draws the packet from it when the trial is
+    detected.
     """
     rng = _trial_rng(cfg.seed, trial)
     h = gen_channel(cfg.n_r, cfg.n_t, rng)
@@ -186,17 +199,15 @@ def _draw_trial(cfg: SimConfig, trial: int, spec, switched) -> tuple:
 
 
 def _draw_packet(cfg: SimConfig, spec, rng) -> tuple:
-    """(x, sent, unit noise) of one trial: its symbols (n_t, packet_len),
-    their slice indices (n_t, 2 packet_len), I and Q interleaved as
-    _level_indices gives them, and a noise block (n_r, packet_len) of unit
-    variance.
+    """(idx, unit noise) of one trial: the I and Q level indices
+    (packet_len, n_t, 2) of its symbols, in the smallest unsigned type that
+    holds side - 1, and a noise block (n_r, packet_len) of unit variance.
+    _packet_symbols forms the symbols and their slice indices from idx.
 
-    The bits are Gray-decoded to level indices once: x looks them up and
-    sent reorders them, so the symbols are never sliced.  x is the
-    transposed view of the symbols laid out as map_bits lays them out.  The
-    noise is one draw of its real parts, then its imaginary parts, scaled
-    by 1/sqrt(2) into its complex buffer: the numbers of
-    (a + 1j * b) / np.sqrt(2.0), without the temporaries.
+    The bits are Gray-decoded to level indices once.  The noise is one draw
+    of its real parts, then its imaginary parts, scaled by 1/sqrt(2) into
+    its complex buffer: the numbers of (a + 1j * b) / np.sqrt(2.0), without
+    the temporaries.
     """
     bits = rng.integers(0, 2, size=(cfg.packet_len, cfg.n_t, spec.bits_per_symbol))
     idx = _level_index_pairs(bits, spec)  # (packet_len, n_t, 2)
@@ -208,12 +219,53 @@ def _draw_packet(cfg: SimConfig, spec, rng) -> tuple:
         1.0 / np.sqrt(2.0),
         out=np.moveaxis(parts, -1, 0),
     )
+    return idx, noise_unit
+
+
+def _packet_symbols(idx, spec) -> tuple:
+    """(x, sent) of the level index pairs idx of a packet: its symbols
+    (n_t, packet_len) and their slice indices (n_t, 2 packet_len), I and Q
+    interleaved as _level_indices gives them.
+
+    x looks the indices up and sent reorders them, so the symbols are never
+    sliced.  x is the transposed view of the symbols laid out as map_bits
+    lays them out.
+    """
     x = spec.levels.take(idx).view(np.complex128)[..., 0].T
     # each symbol's I and Q index pair read as one word, so the transpose
     # moves words, not bytes
     words = idx.view(np.dtype(f"u{2 * idx.itemsize}"))[..., 0]
     sent = np.ascontiguousarray(words.T).view(idx.dtype)
-    return x, sent, noise_unit
+    return x, sent
+
+
+def _reduction_ks(cfg: SimConfig) -> dict:
+    """The K values of each reduction flavour the sweep uses: its K values
+    where a detector picks among switched candidates, () elsewhere."""
+    switched = _switched(cfg.detectors)
+    flavours = {_DETECTOR_TABLE[d][0] for d in cfg.detectors} - {None}
+    return {f: cfg.k_candidates if f in switched else () for f in flavours}
+
+
+def _chunk_trials(cfg: SimConfig) -> int:
+    """Trials per chunk: as many as keep the input stacks of the chunk's
+    CLLL call within _CALL_BYTES and, in a switched sweep, the packets the
+    chunk holds within _HELD_BYTES; at least one.  Both are counted from
+    shapes."""
+    # per flavour, its channels times (1 + candidates), each rows x n_t
+    call = 16 * cfg.n_t * sum(
+        (len(cfg.snr_grid_db) if f else 1)
+        * (1 + max(k, default=0))
+        * (cfg.n_r + cfg.n_t if f else cfg.n_r)
+        for f, k in _reduction_ks(cfg).items()
+    )
+    chunk = _CALL_BYTES // max(call, 1)
+    if _switched(cfg.detectors):  # its chunks hold their trials' packets
+        side = ConstellationSpec(cfg.m).side
+        index = np.min_scalar_type(side - 1).itemsize
+        held = cfg.packet_len * (2 * cfg.n_t * index + 16 * cfg.n_r)
+        chunk = min(chunk, _HELD_BYTES // held)
+    return max(1, chunk)
 
 
 def _chunk_selections(trials, sigma2s, ks, params) -> list:
@@ -246,11 +298,18 @@ def _chunk_selections(trials, sigma2s, ks, params) -> list:
         )
         for f in flavours
     ]
-    for extended, stack in zip(flavours, clll_reduce_batch(stacks, params)):
+    reduced = clll_reduce_batch(stacks, params)
+    del stacks  # the selections need only the reduced bases
+    for extended in flavours:
+        stack = reduced.pop(0)
         per = len(sigma2s) if extended else 1  # channels per trial
         groups = [perms[: width[extended]] for *_, perms in trials for _ in range(per)]
-        for k in (0, *ks[extended]):
-            found = _select(stack, groups, k, extended)
+        picks = {k: _pick(stack, groups, k) for k in (0, *ks[extended])}
+        # the picks hold copies of their bases: Q and the transforms are
+        # formed after the whole stack is released
+        del stack
+        for k, pick in picks.items():
+            found = _selection(*pick, extended)
             for t, sel in enumerate(sels):
                 sel[(extended, k)] = found[t * per : (t + 1) * per]
     return sels
@@ -261,8 +320,7 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     spec = ConstellationSpec(cfg.m)
     params = ReductionParams(cfg.delta)
     switched = _switched(cfg.detectors)
-    flavours = {_DETECTOR_TABLE[d][0] for d in cfg.detectors} - {None}
-    ks = {f: cfg.k_candidates if f in switched else () for f in flavours}
+    ks = _reduction_ks(cfg)
 
     variants = []  # (detector, k) in output order
     for det in cfg.detectors:
@@ -276,14 +334,7 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     cands = ml_candidates(cfg.n_t, spec) if "ml" in cfg.detectors else None
 
     sigma2s = [snr_config(snr, cfg)[0] for snr in cfg.snr_grid_db]
-    # bases of one trial: per flavour, its channels times (1 + candidates)
-    bases = sum(
-        (len(sigma2s) if f else 1) * (1 + max(k, default=0)) for f, k in ks.items()
-    )
-    chunk = _BASES_PER_CALL // max(bases, 1)
-    if switched:  # its chunks hold their trials' packets
-        chunk = min(chunk, _COLUMNS_PER_CALL // cfg.packet_len)
-    chunk = max(1, chunk)
+    chunk = _chunk_trials(cfg)
     for first in range(0, cfg.trials, chunk):
         trials = [
             _draw_trial(cfg, t, spec, switched)
@@ -321,7 +372,8 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
 
 
 def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs):
-    """Detect one trial, channel h and packet (x, sent, unit noise), with
+    """Detect one trial, channel h and packet (level indices, unit noise),
+    with
     every variant at every SNR point and add the bit and symbol errors to
     errs.  sel holds the trial's selections, cands the ML candidates (None
     without the ml detector).
@@ -336,7 +388,8 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs):
     klr-zf that kept the baseline, or two K that chose the same candidate)
     share one detection.
     """
-    x, sent, noise_unit = packet
+    pairs, noise_unit = packet
+    x, sent = _packet_symbols(pairs, spec)
     fixed = {
         "zf": pseudoinverse(h) if ("zf", 0) in variants else None,
         "mmse": mmse_filter_direct(h, sigma2s) if ("mmse", 0) in variants else None,

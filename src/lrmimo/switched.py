@@ -166,6 +166,15 @@ def _select(reduced: ReducedStack, perms, k: int, extended: bool) -> KlrStack:
     are copies, so they do not keep the whole stack alive, and their Q is
     factored here, once for every slice taken of them.
     """
+    return _selection(*_pick(reduced, perms, k), extended)
+
+
+def _pick(reduced: ReducedStack, perms, k: int) -> tuple:
+    """What _select takes from the whole stack: (kept, chosen, baseline
+    ODFs, candidate ODFs), kept a ReducedStack of copies of the kept bases
+    and chosen their permutations.  A caller that selects several k can
+    pick them all, then release the stack before _selection forms the rest.
+    """
     odfs = reduced.odf.reshape(len(perms), -1)
     base, cands = odfs[:, 0], odfs[:, 1 : 1 + k]
     groups = np.arange(len(odfs))
@@ -174,17 +183,18 @@ def _select(reduced: ReducedStack, perms, k: int, extended: bool) -> KlrStack:
         best = np.argmin(cands, axis=1)
         pick = np.where(cands[groups, best] < base, 1 + best, 0)
     kept = reduced[groups * odfs.shape[1] + pick]
-    kept.q  # factored now, once for every slice later taken of the stack
     ident = tuple(range(reduced.u.shape[-1]))
     chosen = tuple(perms[g][i - 1] if i else ident for g, i in enumerate(pick.tolist()))
-    return KlrStack(
-        kept,
-        chosen,
-        base.copy(),
-        tuple(map(tuple, cands.tolist())),
-        *_transforms(chosen, kept.u, kept.u_inv),
-        extended,
-    )
+    return kept, chosen, base.copy(), tuple(map(tuple, cands.tolist()))
+
+
+def _selection(kept: ReducedStack, chosen, base, cands, extended: bool) -> KlrStack:
+    """The KlrStack of what _pick took: Q of the kept bases is factored
+    here, once for every slice later taken of the stack, and the transforms
+    are formed."""
+    kept.q  # factored now, once for every slice later taken of the stack
+    transforms = _transforms(chosen, kept.u, kept.u_inv)
+    return KlrStack(kept, chosen, base, cands, *transforms, extended)
 
 
 def sample_permutations(n: int, k: int, rng: np.random.Generator) -> PermutationSet:

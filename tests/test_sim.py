@@ -270,7 +270,7 @@ def reference_sweep(cfg):
     ]
 
 
-def long_packet_cfg(detectors, trials, seed, m=4):
+def long_packet_cfg(detectors, trials, seed, m=4, packet_len=sim._COLUMNS_PER_CALL + 52):
     """A 3x4 sweep (QPSK unless m is given) at 3 SNR points whose packets
     exceed the columns of one detection call: one point per block."""
     return SimConfig(
@@ -281,9 +281,14 @@ def long_packet_cfg(detectors, trials, seed, m=4):
         detectors=detectors,
         k_candidates=(1, 3),
         trials=trials,
-        packet_len=sim._COLUMNS_PER_CALL + 52,
+        packet_len=packet_len,
         seed=seed,
     )
+
+
+# bytes of the CLLL input stacks of one trial of long_packet_cfg without
+# klr- detectors: its 4x3 plain channel and its three 7x3 extended ones
+LONG_PACKET_CALL_BYTES = (4 + 3 * 7) * 3 * 16
 
 
 class TestReferenceReplay:
@@ -323,7 +328,7 @@ class TestReferenceReplay:
             packet_len=10,
             seed=3,
         )
-        per_chunk = sim._BASES_PER_CALL // 33
+        per_chunk = sim._chunk_trials(cfg)
         # at least three CLLL calls, the last one with fewer trials
         assert cfg.trials > 2 * per_chunk and cfg.trials % per_chunk
         got = run_sweep(cfg)
@@ -335,7 +340,7 @@ class TestReferenceReplay:
         cfg = long_packet_cfg(("zf", "mmse", "clr-zf", "clr-mmse-sic", "ml"), 5, 4)
         # 4 bases per trial, the plain channel and 3 extended ones: 2 trials
         # per CLLL call, so three calls, the last one with 1 trial
-        monkeypatch.setattr(sim, "_BASES_PER_CALL", 8)
+        monkeypatch.setattr(sim, "_CALL_BYTES", 2 * LONG_PACKET_CALL_BYTES)
         got = run_sweep(cfg)
         assert got == reference_sweep(cfg)
         assert all(r.bit_errors > 0 for r in got if r.snr_db == 6.0)
@@ -351,10 +356,12 @@ class TestReferenceReplay:
 
 
 class TestDrawPacket:
-    """_draw_packet against the three lines it replaces: from the same
-    generator calls, x with the bytes and strides of map_bits(bits).T,
-    noise with the bytes of (a + 1j b) / sqrt(2), sent indices equal to
-    slicing x, and the generator left in the same state."""
+    """_draw_packet and _packet_symbols against the three lines they
+    replace: from the same generator calls, x with the bytes and strides of
+    map_bits(bits).T, noise with the bytes of (a + 1j b) / sqrt(2), sent
+    indices equal to slicing x, and the generator left in the same state.
+    A packet is held as its level index pairs and its noise, and x and sent
+    are formed from the pairs."""
 
     @pytest.mark.parametrize("m", [4, 16, 64, 256])
     @pytest.mark.parametrize("packet_len", [1, 7, 2000])
@@ -376,7 +383,10 @@ class TestDrawPacket:
         want_noise = (
             old.standard_normal(shape) + 1j * old.standard_normal(shape)
         ) / np.sqrt(2.0)
-        x, sent, noise = sim._draw_packet(cfg, spec, new)
+        pairs, noise = sim._draw_packet(cfg, spec, new)
+        assert new.bit_generator.state == old.bit_generator.state
+        assert (pairs.shape, pairs.dtype) == ((packet_len, cfg.n_t, 2), np.uint8)
+        x, sent = sim._packet_symbols(pairs, spec)
         assert (x.shape, x.strides, x.dtype) == (
             want_x.shape,
             want_x.strides,
@@ -386,9 +396,12 @@ class TestDrawPacket:
         assert (noise.shape, noise.dtype) == (want_noise.shape, want_noise.dtype)
         assert noise.tobytes() == want_noise.tobytes()
         want_sent = _level_indices(want_x, spec)
-        assert sent.dtype == want_sent.dtype
+        assert (sent.shape, sent.strides, sent.dtype) == (
+            want_sent.shape,
+            want_sent.strides,
+            want_sent.dtype,
+        )
         assert np.array_equal(sent, want_sent)
-        assert new.bit_generator.state == old.bit_generator.state
 
 
 class TestTrialInvariants:
@@ -433,9 +446,10 @@ class TestTrialInvariants:
 
 
 class TestChunks:
-    """A non-switched sweep draws its packets when it detects them, so its
-    chunks are capped by bases alone; a switched one holds its packets, so a
-    long packet keeps one trial per chunk."""
+    """A chunk's CLLL call is capped by the bytes of its input stacks.  A
+    non-switched sweep draws its packets when it detects them, so that is
+    its only cap; a switched one holds its packets, so a chunk is also
+    capped by their bytes, and a long packet keeps one trial per chunk."""
 
     @staticmethod
     def count_calls(monkeypatch) -> list:
@@ -451,21 +465,47 @@ class TestChunks:
         return calls
 
     def test_non_switched_long_packets_share_calls(self, monkeypatch):
-        monkeypatch.setattr(sim, "_BASES_PER_CALL", 16)
+        monkeypatch.setattr(sim, "_CALL_BYTES", 4 * LONG_PACKET_CALL_BYTES)
         calls = self.count_calls(monkeypatch)
         cfg = long_packet_cfg(("clr-zf", "clr-mmse"), 10, 5)
         run_sweep(cfg)
-        per_call = sim._BASES_PER_CALL // 4  # trials of 4 bases each
+        per_call = 4  # trials of 4 bases each
         assert len(calls) == math.ceil(cfg.trials / per_call)
         assert calls == [4 * per_call, 4 * per_call, 4 * 2]
 
     def test_switched_long_packets_keep_one_trial_per_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
-        cfg = long_packet_cfg(("clr-zf", "klr-zf"), 3, 6)
+        # 3 level index bytes twice and 4 noise entries of 16 bytes per
+        # received column: two packets exceed what a chunk holds
+        cfg = long_packet_cfg(
+            ("clr-zf", "klr-zf"), 3, 6, packet_len=sim._HELD_BYTES // (2 * 70) + 1
+        )
+        packet = sim._draw_packet(cfg, ConstellationSpec(cfg.m), np.random.default_rng())
+        assert 2 * sum(a.nbytes for a in packet) > sim._HELD_BYTES
         got = run_sweep(cfg)
         # per trial the channel and its 3 candidates
         assert calls == [4] * cfg.trials
         assert got == reference_sweep(cfg)
+
+    def test_klr_zf_sweep_in_one_call(self, monkeypatch):
+        # the benchmark's klr-zf shape: 64 trials of a 6x6 channel and its
+        # 10 candidates, 704 plain bases and 64 held packets of 100 symbols
+        calls = self.count_calls(monkeypatch)
+        cfg = SimConfig(
+            n_t=6,
+            n_r=6,
+            m=4,
+            snr_grid_db=(14.0, 18.0, 22.0),
+            detectors=("clr-zf", "klr-zf"),
+            k_candidates=(1, 10),
+            trials=64,
+            packet_len=100,
+            seed=5,
+        )
+        got = run_sweep(cfg)
+        assert calls == [64 * 11]
+        assert got == reference_sweep(cfg)
+        assert all(r.bit_errors > 0 for r in got if r.snr_db == 14.0)
 
 
 class TestCountErrors:
