@@ -372,14 +372,13 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
 
 
 def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs):
-    """Detect one trial, channel h and packet (level indices, unit noise),
-    with
-    every variant at every SNR point and add the bit and symbol errors to
-    errs.  sel holds the trial's selections, cands the ML candidates (None
-    without the ml detector).
+    """Detect one trial, channel h and packet (level index pairs, unit
+    noise), with every variant at every SNR point and add the bit and
+    symbol errors to errs.  sel holds the trial's selections, cands the ML
+    candidates (None without the ml detector).
 
     What depends only on the trial is formed once, before the blocks of
-    SNR points: H x, the conventional ZF and MMSE filters (the MMSE one of
+    SNR points: its symbols and sent indices, H x, the conventional ZF and MMSE filters (the MMSE one of
     every point in one stacked solve), the ML table and, through the cache
     of the plain selection that serves every block, its LR filter and
     offset.  Each block forms its received signals and, for the extended

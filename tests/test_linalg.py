@@ -53,7 +53,11 @@ class TestQrDecompose:
         with pytest.raises(ValidationError):
             qr_decompose(np.array([[np.nan, 0], [0, 1]]))
 
-    @pytest.mark.parametrize("shape", [(5, 6, 4), (2, 3, 4, 4), (1, 3, 1)])
+    # (300, 8, 4) spans several of the blocks in which _qr forms the column
+    # norms of a stack
+    @pytest.mark.parametrize(
+        "shape", [(5, 6, 4), (2, 3, 4, 4), (1, 3, 1), (300, 8, 4)]
+    )
     def test_stack_matches_matrix_by_matrix(self, rng, shape):
         a = crandn(rng, *shape)
         a[(0,) * (len(shape) - 2)] *= 1e-20  # rank is judged per matrix

@@ -270,7 +270,9 @@ def reference_sweep(cfg):
     ]
 
 
-def long_packet_cfg(detectors, trials, seed, m=4, packet_len=sim._COLUMNS_PER_CALL + 52):
+def long_packet_cfg(
+    detectors, trials, seed, m=4, packet_len=sim._COLUMNS_PER_CALL + 52
+):
     """A 3x4 sweep (QPSK unless m is given) at 3 SNR points whose packets
     exceed the columns of one detection call: one point per block."""
     return SimConfig(
@@ -480,7 +482,8 @@ class TestChunks:
         cfg = long_packet_cfg(
             ("clr-zf", "klr-zf"), 3, 6, packet_len=sim._HELD_BYTES // (2 * 70) + 1
         )
-        packet = sim._draw_packet(cfg, ConstellationSpec(cfg.m), np.random.default_rng())
+        spec = ConstellationSpec(cfg.m)
+        packet = sim._draw_packet(cfg, spec, np.random.default_rng(0))
         assert 2 * sum(a.nbytes for a in packet) > sim._HELD_BYTES
         got = run_sweep(cfg)
         # per trial the channel and its 3 candidates
