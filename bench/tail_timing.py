@@ -22,9 +22,10 @@ mmse, clr-mmse, klr-mmse K=10, clr-mmse-sic and klr-mmse-sic K=10.  Each
 figure is ns per detected symbol (points x n_t x packet_len per variant),
 the median of 15 passes over the trials.  Every pass draws each packet
 (`sim._draw_packet`: level index pairs and unit noise) from its trial's
-stream, detects it with a fresh copy of its selections (whose LR filters
-are not yet formed, as in a sweep) and frees it, as `run_sweep` does; the
-draw is timed apart, as `draw_us_per_trial`.  The symbols and sent slice
+stream, detects it with its selections (which carry their LR filters,
+formed for all trials at once, as a sweep forms them for a chunk) and
+frees it, as `run_sweep` does; the draw is timed apart, as
+`draw_us_per_trial`.  The symbols and sent slice
 indices are formed from the pairs inside `_detect_trial`, so their time
 counts as detection.
 `minflt_per_trial` gives, for each workload's variant set, the minor page
@@ -38,7 +39,9 @@ reduces that workload's trials alone, as a sweep's process does.
 work of a trial that depends only on the trial, formed once per trial:
 `pseudoinverse` (the conventional ZF filter), `mmse_filters` (the
 conventional MMSE filters of the 3 points, one stacked solve) and
-`lr_zf_setup` (the LR-ZF filter and offset of the plain selection); each
+`lr_zf_setup` (`switched._lr_arrays`: T, T^-1, offset and LR-ZF filter of
+the plain selections, formed by one call over the kept bases of all
+trials, their Q already factored, as a sweep forms them for a chunk); each
 is the median over passes of µs per trial.  The figures are printed as one
 JSON line.  BLAS runs on one thread.  Run from the root of a checkout:
 
@@ -52,6 +55,7 @@ import resource
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -64,7 +68,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from lrmimo.detectors import mmse_filter_direct  # noqa: E402
 from lrmimo.linalg import pseudoinverse  # noqa: E402
 from lrmimo.modem import ConstellationSpec  # noqa: E402
-from lrmimo.reduction import ReductionParams  # noqa: E402
+from lrmimo.reduction import ReducedStack, ReductionParams  # noqa: E402
 from lrmimo.sim import (  # noqa: E402
     SimConfig,
     _chunk_selections,
@@ -75,6 +79,7 @@ from lrmimo.sim import (  # noqa: E402
     _switched,
     snr_config,
 )
+from lrmimo.switched import _lr_arrays  # noqa: E402
 
 TRIALS, PASSES = 32, 15
 SHAPES = {
@@ -116,9 +121,15 @@ def prepared(cfg: SimConfig) -> tuple:
     return spec, sigma2s, [h for h, *_ in heads], [r for _, r, *_ in heads], sels
 
 
-def fresh(sels) -> list:
-    """Copies of the selections whose cached LR filters are not formed yet."""
-    return [{key: s[:] for key, s in sel.items()} for sel in sels]
+def plain_kept(sels) -> tuple:
+    """(kept, perms): the kept bases of the trials' plain K = 0 selections
+    as one ReducedStack, its Q factored, and their permutations, as
+    _chunk_selections holds them for a chunk."""
+    parts = [sel[(False, 0)] for sel in sels]
+    columns = [[getattr(p.basis, f.name) for p in parts] for f in fields(ReducedStack)]
+    kept = ReducedStack(*map(np.concatenate, columns))
+    kept.q  # factored by the selection, before its filters
+    return kept, tuple(p.perms[0] for p in parts)
 
 
 def tail_figures(cfg: SimConfig, variants) -> tuple:
@@ -129,10 +140,10 @@ def tail_figures(cfg: SimConfig, variants) -> tuple:
     symbols = TRIALS * len(sigma2s) * cfg.n_t * cfg.packet_len * len(variants)
     times, faults, draws = [], [], []
     for _ in range(PASSES):
-        rngs, pass_sels = [copy.deepcopy(r) for r in streams], fresh(sels)
+        rngs = [copy.deepcopy(r) for r in streams]
         detect = draw = 0.0
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for h, rng, sel in zip(channels, rngs, pass_sels):
+        for h, rng, sel in zip(channels, rngs, sels):
             t0 = time.perf_counter()
             packet = _draw_packet(cfg, spec, rng)
             t1 = time.perf_counter()
@@ -152,20 +163,19 @@ def tail_figures(cfg: SimConfig, variants) -> tuple:
 def stage_figures(cfg: SimConfig) -> dict:
     """µs per trial of each stage of a trial that depends only on the trial,
     the median over passes."""
-    spec, sigma2s, channels, _, sels = prepared(cfg)
+    _, sigma2s, channels, _, sels = prepared(cfg)
+    kept, perms = plain_kept(sels)
     stages = {
-        "pseudoinverse": lambda h, sel: pseudoinverse(h),
-        "mmse_filters": lambda h, sel: mmse_filter_direct(h, sigma2s),
-        "lr_zf_setup": lambda h, sel: (sel[(False, 0)].pinv, sel[(False, 0)].offset),
+        "pseudoinverse": lambda: [pseudoinverse(h) for h in channels],
+        "mmse_filters": lambda: [mmse_filter_direct(h, sigma2s) for h in channels],
+        "lr_zf_setup": lambda: _lr_arrays(perms, kept),
     }
     out = {}
     for name, stage in stages.items():
         times = []
         for _ in range(PASSES):
-            pass_sels = fresh(sels)
             t0 = time.perf_counter()
-            for h, sel in zip(channels, pass_sels):
-                stage(h, sel)
+            stage()
             times.append(1e6 * (time.perf_counter() - t0) / TRIALS)
         out[name] = round(float(np.median(times)), 2)
     return out

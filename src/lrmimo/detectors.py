@@ -291,7 +291,9 @@ def lr_detect(
     kind is one of "zf", "mmse", "sic-zf", "sic-mmse".  The MMSE kinds require
     a KlrResult built on the extended channel; the ZF kinds require a plain
     one.  z_hat is the reduced-domain estimate a (m + d) on the shifted,
-    scaled lattice; x_hat slices its image.
+    scaled lattice; x_hat slices its image.  sigma_n is accepted for
+    compatibility and ignored: an extended selection carries its sigma_n
+    in its basis.
     """
     y = as_vector(y)
     _check_channel(h, klr)  # h is validated only: klr carries the channel
@@ -351,9 +353,8 @@ def _lr_estimate(
     block; the arrays of either broadcast against the stack.  Returns the
     Gaussian-integer decisions m and their integer image T m, both
     (S, n_t, batch).  The reduced-domain estimate is a (m + d) with
-    d = sel.offset; _lattice_indices slices it from T m.  The filter and d
-    are cached on sel, so a selection that serves several calls forms them
-    once.
+    d = sel.offset; _lattice_indices slices it from T m.  The filter, d and
+    T are arrays of sel, formed with it, so the estimate forms none of them.
     """
     if kind not in DETECTOR_KINDS:
         raise ValidationError(f"unknown detector kind {kind!r}")

@@ -10,6 +10,7 @@ SNR point.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +57,10 @@ DETECTORS = tuple(_DETECTOR_TABLE)
 # together until their blocks hold this many, which shares the fixed cost of
 # each numpy call among short packets and keeps the temporaries of a long
 # packet at the size of one point's.  Only the work that differs per point
-# runs per block (received signals, estimates, slicing, error counts and the
-# filters of the extended selections); what depends only on the trial (its
-# symbols and sent indices, H x, the conventional filters, the plain
-# selection's LR filter) is formed once per trial, however many blocks its
-# points take.
+# runs per block (received signals, estimates, slicing, error counts); what
+# depends only on the trial (its symbols and sent indices, H x, the
+# conventional filters) is formed once per trial, however many blocks its
+# points take, and the LR filters of the selections once per chunk.
 _COLUMNS_PER_CALL = 2048
 
 # Bytes of the input stacks of one CLLL call (rows x n_t complex entries per
@@ -106,12 +106,15 @@ class SimConfig:
     def __post_init__(self):
         if self.n_t < 1 or self.n_r < self.n_t:
             raise ValidationError("need 1 <= n_t <= n_r")
-        if self.trials < 1 or self.packet_len < 1:
-            raise ValidationError("trials and packet_len must be >= 1")
+        counts = (self.trials, self.packet_len)
+        if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
+            raise ValidationError("trials and packet_len must be integers >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.snr_grid_db:
             raise ValidationError("empty SNR grid")
+        if not all(math.isfinite(snr) for snr in self.snr_grid_db):
+            raise ValidationError(f"SNR points must be finite, got {self.snr_grid_db}")
         for d in self.detectors:
             if d not in DETECTORS:
                 raise ValidationError(f"unknown detector {d!r}")
@@ -305,8 +308,9 @@ def _chunk_selections(trials, sigma2s, ks, params) -> list:
         per = len(sigma2s) if extended else 1  # channels per trial
         groups = [perms[: width[extended]] for *_, perms in trials for _ in range(per)]
         picks = {k: _pick(stack, groups, k) for k in (0, *ks[extended])}
-        # the picks hold copies of their bases: Q and the transforms are
-        # formed after the whole stack is released
+        # the picks hold copies of their bases: Q, T, T^-1, d and the
+        # filters are formed after the whole stack is released, one call
+        # each per (flavour, k) of the chunk
         del stack
         for k, pick in picks.items():
             found = _selection(*pick, extended)
@@ -378,11 +382,12 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs):
     candidates (None without the ml detector).
 
     What depends only on the trial is formed once, before the blocks of
-    SNR points: its symbols and sent indices, H x, the conventional ZF and MMSE filters (the MMSE one of
-    every point in one stacked solve), the ML table and, through the cache
-    of the plain selection that serves every block, its LR filter and
-    offset.  Each block forms its received signals and, for the extended
-    selections, whose members differ per point, their filters.  Variants
+    SNR points: its symbols and sent indices, H x, the conventional ZF and
+    MMSE filters (the MMSE one of every point in one stacked solve) and the
+    ML table.  The selections carry their LR filters and offsets, formed
+    for the whole chunk: the plain one serves every block, the extended
+    ones have a member per point.  Each block forms its received signals,
+    estimates, slice indices and error counts.  Variants
     that run the same estimator on the same selected bases (clr-zf and a
     klr-zf that kept the baseline, or two K that chose the same candidate)
     share one detection.

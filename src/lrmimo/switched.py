@@ -8,8 +8,7 @@ order automatically.
 """
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,44 +45,32 @@ class PermutationSet:
             seen.add(p)
 
 
-def _transforms(perm, u: np.ndarray, u_inv: np.ndarray) -> tuple:
-    """(T, T^-1) = (P U, U^-1 P^T) for the permutation matrix P of perm, whose
-    column j is unit vector perm[j]; or, for a sequence of perms, of each
-    member of stacked u and u_inv.  The matmuls keep the exact bits of the
-    Gaussian-integer entries, signed zeros included."""
-    p_t = np.eye(u.shape[-1], dtype=np.complex128)[np.array(perm, dtype=np.intp)]
-    return np.swapaxes(p_t, -1, -2) @ u, u_inv @ p_t
-
-
 def _offset(t_inv: np.ndarray) -> np.ndarray:
     """d = (1/2) T^-1 (1+j) 1, the reduced-domain image of the half-level
     offset of the constellation, for T^-1 or a stack of them."""
     return 0.5 * (t_inv @ np.full(t_inv.shape[-1], 1.0 + 1.0j))
 
 
-class _LrFilter:
-    """What LR detection needs of a selection beyond its basis, formed on
-    first read and kept, as the basis keeps its Q: pinv, the pseudoinverse
-    of the kept basis from its QR factors (the LR-ZF and LR-MMSE filter),
-    and offset, d = _offset(T^-1).  A selection that serves several blocks
-    of received signals forms them once for all of them."""
-
-    @cached_property
-    def pinv(self) -> np.ndarray:
-        return _pinv_from_qr(self.basis.q, self.basis.r)
-
-    @cached_property
-    def offset(self) -> np.ndarray:
-        return _offset(self.transform_inv)
+def _lr_arrays(perm, basis) -> tuple:
+    """What LR detection reads of a kept basis and its perm, or of each
+    member of a stack and a sequence of perms: T = P U and T^-1 = U^-1 P^T
+    (P's column j is unit vector perm[j]; the matmuls keep the exact bits of
+    the Gaussian integers, signed zeros included), d = _offset(T^-1) and
+    pinv, the LR-ZF/MMSE filter, from the QR of the basis."""
+    p_t = np.eye(basis.u.shape[-1], dtype=np.complex128)[np.array(perm, dtype=np.intp)]
+    t_inv = basis.u_inv @ p_t
+    pinv = _pinv_from_qr(basis.q, basis.r)
+    return np.swapaxes(p_t, -1, -2) @ basis.u, t_inv, _offset(t_inv), pinv
 
 
 @dataclass(frozen=True)
-class KlrResult(_LrFilter):
+class KlrResult:
     """Outcome of the switched selection.
 
     basis.h_tilde equals H[:, perm] @ basis.u; `transform` composes the
     permutation and the unimodular matrix into a single unimodular transform on
-    the original column order.
+    the original column order.  transform, transform_inv, offset and pinv
+    are formed at construction (_lr_arrays), also by dataclasses.replace.
     """
 
     basis: ReducedBasis
@@ -92,26 +79,27 @@ class KlrResult(_LrFilter):
     odf_baseline: float
     candidate_odfs: tuple
     extended: bool = False
+    transform: np.ndarray = field(init=False, repr=False, compare=False)
+    transform_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    offset: np.ndarray = field(init=False, repr=False, compare=False)
+    pinv: np.ndarray = field(init=False, repr=False, compare=False)
 
-    # each is built once per result
-    @cached_property
-    def transform(self) -> np.ndarray:
-        return _transforms(self.perm, self.basis.u, self.basis.u_inv)[0]
-
-    @cached_property
-    def transform_inv(self) -> np.ndarray:
-        return _transforms(self.perm, self.basis.u, self.basis.u_inv)[1]
+    def __post_init__(self):
+        names = ("transform", "transform_inv", "offset", "pinv")
+        for name, value in zip(names, _lr_arrays(self.perm, self.basis)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
-class KlrStack(_LrFilter):
+class KlrStack:
     """The switched selections of a stack of channels, as stacked arrays.
 
     Member i is what KlrResult states of one channel: basis holds the kept
     reduced bases (their Q factored), perms and candidate_odfs hold one
-    tuple per member, odf_baseline is (B,), and transform = P U and
-    transform_inv = U^-1 P^T are (B, n, n).  An int index gives the
-    KlrResult of one member, a slice a KlrStack of views.
+    tuple per member, odf_baseline is (B,), transform = P U and
+    transform_inv = U^-1 P^T are (B, n, n), offset (B, n) and pinv
+    (B, n, rows).  An int index gives the KlrResult of one member, a slice
+    a KlrStack of views.
     """
 
     basis: ReducedStack
@@ -120,6 +108,8 @@ class KlrStack(_LrFilter):
     candidate_odfs: tuple
     transform: np.ndarray
     transform_inv: np.ndarray
+    offset: np.ndarray
+    pinv: np.ndarray
     extended: bool = False
 
     @property
@@ -139,6 +129,8 @@ class KlrStack(_LrFilter):
                 self.candidate_odfs[i],
                 self.transform[i],
                 self.transform_inv[i],
+                self.offset[i],
+                self.pinv[i],
                 self.extended,
             )
         return KlrResult(
@@ -163,8 +155,8 @@ def _select(reduced: ReducedStack, perms, k: int, extended: bool) -> KlrStack:
     group).  Among the first k candidates the lowest-ODF one is kept only if
     it strictly beats the baseline; k = 0 gives the baseline with empty
     candidate_odfs.  Returns one KlrStack, member g for group g; its bases
-    are copies, so they do not keep the whole stack alive, and their Q is
-    factored here, once for every slice taken of them.
+    are copies, so they do not keep the whole stack alive, and their Q, T,
+    T^-1, d and pinv are formed here, once for every slice taken of them.
     """
     return _selection(*_pick(reduced, perms, k), extended)
 
@@ -189,12 +181,9 @@ def _pick(reduced: ReducedStack, perms, k: int) -> tuple:
 
 
 def _selection(kept: ReducedStack, chosen, base, cands, extended: bool) -> KlrStack:
-    """The KlrStack of what _pick took: Q of the kept bases is factored
-    here, once for every slice later taken of the stack, and the transforms
-    are formed."""
-    kept.q  # factored now, once for every slice later taken of the stack
-    transforms = _transforms(chosen, kept.u, kept.u_inv)
-    return KlrStack(kept, chosen, base, cands, *transforms, extended)
+    """The KlrStack of what _pick took, its _lr_arrays formed for the whole
+    stack in one call each."""
+    return KlrStack(kept, chosen, base, cands, *_lr_arrays(chosen, kept), extended)
 
 
 def sample_permutations(n: int, k: int, rng: np.random.Generator) -> PermutationSet:

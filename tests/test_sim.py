@@ -58,6 +58,10 @@ class TestSimConfig:
     def test_valid(self):
         small_cfg()
 
+    def test_numpy_integers_accepted(self):
+        cfg = small_cfg(trials=np.int64(5), packet_len=np.int32(4))
+        assert run_sweep(cfg) == run_sweep(small_cfg())
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -76,6 +80,12 @@ class TestSimConfig:
             dict(snr_grid_db=(10.0, 10.0)),
             dict(k_candidates=(), detectors=("klr-zf",)),
             dict(seed=-1),
+            dict(snr_grid_db=(10.0, math.nan)),
+            dict(snr_grid_db=(-math.inf, 10.0)),
+            dict(snr_grid_db=(math.inf,)),
+            dict(trials=2.5),
+            dict(packet_len=2.5),
+            dict(trials=5.0),
         ],
     )
     def test_invalid(self, kw):
@@ -408,42 +418,41 @@ class TestDrawPacket:
 
 class TestTrialInvariants:
     """What depends only on the trial is formed once per trial, however
-    many blocks of SNR points its packet takes."""
+    many blocks of SNR points its packet takes; the LR filters once per
+    chunk, with its selections."""
 
     def test_filters_formed_once_per_trial(self, monkeypatch):
         cfg = long_packet_cfg(("zf", "mmse", "clr-zf", "clr-mmse-sic"), 3, 8, m=16)
         counts = []  # per trial, the calls of each counted function
+        solves = collections.Counter()  # per sweep, the LR filter solves
         detect = sim._detect_trial
 
         def counting_detect(*args):
             counts.append(collections.Counter())
             return detect(*args)
 
-        def count(module, name):
+        def count(module, name, counter=lambda: counts[-1]):
             func = getattr(module, name)
 
             def counting(*args):
-                counts[-1][name] += 1
+                counter()[name] += 1
                 return func(*args)
 
             monkeypatch.setattr(module, name, counting)
 
         count(sim, "pseudoinverse")
         count(sim, "mmse_filter_direct")
-        count(switched, "_pinv_from_qr")  # the LR filter of a selection
+        count(switched, "_pinv_from_qr", lambda: solves)  # the LR filters
         count(sim, "_lr_estimate")
         monkeypatch.setattr(sim, "_detect_trial", counting_detect)
         got = run_sweep(cfg)
+        # one chunk: one solve for the plain and one for the extended
+        # selections of all its trials
+        assert solves == {"_pinv_from_qr": 2}
         assert len(counts) == cfg.trials
         for c in counts:
-            # 3 blocks of one point for each of the 2 LR estimators, but one
-            # plain selection whose filter serves all of them
-            assert c == {
-                "pseudoinverse": 1,
-                "mmse_filter_direct": 1,
-                "_pinv_from_qr": 1,
-                "_lr_estimate": 6,
-            }
+            # 3 blocks of one point for each of the 2 LR estimators
+            assert c == {"pseudoinverse": 1, "mmse_filter_direct": 1, "_lr_estimate": 6}
         assert got == reference_sweep(cfg)
 
 
@@ -494,6 +503,14 @@ class TestChunks:
         # the benchmark's klr-zf shape: 64 trials of a 6x6 channel and its
         # 10 candidates, 704 plain bases and 64 held packets of 100 symbols
         calls = self.count_calls(monkeypatch)
+        solves = []
+        pinv_from_qr = switched._pinv_from_qr
+
+        def counting_solve(q, r):
+            solves.append(len(r))
+            return pinv_from_qr(q, r)
+
+        monkeypatch.setattr(switched, "_pinv_from_qr", counting_solve)
         cfg = SimConfig(
             n_t=6,
             n_r=6,
@@ -507,6 +524,8 @@ class TestChunks:
         )
         got = run_sweep(cfg)
         assert calls == [64 * 11]
+        # one LR filter solve per K (0, 1 and 10), each over all 64 trials
+        assert solves == [64] * 3
         assert got == reference_sweep(cfg)
         assert all(r.bit_errors > 0 for r in got if r.snr_db == 14.0)
 

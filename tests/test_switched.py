@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from lrmimo.errors import ValidationError
 from lrmimo.linalg import _pinv_from_qr
 from lrmimo.reduction import ReductionParams, clll_reduce_batch, is_unimodular
 from lrmimo.switched import (
+    KlrResult,
     PermutationSet,
     _candidate_stack,
     _offset,
@@ -182,13 +185,33 @@ class TestStackedSelection:
         assert replaced > 0
 
 
-class TestLrFilterCache:
-    """pinv and offset, formed on first read and kept by a selection, have
-    the bytes of the per-call forms they replace, on a KlrStack, its slices
-    and its members."""
+class TestLrArrays:
+    """T, T^-1, d and pinv are arrays of a selection, formed with it: a
+    KlrStack, its slices and its members, a KlrResult built by its
+    constructor and a replace(..., extended=True) copy of one each hold
+    those of their own basis and permutations, with the bytes of the
+    per-call forms."""
+
+    NAMES = ("transform", "transform_inv", "offset", "pinv")
+
+    @staticmethod
+    def check(part, perms):
+        """T = P U and T^-1 = U^-1 P^T, where P moves row j of U to row
+        perm[j] (by value: signed zeros may differ), and d and pinv with
+        the bytes of _offset(T^-1) and _pinv_from_qr(Q, R)."""
+        basis = part.basis
+        inv = np.argsort(np.array(perms), axis=-1)
+        t = np.take_along_axis(basis.u, inv[..., :, np.newaxis], axis=-2)
+        t_inv = np.take_along_axis(basis.u_inv, inv[..., np.newaxis, :], axis=-1)
+        assert np.array_equal(part.transform, t)
+        assert np.array_equal(part.transform_inv, t_inv)
+        want = _pinv_from_qr(basis.q, basis.r)
+        assert part.pinv.shape == want.shape
+        assert part.pinv.tobytes() == want.tobytes()
+        assert part.offset.tobytes() == _offset(part.transform_inv).tobytes()
 
     @pytest.mark.parametrize("extended", [False, True])
-    def test_cached_filter_equals_per_call_forms(self, rng, extended):
+    def test_stack_arrays_equal_per_call_forms(self, rng, extended):
         n, width = 4, 3
         chans = crandn(rng, 6, 5, n)
         if extended:
@@ -199,13 +222,34 @@ class TestLrFilterCache:
         )
         reduced = clll_reduce_batch([stack], ReductionParams())[0]
         sel = _select(reduced, groups, width, extended)
-        for part in (sel, sel[1:4], sel[2:3], sel[2]):
-            pinv, offset = part.pinv, part.offset
-            want = _pinv_from_qr(part.basis.q, part.basis.r)
-            assert pinv.shape == want.shape
-            assert pinv.tobytes() == want.tobytes()
-            assert offset.tobytes() == _offset(part.transform_inv).tobytes()
-            assert part.pinv is pinv and part.offset is offset  # formed once
+        assert any(p != tuple(range(n)) for p in sel.perms)
+        for part in (sel, sel[1:4], sel[2:3]):
+            self.check(part, part.perms)
+        for i in range(len(sel)):
+            member = sel[i]
+            self.check(member, member.perm)
+            for name in self.NAMES:
+                got, want = getattr(member, name), getattr(sel, name)[i]
+                assert got.tobytes() == want.tobytes(), name
+
+    def test_constructed_and_replaced_results(self, rng):
+        h = crandn(rng, 5, 4)
+        found = klr_select(h, 3, rng=rng)
+        # as test_acceptance._lr_zf_errors builds one
+        klr = KlrResult(
+            basis=found.basis,
+            perm=found.perm,
+            odf_selected=found.basis.odf_value,
+            odf_baseline=found.basis.odf_value,
+            candidate_odfs=(),
+        )
+        self.check(klr, klr.perm)
+        ext = klr_select(extend_channel(h, 0.3), 3, rng=rng)
+        copy = replace(ext, extended=True)
+        assert copy.extended and not ext.extended
+        self.check(copy, copy.perm)
+        for name in self.NAMES:
+            assert getattr(copy, name).tobytes() == getattr(ext, name).tobytes()
 
 
 class TestKlrSelectExtended:

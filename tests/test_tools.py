@@ -1,13 +1,16 @@
-"""The timing scripts under bench/ still run against the package.
+"""The scripts under bench/ still run against the package.
 
-bench/tail_timing.py drives private sim functions directly, so a change to
-them shows up here as a failure rather than as a broken script.
+bench/tail_timing.py drives private sim functions directly, and
+bench/ab_bytes.py private functions of several modules, so a change to them
+shows up here as a failure rather than as a broken script.
 """
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +53,29 @@ def test_tail_timing_prints_its_figures():
     assert set(faults) == {"klr_zf", "detect_16qam", "klr_mmse"}
     # a page fault count: none at all is a valid reading
     assert all(isinstance(v, (int, float)) and v >= 0 for v in faults.values()), out
+
+
+def test_ab_bytes_prints_its_comparison():
+    if not (ROOT / ".git").exists():
+        pytest.skip("bench/ab_bytes.py extracts its ref from git")
+    proc = subprocess.run(
+        [sys.executable, "bench/ab_bytes.py", "--ref", "HEAD"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    # 1 reports differences, which a working tree may have against HEAD
+    assert proc.returncode in (0, 1), proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(out) == {
+        "ref",
+        "parent_commit",
+        "cases",
+        "fields",
+        "differing_cases",
+        "first_difference",
+    }
+    assert out["cases"] > 0 and out["fields"] >= out["cases"]
+    assert (out["differing_cases"] == 0) == (out["first_difference"] is None)
+    assert proc.returncode == (out["differing_cases"] > 0)
