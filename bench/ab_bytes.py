@@ -105,12 +105,24 @@ def corpus():
     )
 
     def crandn(rng, *shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        parts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return parts / np.sqrt(2)
+
+    def extended_all(mats, sigma):
+        return np.stack([extend_channel(h, sigma) for h in mats])
 
     def bases(rng, count, n, extended):
         mats = crandn(rng, count, n, n)
         mats[::4, :, 1] = (1 + 0.3j) * mats[::4, :, 0] + 1e-6 * crandn(rng, n)[None]
-        return np.stack([extend_channel(h, 0.3) for h in mats]) if extended else mats
+        return extended_all(mats, 0.3) if extended else mats
+
+    def reduced_candidates(rng, mats):
+        """(reduced stack, perms) of mats, each followed by 3 candidates."""
+        groups = [sample_permutations(mats.shape[-1], 3, rng).perms for _ in mats]
+        stack = np.concatenate(
+            [_candidate_stack(h[None], p) for h, p in zip(mats, groups)]
+        )
+        return clll_reduce_batch([stack], ReductionParams())[0], groups
 
     def stack_fields(case, stack):
         for name in BASIS_FIELDS:
@@ -145,12 +157,8 @@ def corpus():
         for extended in (False, True):
             chans = crandn(rng, 6, rows, n)
             if extended:
-                chans = np.stack([extend_channel(h, 0.3) for h in chans])
-            groups = [sample_permutations(n, 3, rng).perms for _ in chans]
-            stack = np.concatenate(
-                [_candidate_stack(h[None], p) for h, p in zip(chans, groups)]
-            )
-            reduced = clll_reduce_batch([stack], ReductionParams())[0]
+                chans = extended_all(chans, 0.3)
+            reduced, groups = reduced_candidates(rng, chans)
             for k in (0, 3):
                 sel = _select(reduced, groups, k, extended)
                 tag = f"select/n{n}/{'ext' if extended else 'plain'}/k{k}"
@@ -185,13 +193,8 @@ def corpus():
         y = chans @ x + sigma * crandn(rng, count, n_r, batch)
         for kind in DETECTOR_KINDS:
             extended = kind in ("mmse", "sic-mmse")
-            mats = np.stack([extend_channel(h, sigma) for h in chans]) if extended else chans
-            groups = [sample_permutations(n_t, 3, rng).perms for _ in mats]
-            stack = np.concatenate(
-                [_candidate_stack(h[None], p) for h, p in zip(mats, groups)]
-            )
-            reduced = clll_reduce_batch([stack], ReductionParams())[0]
-            sel = _select(reduced, groups, 3, extended)
+            mats = extended_all(chans, sigma) if extended else chans
+            sel = _select(*reduced_candidates(rng, mats), 3, extended)
             tag = f"estimate/m{m}/{kind}"
             m_s, tm_s = _lr_estimate(y, sel, kind, spec)
             yield f"{tag}/stack", "m", m_s
@@ -275,7 +278,8 @@ def main(argv=None) -> int:
         return 0
     with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
         extract(args.ref, Path(tmp))
-        procs = {"parent": run_child(Path(tmp) / "src"), "change": run_child(ROOT / "src")}
+        srcs = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
+        procs = {side: run_child(src) for side, src in srcs.items()}
         parent, change = (collect(p, side) for side, p in procs.items())
     differing, first = compare(parent, change)
     print(json.dumps({
