@@ -23,7 +23,10 @@ The corpus:
 - `klr_select_with` results, of plain and extended channels, and the
   `replace(..., extended=True)` copies of the extended ones;
 - `detectors._lr_estimate`'s m and T m for the four kinds at M = 4, 16 and
-  64, with a stack of selections and with one lone selection;
+  64, with a stack of selections and with one lone selection, each also
+  written into NaN-filled `out` arrays where the tree's `_lr_estimate`
+  takes them (a tree without `out=` gives its allocated results there, so
+  the two ways compare byte for byte);
 - the `run_sweep` records of the golden configs (tests/test_golden.py) and
   of the three benchmark shapes at 8 trials.
 
@@ -37,6 +40,7 @@ pins.  Run from the root of a checkout:
 import argparse
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -181,6 +185,15 @@ def corpus():
             copy = replace(ext, extended=True)
             yield from selection(f"{tag}/ext-replaced", copy, RESULT_FIELDS)
 
+    def into_stale(y, sel, kind, spec):
+        """_lr_estimate with NaN-filled out arrays, where it takes them."""
+        if "out" not in inspect.signature(_lr_estimate).parameters:
+            return _lr_estimate(y, sel, kind, spec)
+        rows, n = sel.basis.h_tilde.shape[-2:]  # work, then m and T m
+        nan = complex(math.nan, math.nan)
+        out = tuple(np.full((len(y), r, y.shape[2]), nan) for r in (rows, n, n))
+        return _lr_estimate(y, sel, kind, spec, out=out)
+
     # the LR estimator: a stack of S selections, and one lone selection
     rng = np.random.default_rng(1404)
     n_t, n_r, count, batch = 4, 5, 3, 40
@@ -202,6 +215,10 @@ def corpus():
             m_1, tm_1 = _lr_estimate(y, sel[0], kind, spec)
             yield f"{tag}/lone", "m", m_1
             yield f"{tag}/lone", "tm", tm_1
+            for part, s in (("stack", sel), ("lone", sel[0])):
+                m_o, tm_o = into_stale(y, s, kind, spec)
+                yield f"{tag}/{part}-out", "m", m_o
+                yield f"{tag}/{part}-out", "tm", tm_o
 
     # sweeps: the golden configs and the benchmark shapes at 8 trials
     path = ROOT / "tests" / "test_golden.py"

@@ -23,9 +23,10 @@ figure is ns per detected symbol (points x n_t x packet_len per variant),
 the median of 15 passes over the trials.  Every pass draws each packet
 (`sim._draw_packet`: level index pairs and unit noise) from its trial's
 stream, detects it with its selections (which carry their LR filters,
-formed for all trials at once, as a sweep forms them for a chunk) and
-frees it, as `run_sweep` does; the draw is timed apart, as
-`draw_us_per_trial`.  The symbols and sent slice
+formed for all trials at once, as a sweep forms them for a chunk) into
+the pass's block buffers (`sim._chunk_buffers`, formed once per pass as a
+sweep forms them per chunk) and frees it, as `run_sweep` does; the draw
+is timed apart, as `draw_us_per_trial`.  The symbols and sent slice
 indices are formed from the pairs inside `_detect_trial`, so their time
 counts as detection.
 `minflt_per_trial` gives, for each workload's variant set, the minor page
@@ -35,6 +36,14 @@ kernel are faulted in again on the next trial.  How much it hands back
 depends on what the process allocated before, so each workload's variant
 figures (ns, faults, draw) come from a fresh interpreter that draws and
 reduces that workload's trials alone, as a sweep's process does.
+`cli_minflt_per_trial` gives, for each benchmark workload, the minor page
+faults per trial of its timed sweeps run through `cli.main` after its
+golden sweep, as the benchmark's worker (`sweepbench/worker.py`) runs
+them, in a fresh interpreter: the faults of 10 sweeps over their trials.
+The count depends on that context: the golden sweep and the CSV writing
+leave the heap other than the passes above do, and from one sweep to the
+next the count of a switched workload swings by more than its mean (0 to
+16 per trial on `klr_zf`) with where the previous sweep left the heap.
 `detect_16qam_stage_us_per_trial` times, on the `detect-16qam` trials, the
 work of a trial that depends only on the trial, formed once per trial:
 `pseudoinverse` (the conventional ZF filter), `mmse_filters` (the
@@ -48,12 +57,15 @@ JSON line.  BLAS runs on one thread.  Run from the root of a checkout:
     python3 bench/tail_timing.py
 """
 
+import contextlib
 import copy
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -63,7 +75,8 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from lrmimo.detectors import mmse_filter_direct  # noqa: E402
 from lrmimo.linalg import pseudoinverse  # noqa: E402
@@ -71,6 +84,7 @@ from lrmimo.modem import ConstellationSpec  # noqa: E402
 from lrmimo.reduction import ReducedStack, ReductionParams  # noqa: E402
 from lrmimo.sim import (  # noqa: E402
     SimConfig,
+    _chunk_buffers,
     _chunk_selections,
     _detect_trial,
     _draw_packet,
@@ -82,6 +96,7 @@ from lrmimo.sim import (  # noqa: E402
 from lrmimo.switched import _lr_arrays  # noqa: E402
 
 TRIALS, PASSES = 32, 15
+CLI_SWEEPS = 10
 SHAPES = {
     "klr_zf": SimConfig(
         n_t=6, n_r=6, m=4, snr_grid_db=tuple(range(14, 23)),
@@ -106,6 +121,10 @@ VARIANTS = {
         ("klr-mmse-sic", 10),
     ],
 }
+
+
+def minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def prepared(cfg: SimConfig) -> tuple:
@@ -141,17 +160,18 @@ def tail_figures(cfg: SimConfig, variants) -> tuple:
     times, faults, draws = [], [], []
     for _ in range(PASSES):
         rngs = [copy.deepcopy(r) for r in streams]
+        bufs = _chunk_buffers(cfg, spec)
         detect = draw = 0.0
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        f0 = minflt()
         for h, rng, sel in zip(channels, rngs, sels):
             t0 = time.perf_counter()
             packet = _draw_packet(cfg, spec, rng)
             t1 = time.perf_counter()
-            _detect_trial(h, packet, sel, variants, sigma2s, spec, None, errs)
+            _detect_trial(h, packet, sel, variants, sigma2s, spec, None, errs, bufs)
             detect += time.perf_counter() - t1
             draw += t1 - t0
             del packet
-        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+        faults.append(minflt() - f0)
         times.append(1e9 * detect / symbols)
         draws.append(1e6 * draw / TRIALS)
     return tuple(
@@ -181,27 +201,55 @@ def stage_figures(cfg: SimConfig) -> dict:
     return out
 
 
-def workload_figures(name: str) -> list:
-    """tail_figures of one workload's variant set, run in a fresh
-    interpreter: the allocator then holds only what drawing and reducing
-    that workload's trials left, as in a sweep's own process, so its page
-    faults do not depend on the workloads measured before it."""
+def cli_faults(name: str) -> float:
+    """Minor page faults per trial of CLI_SWEEPS timed sweeps of benchmark
+    workload name, run through cli.main after its golden sweep as the
+    benchmark's worker runs them."""
+    sys.path.insert(0, str(ROOT / "sweepbench"))
+    import workloads
+    from lrmimo import cli
+
+    wl = workloads.WORKLOADS[name]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        out = Path(tmp) / "sweep.csv"
+        golden = cli.main(wl.argv(wl.golden_trials, wl.default_seed, out))
+        f0 = minflt()
+        codes = [
+            cli.main(wl.argv(wl.sweep_trials, workloads.sweep_seed(0, i), out))
+            for i in range(CLI_SWEEPS)
+        ]
+        faults = minflt() - f0
+    if golden or any(codes):
+        raise RuntimeError(f"a {name} sweep failed")
+    return round(faults / (CLI_SWEEPS * wl.sweep_trials), 2)
+
+
+def fresh(*argv):
+    """The JSON figures this script prints for argv, from a fresh
+    interpreter: the allocator then holds only what that workload's own
+    run left, as in a sweep's own process, so its page faults do not
+    depend on the workloads measured before it."""
     proc = subprocess.run(
-        [sys.executable, __file__, name], capture_output=True, text=True, check=True
+        [sys.executable, __file__, *argv], capture_output=True, text=True, check=True
     )
     return json.loads(proc.stdout)
 
 
 def main(argv) -> int:
-    if argv:  # one workload's variant figures, for workload_figures
+    if argv[:1] == ["cli"]:  # one benchmark workload's cli_faults
+        print(json.dumps(cli_faults(argv[1])))
+        return 0
+    if argv:  # one workload's variant figures
         print(json.dumps(tail_figures(SHAPES[argv[0]], VARIANTS[argv[0]])))
         return 0
     out = {"trials": TRIALS}
-    faults, draws = {}, {}
+    faults, draws, cli_minflt = {}, {}, {}
     for name in VARIANTS:
-        ns, faults[name], draws[name] = workload_figures(name)
+        ns, faults[name], draws[name] = fresh(name)
         out[f"{name}_variants_ns_per_symbol"] = ns
+        cli_minflt[name] = fresh("cli", name.replace("_", "-"))
     out["minflt_per_trial"] = faults
+    out["cli_minflt_per_trial"] = cli_minflt
     out["draw_us_per_trial"] = draws
     zf, qam = SHAPES["klr_zf"], SHAPES["detect_16qam"]
     out["lr_zf_ns_per_symbol"] = {

@@ -3,6 +3,7 @@
 import argparse
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -37,13 +38,21 @@ def _parse_snr_grid(text: str) -> tuple:
     grid = []
     v = start
     while v <= stop + 1e-9:
-        grid.append(round(v, 10))
+        point = round(v, 10)
+        # a step below the rounding, or below an ulp of v, would repeat the
+        # point for ever
+        if grid and point == grid[-1]:
+            raise ValidationError(f"SNR grid {text!r}: the step does not advance {v!r}")
+        grid.append(point)
         v += step
     return tuple(grid)
 
 
-def _parse_list(text: str, conv):
-    return tuple(conv(tok.strip()) for tok in text.split(",") if tok.strip())
+def _parse_list(text: str, conv, option: str):
+    try:
+        return tuple(conv(tok.strip()) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ValidationError(f"{option}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,13 +86,17 @@ def _cmd_simulate(args) -> int:
         n_r=args.nr,
         m=_MODS[args.mod],
         snr_grid_db=_parse_snr_grid(args.snr),
-        detectors=_parse_list(args.detectors, str),
-        k_candidates=_parse_list(args.k, int),
+        detectors=_parse_list(args.detectors, str, "--detectors"),
+        k_candidates=_parse_list(args.k, int, "--k"),
         trials=args.trials,
         packet_len=args.packet_len,
         seed=args.seed,
         delta=args.delta,
     )
+    # found before the sweep, not after it
+    out_dir = Path(args.out).resolve().parent
+    if not out_dir.is_dir():
+        raise ValidationError(f"--out directory {str(out_dir)!r} does not exist")
     records = run_sweep(cfg)
     write_records(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")

@@ -95,16 +95,19 @@ def sic_detect_batch(h_tilde, y_cols: np.ndarray) -> np.ndarray:
     return _sic(*qr_decompose(as_matrix(h_tilde)), y_cols)
 
 
-def _sic(q: np.ndarray, r: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _sic(
+    q: np.ndarray, r: np.ndarray, y: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """SIC of every column of y, given the QR factors (q, r) of the channel.
 
     q and r may carry a leading stack axis, and y (..., rows, batch) any
     leading axes that broadcast against them.  The decisions overwrite
-    Q^H y row by row, each row read once before it is overwritten.  Each
-    is rounded in place on the float view (ties to even), which gives the
-    values of round_gaussian; only the sign of a zero part can differ.
+    Q^H y, written to out if given, row by row, each row read once before
+    it is overwritten.  Each is rounded in place on the float view (ties
+    to even), which gives the values of round_gaussian; only the sign of a
+    zero part can differ.
     """
-    z = np.swapaxes(q.conj(), -1, -2) @ y
+    z = np.matmul(np.swapaxes(q.conj(), -1, -2), y, out=out)
     for i in range(r.shape[-1] - 1, -1, -1):
         zi = z[..., i, :]
         zi -= (r[..., i, np.newaxis, i + 1 :] @ z[..., i + 1 :, :])[..., 0, :]
@@ -128,9 +131,12 @@ def shift_scale_quantize(z_breve, u_inv, spec: ConstellationSpec) -> np.ndarray:
     return spec.a * (_round_shifted(z_breve, d, spec.a) + d)
 
 
-def _round_shifted(v: np.ndarray, d, a: float) -> np.ndarray:
-    """Gaussian integers nearest to v / a - d (ties to even), a new array."""
-    m = _scaled(v, a)
+def _round_shifted(
+    v: np.ndarray, d, a: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Gaussian integers nearest to v / a - d (ties to even), written to out
+    (v itself allowed), or to a new array."""
+    m = _scaled(v, a, out)
     m -= d
     return _rounded(m)
 
@@ -188,35 +194,45 @@ def _interleaved(v: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _level_indices(v: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+def _level_indices(v: np.ndarray, spec: ConstellationSpec, out=None) -> np.ndarray:
     """Slice indices of complex estimates, I and Q interleaved along the
     last axis: floor(v (1/a) + side/2) per part, clipped to the grid.
+    out is None, which allocates, or a pair (values, indices) of arrays to
+    write the float slice values (v's own float view allowed) and the
+    indices (see _grid_index) to.
 
     This is the nearest level, as _slice_index gives it, except at an exact
     midpoint or within an ulp of one, where either neighbour may come out.
     """
-    t = _interleaved(v) * (1.0 / spec.a)
+    values, indices = out or (None, None)
+    t = np.multiply(_interleaved(v), 1.0 / spec.a, out=values)
     t += spec.side / 2
-    return _grid_index(t, spec)
+    return _grid_index(t, spec, indices)
 
 
-def _lattice_indices(tm: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+def _lattice_indices(tm: np.ndarray, spec: ConstellationSpec, out=None) -> np.ndarray:
     """Slice indices of the integer images T m of LR decisions, I and Q
-    interleaved along the last axis.
+    interleaved along the last axis.  out is as for _level_indices.
 
     Each part of T m plus side/2 is the index of the level nearest to the
     estimate a (T m + (1+j)/2), which lies half a level from a boundary, so
     no tie arises; values beyond the grid clip to the outer levels.
     """
-    return _grid_index(_interleaved(tm) + spec.side / 2, spec)
+    values, indices = out or (None, None)
+    t = np.add(_interleaved(tm), spec.side / 2, out=values)
+    return _grid_index(t, spec, indices)
 
 
-def _grid_index(t: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
+def _grid_index(t: np.ndarray, spec: ConstellationSpec, out=None) -> np.ndarray:
     """floor(t) clipped to [0, side - 1], in the smallest unsigned integer
-    type that holds side - 1; t is clipped in place, after which the cast's
-    truncation is the floor."""
+    type that holds side - 1, written to out (an array of that type and of
+    t's shape) or to a new array; t is clipped in place, after which the
+    cast's truncation is the floor."""
     np.clip(t, 0, spec.side - 1, out=t)
-    return t.astype(np.min_scalar_type(spec.side - 1))
+    if out is None:
+        out = np.empty(t.shape, np.min_scalar_type(spec.side - 1))
+    np.copyto(out, t, casting="unsafe")
+    return out
 
 
 def _lattice_symbols(tm: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
@@ -344,7 +360,11 @@ def _check_channel(h, sel: KlrResult) -> None:
 
 
 def _lr_estimate(
-    y: np.ndarray, sel: KlrResult | KlrStack, kind: str, spec: ConstellationSpec
+    y: np.ndarray,
+    sel: KlrResult | KlrStack,
+    kind: str,
+    spec: ConstellationSpec,
+    out: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """LR-aided decisions on an (S, n_r, batch) stack of blocks.
 
@@ -355,6 +375,12 @@ def _lr_estimate(
     (S, n_t, batch).  The reduced-domain estimate is a (m + d) with
     d = sel.offset; _lattice_indices slices it from T m.  The filter, d and
     T are arrays of sel, formed with it, so the estimate forms none of them.
+
+    out is None, which allocates, or a triple (work, m, tm) of complex
+    arrays to write to: m and tm of the results' shape, and work of the
+    basis's rows (S, rows, batch), which holds the padded input [y; 0] of
+    an extended selection or the scaled input of a SIC; it is read only
+    by those.  y is left alone.
     """
     if kind not in DETECTOR_KINDS:
         raise ValidationError(f"unknown detector kind {kind!r}")
@@ -371,17 +397,21 @@ def _lr_estimate(
             f"{y.shape[1]} received rows for a reduced channel of {rows}"
         )
     d = sel.offset[..., np.newaxis]
-    if extended:  # [y; 0] in one buffer of its own
-        ext = np.empty((len(y), rows, y.shape[2]), dtype=np.complex128)
-        ext[:, : rows - n] = y
-        ext[:, rows - n :] = 0
-        y = ext
+    work, m, tm = out or (None, None, None)
+    if extended:  # [y; 0] in a buffer of its own
+        if work is None:
+            work = np.empty((len(y), rows, y.shape[2]), dtype=np.complex128)
+        work[:, : rows - n] = y
+        work[:, rows - n :] = 0
+        y = work
     if kind in ("zf", "mmse"):
-        m = _round_shifted(sel.pinv @ y, d, spec.a)
+        m = np.matmul(sel.pinv, y, out=m)
+        m = _round_shifted(m, d, spec.a, out=m)
     else:
-        # the padded buffer is ours to scale in place; the caller's y is not
-        y = _scaled(y, spec.a, out=y if extended else None)
+        # scaled into work, in place if it holds the padded input already:
+        # the caller's y is never written
+        y = _scaled(y, spec.a, out=work)
         y -= basis.h_tilde @ d
         # the basis carries the QR of h_tilde, so SIC does not factor it
-        m = _sic(basis.q, basis.r, y)
-    return m, sel.transform @ m
+        m = _sic(basis.q, basis.r, y, out=m)
+    return m, np.matmul(sel.transform, m, out=tm)

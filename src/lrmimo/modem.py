@@ -55,8 +55,7 @@ class ConstellationSpec:
 
     @cached_property
     def levels(self) -> np.ndarray:
-        idx = np.arange(self.side)
-        return (2 * idx - (self.side - 1)) * (self.a / 2)
+        return _level_values(np.arange(self.side), self)
 
     @cached_property
     def alphabet(self) -> np.ndarray:
@@ -67,6 +66,17 @@ class ConstellationSpec:
         gi = _gray_decode(codes >> half, half)
         gq = _gray_decode(codes & ((1 << half) - 1), half)
         return self.levels[gi] + 1j * self.levels[gq]
+
+
+def _level_values(idx, spec: ConstellationSpec, out=None) -> np.ndarray:
+    """The levels (2 i - (side - 1)) a/2 of the level indices i in idx,
+    written to out (a float array of idx's shape) or to a new array: the
+    values of spec.levels[idx], without the intp copy of idx that indexing
+    makes."""
+    t = np.multiply(idx, 2.0, out=out)
+    t -= spec.side - 1
+    t *= spec.a / 2
+    return t
 
 
 def _level_index_pairs(bits: np.ndarray, spec: ConstellationSpec) -> np.ndarray:

@@ -26,7 +26,7 @@ from .detectors import (
     pseudoinverse,
 )
 from .errors import ValidationError
-from .modem import ConstellationSpec, _level_index_pairs
+from .modem import ConstellationSpec, _level_index_pairs, _level_values
 from .reduction import ReductionParams, clll_reduce_batch
 from .switched import (
     _candidate_stack,
@@ -55,12 +55,13 @@ DETECTORS = tuple(_DETECTOR_TABLE)
 
 # Received columns per detection call: the SNR points of a trial are detected
 # together until their blocks hold this many, which shares the fixed cost of
-# each numpy call among short packets and keeps the temporaries of a long
-# packet at the size of one point's.  Only the work that differs per point
-# runs per block (received signals, estimates, slicing, error counts); what
-# depends only on the trial (its symbols and sent indices, H x, the
-# conventional filters) is formed once per trial, however many blocks its
-# points take, and the LR filters of the selections once per chunk.
+# each numpy call among short packets and keeps the block arrays of a long
+# packet (_chunk_buffers) at the size of one point's.  Only the work that
+# differs per point runs per block (received signals, estimates, slicing,
+# error counts); what depends only on the trial (its symbols and sent
+# indices, H x, the conventional filters) is formed once per trial, however
+# many blocks its points take, and the LR filters of the selections once
+# per chunk.
 _COLUMNS_PER_CALL = 2048
 
 # Bytes of the input stacks of one CLLL call (rows x n_t complex entries per
@@ -225,20 +226,27 @@ def _draw_packet(cfg: SimConfig, spec, rng) -> tuple:
     return idx, noise_unit
 
 
-def _packet_symbols(idx, spec) -> tuple:
+def _packet_symbols(idx, spec, out=None) -> tuple:
     """(x, sent) of the level index pairs idx of a packet: its symbols
     (n_t, packet_len) and their slice indices (n_t, 2 packet_len), I and Q
-    interleaved as _level_indices gives them.
+    interleaved as _level_indices gives them.  out is None, which
+    allocates, or an (x, sent) pair of arrays to write them to, x the
+    transposed view of a contiguous complex array.
 
-    x looks the indices up and sent reorders them, so the symbols are never
-    sliced.  x is the transposed view of the symbols laid out as map_bits
-    lays them out.
+    x forms the levels of the indices and sent reorders them, so the
+    symbols are never sliced.  x is the transposed view of the symbols laid
+    out as map_bits lays them out.
     """
-    x = spec.levels.take(idx).view(np.complex128)[..., 0].T
+    length, n_t = idx.shape[:2]
+    x, sent = out or (
+        np.empty((length, n_t), dtype=np.complex128).T,
+        np.empty((n_t, 2 * length), dtype=idx.dtype),
+    )
+    _level_values(idx.reshape(length, 2 * n_t), spec, out=x.T.view(np.float64))
     # each symbol's I and Q index pair read as one word, so the transpose
     # moves words, not bytes
     words = idx.view(np.dtype(f"u{2 * idx.itemsize}"))[..., 0]
-    sent = np.ascontiguousarray(words.T).view(idx.dtype)
+    np.copyto(sent.view(words.dtype), words.T)
     return x, sent
 
 
@@ -319,6 +327,39 @@ def _chunk_selections(trials, sigma2s, ks, params) -> list:
     return sels
 
 
+def _chunk_buffers(cfg: SimConfig, spec) -> tuple:
+    """The arrays a chunk's detection writes to, each the size of a block
+    or of a trial's packet, for _detect_trial: the trial's symbols x (the
+    transposed view of a contiguous array), its sent slice indices and
+    H x; then for a block of SNR points its received signals y, the padded
+    LR input [y; 0] (with no rows if no detector is extended), the
+    estimates (conventional, or the LR decisions m), the integer images
+    T m, the float slice values (the estimates' own float view: they are
+    written over the estimates) and the slice indices.  The block arrays
+    hold _COLUMNS_PER_CALL columns' worth of points, at least one and at
+    most the grid's; a shorter last block uses their leading points.
+
+    run_sweep forms them once per chunk, after its selections, and frees
+    them with the chunk: each trial and block writes into the same memory
+    instead of allocating its own, which the allocator would hand back to
+    the kernel and fault in again, and the next chunk's reduction can take
+    the memory back.
+    """
+    n_t, n_r, length = cfg.n_t, cfg.n_r, cfg.packet_len
+    points = min(len(cfg.snr_grid_db), max(1, _COLUMNS_PER_CALL // length))
+    index = np.min_scalar_type(spec.side - 1)
+    x = np.empty((length, n_t), dtype=np.complex128).T
+    sent = np.empty((n_t, 2 * length), dtype=index)
+    hx = np.empty((n_r, length), dtype=np.complex128)
+    y = np.empty((points, n_r, length), dtype=np.complex128)
+    est = np.empty((points, n_t, length), dtype=np.complex128)
+    tm = np.empty((points, n_t, length), dtype=np.complex128)
+    idx = np.empty((points, n_t, 2 * length), dtype=index)
+    rows = n_r + n_t if any(_DETECTOR_TABLE[d][0] for d in cfg.detectors) else 0
+    work = np.empty((points, rows, length), dtype=np.complex128)
+    return x, sent, hx, y, work, est, tm, est.view(np.float64), idx
+
+
 def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     """Run the full Monte Carlo sweep and return one record per curve point."""
     spec = ConstellationSpec(cfg.m)
@@ -345,11 +386,12 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
             for t in range(first, min(first + chunk, cfg.trials))
         ]
         sels = _chunk_selections(trials, sigma2s, ks, params)
+        bufs = _chunk_buffers(cfg, spec)
         for (h, rng, packet, _), sel in zip(trials, sels):
             packet = packet or _draw_packet(cfg, spec, rng)
-            _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs)
+            _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs, bufs)
         # free this chunk before the next one is drawn
-        del trials, sels, sel, packet
+        del trials, sels, sel, packet, bufs
 
     records = []
     vectors = cfg.trials * cfg.packet_len
@@ -375,11 +417,13 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     return records
 
 
-def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs):
+def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs, bufs):
     """Detect one trial, channel h and packet (level index pairs, unit
     noise), with every variant at every SNR point and add the bit and
     symbol errors to errs.  sel holds the trial's selections, cands the ML
-    candidates (None without the ml detector).
+    candidates (None without the ml detector), bufs the chunk's arrays
+    (_chunk_buffers), which every array the size of a block or of the
+    packet is written to.
 
     What depends only on the trial is formed once, before the blocks of
     SNR points: its symbols and sent indices, H x, the conventional ZF and
@@ -393,18 +437,23 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs):
     share one detection.
     """
     pairs, noise_unit = packet
-    x, sent = _packet_symbols(pairs, spec)
+    x, sent, hx, *block = bufs
+    _packet_symbols(pairs, spec, out=(x, sent))
     fixed = {
         "zf": pseudoinverse(h) if ("zf", 0) in variants else None,
         "mmse": mmse_filter_direct(h, sigma2s) if ("mmse", 0) in variants else None,
         "ml": None if cands is None else _ml_table(h, cands),
     }
-    sigmas = np.sqrt(sigma2s)[:, np.newaxis, np.newaxis]
-    per_call = max(1, _COLUMNS_PER_CALL // x.shape[1])
-    hx = h @ x
+    # complex, as numpy casts them to scale the noise, so the product needs
+    # no cast buffer
+    sigmas = np.sqrt(sigma2s).astype(np.complex128)[:, np.newaxis, np.newaxis]
+    per_call = len(block[0])
+    np.matmul(h, x, out=hx)
     for lo in range(0, len(sigma2s), per_call):
         pts = slice(lo, lo + per_call)
-        y = sigmas[pts] * noise_unit  # (points, n_r, packet_len)
+        # the leading points of the block arrays, fewer in a short last block
+        y, *out = (b[: len(sigmas[pts])] for b in block)
+        np.multiply(sigmas[pts], noise_unit, out=y)  # (points, n_r, packet_len)
         y += hx
         # the selections at these points: the extended stack has one member
         # per point, the plain one a member that serves them all
@@ -413,7 +462,7 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs):
         for det, k in variants:
             key = _detection_key(det, k, at)
             if key not in counts:
-                idx = _indices(det, k, y, pts, spec, at, fixed)
+                idx = _indices(det, k, y, pts, spec, at, fixed, out)
                 counts[key] = _count_errors(idx, sent)
             errs[det, k][:, pts] += counts[key]
 
@@ -429,24 +478,27 @@ def _detection_key(det, k, at):
     return kind, extended, at[(extended, k)].perms
 
 
-def _indices(det, k, y, pts, spec, at, fixed) -> np.ndarray:
+def _indices(det, k, y, pts, spec, at, fixed, out) -> np.ndarray:
     """Slice indices (points, n_t, 2 packet_len) of one detector variant at
     the SNR points pts, whose received blocks are y, I and Q interleaved.
     at holds the selections at those points, fixed the trial's ZF filter,
     its MMSE filters at every point and its _ml_table (None where no
-    detector uses them).
+    detector uses them).  out holds the block's arrays after y (see
+    _chunk_buffers): the estimates and indices are written to them.
     """
+    work, est, tm, values, idx = out
     extended, kind = _DETECTOR_TABLE[det]
     if extended is not None:
-        tm = _lr_estimate(y, at[(extended, k)], kind, spec)[1]
-        return _lattice_indices(tm, spec)
+        _lr_estimate(y, at[(extended, k)], kind, spec, (work, est, tm))
+        return _lattice_indices(tm, spec, (values, idx))
     if kind == "zf":
-        est = fixed["zf"] @ y
+        np.matmul(fixed["zf"], y, out=est)
     elif kind == "mmse":
-        est = fixed["mmse"][pts] @ y
+        np.matmul(fixed["mmse"][pts], y, out=est)
     else:
-        est = np.stack([_ml_search(y_s, fixed["ml"]) for y_s in y])
-    return _level_indices(est, spec)
+        for s, y_s in enumerate(y):
+            est[s] = _ml_search(y_s, fixed["ml"])
+    return _level_indices(est, spec, (values, idx))
 
 
 def _count_errors(idx, sent) -> np.ndarray:

@@ -1,12 +1,18 @@
 import collections
 import csv
 import math
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lrmimo import sim, switched
+from lrmimo import cli, sim, switched
 from lrmimo.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from lrmimo.detectors import (
     _level_indices,
@@ -37,6 +43,8 @@ from lrmimo.switched import (
     klr_select_with,
     sample_permutations,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_cfg(**kw):
@@ -456,6 +464,80 @@ class TestTrialInvariants:
         assert got == reference_sweep(cfg)
 
 
+class TestChunkBuffers:
+    """Detection writes every array the size of a block or of a trial's
+    packet into the arrays _chunk_buffers forms once per chunk."""
+
+    @pytest.mark.parametrize(
+        "m, packet_len, seed",
+        [
+            (4, 700, 11),  # blocks of 2 points, then a short one of 1
+            (16, sim._COLUMNS_PER_CALL + 52, 12),  # one point per block
+        ],
+    )
+    def test_stale_buffers_give_the_reference(self, monkeypatch, m, packet_len, seed):
+        # every chunk's buffers start filled with NaN (integer ones with
+        # their largest value): no value may be read before it is written
+        form, chunks = sim._chunk_buffers, []
+
+        def stale_buffers(*args):
+            bufs = form(*args)
+            for b in bufs:
+                b[...] = np.nan if b.dtype.kind in "fc" else np.iinfo(b.dtype).max
+            chunks.append(bufs)
+            return bufs
+
+        monkeypatch.setattr(sim, "_chunk_buffers", stale_buffers)
+        monkeypatch.setattr(sim, "_chunk_trials", lambda cfg: 2)
+        cfg = long_packet_cfg(DETECTORS, 3, seed, m=m, packet_len=packet_len)
+        got = run_sweep(cfg)
+        assert len(chunks) == 2  # of 2 trials, then 1
+        assert got == reference_sweep(cfg)
+        assert all(r.bit_errors > 0 for r in got if r.snr_db == 6.0)
+
+    def test_no_block_sized_allocations(self, monkeypatch):
+        # the detect-16qam benchmark shape: one 4x2000 block per point
+        cfg = SimConfig(
+            n_t=4,
+            n_r=4,
+            m=16,
+            snr_grid_db=(10.0, 16.0, 22.0),
+            detectors=("zf", "mmse", "clr-zf", "clr-mmse-sic"),
+            trials=4,
+            packet_len=2000,
+            seed=5,
+        )
+        block = 16 * cfg.n_t * cfg.packet_len  # one point's complex estimates
+        peaks = []  # per trial, the most _detect_trial held at once
+        detect = sim._detect_trial
+
+        def traced_detect(*args):
+            # a ufunc that broadcasts or casts iterates through buffers of
+            # getbufsize() elements (128 KiB of complex by default), which
+            # would hide an array of a block; at 1024 they are 16 KiB
+            bufsize = np.setbufsize(1024)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            try:
+                detect(*args)
+            finally:
+                np.setbufsize(bufsize)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+
+        monkeypatch.setattr(sim, "_detect_trial", traced_detect)
+        tracemalloc.start()
+        try:
+            got = run_sweep(cfg)
+        finally:
+            tracemalloc.stop()
+        assert sim._chunk_trials(cfg) >= cfg.trials  # one chunk
+        assert len(peaks) == cfg.trials
+        # the arrays of a block or a packet are the chunk's; what a trial
+        # allocates is smaller, the slice indices and error words included
+        assert max(peaks) < block / 2, peaks
+        assert got == reference_sweep(cfg)
+
+
 class TestChunks:
     """A chunk's CLLL call is capped by the bytes of its input stacks.  A
     non-switched sweep draws its packets when it detects them, so that is
@@ -721,6 +803,66 @@ class TestCli:
         )
         assert code == EXIT_VALIDATION
         assert "K value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["1e17:1:1e17", "0:1e-300:1"])
+    def test_simulate_stalled_snr_grid(self, tmp_path, grid):
+        # a step that leaves the grid value where it was once looped for
+        # ever, growing its list: run in a child with capped memory and a
+        # timeout, so a relapse fails instead of hanging
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+        args = ["--nt", "2", "--nr", "2", "--snr", grid, "--out", str(tmp_path / "x.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrmimo.cli", "simulate", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == EXIT_VALIDATION, proc.stderr
+        assert "does not advance" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "text, grid",
+        [
+            ("14:1:22", tuple(float(v) for v in range(14, 23))),
+            ("0:0.1:0.3", (0.0, 0.1, 0.2, 0.3)),
+            ("-5:2.5:5", (-5.0, -2.5, 0.0, 2.5, 5.0)),
+            ("1e17:1e17:2e17", (1e17, 2e17)),
+        ],
+    )
+    def test_snr_grid_values(self, text, grid):
+        assert cli._parse_snr_grid(text) == grid
+
+    @pytest.mark.parametrize("k", ["1.5", "abc", "1,x"])
+    def test_simulate_non_integer_k(self, tmp_path, capsys, k):
+        code = main(
+            [
+                "simulate",
+                "--nt", "2", "--nr", "2",
+                "--detectors", "klr-zf",
+                "--k", k,
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert "error: --k:" in capsys.readouterr().err
+
+    def test_simulate_missing_out_directory(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: calls.append(cfg) or [])
+        out = tmp_path / "missing" / "x.csv"
+        code = main(["simulate", "--nt", "2", "--nr", "2", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "does not exist" in capsys.readouterr().err
+        assert calls == []  # the sweep is never entered
+        # in an existing directory the same command reaches the sweep
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--nt", "2", "--nr", "2", "--out", str(out)]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_reduce_plain(self, tmp_path, capsys):
         path = tmp_path / "h.txt"

@@ -32,6 +32,7 @@ def test_tail_timing_prints_its_figures():
         "detect_16qam_variants_ns_per_symbol",
         "klr_mmse_variants_ns_per_symbol",
         "minflt_per_trial",
+        "cli_minflt_per_trial",
         "draw_us_per_trial",
         "detect_16qam_stage_us_per_trial",
     }
@@ -49,10 +50,11 @@ def test_tail_timing_prints_its_figures():
     stages = out["detect_16qam_stage_us_per_trial"]
     assert set(stages) == {"pseudoinverse", "mmse_filters", "lr_zf_setup"}
     assert all(v > 0 for v in [*draws.values(), *stages.values()]), out
-    faults = out["minflt_per_trial"]
-    assert set(faults) == {"klr_zf", "detect_16qam", "klr_mmse"}
-    # a page fault count: none at all is a valid reading
-    assert all(isinstance(v, (int, float)) and v >= 0 for v in faults.values()), out
+    for key in ("minflt_per_trial", "cli_minflt_per_trial"):
+        faults = out[key]
+        assert set(faults) == {"klr_zf", "detect_16qam", "klr_mmse"}
+        # a page fault count: none at all is a valid reading
+        assert all(isinstance(v, (int, float)) and v >= 0 for v in faults.values()), out
 
 
 def test_ab_bytes_prints_its_comparison():
