@@ -27,8 +27,12 @@ The corpus:
   written into NaN-filled `out` arrays where the tree's `_lr_estimate`
   takes them (a tree without `out=` gives its allocated results there, so
   the two ways compare byte for byte);
-- the `run_sweep` records of the golden configs (tests/test_golden.py) and
-  of the three benchmark shapes at 8 trials.
+- `identity_result` selections (U = T = I), plain and extended, of square
+  and 3x4 channels;
+- the `run_sweep` records of the golden configs (tests/test_golden.py), of
+  the three benchmark shapes at 8 trials, and of four shapes that reach the
+  conventional detectors (zf, mmse, ml) beyond those: 64-QAM, a 3x4
+  channel, a packet of several blocks per trial and delta 0.99.
 
 No digest is stored: LAPACK bits may differ between hosts, so the tool
 compares two trees on one host, and the golden counts stay the portable
@@ -104,6 +108,7 @@ def corpus():
         _candidate_stack,
         _select,
         extend_channel,
+        identity_result,
         klr_select_with,
         sample_permutations,
     )
@@ -185,6 +190,15 @@ def corpus():
             copy = replace(ext, extended=True)
             yield from selection(f"{tag}/ext-replaced", copy, RESULT_FIELDS)
 
+    # identity selections, plain and extended
+    rng = np.random.default_rng(1405)
+    for n, rows in ((2, 2), (3, 4), (4, 4)):
+        h = crandn(rng, rows, n)
+        tag = f"identity/{rows}x{n}"
+        yield from selection(f"{tag}/plain", identity_result(h), RESULT_FIELDS)
+        ext = identity_result(h, extended=True, sigma_n=0.3)
+        yield from selection(f"{tag}/ext", ext, RESULT_FIELDS)
+
     def into_stale(y, sel, kind, spec):
         """_lr_estimate with NaN-filled out arrays, where it takes them."""
         if "out" not in inspect.signature(_lr_estimate).parameters:
@@ -240,6 +254,26 @@ def corpus():
         n_t=4, n_r=4, m=16, snr_grid_db=(10.0, 16.0, 22.0),
         detectors=("zf", "mmse", "clr-zf", "clr-mmse-sic"), k_candidates=(1,),
         trials=8, packet_len=2000, seed=5,
+    )
+    # the conventional detectors beyond the shapes above
+    configs["conventional/64qam"] = SimConfig(
+        n_t=2, n_r=2, m=64, snr_grid_db=(18.0, 24.0, 30.0),
+        detectors=("zf", "mmse", "ml", "clr-zf"), trials=6, packet_len=60, seed=11,
+    )
+    configs["conventional/3x4"] = SimConfig(
+        n_t=3, n_r=4, m=4, snr_grid_db=(2.0, 6.0, 10.0),
+        detectors=("zf", "mmse", "ml", "clr-zf", "klr-mmse-sic"),
+        k_candidates=(2, 5), trials=8, packet_len=50, seed=12,
+    )
+    # 2500 columns: one SNR point per block, three blocks per trial
+    configs["conventional/long-packet"] = SimConfig(
+        n_t=2, n_r=2, m=16, snr_grid_db=(10.0, 16.0, 22.0),
+        detectors=("zf", "mmse", "ml", "clr-mmse"), trials=3, packet_len=2500, seed=13,
+    )
+    configs["conventional/delta-0.99"] = SimConfig(
+        n_t=4, n_r=4, m=16, snr_grid_db=(12.0, 18.0),
+        detectors=("zf", "mmse", "clr-zf", "klr-zf", "clr-mmse-sic"),
+        k_candidates=(3,), trials=8, packet_len=100, seed=14, delta=0.99,
     )
     for name, cfg in configs.items():
         for rec in run_sweep(cfg):
