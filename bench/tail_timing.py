@@ -45,13 +45,15 @@ leave the heap other than the passes above do, and from one sweep to the
 next the count of a switched workload swings by more than its mean (0 to
 16 per trial on `klr_zf`) with where the previous sweep left the heap.
 `detect_16qam_stage_us_per_trial` times, on the `detect-16qam` trials, the
-work of a trial that depends only on the trial, formed once per trial:
-`pseudoinverse` (the conventional ZF filter), `mmse_filters` (the
-conventional MMSE filters of the 3 points, one stacked solve) and
-`lr_zf_setup` (`switched._lr_arrays`: T, T^-1, offset and LR-ZF filter of
-the plain selections, formed by one call over the kept bases of all
-trials, their Q already factored, as a sweep forms them for a chunk); each
-is the median over passes of µs per trial.  The figures are printed as one
+selections that depend only on the channels, formed for all trials at
+once as a sweep forms them for a chunk: `zf_identity` and `mmse_identity`
+(the identity selections on which zf and mmse detect, of the plain
+channels and of the extended channels at the 3 points, each built by
+`switched._identity` and one `_selection` call, as `sim._chunk_selections`
+builds them) and `lr_zf_setup` (`switched._lr_arrays`: T, T^-1, offset and
+LR-ZF filter of the plain CLLL selections, one call over their kept
+bases, Q already factored); each is the median over passes of µs per
+trial.  The figures are printed as one
 JSON line.  BLAS runs on one thread.  Run from the root of a checkout:
 
     python3 bench/tail_timing.py
@@ -78,8 +80,6 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from lrmimo.detectors import mmse_filter_direct  # noqa: E402
-from lrmimo.linalg import pseudoinverse  # noqa: E402
 from lrmimo.modem import ConstellationSpec  # noqa: E402
 from lrmimo.reduction import ReducedStack, ReductionParams  # noqa: E402
 from lrmimo.sim import (  # noqa: E402
@@ -89,11 +89,16 @@ from lrmimo.sim import (  # noqa: E402
     _detect_trial,
     _draw_packet,
     _draw_trial,
-    _reduction_ks,
+    _selection_ks,
     _switched,
     snr_config,
 )
-from lrmimo.switched import _lr_arrays  # noqa: E402
+from lrmimo.switched import (  # noqa: E402
+    _identity,
+    _lr_arrays,
+    _selection,
+    extend_channel,
+)
 
 TRIALS, PASSES = 32, 15
 CLI_SWEEPS = 10
@@ -115,9 +120,9 @@ SHAPES = {
 }
 VARIANTS = {
     "klr_zf": [("clr-zf", 0), ("klr-zf", 1), ("klr-zf", 10)],
-    "detect_16qam": [("zf", 0), ("mmse", 0), ("clr-zf", 0), ("clr-mmse-sic", 0)],
+    "detect_16qam": [("zf", None), ("mmse", None), ("clr-zf", 0), ("clr-mmse-sic", 0)],
     "klr_mmse": [
-        ("mmse", 0), ("clr-mmse", 0), ("klr-mmse", 10), ("clr-mmse-sic", 0),
+        ("mmse", None), ("clr-mmse", 0), ("klr-mmse", 10), ("clr-mmse-sic", 0),
         ("klr-mmse-sic", 10),
     ],
 }
@@ -132,7 +137,7 @@ def prepared(cfg: SimConfig) -> tuple:
     each stream stands after its channel, where the packet draw begins."""
     spec = ConstellationSpec(cfg.m)
     switched = _switched(cfg.detectors)
-    ks = _reduction_ks(cfg)
+    ks = _selection_ks(cfg)
     sigma2s = [snr_config(s, cfg)[0] for s in cfg.snr_grid_db]
     trials = [_draw_trial(cfg, t, spec, switched) for t in range(TRIALS)]
     sels = _chunk_selections(trials, sigma2s, ks, ReductionParams(cfg.delta))
@@ -181,13 +186,15 @@ def tail_figures(cfg: SimConfig, variants) -> tuple:
 
 
 def stage_figures(cfg: SimConfig) -> dict:
-    """µs per trial of each stage of a trial that depends only on the trial,
-    the median over passes."""
+    """µs per trial of each selection stage that depends only on the
+    channels, formed for all trials at once, the median over passes."""
     _, sigma2s, channels, _, sels = prepared(cfg)
     kept, perms = plain_kept(sels)
+    plain = np.stack(channels)
+    extended = np.concatenate([extend_channel(h, np.sqrt(sigma2s)) for h in channels])
     stages = {
-        "pseudoinverse": lambda: [pseudoinverse(h) for h in channels],
-        "mmse_filters": lambda: [mmse_filter_direct(h, sigma2s) for h in channels],
+        "zf_identity": lambda: _selection(*_identity(plain), False),
+        "mmse_identity": lambda: _selection(*_identity(extended), True),
         "lr_zf_setup": lambda: _lr_arrays(perms, kept),
     }
     out = {}

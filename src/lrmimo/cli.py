@@ -97,6 +97,8 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out).resolve().parent
     if not out_dir.is_dir():
         raise ValidationError(f"--out directory {str(out_dir)!r} does not exist")
+    if Path(args.out).is_dir():
+        raise ValidationError(f"--out {args.out!r} is a directory, not a file")
     records = run_sweep(cfg)
     write_records(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")

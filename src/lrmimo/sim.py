@@ -11,7 +11,7 @@ SNR point.
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -22,14 +22,13 @@ from .detectors import (
     _ml_search,
     _ml_table,
     ml_candidates,
-    mmse_filter_direct,
-    pseudoinverse,
 )
 from .errors import ValidationError
 from .modem import ConstellationSpec, _level_index_pairs, _level_values
 from .reduction import ReductionParams, clll_reduce_batch
 from .switched import (
     _candidate_stack,
+    _identity,
     _k_limit,
     _pick,
     _selection,
@@ -37,14 +36,15 @@ from .switched import (
     sample_permutations,
 )
 
-# detector -> (reduction flavour, estimator).  Flavour None runs the estimator
-# on H directly; False reduces H, True the extended channel [H; sigma_n I].
-# The "klr-" detectors pick among switched candidates, one row per K.
+# detector -> (flavour, estimator).  The estimator filters a basis of H
+# (False) or of [H; sigma_n I] (True): zf and mmse the identity (U = I), the
+# "clr-" detectors its CLLL basis, the "klr-" ones the pick among switched
+# candidates, one row per K.  ml (None) searches H itself.
 _DETECTOR_TABLE = {
-    "zf": (None, "zf"),
+    "zf": (False, "zf"),
     "clr-zf": (False, "zf"),
     "klr-zf": (False, "zf"),
-    "mmse": (None, "mmse"),
+    "mmse": (True, "mmse"),
     "clr-mmse": (True, "mmse"),
     "klr-mmse": (True, "mmse"),
     "clr-mmse-sic": (True, "sic-mmse"),
@@ -59,9 +59,9 @@ DETECTORS = tuple(_DETECTOR_TABLE)
 # packet (_chunk_buffers) at the size of one point's.  Only the work that
 # differs per point runs per block (received signals, estimates, slicing,
 # error counts); what depends only on the trial (its symbols and sent
-# indices, H x, the conventional filters) is formed once per trial, however
-# many blocks its points take, and the LR filters of the selections once
-# per chunk.
+# indices, H x, the ML table) is formed once per trial, however many blocks
+# its points take, and the filters of every selection, identity or LR,
+# once per chunk.
 _COLUMNS_PER_CALL = 2048
 
 # Bytes of the input stacks of one CLLL call (rows x n_t complex entries per
@@ -69,7 +69,8 @@ _COLUMNS_PER_CALL = 2048
 # trials are drawn together and all their bases go through one
 # clll_reduce_batch call, which shares the fixed cost of each step of its
 # masked loop among them.  The call's state and output are a few times its
-# input, so this bounds its memory.  A call takes 5 trials of 99 extended
+# input, so this bounds its memory; a flavour with only identity
+# selections counts its channels.  A call takes 5 trials of 99 extended
 # 12x6 bases (the klr-mmse benchmark shape), 93 of 11 plain 6x6 bases
 # (klr-zf) or 329 of one plain and three extended 4x4 channels
 # (detect-16qam).
@@ -250,12 +251,28 @@ def _packet_symbols(idx, spec, out=None) -> tuple:
     return x, sent
 
 
-def _reduction_ks(cfg: SimConfig) -> dict:
-    """The K values of each reduction flavour the sweep uses: its K values
-    where a detector picks among switched candidates, () elsewhere."""
-    switched = _switched(cfg.detectors)
-    flavours = {_DETECTOR_TABLE[d][0] for d in cfg.detectors} - {None}
-    return {f: cfg.k_candidates if f in switched else () for f in flavours}
+def _variants(cfg: SimConfig) -> list:
+    """(detector, k) of each curve, in output order, k its selection's:
+    None for zf and mmse (the identity) and ml (none), 0 for the "clr-"
+    detectors (the CLLL baseline), each K for the "klr-" ones.  A row
+    reads k = 0 for None."""
+    variants = []
+    for det in cfg.detectors:
+        if det.startswith("klr-"):
+            variants.extend((det, k) for k in cfg.k_candidates)
+        else:
+            variants.append((det, 0 if det.startswith("clr-") else None))
+    return variants
+
+
+def _selection_ks(cfg: SimConfig) -> dict:
+    """The k of the selections each flavour of the sweep detects on."""
+    ks = {}
+    for det, k in _variants(cfg):
+        flavour = _DETECTOR_TABLE[det][0]
+        if flavour is not None:
+            ks.setdefault(flavour, set()).add(k)
+    return ks
 
 
 def _chunk_trials(cfg: SimConfig) -> int:
@@ -266,9 +283,9 @@ def _chunk_trials(cfg: SimConfig) -> int:
     # per flavour, its channels times (1 + candidates), each rows x n_t
     call = 16 * cfg.n_t * sum(
         (len(cfg.snr_grid_db) if f else 1)
-        * (1 + max(k, default=0))
+        * (1 + max(k - {None}, default=0))
         * (cfg.n_r + cfg.n_t if f else cfg.n_r)
-        for f, k in _reduction_ks(cfg).items()
+        for f, k in _selection_ks(cfg).items()
     )
     chunk = _CALL_BYTES // max(call, 1)
     if _switched(cfg.detectors):  # its chunks hold their trials' packets
@@ -284,42 +301,43 @@ def _chunk_selections(trials, sigma2s, ks, params) -> list:
     KlrStack: one member per SNR point for the extended flavour, one member
     that serves every point for the plain one.
 
-    ks maps each reduction flavour the sweep uses to its K values.  Every
-    basis of the chunk goes through one clll_reduce_batch call, one stack per
+    ks maps each flavour the sweep detects on to the k of its selections
+    (_selection_ks): None the identity selection of the channels, 0 the
+    CLLL baseline, k >= 1 the pick among the first k candidates.  Every
+    basis reduced goes through one clll_reduce_batch call, one stack per
     flavour: for each trial in order, its plain channel or its extended
     channel at each SNR point, each followed by its permuted candidates.
-    k = 0 keeps the CLLL baseline; k >= 1 picks among the first k
-    candidates.  Each (flavour, k) is one KlrStack over the chunk, and a
-    trial's entry is a slice of it.
+    Each (flavour, k) is one KlrStack over the chunk, formed by one
+    _selection call, and a trial's entry is a slice of it.
     """
     sels = [{} for _ in trials]
-    if not ks:
-        return sels
-    flavours = sorted(ks)
-    width = {f: max(ks[f], default=0) for f in flavours}
     sigmas = np.sqrt(sigma2s)
+    chans = {  # per flavour and trial, its plain channel or its extended ones
+        f: [extend_channel(h, sigmas) if f else h[np.newaxis] for h, *_ in trials]
+        for f in ks
+    }
+    reducing = sorted(f for f in ks if ks[f] - {None})
+    # per flavour reduced and trial, the permutations of its candidates
+    cands = {f: [perms[: max(ks[f] - {None})] for *_, perms in trials] for f in reducing}
     stacks = [
-        np.concatenate(
-            [
-                _candidate_stack(
-                    extend_channel(h, sigmas) if f else h[np.newaxis], perms[: width[f]]
-                )
-                for h, *_, perms in trials
-            ]
-        )
-        for f in flavours
+        np.concatenate([_candidate_stack(c, p) for c, p in zip(chans[f], cands[f])])
+        for f in reducing
     ]
-    reduced = clll_reduce_batch(stacks, params)
+    reduced = clll_reduce_batch(stacks, params) if stacks else []
     del stacks  # the selections need only the reduced bases
-    for extended in flavours:
-        stack = reduced.pop(0)
+    for extended in sorted(ks):
         per = len(sigma2s) if extended else 1  # channels per trial
-        groups = [perms[: width[extended]] for *_, perms in trials for _ in range(per)]
-        picks = {k: _pick(stack, groups, k) for k in (0, *ks[extended])}
-        # the picks hold copies of their bases: Q, T, T^-1, d and the
-        # filters are formed after the whole stack is released, one call
-        # each per (flavour, k) of the chunk
-        del stack
+        picks = {}
+        if extended in reducing:
+            stack = reduced.pop(0)
+            groups = [p for p in cands[extended] for _ in range(per)]
+            picks = {k: _pick(stack, groups, k) for k in ks[extended] - {None}}
+            # the picks hold copies of their bases: Q, T, T^-1, d and the
+            # filters are formed after the whole stack is released, one call
+            # each per (flavour, k) of the chunk
+            del stack
+        if None in ks[extended]:
+            picks[None] = _identity(np.concatenate(chans[extended]))
         for k, pick in picks.items():
             found = _selection(*pick, extended)
             for t, sel in enumerate(sels):
@@ -333,7 +351,7 @@ def _chunk_buffers(cfg: SimConfig, spec) -> tuple:
     transposed view of a contiguous array), its sent slice indices and
     H x; then for a block of SNR points its received signals y, the padded
     LR input [y; 0] (with no rows if no detector is extended), the
-    estimates (conventional, or the LR decisions m), the integer images
+    estimates (ML's, or the LR decisions m), the integer images
     T m, the float slice values (the estimates' own float view: they are
     written over the estimates) and the slice indices.  The block arrays
     hold _COLUMNS_PER_CALL columns' worth of points, at least one and at
@@ -365,14 +383,8 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     spec = ConstellationSpec(cfg.m)
     params = ReductionParams(cfg.delta)
     switched = _switched(cfg.detectors)
-    ks = _reduction_ks(cfg)
-
-    variants = []  # (detector, k) in output order
-    for det in cfg.detectors:
-        if det.startswith("klr-"):
-            variants.extend((det, k) for k in cfg.k_candidates)
-        else:
-            variants.append((det, 0))
+    ks = _selection_ks(cfg)
+    variants = _variants(cfg)
 
     # per variant, bit and symbol errors at each SNR point
     errs = {v: np.zeros((2, len(cfg.snr_grid_db)), dtype=np.int64) for v in variants}
@@ -403,7 +415,7 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
             records.append(
                 BerRecord(
                     detector=det,
-                    k=k,
+                    k=k or 0,
                     snr_db=float(snr),
                     ebn0_db=ebn0,
                     trials=cfg.trials,
@@ -426,24 +438,19 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs, bufs):
     packet is written to.
 
     What depends only on the trial is formed once, before the blocks of
-    SNR points: its symbols and sent indices, H x, the conventional ZF and
-    MMSE filters (the MMSE one of every point in one stacked solve) and the
-    ML table.  The selections carry their LR filters and offsets, formed
-    for the whole chunk: the plain one serves every block, the extended
-    ones have a member per point.  Each block forms its received signals,
-    estimates, slice indices and error counts.  Variants
-    that run the same estimator on the same selected bases (clr-zf and a
-    klr-zf that kept the baseline, or two K that chose the same candidate)
-    share one detection.
+    SNR points: its symbols and sent indices, H x and the ML table.  The
+    selections carry their filters and offsets, formed for the whole
+    chunk, the identity ones of zf and mmse as the LR ones: the plain
+    selections serve every block, the extended ones have a member per
+    point.  Each block forms its received signals, estimates, slice
+    indices and error counts.  Variants that run the same estimator on the
+    same selected bases (clr-zf and a klr-zf that kept the baseline, or two
+    K that chose the same candidate) share one detection.
     """
     pairs, noise_unit = packet
     x, sent, hx, *block = bufs
     _packet_symbols(pairs, spec, out=(x, sent))
-    fixed = {
-        "zf": pseudoinverse(h) if ("zf", 0) in variants else None,
-        "mmse": mmse_filter_direct(h, sigma2s) if ("mmse", 0) in variants else None,
-        "ml": None if cands is None else _ml_table(h, cands),
-    }
+    table = None if cands is None else _ml_table(h, cands)
     # complex, as numpy casts them to scale the noise, so the product needs
     # no cast buffer
     sigmas = np.sqrt(sigma2s).astype(np.complex128)[:, np.newaxis, np.newaxis]
@@ -462,28 +469,27 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs, bufs):
         for det, k in variants:
             key = _detection_key(det, k, at)
             if key not in counts:
-                idx = _indices(det, k, y, pts, spec, at, fixed, out)
+                idx = _indices(det, k, y, spec, at, table, out)
                 counts[key] = _count_errors(idx, sent)
             errs[det, k][:, pts] += counts[key]
 
 
 def _detection_key(det, k, at):
     """What decides the detection of a variant at some SNR points, given
-    the selections at them: its estimator and, for the LR detectors, the
-    reduction flavour and the permutation selected at each point (one
-    permutation of a channel is one reduced basis)."""
+    the selections at them: its estimator and, but for ml, the flavour,
+    whether it is the identity (whose perms are the CLLL baseline's) and
+    the permutation selected at each point (one reduced basis each)."""
     extended, kind = _DETECTOR_TABLE[det]
     if extended is None:
         return det
-    return kind, extended, at[(extended, k)].perms
+    return kind, extended, k is None, at[(extended, k)].perms
 
 
-def _indices(det, k, y, pts, spec, at, fixed, out) -> np.ndarray:
+def _indices(det, k, y, spec, at, table, out) -> np.ndarray:
     """Slice indices (points, n_t, 2 packet_len) of one detector variant at
-    the SNR points pts, whose received blocks are y, I and Q interleaved.
-    at holds the selections at those points, fixed the trial's ZF filter,
-    its MMSE filters at every point and its _ml_table (None where no
-    detector uses them).  out holds the block's arrays after y (see
+    some SNR points, whose received blocks are y, I and Q interleaved.  at
+    holds the selections at those points, table the trial's _ml_table (None
+    without the ml detector).  out holds the block's arrays after y (see
     _chunk_buffers): the estimates and indices are written to them.
     """
     work, est, tm, values, idx = out
@@ -491,13 +497,8 @@ def _indices(det, k, y, pts, spec, at, fixed, out) -> np.ndarray:
     if extended is not None:
         _lr_estimate(y, at[(extended, k)], kind, spec, (work, est, tm))
         return _lattice_indices(tm, spec, (values, idx))
-    if kind == "zf":
-        np.matmul(fixed["zf"], y, out=est)
-    elif kind == "mmse":
-        np.matmul(fixed["mmse"][pts], y, out=est)
-    else:
-        for s, y_s in enumerate(y):
-            est[s] = _ml_search(y_s, fixed["ml"])
+    for s, y_s in enumerate(y):
+        est[s] = _ml_search(y_s, table)
     return _level_indices(est, spec, (values, idx))
 
 
@@ -526,25 +527,13 @@ def _count_errors(idx, sent) -> np.ndarray:
 # --- persistence ---------------------------------------------------------------
 
 def write_records(records, path) -> None:
-    """Write BER records as CSV with the canonical header."""
+    """Write BER records as CSV with the canonical header, one row of each
+    record's fields; csv writes a float, numpy's too, as str gives it: the
+    shortest digits that read back as the same float."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.detector,
-                    rec.k,
-                    repr(rec.snr_db),
-                    repr(rec.ebn0_db),
-                    rec.trials,
-                    rec.packet_len,
-                    rec.bits_total,
-                    rec.bit_errors,
-                    repr(rec.ber),
-                    rec.sym_errors,
-                ]
-            )
+        writer.writerows(astuple(rec) for rec in records)
 
 
 def load_complex_matrix(path) -> np.ndarray:

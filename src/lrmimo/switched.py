@@ -275,14 +275,23 @@ def klr_select_extended(
     return replace(res, extended=True)
 
 
+def _identity(mats) -> tuple:
+    """What _selection takes for the identity selections of a (B, rows, n)
+    stack of channels: U = I, no permutation and no candidates, on which LR
+    detection is conventional ZF (on H) or MMSE (on [H; sigma_n I])."""
+    count, _, n = mats.shape
+    eye = np.repeat(np.eye(n, dtype=np.complex128)[np.newaxis], count, axis=0)
+    basis = _reduced_stack(mats, eye, eye.copy(), np.zeros(count, dtype=np.intp))
+    return basis, (tuple(range(n)),) * count, basis.odf, ((),) * count
+
+
 def identity_result(h, extended: bool = False, sigma_n: float = 0.0) -> KlrResult:
-    """KlrResult with U = I and no permutation (reduction disabled).
+    """KlrResult with U = I and no permutation (reduction disabled): the
+    member of a stack of one from _identity, as the sweep forms them.
 
     Feeding this to the LR detectors reproduces the conventional detector of
     the same kind.
     """
     h = as_matrix(h)
-    mat = extend_channel(h, sigma_n) if extended else h
-    eye = np.eye(mat.shape[1], dtype=np.complex128)[np.newaxis]
-    basis = _reduced_stack(mat[np.newaxis], eye, eye.copy(), (0,))
-    return _select(basis, [()], 0, extended)[0]
+    mats = extend_channel(h, [sigma_n]) if extended else h[np.newaxis].copy()
+    return _selection(*_identity(mats), extended)[0]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrmimo import cli, sim, switched
+from lrmimo import cli, detectors, linalg, sim, switched
 from lrmimo.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from lrmimo.detectors import (
     _level_indices,
@@ -426,13 +426,15 @@ class TestDrawPacket:
 
 class TestTrialInvariants:
     """What depends only on the trial is formed once per trial, however
-    many blocks of SNR points its packet takes; the LR filters once per
-    chunk, with its selections."""
+    many blocks of SNR points its packet takes; the filters once per
+    chunk, with its selections: zf and mmse detect on identity selections
+    through the one LR estimator."""
 
-    def test_filters_formed_once_per_trial(self, monkeypatch):
+    def test_filters_formed_once_per_chunk(self, monkeypatch):
         cfg = long_packet_cfg(("zf", "mmse", "clr-zf", "clr-mmse-sic"), 3, 8, m=16)
         counts = []  # per trial, the calls of each counted function
-        solves = collections.Counter()  # per sweep, the LR filter solves
+        solves = collections.Counter()  # per sweep, the filter solves
+        conventional = collections.Counter()  # per sweep, the per-channel filters
         detect = sim._detect_trial
 
         def counting_detect(*args):
@@ -448,20 +450,35 @@ class TestTrialInvariants:
 
             monkeypatch.setattr(module, name, counting)
 
-        count(sim, "pseudoinverse")
-        count(sim, "mmse_filter_direct")
-        count(switched, "_pinv_from_qr", lambda: solves)  # the LR filters
+        count(linalg, "pseudoinverse", lambda: conventional)
+        count(detectors, "pseudoinverse", lambda: conventional)
+        count(detectors, "mmse_filter_direct", lambda: conventional)
+        count(switched, "_pinv_from_qr", lambda: solves)
         count(sim, "_lr_estimate")
         monkeypatch.setattr(sim, "_detect_trial", counting_detect)
         got = run_sweep(cfg)
-        # one chunk: one solve for the plain and one for the extended
-        # selections of all its trials
-        assert solves == {"_pinv_from_qr": 2}
+        assert not conventional
+        # one chunk: one solve for each of its 4 selection stacks, the plain
+        # and extended identity ones and the plain and extended CLLL ones
+        assert solves == {"_pinv_from_qr": 4}
         assert len(counts) == cfg.trials
         for c in counts:
-            # 3 blocks of one point for each of the 2 LR estimators
-            assert c == {"pseudoinverse": 1, "mmse_filter_direct": 1, "_lr_estimate": 6}
+            # 3 blocks of one point for each of the 4 estimators
+            assert c == {"_lr_estimate": 12}
         assert got == reference_sweep(cfg)
+
+    def test_identity_members_have_the_zf_filter(self):
+        cfg = long_packet_cfg(("zf",), 5, 3, packet_len=10)
+        spec = ConstellationSpec(cfg.m)
+        trials = [sim._draw_trial(cfg, t, spec, set()) for t in range(cfg.trials)]
+        sigma2s = [snr_config(snr, cfg)[0] for snr in cfg.snr_grid_db]
+        ks = sim._selection_ks(cfg)
+        assert ks == {False: {None}}
+        sels = sim._chunk_selections(trials, sigma2s, ks, ReductionParams())
+        for (h, *_), sel in zip(trials, sels):
+            ident = sel[(False, None)]
+            assert len(ident) == 1 and ident.perms == ((0, 1, 2),)
+            assert ident.pinv[0].tobytes() == pseudoinverse(h).tobytes()
 
 
 class TestChunkBuffers:
@@ -706,6 +723,16 @@ class TestPersistence:
             assert int(row["bit_errors"]) == rec.bit_errors
             assert float(row["snr_db"]) == rec.snr_db
 
+    def test_numpy_snr_grid_writes_plain_numbers(self, tmp_path):
+        # Eb/N0 of a numpy SNR point is a numpy float, whose repr is
+        # np.float64(...): the CSV must hold the number alone
+        cfg = small_cfg()
+        paths = [tmp_path / "float.csv", tmp_path / "numpy.csv"]
+        for grid, path in zip((cfg.snr_grid_db, tuple(np.array(cfg.snr_grid_db))), paths):
+            write_records(run_sweep(replace(cfg, snr_grid_db=grid)), path)
+        assert "np." not in paths[1].read_text()
+        assert paths[1].read_text() == paths[0].read_text()
+
     def test_matrix_roundtrip(self, tmp_path):
         m = np.array([[1.5 - 0.5j, 2 + 1j], [0 + 0j, -3 - 2j]])
         path = tmp_path / "h.txt"
@@ -863,6 +890,14 @@ class TestCli:
         out = tmp_path / "x.csv"
         assert main(["simulate", "--nt", "2", "--nr", "2", "--out", str(out)]) == EXIT_OK
         assert len(calls) == 1
+
+    def test_simulate_out_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: calls.append(cfg) or [])
+        code = main(["simulate", "--nt", "2", "--nr", "2", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert "is a directory" in capsys.readouterr().err
+        assert calls == []  # the sweep is never entered
 
     def test_reduce_plain(self, tmp_path, capsys):
         path = tmp_path / "h.txt"

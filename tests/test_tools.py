@@ -48,7 +48,7 @@ def test_tail_timing_prints_its_figures():
     draws = out["draw_us_per_trial"]
     assert set(draws) == {"klr_zf", "detect_16qam", "klr_mmse"}
     stages = out["detect_16qam_stage_us_per_trial"]
-    assert set(stages) == {"pseudoinverse", "mmse_filters", "lr_zf_setup"}
+    assert set(stages) == {"zf_identity", "mmse_identity", "lr_zf_setup"}
     assert all(v > 0 for v in [*draws.values(), *stages.values()]), out
     for key in ("minflt_per_trial", "cli_minflt_per_trial"):
         faults = out[key]
