@@ -53,8 +53,8 @@ channels and of the extended channels at the 3 points, each built by
 builds them) and `lr_zf_setup` (`switched._lr_arrays`: T, T^-1, offset and
 LR-ZF filter of the plain CLLL selections, one call over their kept
 bases, Q already factored); each is the median over passes of µs per
-trial.  The figures are printed as one
-JSON line.  BLAS runs on one thread.  Run from the root of a checkout:
+trial.  The figures are printed as one JSON line.  BLAS runs on one
+thread.  Run from the root of a checkout:
 
     python3 bench/tail_timing.py
 """
@@ -91,6 +91,7 @@ from lrmimo.sim import (  # noqa: E402
     _draw_trial,
     _selection_ks,
     _switched,
+    _variants,
     snr_config,
 )
 from lrmimo.switched import (  # noqa: E402
@@ -118,14 +119,7 @@ SHAPES = {
         k_candidates=(10,), packet_len=100,
     ),
 }
-VARIANTS = {
-    "klr_zf": [("clr-zf", 0), ("klr-zf", 1), ("klr-zf", 10)],
-    "detect_16qam": [("zf", None), ("mmse", None), ("clr-zf", 0), ("clr-mmse-sic", 0)],
-    "klr_mmse": [
-        ("mmse", None), ("clr-mmse", 0), ("klr-mmse", 10), ("clr-mmse-sic", 0),
-        ("klr-mmse-sic", 10),
-    ],
-}
+VARIANTS = {name: _variants(cfg) for name, cfg in SHAPES.items()}
 
 
 def minflt() -> int:
