@@ -29,6 +29,12 @@ The corpus:
   the two ways compare byte for byte);
 - `identity_result` selections (U = T = I), plain and extended, of square
   and 3x4 channels;
+- lone `clll_reduce` bases, square and extended, n = 2..6, and
+  `kz_reduce` of small bases (n <= 4): every field of the ReducedBasis;
+- `KlrResult`s built directly from a ReducedBasis (the CLLL basis of a
+  channel, its KZ basis with composed transforms, and the CLLL basis of a
+  column permutation), as the acceptance oracle builds them, and
+  `klr_select_extended` results;
 - the `run_sweep` records of the golden configs (tests/test_golden.py), of
   the three benchmark shapes at 8 trials, and of four shapes that reach the
   conventional detectors (zf, mmse, ml) beyond those: 64-QAM, a 3x4
@@ -75,6 +81,7 @@ RESULT_FIELDS = (
     "offset", "pinv",
 )
 BASIS_FIELDS = ("h_tilde", "u", "u_inv", "r", "q", "odf", "iterations")
+MEMBER_FIELDS = ("h_tilde", "u", "u_inv", "r", "q", "odf_value", "iteration_count")
 
 
 def digest(value) -> str:
@@ -101,14 +108,17 @@ def corpus():
     import numpy as np
 
     from lrmimo.detectors import DETECTOR_KINDS, _lr_estimate
+    from lrmimo.kz import kz_reduce
     from lrmimo.modem import ConstellationSpec
-    from lrmimo.reduction import ReductionParams, clll_reduce_batch
+    from lrmimo.reduction import ReductionParams, clll_reduce, clll_reduce_batch
     from lrmimo.sim import SimConfig, run_sweep
     from lrmimo.switched import (
+        KlrResult,
         _candidate_stack,
         _select,
         extend_channel,
         identity_result,
+        klr_select_extended,
         klr_select_with,
         sample_permutations,
     )
@@ -198,6 +208,50 @@ def corpus():
         yield from selection(f"{tag}/plain", identity_result(h), RESULT_FIELDS)
         ext = identity_result(h, extended=True, sigma_n=0.3)
         yield from selection(f"{tag}/ext", ext, RESULT_FIELDS)
+
+    # lone clll_reduce bases, square and extended
+    rng = np.random.default_rng(1406)
+    for delta in (0.75, 0.99):
+        params = ReductionParams(delta)
+        for n in range(2, 7):
+            for flavour in ("square", "extended"):
+                mats = bases(rng, 4, n, flavour == "extended")
+                for i, mat in enumerate(mats):
+                    tag = f"clll-lone/d{delta}/n{n}/{flavour}/{i}"
+                    yield from selection(tag, clll_reduce(mat, params), MEMBER_FIELDS)
+
+    # KlrResults built directly on a CLLL, a KZ and a permuted CLLL basis
+    rng = np.random.default_rng(1407)
+    for n, rows in ((2, 2), (3, 3), (3, 4), (4, 4)):
+        h = crandn(rng, rows, n)
+        base = clll_reduce(h)
+        kz = kz_reduce(base.h_tilde)
+        yield from selection(f"kz/{rows}x{n}", kz, MEMBER_FIELDS)
+        kz = replace(kz, u=base.u @ kz.u, u_inv=kz.u_inv @ base.u_inv)
+        perm = sample_permutations(n, 1, rng).perms[0]
+        ident = tuple(range(n))
+        for name, basis, p in (
+            ("clll", base, ident),
+            ("kz", kz, ident),
+            ("permuted", clll_reduce(h[:, list(perm)]), perm),
+        ):
+            klr = KlrResult(
+                basis=basis,
+                perm=p,
+                odf_selected=basis.odf_value,
+                odf_baseline=basis.odf_value,
+                candidate_odfs=(),
+            )
+            yield from selection(f"built/{rows}x{n}/{name}", klr, RESULT_FIELDS)
+
+    # klr_select_extended results
+    rng = np.random.default_rng(1408)
+    for n in (2, 3, 4, 6):
+        for i in range(3):
+            h = crandn(rng, n + i % 2, n)
+            k = min(3, math.factorial(n) - 1)
+            res = klr_select_extended(h, 0.1 + 0.2 * i, k, rng=rng)
+            yield from selection(f"klr-extended/n{n}/{i}", res, RESULT_FIELDS)
 
     def into_stale(y, sel, kind, spec):
         """_lr_estimate with NaN-filled out arrays, where it takes them."""
