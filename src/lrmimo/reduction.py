@@ -6,7 +6,7 @@ Gaussian-integer arithmetic (integer-valued complex arrays; all updates are
 integer column/row operations, so no rounding ever occurs in U or U^-1).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +38,7 @@ class ReducedBasis:
 
     h_tilde = original @ u, u unimodular with Gaussian-integer entries,
     u @ u_inv = I exactly, and (q, r) is the QR of h_tilde with real positive
-    R diagonal.  q is factored on first access.
+    R diagonal.  Its arrays are views of those of its ReducedStack.
     """
 
     h_tilde: np.ndarray
@@ -47,10 +47,7 @@ class ReducedBasis:
     r: np.ndarray
     odf_value: float
     iteration_count: int
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        return qr_decompose(self.h_tilde)[0]
+    q: np.ndarray
 
 
 def round_gaussian(z):
@@ -91,12 +88,12 @@ class ReducedStack:
 
     h_tilde and q are (B, rows, n), u, u_inv and r are (B, n, n), odf and
     iterations are (B,); member i satisfies everything ReducedBasis states.
-    q is factored on first access, bitwise the Q of the QR whose R is r, so
-    a stack of which only some members are read factors Q for those alone.
-    An int index gives the ReducedBasis view of one member; a slice or an
-    index array gives a ReducedStack (of copies, for an index array, as numpy
-    indexing makes them); either keeps its part of a q already factored.
-    Iteration yields the members in order.
+    q is factored on first access, bitwise the Q of the QR whose R is r.
+    A slice or an index array gives a ReducedStack (of copies, for an index
+    array, as numpy indexing makes them) that keeps its part of a q already
+    factored, so a stack of which only a part is kept factors Q for that
+    part alone.  An int index gives the ReducedBasis of one member, of views
+    of the stack's arrays, q included.  Iteration yields the members in order.
     """
 
     h_tilde: np.ndarray
@@ -115,26 +112,14 @@ class ReducedStack:
 
     def __getitem__(self, i):
         if isinstance(i, (slice, np.ndarray)):
-            part = ReducedStack(
-                self.h_tilde[i],
-                self.u[i],
-                self.u_inv[i],
-                self.r[i],
-                self.odf[i],
-                self.iterations[i],
-            )
-        else:
-            part = ReducedBasis(
-                h_tilde=self.h_tilde[i],
-                u=self.u[i],
-                u_inv=self.u_inv[i],
-                r=self.r[i],
-                odf_value=float(self.odf[i]),
-                iteration_count=int(self.iterations[i]),
-            )
-        if "q" in vars(self):  # the cached property, once factored
-            vars(part)["q"] = self.q[i]
-        return part
+            part = ReducedStack(*(getattr(self, f.name)[i] for f in fields(self)))
+            if "q" in vars(self):  # the cached property, once factored
+                vars(part)["q"] = self.q[i]
+            return part
+        return ReducedBasis(
+            self.h_tilde[i], self.u[i], self.u_inv[i], self.r[i],
+            float(self.odf[i]), int(self.iterations[i]), self.q[i],
+        )
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -150,6 +135,17 @@ def _reduced_stack(h_tilde, u, u_inv, iterations) -> ReducedStack:
     d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     odfs = _odf(h_tilde, np.prod(d * d, axis=-1))
     return ReducedStack(h_tilde, u, u_inv, r, odfs, np.asarray(iterations))
+
+
+def _stack_of_one(basis: ReducedBasis) -> ReducedStack:
+    """The ReducedStack whose one member is basis, of views of its arrays."""
+    stack = ReducedStack(
+        *(a[np.newaxis] for a in (basis.h_tilde, basis.u, basis.u_inv, basis.r)),
+        np.array([basis.odf_value]),
+        np.array([basis.iteration_count]),
+    )
+    vars(stack)["q"] = basis.q[np.newaxis]
+    return stack
 
 
 def condition_number(h) -> float:

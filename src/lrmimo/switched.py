@@ -8,7 +8,7 @@ order automatically.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .reduction import (
     ReducedStack,
     ReductionParams,
     _reduced_stack,
+    _stack_of_one,
     clll_reduce_batch,
 )
 
@@ -51,13 +52,13 @@ def _offset(t_inv: np.ndarray) -> np.ndarray:
     return 0.5 * (t_inv @ np.full(t_inv.shape[-1], 1.0 + 1.0j))
 
 
-def _lr_arrays(perm, basis) -> tuple:
-    """What LR detection reads of a kept basis and its perm, or of each
-    member of a stack and a sequence of perms: T = P U and T^-1 = U^-1 P^T
-    (P's column j is unit vector perm[j]; the matmuls keep the exact bits of
-    the Gaussian integers, signed zeros included), d = _offset(T^-1) and
-    pinv, the LR-ZF/MMSE filter, from the QR of the basis."""
-    p_t = np.eye(basis.u.shape[-1], dtype=np.complex128)[np.array(perm, dtype=np.intp)]
+def _lr_arrays(perms, basis: ReducedStack) -> tuple:
+    """What LR detection reads of each member of a stack of kept bases and
+    of its permutation perms[i]: T = P U and T^-1 = U^-1 P^T (P's column j
+    is unit vector perm[j]; the matmuls keep the exact bits of the Gaussian
+    integers, signed zeros included), d = _offset(T^-1) and pinv, the
+    LR-ZF/MMSE filter, from the QR of the basis."""
+    p_t = np.eye(basis.u.shape[-1], dtype=np.complex128)[np.array(perms, dtype=np.intp)]
     t_inv = basis.u_inv @ p_t
     pinv = _pinv_from_qr(basis.q, basis.r)
     return np.swapaxes(p_t, -1, -2) @ basis.u, t_inv, _offset(t_inv), pinv
@@ -69,8 +70,10 @@ class KlrResult:
 
     basis.h_tilde equals H[:, perm] @ basis.u; `transform` composes the
     permutation and the unimodular matrix into a single unimodular transform on
-    the original column order.  transform, transform_inv, offset and pinv
-    are formed at construction (_lr_arrays), also by dataclasses.replace.
+    the original column order.  basis, transform, transform_inv, offset and
+    pinv are views of those of its KlrStack; built without the last four, it
+    is the member of a stack of one from _selection.  dataclasses.replace
+    passes them on: it may change only extended and the ODF fields.
     """
 
     basis: ReducedBasis
@@ -79,15 +82,18 @@ class KlrResult:
     odf_baseline: float
     candidate_odfs: tuple
     extended: bool = False
-    transform: np.ndarray = field(init=False, repr=False, compare=False)
-    transform_inv: np.ndarray = field(init=False, repr=False, compare=False)
-    offset: np.ndarray = field(init=False, repr=False, compare=False)
-    pinv: np.ndarray = field(init=False, repr=False, compare=False)
+    transform: np.ndarray = field(default=None, repr=False, compare=False)
+    transform_inv: np.ndarray = field(default=None, repr=False, compare=False)
+    offset: np.ndarray = field(default=None, repr=False, compare=False)
+    pinv: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        names = ("transform", "transform_inv", "offset", "pinv")
-        for name, value in zip(names, _lr_arrays(self.perm, self.basis)):
-            object.__setattr__(self, name, value)
+        if self.pinv is None:
+            one = _stack_of_one(self.basis)
+            base, cands = np.array([self.odf_baseline]), (self.candidate_odfs,)
+            one = _selection(one, (self.perm,), base, cands, self.extended)
+            for name in ("transform", "transform_inv", "offset", "pinv"):
+                object.__setattr__(self, name, getattr(one, name)[0])
 
 
 @dataclass(frozen=True)
@@ -98,8 +104,8 @@ class KlrStack:
     reduced bases (their Q factored), perms and candidate_odfs hold one
     tuple per member, odf_baseline is (B,), transform = P U and
     transform_inv = U^-1 P^T are (B, n, n), offset (B, n) and pinv
-    (B, n, rows).  An int index gives the KlrResult of one member, a slice
-    a KlrStack of views.
+    (B, n, rows).  An int index gives the KlrResult of one member and a
+    slice a KlrStack, both of views.
     """
 
     basis: ReducedStack
@@ -121,25 +127,16 @@ class KlrStack:
         return len(self.perms)
 
     def __getitem__(self, i):
+        lr = (self.transform, self.transform_inv, self.offset, self.pinv)
+        lr = [a[i] for a in lr]
         if isinstance(i, slice):
             return KlrStack(
-                self.basis[i],
-                self.perms[i],
-                self.odf_baseline[i],
-                self.candidate_odfs[i],
-                self.transform[i],
-                self.transform_inv[i],
-                self.offset[i],
-                self.pinv[i],
-                self.extended,
+                self.basis[i], self.perms[i], self.odf_baseline[i],
+                self.candidate_odfs[i], *lr, self.extended,
             )
         return KlrResult(
-            basis=self.basis[i],
-            perm=self.perms[i],
-            odf_selected=float(self.basis.odf[i]),
-            odf_baseline=float(self.odf_baseline[i]),
-            candidate_odfs=self.candidate_odfs[i],
-            extended=self.extended,
+            self.basis[i], self.perms[i], float(self.basis.odf[i]),
+            float(self.odf_baseline[i]), self.candidate_odfs[i], self.extended, *lr,
         )
 
 
@@ -214,11 +211,15 @@ def klr_select_with(
     h, perms: PermutationSet, params: ReductionParams = ReductionParams()
 ) -> KlrResult:
     """Run the switched selection against an explicit permutation set."""
-    h = as_matrix(h)
+    return _select_one(as_matrix(h), perms, params, False)
+
+
+def _select_one(h, perms: PermutationSet, params, extended: bool) -> KlrResult:
+    """klr_select_with on h, plain or extended: a stack of one from _select."""
     if perms.n != h.shape[1]:
         raise ValidationError("permutation size does not match column count")
     reduced = clll_reduce_batch([_candidate_stack(h[np.newaxis], perms.perms)], params)
-    return _select(reduced[0], [perms.perms], len(perms.perms), False)[0]
+    return _select(reduced[0], [perms.perms], len(perms.perms), extended)[0]
 
 
 def _candidate_stack(mats: np.ndarray, perms) -> np.ndarray:
@@ -271,8 +272,9 @@ def klr_select_extended(
     rng: np.random.Generator | None = None,
 ) -> KlrResult:
     """Switched selection on the extended channel [H; sigma_n I] for MMSE."""
-    res = klr_select(extend_channel(h, sigma_n), k, params, rng)
-    return replace(res, extended=True)
+    h = extend_channel(h, sigma_n)
+    rng = np.random.default_rng() if rng is None else rng
+    return _select_one(h, sample_permutations(h.shape[1], k, rng), params, True)
 
 
 def _identity(mats) -> tuple:

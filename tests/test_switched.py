@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lrmimo import linalg, switched
 from lrmimo.errors import ValidationError
 from lrmimo.linalg import _pinv_from_qr
 from lrmimo.reduction import ReductionParams, clll_reduce_batch, is_unimodular
@@ -250,6 +251,69 @@ class TestLrArrays:
         self.check(copy, copy.perm)
         for name in self.NAMES:
             assert getattr(copy, name).tobytes() == getattr(ext, name).tobytes()
+
+
+class TestFormedOnce:
+    """A selection's Q and LR filter are formed where its stack is built:
+    each public selection is a stack of one, formed once, and a member of
+    a stack, or a replace() copy of one, holds views of the stack's arrays
+    and forms none of its own."""
+
+    @staticmethod
+    def counts(monkeypatch) -> dict:
+        """Filter solves and Q-forming QRs made from here on."""
+        calls = {"solve": 0, "q": 0}
+        pinv, qr = switched._pinv_from_qr, linalg._qr
+
+        def solve(q, r):
+            calls["solve"] += 1
+            return pinv(q, r)
+
+        def factor(a, with_q):
+            calls["q"] += with_q
+            return qr(a, with_q)
+
+        monkeypatch.setattr(switched, "_pinv_from_qr", solve)
+        monkeypatch.setattr(linalg, "_qr", factor)
+        return calls
+
+    @pytest.mark.parametrize(
+        "select",
+        [
+            lambda h, rng: klr_select(h, 3, rng=rng),
+            lambda h, rng: klr_select_extended(h, 0.3, 3, rng=rng),
+            lambda h, rng: identity_result(h),
+            lambda h, rng: identity_result(h, extended=True, sigma_n=0.3),
+        ],
+        ids=["klr_select", "klr_select_extended", "identity", "identity_extended"],
+    )
+    def test_public_selection_forms_once(self, rng, monkeypatch, select):
+        h = crandn(rng, 5, 4)
+        calls = self.counts(monkeypatch)
+        res = select(h, rng)
+        assert calls == {"solve": 1, "q": 1}
+        copy = replace(res, extended=not res.extended)
+        assert calls == {"solve": 1, "q": 1}
+        for name in TestLrArrays.NAMES:
+            assert np.shares_memory(getattr(copy, name), getattr(res, name)), name
+
+    def test_members_are_views_of_the_stack(self, rng, monkeypatch):
+        n, width = 4, 3
+        chans = crandn(rng, 5, 5, n)
+        groups = [sample_permutations(n, width, rng).perms for _ in chans]
+        stack = np.concatenate(
+            [_candidate_stack(h[np.newaxis], p) for h, p in zip(chans, groups)]
+        )
+        reduced = clll_reduce_batch([stack], ReductionParams())[0]
+        sel = _select(reduced, groups, width, False)
+        calls = self.counts(monkeypatch)
+        for i in range(len(sel)):
+            member = sel[i]
+            assert np.shares_memory(member.transform, sel.transform)
+            assert np.shares_memory(member.pinv, sel.pinv)
+            assert np.shares_memory(member.basis.q, sel.basis.q)
+            assert member.pinv.tobytes() == sel.pinv[i].tobytes()
+        assert calls == {"solve": 0, "q": 0}
 
 
 class TestKlrSelectExtended:
