@@ -125,16 +125,19 @@ class ReducedStack:
         return (self[i] for i in range(len(self)))
 
 
-def _reduced_stack(h_tilde, u, u_inv, iterations) -> ReducedStack:
+def _reduced_stack(h_tilde, u, u_inv, iterations, with_q=False) -> ReducedStack:
     """ReducedStack of a stack h_tilde = original @ u.
 
-    One batched R-only QR gives r and the ODF denominators; q waits until
-    it is read.
+    One batched QR gives r and the ODF denominators; it forms q too with
+    with_q, else q waits until it is read.
     """
-    r = _qr_r(h_tilde)
+    q, r = qr_decompose(h_tilde) if with_q else (None, _qr_r(h_tilde))
     d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     odfs = _odf(h_tilde, np.prod(d * d, axis=-1))
-    return ReducedStack(h_tilde, u, u_inv, r, odfs, np.asarray(iterations))
+    stack = ReducedStack(h_tilde, u, u_inv, r, odfs, np.asarray(iterations))
+    if with_q:
+        vars(stack)["q"] = q
+    return stack
 
 
 def _stack_of_one(basis: ReducedBasis) -> ReducedStack:

@@ -280,10 +280,12 @@ def klr_select_extended(
 def _identity(mats) -> tuple:
     """What _selection takes for the identity selections of a (B, rows, n)
     stack of channels: U = I, no permutation and no candidates, on which LR
-    detection is conventional ZF (on H) or MMSE (on [H; sigma_n I])."""
+    detection is conventional ZF (on H) or MMSE (on [H; sigma_n I]).  One
+    QR of the channels gives both factors of the basis."""
     count, _, n = mats.shape
     eye = np.repeat(np.eye(n, dtype=np.complex128)[np.newaxis], count, axis=0)
-    basis = _reduced_stack(mats, eye, eye.copy(), np.zeros(count, dtype=np.intp))
+    iters = np.zeros(count, dtype=np.intp)
+    basis = _reduced_stack(mats, eye, eye.copy(), iters, with_q=True)
     return basis, (tuple(range(n)),) * count, basis.odf, ((),) * count
 
 

@@ -261,8 +261,8 @@ class TestFormedOnce:
 
     @staticmethod
     def counts(monkeypatch) -> dict:
-        """Filter solves and Q-forming QRs made from here on."""
-        calls = {"solve": 0, "q": 0}
+        """Filter solves, QRs and Q-forming QRs made from here on."""
+        calls = {"solve": 0, "qr": 0, "q": 0}
         pinv, qr = switched._pinv_from_qr, linalg._qr
 
         def solve(q, r):
@@ -270,6 +270,7 @@ class TestFormedOnce:
             return pinv(q, r)
 
         def factor(a, with_q):
+            calls["qr"] += 1
             calls["q"] += with_q
             return qr(a, with_q)
 
@@ -278,22 +279,25 @@ class TestFormedOnce:
         return calls
 
     @pytest.mark.parametrize(
-        "select",
+        "select,qrs",
         [
-            lambda h, rng: klr_select(h, 3, rng=rng),
-            lambda h, rng: klr_select_extended(h, 0.3, 3, rng=rng),
-            lambda h, rng: identity_result(h),
-            lambda h, rng: identity_result(h, extended=True, sigma_n=0.3),
+            # CLLL's two R-only QRs, of the input and of H U, then Q
+            (lambda h, rng: klr_select(h, 3, rng=rng), 3),
+            (lambda h, rng: klr_select_extended(h, 0.3, 3, rng=rng), 3),
+            # U = I: one QR of the channel gives Q and R
+            (lambda h, rng: identity_result(h), 1),
+            (lambda h, rng: identity_result(h, extended=True, sigma_n=0.3), 1),
         ],
         ids=["klr_select", "klr_select_extended", "identity", "identity_extended"],
     )
-    def test_public_selection_forms_once(self, rng, monkeypatch, select):
+    def test_public_selection_forms_once(self, rng, monkeypatch, select, qrs):
         h = crandn(rng, 5, 4)
         calls = self.counts(monkeypatch)
         res = select(h, rng)
-        assert calls == {"solve": 1, "q": 1}
+        want = {"solve": 1, "qr": qrs, "q": 1}
+        assert calls == want
         copy = replace(res, extended=not res.extended)
-        assert calls == {"solve": 1, "q": 1}
+        assert calls == want
         for name in TestLrArrays.NAMES:
             assert np.shares_memory(getattr(copy, name), getattr(res, name)), name
 
@@ -313,7 +317,7 @@ class TestFormedOnce:
             assert np.shares_memory(member.pinv, sel.pinv)
             assert np.shares_memory(member.basis.q, sel.basis.q)
             assert member.pinv.tobytes() == sel.pinv[i].tobytes()
-        assert calls == {"solve": 0, "q": 0}
+        assert calls == {"solve": 0, "qr": 0, "q": 0}
 
 
 class TestKlrSelectExtended:
