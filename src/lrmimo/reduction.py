@@ -176,23 +176,48 @@ def is_clll_reduced(r, params: ReductionParams = ReductionParams()) -> tuple[boo
         raise ValidationError("R must be upper triangular")
     if np.any(d.real <= 0.0) or np.any(np.abs(d.imag) > 1e-9 * np.abs(d.real)):
         raise ValidationError("R diagonal must be real and strictly positive")
-    dr = d.real
+    size_reduced, lovasz_ok = _reduced_flags(r[np.newaxis], params.delta)
+    return bool(size_reduced[0]), bool(lovasz_ok[0])
 
-    size_reduced = True
-    for k in range(1, n):
-        lim = 0.5 * dr[:k] + _PRED_EPS * dr[:k]
-        if np.any(np.abs(r[:k, k].real) > lim) or np.any(np.abs(r[:k, k].imag) > lim):
-            size_reduced = False
-            break
 
-    lovasz_ok = True
-    for k in range(1, n):
-        lhs = params.delta * dr[k - 1] ** 2
-        rhs = np.abs(r[k, k]) ** 2 + np.abs(r[k - 1, k]) ** 2
-        if lhs > rhs + _PRED_EPS * dr[k - 1] ** 2:
-            lovasz_ok = False
-            break
+def _reduced_flags(r: np.ndarray, delta: float) -> tuple:
+    """(size_reduced, lovasz_ok) of each R of a (B, n, n) stack, each (B,)
+    bool: every entry above the diagonal within half the diagonal entry of
+    its row, real and imaginary parts apart, and
+    delta r_{k-1,k-1}^2 <= |r_kk|^2 + |r_{k-1,k}|^2 for k = 1..n-1, both
+    with _PRED_EPS relative slack.  The real part of the diagonal is read."""
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    dr = diag.real
+    lim = (0.5 * dr + _PRED_EPS * dr)[..., :, np.newaxis]
+    over = (np.abs(r.real) > lim) | (np.abs(r.imag) > lim)
+    upper = ~np.tri(r.shape[-1], dtype=bool)
+    size_reduced = ~np.any(over & upper, axis=(-2, -1))
+    d2 = dr[..., :-1] ** 2
+    rhs = np.abs(diag[..., 1:]) ** 2 + np.abs(np.diagonal(r, 1, -2, -1)) ** 2
+    lovasz_ok = ~np.any(delta * d2 > rhs + _PRED_EPS * d2, axis=-1)
     return size_reduced, lovasz_ok
+
+
+def _check_reduced(stacks, delta: float) -> None:
+    """Raise SingularMatrixError, naming the first failing basis, unless
+    every basis of the ReducedStacks clll_reduce_batch returns has an R
+    that meets both CLLL conditions (_reduced_flags) and a U and U^-1
+    whose parts stay below 2^53 in magnitude, where float64 holds every
+    integer exactly.  A basis that only just clears the rank tolerance
+    can fail: the final QR of H U then drifts from the R the loop
+    reduced."""
+    for s, stack in enumerate(stacks):
+        size_reduced, lovasz_ok = _reduced_flags(stack.r, delta)
+        both = np.concatenate([stack.u, stack.u_inv], axis=-1).view(np.float64)
+        big = np.abs(both).max(axis=(-2, -1))
+        bad = np.flatnonzero(~(size_reduced & lovasz_ok & (big < 2.0**53)))
+        if bad.size:
+            i = bad[0]
+            raise SingularMatrixError(
+                f"basis {i} of stack {s}: CLLL output not reduced (size-reduced "
+                f"{size_reduced[i]}, Lovasz {lovasz_ok[i]}, largest part of U "
+                f"and U^-1 {big[i]:.3g}); the basis is too close to rank deficient"
+            )
 
 
 def clll_reduce(h, params: ReductionParams = ReductionParams()) -> ReducedBasis:
@@ -221,7 +246,9 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     bitwise the result it gets alone.  Both QRs, of the input and of the
     reduced bases, form R only.  Returns one ReducedStack per input stack,
     in stack order, whose Q is factored when read.  Raises
-    SingularMatrixError if any basis is numerically rank deficient.
+    SingularMatrixError if any basis is numerically rank deficient, or if
+    the output of any basis fails the CLLL conditions or exact U and U^-1
+    (_check_reduced).
     """
     hs = [np.asarray(h, dtype=np.complex128) for h in stacks]
     if not hs or any(h.ndim != 3 or h.shape[2] != hs[0].shape[2] for h in hs):
@@ -262,6 +289,7 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
         part = slice(start, start + h.shape[0])
         out.append(_reduced_stack(h @ u[part], u[part], u_inv[part], iters[part]))
         start = part.stop
+    _check_reduced(out, params.delta)
     return out
 
 

@@ -275,6 +275,35 @@ class TestClllReduceBatch:
             clll_reduce_batch([crandn(rng, 2, 4, 3), crandn(rng, 2, 4, 4)])
 
 
+class TestIllConditionedBasis:
+    """A 4x4 basis whose column 1 is (1+0.3j) column 0 plus eps noise: far
+    above the rank tolerance, yet for small eps the final QR of H U drifts
+    from the R the loop reduced, and the output R is not size-reduced."""
+
+    @staticmethod
+    def probe(eps):
+        rng = np.random.default_rng(0)
+        h = crandn(rng, 4, 4)
+        h[:, 1] = (1 + 0.3j) * h[:, 0] + eps * crandn(rng, 4)
+        return h
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11])
+    def test_unreduced_output_raises(self, eps):
+        with pytest.raises(SingularMatrixError, match="basis 0 "):
+            clll_reduce(self.probe(eps))
+
+    def test_failing_member_of_a_batch_is_named(self, rng):
+        stack = crandn(rng, 4, 4, 4)
+        stack[2] = self.probe(1e-9)
+        with pytest.raises(SingularMatrixError, match="basis 2 of stack 1"):
+            clll_reduce_batch([crandn(rng, 3, 5, 4), stack])
+
+    def test_reduced_output_returns(self):
+        out = clll_reduce(self.probe(1e-6))
+        assert is_clll_reduced(out.r) == (True, True)
+        assert is_unimodular(out.u)
+
+
 class TestIsClllReduced:
     def test_identity(self):
         assert is_clll_reduced(np.eye(3)) == (True, True)
