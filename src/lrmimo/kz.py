@@ -248,8 +248,8 @@ def kz_reduce(h, budget: EnumerationBudget = DEFAULT_BUDGET) -> ReducedBasis:
     nodes = [0]
     _, t, tinv = _kz_recurse(clll.r, budget, nodes)
     u, u_inv = clll.u @ t, tinv @ clll.u_inv
-    stack = (h @ u)[np.newaxis], u[np.newaxis], u_inv[np.newaxis], (nodes[0],)
-    return _reduced_stack(*stack, with_q=True)[0]
+    arrays = (h @ u)[np.newaxis], u[np.newaxis], u_inv[np.newaxis]
+    return _reduced_stack(*arrays, (nodes[0],), with_q=True)[0]
 
 
 def is_kz_reduced(r, budget: EnumerationBudget = DEFAULT_BUDGET) -> bool:

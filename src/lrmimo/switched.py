@@ -127,8 +127,8 @@ class KlrStack:
         return len(self.perms)
 
     def __getitem__(self, i):
-        lr = (self.transform, self.transform_inv, self.offset, self.pinv)
-        lr = [a[i] for a in lr]
+        arrays = self.transform, self.transform_inv, self.offset, self.pinv
+        lr = [a[i] for a in arrays]
         if isinstance(i, slice):
             return KlrStack(
                 self.basis[i], self.perms[i], self.odf_baseline[i],
