@@ -208,8 +208,10 @@ def _check_reduced(stacks, delta: float) -> None:
     reduced."""
     for s, stack in enumerate(stacks):
         size_reduced, lovasz_ok = _reduced_flags(stack.r, delta)
-        both = np.concatenate([stack.u, stack.u_inv], axis=-1).view(np.float64)
-        big = np.abs(both).max(axis=(-2, -1))
+        big = np.maximum(
+            np.abs(stack.u.view(np.float64)).max(axis=(-2, -1)),
+            np.abs(stack.u_inv.view(np.float64)).max(axis=(-2, -1)),
+        )
         bad = np.flatnonzero(~(size_reduced & lovasz_ok & (big < 2.0**53)))
         if bad.size:
             i = bad[0]
