@@ -17,6 +17,10 @@ The corpus:
   extended ([H; sigma I]) bases, delta 0.75 and 0.99, a quarter of the bases
   near-dependent (column 1 = (1+0.3j) column 0 + 1e-6 noise): every array
   of each returned stack, Q included;
+- the same at n = 7 and 8, lone and batched, and ROADMAP item 5's probe
+  (a 4x4 basis, column 1 = (1+0.3j) column 0 + eps noise, eps = 1e-6, 1e-9
+  and 1e-11) through `clll_reduce`; where a case raises, the type and
+  message of its error are digested in place of its fields;
 - `switched._select` stacks, plain and extended, K = 0 and 3: the basis
   arrays, perms, ODFs, T, T^-1, d and pinv of the stack, of a slice and of
   each member;
@@ -151,6 +155,16 @@ def corpus():
         for name in fields:
             yield case, name, read(sel, name)
 
+    def outcome(case, reduce, fields):
+        """The fields of reduce()'s result, or the type and message of
+        what it raises."""
+        try:
+            result = reduce()
+        except Exception as exc:  # noqa: BLE001 - a raising case is digested too
+            yield case, "error", f"{type(exc).__name__}: {exc}"
+        else:
+            yield from selection(case, result, fields)
+
     # CLLL: per delta and n, each basis lone, each flavour's 8 in one call,
     # and both flavours' stacks in one call
     rng = np.random.default_rng(1401)
@@ -169,6 +183,31 @@ def corpus():
             outs = clll_reduce_batch(list(stacks.values()), params)
             for flavour, out in zip(stacks, outs):
                 yield from stack_fields(f"clll/d{delta}/n{n}/both/{flavour}", out)
+
+    # CLLL at n = 7 and 8: per delta and flavour, each basis lone and the 8
+    # in one call
+    rng = np.random.default_rng(1409)
+    for delta in (0.75, 0.99):
+        params = ReductionParams(delta)
+        for n in (7, 8):
+            for flavour in ("square", "extended"):
+                mats = bases(rng, 8, n, flavour == "extended")
+                tag = f"clll-large/d{delta}/n{n}/{flavour}"
+                for i, mat in enumerate(mats):
+                    lone = lambda: clll_reduce_batch([mat[None]], params)[0]  # noqa: E731
+                    yield from outcome(f"{tag}/lone{i}", lone, BASIS_FIELDS)
+                batch = lambda: clll_reduce_batch([mats], params)[0]  # noqa: E731
+                yield from outcome(f"{tag}/batch", batch, BASIS_FIELDS)
+
+    # ROADMAP item 5's probe: a 4x4 basis whose column 1 is (1+0.3j)
+    # column 0 plus eps noise, far above the rank tolerance
+    for eps in (1e-6, 1e-9, 1e-11):
+        rng = np.random.default_rng(0)
+        h = crandn(rng, 4, 4)
+        h[:, 1] = (1 + 0.3j) * h[:, 0] + eps * crandn(rng, 4)
+        for delta in (0.75, 0.99):
+            lone = lambda: clll_reduce(h, ReductionParams(delta))  # noqa: E731
+            yield from outcome(f"probe/eps{eps:g}/d{delta}", lone, MEMBER_FIELDS)
 
     # switched selection stacks, their slices and members
     rng = np.random.default_rng(1402)
