@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .linalg import as_matrix, qr_decompose
+from .linalg import _qr_r, as_matrix
 from .reduction import (
     ReducedBasis,
     _gdiv_exact,
@@ -24,7 +24,7 @@ from .reduction import (
     _reduced_stack,
     _size_reduce_all,
     _split_columns,
-    clll_reduce,
+    clll_reduce_batch,
 )
 
 _EPS = 1e-9
@@ -123,8 +123,7 @@ def shortest_vector(h, budget: EnumerationBudget = DEFAULT_BUDGET):
         raise BudgetExceededError(
             f"dimension {h.shape[1]} exceeds budget max_dim={budget.max_dim}"
         )
-    _, r = qr_decompose(h)
-    xr, _, _ = _enumerate_shortest(_real_embedding(r), budget.max_nodes)
+    xr, _, _ = _enumerate_shortest(_real_embedding(_qr_r(h)), budget.max_nodes)
     coeffs = xr[0::2].astype(np.complex128) + 1j * xr[1::2]
     return h @ coeffs, coeffs
 
@@ -210,7 +209,7 @@ def _kz_recurse(r: np.ndarray, budget: EnumerationBudget, nodes: list):
     nodes[0] += visited
     coeffs = xr[0::2].astype(np.complex128) + 1j * xr[1::2]
     t1, t1inv = _complete_unimodular(coeffs)
-    _, r2 = qr_decompose(r @ t1)
+    r2 = _qr_r(r @ t1)
     r_sub, ts, tsinv = _kz_recurse(r2[1:, 1:], budget, nodes)
     r_new = r2.copy()
     r_new[0, 1:] = r2[0, 1:] @ ts
@@ -244,10 +243,10 @@ def kz_reduce(h, budget: EnumerationBudget = DEFAULT_BUDGET) -> ReducedBasis:
         raise BudgetExceededError(
             f"dimension {h.shape[1]} exceeds budget max_dim={budget.max_dim}"
         )
-    clll = clll_reduce(h)
+    clll = clll_reduce_batch([h[np.newaxis]])[0]
     nodes = [0]
-    _, t, tinv = _kz_recurse(clll.r, budget, nodes)
-    u, u_inv = clll.u @ t, tinv @ clll.u_inv
+    _, t, tinv = _kz_recurse(clll.r[0], budget, nodes)
+    u, u_inv = clll.u[0] @ t, tinv @ clll.u_inv[0]
     arrays = (h @ u)[np.newaxis], u[np.newaxis], u_inv[np.newaxis]
     return _reduced_stack(*arrays, (nodes[0],), with_q=True)[0]
 

@@ -139,7 +139,7 @@ def gram_det(a) -> float:
     if a.shape[0] < a.shape[1]:
         raise ValidationError("need rows >= cols for a Gram determinant")
     try:
-        _, r = qr_decompose(a)
+        r = _qr_r(a)
     except SingularMatrixError:
         return 0.0
     d = np.abs(np.diagonal(r))
