@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrmimo.errors import SingularMatrixError, ValidationError
 from lrmimo.linalg import gram_det
@@ -302,6 +304,57 @@ class TestIllConditionedBasis:
         out = clll_reduce(self.probe(1e-6))
         assert is_clll_reduced(out.r) == (True, True)
         assert is_unimodular(out.u)
+
+
+def gaussian_ints(a):
+    """The entries of an integer-valued complex array as (re, im) pairs of
+    Python ints, row by row; asserts that every part is an integer."""
+    assert np.array_equal(a.view(np.float64), np.rint(a.view(np.float64)))
+    return [[(int(z.real), int(z.imag)) for z in row] for row in a]
+
+
+def exact_product(a, b):
+    """a b of two Gaussian-integer matrices (gaussian_ints), exactly."""
+    return [
+        [
+            (
+                sum(p[0] * q[0] - p[1] * q[1] for p, q in zip(row, col)),
+                sum(p[0] * q[1] + p[1] * q[0] for p, q in zip(row, col)),
+            )
+            for col in zip(*b)
+        ]
+        for row in a
+    ]
+
+
+class TestContractOverConditioning:
+    """ROADMAP item 5: over bases from well conditioned to all but rank
+    deficient, CLLL either raises SingularMatrixError or meets its whole
+    contract."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        log_eps=st.floats(-12.0, 0.0),
+        n=st.integers(2, 6),
+        tall=st.booleans(),
+        delta=st.sampled_from([0.75, 0.99]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reduced_or_raises(self, log_eps, n, tall, delta, seed):
+        rng = np.random.default_rng(seed)
+        rows = 2 * n if tall else n
+        h = crandn(rng, rows, n)
+        h[:, 1] = (1 + 0.3j) * h[:, 0] + 10.0**log_eps * crandn(rng, rows)
+        params = ReductionParams(delta)
+        try:
+            out = clll_reduce(h, params)
+        except SingularMatrixError:
+            return
+        assert is_clll_reduced(out.r, params) == (True, True)
+        assert is_unimodular(out.u)
+        eye = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+        assert exact_product(gaussian_ints(out.u), gaussian_ints(out.u_inv)) == eye
+        assert same_bits(out.h_tilde, h @ out.u)
 
 
 class TestIsClllReduced:
