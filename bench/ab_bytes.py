@@ -17,10 +17,11 @@ The corpus:
   extended ([H; sigma I]) bases, delta 0.75 and 0.99, a quarter of the bases
   near-dependent (column 1 = (1+0.3j) column 0 + 1e-6 noise): every array
   of each returned stack, Q included;
-- the same at n = 7 and 8, lone and batched, and ROADMAP item 5's probe
-  (a 4x4 basis, column 1 = (1+0.3j) column 0 + eps noise, eps = 1e-6, 1e-9
-  and 1e-11) through `clll_reduce`; where a case raises, the type and
-  message of its error are digested in place of its fields;
+- the same at n = 7 and 8, lone and batched, and the ill-conditioned probe
+  of tests/test_reduction.py (a 4x4 basis, column 1 = (1+0.3j) column 0 +
+  eps noise, eps = 1e-6, 1e-9 and 1e-11) through `clll_reduce`; where a
+  case raises, the type and message of its error are digested in place of
+  its fields;
 - `switched._select` stacks, plain and extended, K = 0 and 3: the basis
   arrays, perms, ODFs, T, T^-1, d and pinv of the stack, of a slice and of
   each member;
@@ -155,15 +156,17 @@ def corpus():
         for name in fields:
             yield case, name, read(sel, name)
 
-    def outcome(case, reduce, fields):
-        """The fields of reduce()'s result, or the type and message of
-        what it raises."""
+    def outcome(case, fields, reduce, *args):
+        """The fields of reduce(*args), of its first stack where it returns
+        a list, or the type and message of what it raises."""
         try:
-            result = reduce()
-        except Exception as exc:  # noqa: BLE001 - a raising case is digested too
+            result = reduce(*args)
+        except Exception as exc:  # a raising case is digested too
             yield case, "error", f"{type(exc).__name__}: {exc}"
-        else:
-            yield from selection(case, result, fields)
+            return
+        if isinstance(result, list):
+            result = result[0]
+        yield from selection(case, result, fields)
 
     # CLLL: per delta and n, each basis lone, each flavour's 8 in one call,
     # and both flavours' stacks in one call
@@ -194,20 +197,21 @@ def corpus():
                 mats = bases(rng, 8, n, flavour == "extended")
                 tag = f"clll-large/d{delta}/n{n}/{flavour}"
                 for i, mat in enumerate(mats):
-                    lone = lambda: clll_reduce_batch([mat[None]], params)[0]  # noqa: E731
-                    yield from outcome(f"{tag}/lone{i}", lone, BASIS_FIELDS)
-                batch = lambda: clll_reduce_batch([mats], params)[0]  # noqa: E731
-                yield from outcome(f"{tag}/batch", batch, BASIS_FIELDS)
+                    args = clll_reduce_batch, [mat[None]], params
+                    yield from outcome(f"{tag}/lone{i}", BASIS_FIELDS, *args)
+                args = clll_reduce_batch, [mats], params
+                yield from outcome(f"{tag}/batch", BASIS_FIELDS, *args)
 
-    # ROADMAP item 5's probe: a 4x4 basis whose column 1 is (1+0.3j)
-    # column 0 plus eps noise, far above the rank tolerance
+    # the ill-conditioned probe of tests/test_reduction.py: a 4x4 basis
+    # whose column 1 is (1+0.3j) column 0 plus eps noise, far above the
+    # rank tolerance
     for eps in (1e-6, 1e-9, 1e-11):
         rng = np.random.default_rng(0)
         h = crandn(rng, 4, 4)
         h[:, 1] = (1 + 0.3j) * h[:, 0] + eps * crandn(rng, 4)
         for delta in (0.75, 0.99):
-            lone = lambda: clll_reduce(h, ReductionParams(delta))  # noqa: E731
-            yield from outcome(f"probe/eps{eps:g}/d{delta}", lone, MEMBER_FIELDS)
+            args = clll_reduce, h, ReductionParams(delta)
+            yield from outcome(f"probe/eps{eps:g}/d{delta}", MEMBER_FIELDS, *args)
 
     # switched selection stacks, their slices and members
     rng = np.random.default_rng(1402)

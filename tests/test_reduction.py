@@ -328,9 +328,8 @@ def exact_product(a, b):
 
 
 class TestContractOverConditioning:
-    """ROADMAP item 5: over bases from well conditioned to all but rank
-    deficient, CLLL either raises SingularMatrixError or meets its whole
-    contract."""
+    """Over bases from well conditioned to all but rank deficient, CLLL
+    either raises SingularMatrixError or meets its whole contract."""
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(

@@ -1,8 +1,8 @@
 """The scripts under bench/ still run against the package.
 
-bench/tail_timing.py drives private sim functions directly, and
-bench/ab_bytes.py private functions of several modules, so a change to them
-shows up here as a failure rather than as a broken script.
+bench/stages.py wraps private sim functions by name, and bench/ab_bytes.py
+calls private functions of several modules, so a change to them shows up
+here as a failure rather than as a broken script.
 """
 
 import json
@@ -14,10 +14,20 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# the stages bench/stages.py times, each a name lrmimo.sim calls, and the
+# switched._lr_arrays that _selection calls
+STAGES = {
+    "_draw_trial", "gen_channel", "_draw_packet", "sample_permutations",
+    "_chunk_selections", "extend_channel", "_candidate_stack",
+    "clll_reduce_batch", "_pick", "_identity", "_selection", "_lr_arrays",
+    "_chunk_buffers", "_detect_trial", "_packet_symbols", "_lr_estimate",
+    "_lattice_indices", "_count_errors",
+}
 
-def test_tail_timing_prints_its_figures():
+
+def test_stages_prints_its_figures():
     proc = subprocess.run(
-        [sys.executable, "bench/tail_timing.py"],
+        [sys.executable, "bench/stages.py"],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -26,35 +36,70 @@ def test_tail_timing_prints_its_figures():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(out) == {
-        "trials",
-        "lr_zf_ns_per_symbol",
-        "klr_zf_variants_ns_per_symbol",
-        "detect_16qam_variants_ns_per_symbol",
-        "klr_mmse_variants_ns_per_symbol",
-        "minflt_per_trial",
+        "workloads",
+        "lone_us_per_basis",
+        "batch_us_per_basis",
         "cli_minflt_per_trial",
-        "draw_us_per_trial",
-        "detect_16qam_stage_us_per_trial",
     }
-    assert set(out["lr_zf_ns_per_symbol"]) == {"klr_zf_9x6x100", "detect_16qam_4x2000"}
-    figures = [
-        out["trials"],
-        *out["lr_zf_ns_per_symbol"].values(),
-        out["klr_zf_variants_ns_per_symbol"],
-        out["detect_16qam_variants_ns_per_symbol"],
-        out["klr_mmse_variants_ns_per_symbol"],
+    names = {"klr-zf", "klr-mmse", "detect-16qam"}
+    assert set(out["workloads"]) == names
+    assert set(out["cli_minflt_per_trial"]) == names
+    assert out["lone_us_per_basis"] > 0 and out["batch_us_per_basis"] > 0
+    for name, figures in out["workloads"].items():
+        assert set(figures) == {
+            "stage_us_per_trial",
+            "calls_per_trial",
+            "sweep_us_per_trial",
+            "wrapper_overhead_frac",
+            "minflt_per_trial",
+            "clll_calls",
+            "bases_per_call",
+            "loop_steps",
+            "basis_steps",
+            "peak_traced_mb",
+        }, name
+        self_us = figures["stage_us_per_trial"]
+        assert set(self_us) == STAGES | {"other"}
+        calls = figures["calls_per_trial"]
+        assert set(calls) == STAGES
+        assert all(v >= 0 for v in self_us.values()), (name, self_us)
+        # every trial draws its channel and is detected once
+        assert calls["gen_channel"] == calls["_detect_trial"] == 1, name
+        assert self_us["clll_reduce_batch"] > 0, name
+        sweep = figures["sweep_us_per_trial"]
+        wrapped = sweep * (1 + figures["wrapper_overhead_frac"])
+        # the self times sum to the wrapped sweep time, up to rounding
+        assert sum(self_us.values()) == pytest.approx(wrapped, rel=1e-3, abs=1.0)
+        assert sum(self_us.values()) - self_us["other"] <= wrapped + 1.0
+        assert sweep > 0 and figures["peak_traced_mb"] > 0
+        assert figures["clll_calls"] == len(figures["bases_per_call"]) >= 1
+        assert 0 < figures["loop_steps"] <= figures["basis_steps"]
+    # a page fault count: none at all is a valid reading
+    faults = [
+        *(f["minflt_per_trial"] for f in out["workloads"].values()),
+        *out["cli_minflt_per_trial"].values(),
     ]
-    assert all(isinstance(v, (int, float)) and v > 0 for v in figures), out
-    draws = out["draw_us_per_trial"]
-    assert set(draws) == {"klr_zf", "detect_16qam", "klr_mmse"}
-    stages = out["detect_16qam_stage_us_per_trial"]
-    assert set(stages) == {"zf_identity", "mmse_identity", "lr_zf_setup"}
-    assert all(v > 0 for v in [*draws.values(), *stages.values()]), out
-    for key in ("minflt_per_trial", "cli_minflt_per_trial"):
-        faults = out[key]
-        assert set(faults) == {"klr_zf", "detect_16qam", "klr_mmse"}
-        # a page fault count: none at all is a valid reading
-        assert all(isinstance(v, (int, float)) and v >= 0 for v in faults.values()), out
+    assert all(isinstance(v, (int, float)) and v >= 0 for v in faults), out
+
+
+def test_stages_restores_wrapped_names():
+    # in a child, so that importing the script leaves this process as it is
+    code = """
+import pytest, stages
+before = [getattr(m, n) for m, n in stages.WRAPPED]
+def failing(name, fn):
+    def call(*args, **kwargs):
+        raise RuntimeError(name)
+    return call
+cfg = stages.sim.SimConfig(2, 2, 4, (10,), ("zf",), trials=1)
+with pytest.raises(RuntimeError, match="_draw_trial"), stages.wrapped(failing):
+    stages.sim.run_sweep(cfg)
+assert [getattr(m, n) for m, n in stages.WRAPPED] == before
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "bench", capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ab_bytes_prints_its_comparison():
