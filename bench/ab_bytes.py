@@ -32,6 +32,10 @@ The corpus:
   written into NaN-filled `out` arrays where the tree's `_lr_estimate`
   takes them (a tree without `out=` gives its allocated results there, so
   the two ways compare byte for byte);
+- `ml_detect_batch` decisions at M = 4, 16 and 64 on 2x2, 3x3 and 2x3
+  channels, the noise of each block's columns from light to heavy so
+  that they spread over the grid, and `ml_detect`'s fields for two of
+  its columns;
 - `identity_result` selections (U = T = I), plain and extended, of square
   and 3x4 channels;
 - lone `clll_reduce` bases, square and extended, n = 2..6, and
@@ -43,7 +47,8 @@ The corpus:
 - the `run_sweep` records of the golden configs (tests/test_golden.py), of
   the three benchmark shapes at 8 trials, and of four shapes that reach the
   conventional detectors (zf, mmse, ml) beyond those: 64-QAM, a 3x4
-  channel, a packet of several blocks per trial and delta 0.99.
+  channel, a packet of several blocks per trial and delta 0.99, and an
+  ML-only sweep.
 
 No digest is stored: LAPACK bits may differ between hosts, so the tool
 compares two trees on one host, and the golden counts stay the portable
@@ -112,7 +117,12 @@ def corpus():
     """Yield (case, field, value) of every case, in a fixed order."""
     import numpy as np
 
-    from lrmimo.detectors import DETECTOR_KINDS, _lr_estimate
+    from lrmimo.detectors import (
+        DETECTOR_KINDS,
+        _lr_estimate,
+        ml_detect,
+        ml_detect_batch,
+    )
     from lrmimo.kz import kz_reduce
     from lrmimo.modem import ConstellationSpec
     from lrmimo.reduction import ReductionParams, clll_reduce, clll_reduce_batch
@@ -331,6 +341,25 @@ def corpus():
                 yield f"{tag}/{part}-out", "m", m_o
                 yield f"{tag}/{part}-out", "tm", tm_o
 
+    # ML decisions: per order and channel shape, a block whose columns' noise
+    # runs from a twentieth of a level spacing to three spacings
+    rng = np.random.default_rng(1410)
+    batch = 24
+    for m in (4, 16, 64):
+        spec = ConstellationSpec(m)
+        scale = spec.a * np.geomspace(0.05, 3.0, batch)
+        for n_t, n_r in ((2, 2), (3, 3), (2, 3)):
+            h = crandn(rng, n_r, n_t)
+            idx = rng.integers(0, spec.side, size=(n_t, batch, 2))
+            x = spec.levels[idx[..., 0]] + 1j * spec.levels[idx[..., 1]]
+            y = h @ x + scale * crandn(rng, n_r, batch)
+            tag = f"ml/m{m}/{n_r}x{n_t}"
+            yield tag, "batch", ml_detect_batch(y, h, spec)
+            for col in (0, batch - 1):
+                out = ml_detect(y[:, col], h, spec)
+                yield f"{tag}/col{col}", "x_hat", out.x_hat
+                yield f"{tag}/col{col}", "z_hat", out.z_hat
+
     # sweeps: the golden configs and the benchmark shapes at 8 trials
     path = ROOT / "tests" / "test_golden.py"
     spec = importlib.util.spec_from_file_location("golden_configs", path)
@@ -371,6 +400,10 @@ def corpus():
         n_t=4, n_r=4, m=16, snr_grid_db=(12.0, 18.0),
         detectors=("zf", "mmse", "clr-zf", "klr-zf", "clr-mmse-sic"),
         k_candidates=(3,), trials=8, packet_len=100, seed=14, delta=0.99,
+    )
+    configs["conventional/ml-only"] = SimConfig(
+        n_t=2, n_r=2, m=16, snr_grid_db=(6.0, 12.0, 18.0), detectors=("ml",),
+        trials=6, packet_len=80, seed=15,
     )
     for name, cfg in configs.items():
         for rec in run_sweep(cfg):
