@@ -13,10 +13,9 @@ by a timer; every name is restored on exit.  Per workload:
 
 - `stage_us_per_trial`: each stage's self time (its time less that of the
   wrapped stages it calls) per trial of the wrapped sweeps, and `other`,
-  the rest of `run_sweep`, summing to the wrapped sweep time; and
-  `calls_per_trial` of each stage;
-- `sweep_us_per_trial` of the unwrapped sweeps, `wrapper_overhead_frac`
-  (the wrapped sweeps' time over theirs, less 1) and `minflt_per_trial`
+  the rest of `run_sweep`, summing to `wrapped_us_per_trial`, the wrapped
+  sweeps' time per trial; and `calls_per_trial` of each stage;
+- `sweep_us_per_trial` of the unwrapped sweeps and `minflt_per_trial`
   (their minor page faults per trial, by getrusage);
 - `clll_calls`, `bases_per_call`, `loop_steps` (per call, the largest
   iteration count of its bases, summed) and `basis_steps` (all iteration
@@ -183,7 +182,7 @@ def figures(name: str) -> dict:
         "stage_us_per_trial": stage_us,
         "calls_per_trial": {s: round(timer.calls[s] / trials, 3) for s in names},
         "sweep_us_per_trial": round(1e6 * sum(plain) / trials, 1),
-        "wrapper_overhead_frac": round(sum(timed) / sum(plain) - 1, 4),
+        "wrapped_us_per_trial": round(1e6 * sum(timed) / trials, 1),
         "minflt_per_trial": round(sum(faults) / trials, 2),
         "clll_calls": len(iterations),
         "bases_per_call": bases,

@@ -8,8 +8,9 @@ lies half a level from every decision boundary, so the I and Q parts of the
 integer image T m, shifted by side/2 and clipped to the grid, are its slice
 indices, and the estimate itself is never sliced.  SIC performs the integer
 rounding inside a QR back-substitution on a pre-shifted received signal so
-that noise-free detection is exact.  The conventional detectors slice their
-floating-point estimates onto the constellation.
+that noise-free detection is exact.  ML decides points of the same lattice
+(T = I), so the sweep slices their integer images the same way; hard_slice
+slices any floating-point estimate onto the constellation.
 """
 
 from dataclasses import dataclass
@@ -183,56 +184,29 @@ def _slice_index(vals: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     return k.astype(np.intp)
 
 
-def _interleaved(v: np.ndarray) -> np.ndarray:
-    """Float view of a complex array, I and Q interleaved along the last axis.
-
-    A NaN (a failed filter) has no constellation index; it raises.
-    """
-    flat = np.ascontiguousarray(v).view(np.float64)
-    if np.isnan(flat.max()):
-        raise SingularMatrixError("NaN estimate has no constellation index")
-    return flat
-
-
-def _level_indices(v: np.ndarray, spec: ConstellationSpec, out=None) -> np.ndarray:
-    """Slice indices of complex estimates, I and Q interleaved along the
-    last axis: floor(v (1/a) + side/2) per part, clipped to the grid.
-    out is None, which allocates, or a pair (values, indices) of arrays to
-    write the float slice values (v's own float view allowed) and the
-    indices (see _grid_index) to.
-
-    This is the nearest level, as _slice_index gives it, except at an exact
-    midpoint or within an ulp of one, where either neighbour may come out.
-    """
-    values, indices = out or (None, None)
-    t = np.multiply(_interleaved(v), 1.0 / spec.a, out=values)
-    t += spec.side / 2
-    return _grid_index(t, spec, indices)
-
-
 def _lattice_indices(tm: np.ndarray, spec: ConstellationSpec, out=None) -> np.ndarray:
-    """Slice indices of the integer images T m of LR decisions, I and Q
-    interleaved along the last axis.  out is as for _level_indices.
+    """Slice indices of the integer images T m of lattice decisions, I and
+    Q interleaved along the last axis, in the smallest unsigned type that
+    holds side - 1.  out is None, which allocates, or a pair (values,
+    indices) of arrays to write the float slice values (tm's own float view
+    allowed) and the indices to.
 
     Each part of T m plus side/2 is the index of the level nearest to the
     estimate a (T m + (1+j)/2), which lies half a level from a boundary, so
-    no tie arises; values beyond the grid clip to the outer levels.
+    no tie arises; values beyond the grid clip to the outer levels, after
+    which the cast's truncation is the floor.  A NaN (a failed filter) has
+    no constellation index; it raises.
     """
     values, indices = out or (None, None)
-    t = np.add(_interleaved(tm), spec.side / 2, out=values)
-    return _grid_index(t, spec, indices)
-
-
-def _grid_index(t: np.ndarray, spec: ConstellationSpec, out=None) -> np.ndarray:
-    """floor(t) clipped to [0, side - 1], in the smallest unsigned integer
-    type that holds side - 1, written to out (an array of that type and of
-    t's shape) or to a new array; t is clipped in place, after which the
-    cast's truncation is the floor."""
+    flat = np.ascontiguousarray(tm).view(np.float64)
+    if np.isnan(flat.max()):
+        raise SingularMatrixError("NaN estimate has no constellation index")
+    t = np.add(flat, spec.side / 2, out=values)
     np.clip(t, 0, spec.side - 1, out=t)
-    if out is None:
-        out = np.empty(t.shape, np.min_scalar_type(spec.side - 1))
-    np.copyto(out, t, casting="unsafe")
-    return out
+    if indices is None:
+        indices = np.empty(t.shape, np.min_scalar_type(spec.side - 1))
+    np.copyto(indices, t, casting="unsafe")
+    return indices
 
 
 def _lattice_symbols(tm: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
@@ -274,24 +248,24 @@ def ml_detect_batch(
     """ML detection for every column of y_cols; returns (n_t, batch) symbols."""
     h = as_matrix(h)
     cands = ml_candidates(h.shape[1], spec, max_candidates)
-    return _ml_search(y_cols, _ml_table(h, cands))
+    return cands[:, _ml_search(y_cols, _ml_table(h, cands))]
 
 
 def _ml_table(h: np.ndarray, cands: np.ndarray) -> tuple:
-    """(cands, H cands, squared column norms of H cands): the part of ML
-    detection that depends only on the channel, reused for every block."""
+    """(H cands, squared column norms of H cands): the part of ML detection
+    that depends only on the channel, reused for every block."""
     s = h @ cands  # (n_r, n_cand)
-    return cands, s, np.sum(np.abs(s) ** 2, axis=0)
+    return s, np.sum(np.abs(s) ** 2, axis=0)
 
 
 def _ml_search(y_cols: np.ndarray, table) -> np.ndarray:
-    """ML decisions (n_t, batch) for the columns of y_cols, given _ml_table."""
-    cands, s, norms = table
+    """Numbers of the ML candidates (batch,) of the columns of y_cols,
+    given _ml_table."""
+    s, norms = table
     # ||y - s_c||^2 = ||y||^2 - 2 Re(s_c^H y) + ||s_c||^2; the ||y||^2 term is
     # constant per column and can be dropped
     cost = norms[:, np.newaxis] - 2.0 * np.real(s.conj().T @ y_cols)
-    idx = np.argmin(cost, axis=0)
-    return cands[:, idx]
+    return np.argmin(cost, axis=0)
 
 
 def lr_detect(

@@ -17,10 +17,10 @@ import numpy as np
 
 from .detectors import (
     _lattice_indices,
-    _level_indices,
     _lr_estimate,
     _ml_search,
     _ml_table,
+    _round_shifted,
     ml_candidates,
 )
 from .errors import ValidationError
@@ -70,9 +70,10 @@ _COLUMNS_PER_CALL = 2048
 # clll_reduce_batch call, which shares the fixed cost of each step of its
 # masked loop among them.  The call's state and output are a few times its
 # input, so this bounds its memory; a flavour with only identity
-# selections counts its channels.  A call takes 5 trials of 99 extended
-# 12x6 bases (the klr-mmse benchmark shape), 93 of 11 plain 6x6 bases
-# (klr-zf) or 329 of one plain and three extended 4x4 channels
+# selections counts its channels, and every sweep, ml alone too, its plain
+# ones, which it draws before it detects them.  A call takes 5 trials of
+# 99 extended 12x6 bases (the klr-mmse benchmark shape), 93 of 11 plain
+# 6x6 bases (klr-zf) or 329 of one plain and three extended 4x4 channels
 # (detect-16qam).
 _CALL_BYTES = 512 * 12 * 6 * 16
 
@@ -106,17 +107,24 @@ class SimConfig:
     delta: float = 0.75
 
     def __post_init__(self):
+        ints = (self.n_t, self.n_r, self.seed, self.trials, self.packet_len)
+        ints += tuple(self.k_candidates)
+        if not all(isinstance(v, numbers.Integral) for v in ints):
+            raise ValidationError(
+                "n_t, n_r, seed, trials, packet_len and K values must be integers"
+            )
         if self.n_t < 1 or self.n_r < self.n_t:
             raise ValidationError("need 1 <= n_t <= n_r")
-        counts = (self.trials, self.packet_len)
-        if not all(isinstance(c, numbers.Integral) and c >= 1 for c in counts):
-            raise ValidationError("trials and packet_len must be integers >= 1")
+        if self.trials < 1 or self.packet_len < 1:
+            raise ValidationError("trials and packet_len must be >= 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.snr_grid_db:
             raise ValidationError("empty SNR grid")
         if not all(math.isfinite(snr) for snr in self.snr_grid_db):
             raise ValidationError(f"SNR points must be finite, got {self.snr_grid_db}")
+        if not self.detectors:
+            raise ValidationError("no detectors")
         for d in self.detectors:
             if d not in DETECTORS:
                 raise ValidationError(f"unknown detector {d!r}")
@@ -230,7 +238,7 @@ def _draw_packet(cfg: SimConfig, spec, rng) -> tuple:
 def _packet_symbols(idx, spec, out=None) -> tuple:
     """(x, sent) of the level index pairs idx of a packet: its symbols
     (n_t, packet_len) and their slice indices (n_t, 2 packet_len), I and Q
-    interleaved as _level_indices gives them.  out is None, which
+    interleaved as _lattice_indices gives them.  out is None, which
     allocates, or an (x, sent) pair of arrays to write them to, x the
     transposed view of a contiguous complex array.
 
@@ -277,17 +285,17 @@ def _selection_ks(cfg: SimConfig) -> dict:
 
 def _chunk_trials(cfg: SimConfig) -> int:
     """Trials per chunk: as many as keep the input stacks of the chunk's
-    CLLL call within _CALL_BYTES and, in a switched sweep, the packets the
-    chunk holds within _HELD_BYTES; at least one.  Both are counted from
-    shapes."""
+    CLLL call, and its plain channels where none is reduced, within
+    _CALL_BYTES and, in a switched sweep, the packets the chunk holds
+    within _HELD_BYTES; at least one.  Both are counted from shapes."""
     # per flavour, its channels times (1 + candidates), each rows x n_t
     call = 16 * cfg.n_t * sum(
         (len(cfg.snr_grid_db) if f else 1)
         * (1 + max(k - {None}, default=0))
         * (cfg.n_r + cfg.n_t if f else cfg.n_r)
-        for f, k in _selection_ks(cfg).items()
+        for f, k in {False: set(), **_selection_ks(cfg)}.items()
     )
-    chunk = _CALL_BYTES // max(call, 1)
+    chunk = _CALL_BYTES // call
     if _switched(cfg.detectors):  # its chunks hold their trials' packets
         side = ConstellationSpec(cfg.m).side
         index = np.min_scalar_type(side - 1).itemsize
@@ -350,10 +358,10 @@ def _chunk_buffers(cfg: SimConfig, spec) -> tuple:
     or of a trial's packet, for _detect_trial: the trial's symbols x (the
     transposed view of a contiguous array), its sent slice indices and
     H x; then for a block of SNR points its received signals y, the padded
-    LR input [y; 0] (with no rows if no detector is extended), the
-    estimates (ML's, or the LR decisions m), the integer images
-    T m, the float slice values (the estimates' own float view: they are
-    written over the estimates) and the slice indices.  The block arrays
+    LR input [y; 0] (with no rows if no detector is extended), the LR
+    decisions m, the integer images T m of the LR or ML decisions, the
+    float slice values (the decisions' own float view: they are written
+    over the decisions) and the slice indices.  The block arrays
     hold _COLUMNS_PER_CALL columns' worth of points, at least one and at
     most the grid's; a shorter last block uses their leading points.
 
@@ -388,7 +396,10 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
 
     # per variant, bit and symbol errors at each SNR point
     errs = {v: np.zeros((2, len(cfg.snr_grid_db)), dtype=np.int64) for v in variants}
-    cands = ml_candidates(cfg.n_t, spec) if "ml" in cfg.detectors else None
+    ml = None  # the ML candidates and their integer images, T = I
+    if "ml" in cfg.detectors:
+        cands = ml_candidates(cfg.n_t, spec)
+        ml = cands, _round_shifted(cands, 0.5 + 0.5j, spec.a)
 
     sigma2s = [snr_config(snr, cfg)[0] for snr in cfg.snr_grid_db]
     chunk = _chunk_trials(cfg)
@@ -401,7 +412,7 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
         bufs = _chunk_buffers(cfg, spec)
         for (h, rng, packet, _), sel in zip(trials, sels):
             packet = packet or _draw_packet(cfg, spec, rng)
-            _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs, bufs)
+            _detect_trial(h, packet, sel, variants, sigma2s, spec, ml, errs, bufs)
         # free this chunk before the next one is drawn
         del trials, sels, sel, packet, bufs
 
@@ -429,13 +440,13 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     return records
 
 
-def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs, bufs):
+def _detect_trial(h, packet, sel, variants, sigma2s, spec, ml, errs, bufs):
     """Detect one trial, channel h and packet (level index pairs, unit
     noise), with every variant at every SNR point and add the bit and
-    symbol errors to errs.  sel holds the trial's selections, cands the ML
-    candidates (None without the ml detector), bufs the chunk's arrays
-    (_chunk_buffers), which every array the size of a block or of the
-    packet is written to.
+    symbol errors to errs.  sel holds the trial's selections, ml the ML
+    candidates and their images (None without the ml detector), bufs the
+    chunk's arrays (_chunk_buffers), which every array the size of a block
+    or of the packet is written to.
 
     What depends only on the trial is formed once, before the blocks of
     SNR points: its symbols and sent indices, H x and the ML table.  The
@@ -450,7 +461,7 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs, bufs):
     pairs, noise_unit = packet
     x, sent, hx, *block = bufs
     _packet_symbols(pairs, spec, out=(x, sent))
-    table = None if cands is None else _ml_table(h, cands)
+    search = None if ml is None else (ml[1], _ml_table(h, ml[0]))
     # complex, as numpy casts them to scale the noise, so the product needs
     # no cast buffer
     sigmas = np.sqrt(sigma2s).astype(np.complex128)[:, np.newaxis, np.newaxis]
@@ -469,7 +480,7 @@ def _detect_trial(h, packet, sel, variants, sigma2s, spec, cands, errs, bufs):
         for det, k in variants:
             key = _detection_key(det, k, at)
             if key not in counts:
-                idx = _indices(det, k, y, spec, at, table, out)
+                idx = _indices(det, k, y, spec, at, search, out)
                 counts[key] = _count_errors(idx, sent)
             errs[det, k][:, pts] += counts[key]
 
@@ -485,21 +496,23 @@ def _detection_key(det, k, at):
     return kind, extended, k is None, at[(extended, k)].perms
 
 
-def _indices(det, k, y, spec, at, table, out) -> np.ndarray:
+def _indices(det, k, y, spec, at, search, out) -> np.ndarray:
     """Slice indices (points, n_t, 2 packet_len) of one detector variant at
     some SNR points, whose received blocks are y, I and Q interleaved.  at
-    holds the selections at those points, table the trial's _ml_table (None
-    without the ml detector).  out holds the block's arrays after y (see
-    _chunk_buffers): the estimates and indices are written to them.
+    holds the selections at those points, search the ML candidates' images
+    and the trial's _ml_table (None without the ml detector).  out holds
+    the block's arrays after y (see _chunk_buffers): the decisions, their
+    integer images and indices are written to them.
     """
     work, est, tm, values, idx = out
     extended, kind = _DETECTOR_TABLE[det]
-    if extended is not None:
+    if extended is None:
+        images, table = search
+        for s, y_s in enumerate(y):
+            tm[s] = images[:, _ml_search(y_s, table)]
+    else:
         _lr_estimate(y, at[(extended, k)], kind, spec, (work, est, tm))
-        return _lattice_indices(tm, spec, (values, idx))
-    for s, y_s in enumerate(y):
-        est[s] = _ml_search(y_s, table)
-    return _level_indices(est, spec, (values, idx))
+    return _lattice_indices(tm, spec, (values, idx))
 
 
 def _count_errors(idx, sent) -> np.ndarray:

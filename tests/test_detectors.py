@@ -22,9 +22,10 @@ from lrmimo.detectors import (
 from lrmimo.detectors import (
     _lattice_indices,
     _lattice_symbols,
-    _level_indices,
     _lr_estimate,
+    _round_shifted,
     _sic,
+    ml_candidates,
 )
 from lrmimo.errors import BudgetExceededError, SingularMatrixError, ValidationError
 from lrmimo.linalg import _pinv_from_qr
@@ -237,31 +238,6 @@ class TestSliceIndex:
         idx = _slice_index(v, QAM16)
         assert idx.shape == v.shape
         assert np.array_equal(idx.ravel(), _slice_index(v.ravel(), QAM16))
-
-    @pytest.mark.parametrize("m", [4, 16, 64, 256])
-    def test_sweep_slicing_equals_slice_index(self, rng, m):
-        # the sweep's integer slicing of complex estimates, I and Q
-        # interleaved, against _slice_index on each part; the two rules part
-        # only at exact midpoints and within an ulp of a boundary
-        spec = ConstellationSpec(m)
-        a, side = spec.a, spec.side
-        v = side * a * rng.standard_normal(4000)  # in and beyond the grid
-        frac = v / a + side / 2
-        v = v[np.abs(frac - np.rint(frac)) > 1e-9]  # away from the boundaries
-        v = v[: len(v) // 2 * 2]
-        far = [1e6, -1e6, 1e300, -1e300, side * a, -side * a, np.inf, -np.inf]
-        v = np.concatenate([v, far, far[::-1]])
-        est = v.view(np.complex128).reshape(2, 1, -1)  # (points, n_t, batch)
-        idx = _level_indices(est, spec)
-        assert idx.shape == (2, 1, len(v) // 2)
-        assert idx.dtype == np.min_scalar_type(side - 1) == np.uint8
-        assert np.array_equal(idx.ravel(), _slice_index(v, spec))
-        assert idx.min() == 0 and idx.max() == side - 1
-
-    def test_sweep_slicing_of_nan_raises(self):
-        est = np.array([[0.3 + 0.1j, 0.2 + np.nan * 1j]])
-        with pytest.raises(SingularMatrixError):
-            _level_indices(est, QAM16)
 
 
 def ml_oracle(y, h, spec):
@@ -632,6 +608,18 @@ class TestIntegerTail:
         pairs = new.reshape(stack, n, batch, 2)[..., ~noisy, :]
         for part, got in ((x.real, pairs[..., 0]), (x.imag, pairs[..., 1])):
             assert np.array_equal(got, np.clip(part[..., ~noisy] + side // 2, 0, side - 1))
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_ml_candidate_images(self, m):
+        # ML decides points of the lattice itself (T = I, d = (1+j)/2): the
+        # sweep slices the integer images of its candidates as it does T m
+        spec = ConstellationSpec(m)
+        cands = ml_candidates(2, spec)
+        idx = _lattice_indices(_round_shifted(cands, 0.5 + 0.5j, spec.a), spec)
+        assert (idx.shape, idx.dtype) == ((2, 2 * m**2), np.uint8)
+        assert np.array_equal(idx[:, 0::2], _slice_index(cands.real, spec))
+        assert np.array_equal(idx[:, 1::2], _slice_index(cands.imag, spec))
+        assert idx.min() == 0 and idx.max() == spec.side - 1
 
     def test_nan_image_raises(self):
         image = np.array([[1.0 + 0.0j, np.nan + 2.0j]])

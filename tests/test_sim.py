@@ -15,7 +15,7 @@ import pytest
 from lrmimo import cli, detectors, linalg, sim, switched
 from lrmimo.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from lrmimo.detectors import (
-    _level_indices,
+    _slice_index,
     hard_slice,
     lr_detect_batch,
     ml_detect_batch,
@@ -67,7 +67,13 @@ class TestSimConfig:
         small_cfg()
 
     def test_numpy_integers_accepted(self):
-        cfg = small_cfg(trials=np.int64(5), packet_len=np.int32(4))
+        cfg = small_cfg(
+            n_t=np.int64(2),
+            n_r=np.int32(2),
+            trials=np.int64(5),
+            packet_len=np.int32(4),
+            seed=np.int64(7),
+        )
         assert run_sweep(cfg) == run_sweep(small_cfg())
 
     @pytest.mark.parametrize(
@@ -94,6 +100,11 @@ class TestSimConfig:
             dict(trials=2.5),
             dict(packet_len=2.5),
             dict(trials=5.0),
+            dict(n_r=2.5),
+            dict(n_t=2.0),
+            dict(seed=2.0),
+            dict(n_t=3, n_r=3, detectors=("klr-zf",), k_candidates=(1.5,)),
+            dict(detectors=()),
         ],
     )
     def test_invalid(self, kw):
@@ -415,7 +426,9 @@ class TestDrawPacket:
         assert x.tobytes() == want_x.tobytes()
         assert (noise.shape, noise.dtype) == (want_noise.shape, want_noise.dtype)
         assert noise.tobytes() == want_noise.tobytes()
-        want_sent = _level_indices(want_x, spec)
+        # each part of each symbol sliced, I and Q interleaved
+        parts = [_slice_index(v, spec) for v in (want_x.real, want_x.imag)]
+        want_sent = np.stack(parts, axis=-1).reshape(cfg.n_t, -1).astype(np.uint8)
         assert (sent.shape, sent.strides, sent.dtype) == (
             want_sent.shape,
             want_sent.strides,
@@ -556,10 +569,11 @@ class TestChunkBuffers:
 
 
 class TestChunks:
-    """A chunk's CLLL call is capped by the bytes of its input stacks.  A
-    non-switched sweep draws its packets when it detects them, so that is
-    its only cap; a switched one holds its packets, so a chunk is also
-    capped by their bytes, and a long packet keeps one trial per chunk."""
+    """A chunk's CLLL call is capped by the bytes of its input stacks, and
+    a sweep with nothing to reduce by its plain channels.  A non-switched
+    sweep draws its packets when it detects them, so that is its only cap;
+    a switched one holds its packets, so a chunk is also capped by their
+    bytes, and a long packet keeps one trial per chunk."""
 
     @staticmethod
     def count_calls(monkeypatch) -> list:
@@ -582,6 +596,23 @@ class TestChunks:
         per_call = 4  # trials of 4 bases each
         assert len(calls) == math.ceil(cfg.trials / per_call)
         assert calls == [4 * per_call, 4 * per_call, 4 * 2]
+
+    def test_ml_only_chunks_count_plain_channels(self, monkeypatch):
+        cfg = small_cfg(n_r=3, m=16, detectors=("ml",), trials=7)
+        assert sim._chunk_trials(cfg) == sim._CALL_BYTES // (16 * 3 * 2)
+        # three trials' 3x2 channels per chunk: chunks of 3, 3 and 1
+        monkeypatch.setattr(sim, "_CALL_BYTES", 3 * 16 * 3 * 2)
+        chunks = []
+        select = sim._chunk_selections
+
+        def counting_select(trials, *args):
+            chunks.append(len(trials))
+            return select(trials, *args)
+
+        monkeypatch.setattr(sim, "_chunk_selections", counting_select)
+        got = run_sweep(cfg)
+        assert chunks == [3, 3, 1]
+        assert got == reference_sweep(cfg)
 
     def test_switched_long_packets_keep_one_trial_per_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch)

@@ -50,7 +50,7 @@ def test_stages_prints_its_figures():
             "stage_us_per_trial",
             "calls_per_trial",
             "sweep_us_per_trial",
-            "wrapper_overhead_frac",
+            "wrapped_us_per_trial",
             "minflt_per_trial",
             "clll_calls",
             "bases_per_call",
@@ -67,11 +67,11 @@ def test_stages_prints_its_figures():
         assert calls["gen_channel"] == calls["_detect_trial"] == 1, name
         assert self_us["clll_reduce_batch"] > 0, name
         sweep = figures["sweep_us_per_trial"]
-        wrapped = sweep * (1 + figures["wrapper_overhead_frac"])
+        wrapped = figures["wrapped_us_per_trial"]
         # the self times sum to the wrapped sweep time, up to rounding
         assert sum(self_us.values()) == pytest.approx(wrapped, rel=1e-3, abs=1.0)
         assert sum(self_us.values()) - self_us["other"] <= wrapped + 1.0
-        assert sweep > 0 and figures["peak_traced_mb"] > 0
+        assert sweep > 0 and wrapped > 0 and figures["peak_traced_mb"] > 0
         assert figures["clll_calls"] == len(figures["bases_per_call"]) >= 1
         assert 0 < figures["loop_steps"] <= figures["basis_steps"]
     # a page fault count: none at all is a valid reading
