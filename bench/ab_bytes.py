@@ -22,9 +22,13 @@ The corpus:
   eps noise, eps = 1e-6, 1e-9 and 1e-11) through `clll_reduce`; where a
   case raises, the type and message of its error are digested in place of
   its fields;
-- `switched._select` stacks, plain and extended, K = 0 and 3: the basis
-  arrays, perms, ODFs, T, T^-1, d and pinv of the stack, of a slice and of
-  each member;
+- switched selection stacks, plain and extended, K = 0 and 3, through the
+  tree's one selection function (`switched._select_all`) or, in a tree
+  without it, `switched._select`: the basis arrays, perms, ODFs, T, T^-1, d
+  and pinv of the stack, of a slice and of each member;
+- `sim._chunk_selections` of several channels, each with its own
+  permutations, plain and extended, K = 0 and 3, with and without the
+  identity selections: every field of each trial's stacks;
 - `klr_select_with` results, of plain and extended channels, and the
   `replace(..., extended=True)` copies of the extended ones;
 - `detectors._lr_estimate`'s m and T m for the four kinds at M = 4, 16 and
@@ -35,7 +39,10 @@ The corpus:
 - `ml_detect_batch` decisions at M = 4, 16 and 64 on 2x2, 3x3 and 2x3
   channels, the noise of each block's columns from light to heavy so
   that they spread over the grid, and `ml_detect`'s fields for two of
-  its columns;
+  its columns; 2x2 64-QAM and 3x3 16-QAM blocks of 1000 and 700 columns,
+  which span several search blocks, and, where the tree bounds its search
+  blocks (`detectors._ML_BLOCK_ENTRIES`), 50 of those columns searched in
+  blocks of 1000 entries, which split the candidates too;
 - `identity_result` selections (U = T = I), plain and extended, of square
   and 3x4 channels;
 - lone `clll_reduce` bases, square and extended, n = 2..6, and
@@ -47,8 +54,9 @@ The corpus:
 - the `run_sweep` records of the golden configs (tests/test_golden.py), of
   the three benchmark shapes at 8 trials, and of four shapes that reach the
   conventional detectors (zf, mmse, ml) beyond those: 64-QAM, a 3x4
-  channel, a packet of several blocks per trial and delta 0.99, and an
-  ML-only sweep.
+  channel, a packet of several blocks per trial and delta 0.99, an
+  ML-only sweep, and an ML-only 2x2 64-QAM sweep of one 2000-symbol
+  packet.
 
 No digest is stored: LAPACK bits may differ between hosts, so the tool
 compares two trees on one host, and the golden counts stay the portable
@@ -126,11 +134,10 @@ def corpus():
     from lrmimo.kz import kz_reduce
     from lrmimo.modem import ConstellationSpec
     from lrmimo.reduction import ReductionParams, clll_reduce, clll_reduce_batch
-    from lrmimo.sim import SimConfig, run_sweep
+    from lrmimo import switched
+    from lrmimo.sim import SimConfig, _chunk_selections, run_sweep
     from lrmimo.switched import (
         KlrResult,
-        _candidate_stack,
-        _select,
         extend_channel,
         identity_result,
         klr_select_extended,
@@ -150,13 +157,25 @@ def corpus():
         mats[::4, :, 1] = (1 + 0.3j) * mats[::4, :, 0] + 1e-6 * crandn(rng, n)[None]
         return extended_all(mats, 0.3) if extended else mats
 
-    def reduced_candidates(rng, mats):
-        """(reduced stack, perms) of mats, each followed by 3 candidates."""
-        groups = [sample_permutations(mats.shape[-1], 3, rng).perms for _ in mats]
+    def select(mats, groups, ks, extended):
+        """{k: KlrStack} of the switched selections of the channels mats,
+        channel g with the candidates groups[g], through the tree's one
+        selection function or, where it has none, its _select."""
+        params = ReductionParams()
+        if hasattr(switched, "_select_all"):
+            found = switched._select_all(
+                {extended: mats}, {extended: groups}, {extended: set(ks)}, params
+            )
+            return {k: found[(extended, k)] for k in ks}
         stack = np.concatenate(
-            [_candidate_stack(h[None], p) for h, p in zip(mats, groups)]
+            [switched._candidate_stack(h[None], p) for h, p in zip(mats, groups)]
         )
-        return clll_reduce_batch([stack], ReductionParams())[0], groups
+        reduced = clll_reduce_batch([stack], params)[0]
+        return {k: switched._select(reduced, groups, k, extended) for k in ks}
+
+    def candidates(rng, mats):
+        """3 candidate permutations for each channel of mats."""
+        return [sample_permutations(mats.shape[-1], 3, rng).perms for _ in mats]
 
     def stack_fields(case, stack):
         for name in BASIS_FIELDS:
@@ -230,9 +249,8 @@ def corpus():
             chans = crandn(rng, 6, rows, n)
             if extended:
                 chans = extended_all(chans, 0.3)
-            reduced, groups = reduced_candidates(rng, chans)
-            for k in (0, 3):
-                sel = _select(reduced, groups, k, extended)
+            sels = select(chans, candidates(rng, chans), (0, 3), extended)
+            for k, sel in sels.items():
                 tag = f"select/n{n}/{'ext' if extended else 'plain'}/k{k}"
                 yield from selection(f"{tag}/stack", sel, STACK_FIELDS)
                 yield from selection(f"{tag}/slice", sel[1:4], STACK_FIELDS)
@@ -252,6 +270,30 @@ def corpus():
             yield from selection(f"{tag}/ext", ext, RESULT_FIELDS)
             copy = replace(ext, extended=True)
             yield from selection(f"{tag}/ext-replaced", copy, RESULT_FIELDS)
+
+    # the selections of a sweep's chunk: several channels, each with its
+    # own permutations (5 drawn, the first max k used), plain and extended,
+    # K = 0 and 3, with and without the identity selections
+    rng = np.random.default_rng(1411)
+    sigma2s = (0.2, 0.05, 0.01)
+    chunk_ks = {
+        "plain": {False: {0, 3}},
+        "ext": {True: {0, 3}},
+        "both": {False: {None, 0, 3}, True: {None, 0, 3}},
+        "identity": {False: {None}, True: {None}},
+        "mixed": {False: {None, 3}, True: {0}},
+    }
+    for n, rows in ((4, 4), (3, 5)):
+        trials = [
+            (crandn(rng, rows, n), None, None, sample_permutations(n, 5, rng).perms)
+            for _ in range(4)
+        ]
+        for name, ks in chunk_ks.items():
+            sels = _chunk_selections(trials, sigma2s, ks, ReductionParams())
+            for t, sel in enumerate(sels):
+                for (extended, k), stack in sorted(sel.items(), key=repr):
+                    tag = f"chunk/{rows}x{n}/{name}/t{t}/{'ext' if extended else 'plain'}"
+                    yield from selection(f"{tag}/k{k}", stack, STACK_FIELDS)
 
     # identity selections, plain and extended
     rng = np.random.default_rng(1405)
@@ -328,7 +370,7 @@ def corpus():
         for kind in DETECTOR_KINDS:
             extended = kind in ("mmse", "sic-mmse")
             mats = extended_all(chans, sigma) if extended else chans
-            sel = _select(*reduced_candidates(rng, mats), 3, extended)
+            sel = select(mats, candidates(rng, mats), (3,), extended)[3]
             tag = f"estimate/m{m}/{kind}"
             m_s, tm_s = _lr_estimate(y, sel, kind, spec)
             yield f"{tag}/stack", "m", m_s
@@ -359,6 +401,28 @@ def corpus():
                 out = ml_detect(y[:, col], h, spec)
                 yield f"{tag}/col{col}", "x_hat", out.x_hat
                 yield f"{tag}/col{col}", "z_hat", out.z_hat
+
+    # ML decisions whose columns span several search blocks, and, where the
+    # tree bounds its search blocks, blocks that split the candidates too
+    from lrmimo import detectors
+
+    rng = np.random.default_rng(1412)
+    for m, n_t, batch in ((64, 2, 1000), (16, 3, 700)):
+        spec = ConstellationSpec(m)
+        h = crandn(rng, n_t, n_t)
+        idx = rng.integers(0, spec.side, size=(n_t, batch, 2))
+        x = spec.levels[idx[..., 0]] + 1j * spec.levels[idx[..., 1]]
+        y = h @ x + spec.a * np.geomspace(0.05, 3.0, batch) * crandn(rng, n_t, batch)
+        tag = f"ml-blocks/m{m}/{n_t}x{n_t}"
+        yield tag, "batch", ml_detect_batch(y, h, spec)
+        bound = getattr(detectors, "_ML_BLOCK_ENTRIES", None)
+        try:
+            if bound is not None:
+                detectors._ML_BLOCK_ENTRIES = 1000
+            yield f"{tag}/split", "batch", ml_detect_batch(y[:, :50], h, spec)
+        finally:
+            if bound is not None:
+                detectors._ML_BLOCK_ENTRIES = bound
 
     # sweeps: the golden configs and the benchmark shapes at 8 trials
     path = ROOT / "tests" / "test_golden.py"
@@ -404,6 +468,11 @@ def corpus():
     configs["conventional/ml-only"] = SimConfig(
         n_t=2, n_r=2, m=16, snr_grid_db=(6.0, 12.0, 18.0), detectors=("ml",),
         trials=6, packet_len=80, seed=15,
+    )
+    # one 2000-symbol packet of 4096 candidates per column
+    configs["conventional/ml-64qam-long"] = SimConfig(
+        n_t=2, n_r=2, m=64, snr_grid_db=(16.0, 24.0), detectors=("ml",),
+        trials=1, packet_len=2000, seed=16,
     )
     for name, cfg in configs.items():
         for rec in run_sweep(cfg):
