@@ -42,7 +42,7 @@ The corpus:
   its columns; 2x2 64-QAM and 3x3 16-QAM blocks of 1000 and 700 columns,
   which span several search blocks, and, where the tree bounds its search
   blocks (`detectors._ML_BLOCK_ENTRIES`), 50 of those columns searched in
-  blocks of 1000 entries, which split the candidates too;
+  blocks of 1024 entries, which split the candidates too;
 - `identity_result` selections (U = T = I), plain and extended, of square
   and 3x4 channels;
 - lone `clll_reduce` bases, square and extended, n = 2..6, and
@@ -418,7 +418,7 @@ def corpus():
         bound = getattr(detectors, "_ML_BLOCK_ENTRIES", None)
         try:
             if bound is not None:
-                detectors._ML_BLOCK_ENTRIES = 1000
+                detectors._ML_BLOCK_ENTRIES = 1 << 10
             yield f"{tag}/split", "batch", ml_detect_batch(y[:, :50], h, spec)
         finally:
             if bound is not None:

@@ -7,9 +7,10 @@ golden sweep and CLI_SWEEPS timed sweeps run through `cli.main`, as the
 benchmark's worker runs them.  Then, at its sweep size and simulate seed 5,
 the real `run_sweep` runs: one sweep that counts the `clll_reduce_batch`
 calls, PAIRS interleaved pairs of an unwrapped and a wrapped sweep, and one
-under tracemalloc.  The wrapped sweeps replace each name of STAGES where
-`lrmimo.sim` looks it up, and `switched._lr_arrays` where `_selection` does,
-by a timer; every name is restored on exit.  Per workload:
+under tracemalloc.  The wrapped sweeps replace each name of SIM_STAGES
+where `lrmimo.sim` looks it up, and each of SWITCHED_STAGES where
+`lrmimo.switched` does, by a timer; every name is restored on exit.  Per
+workload:
 
 - `stage_us_per_trial`: each stage's self time (its time less that of the
   wrapped stages it calls) per trial of the wrapped sweeps, and `other`,
@@ -58,14 +59,18 @@ from lrmimo import cli, clll_reduce, sim, switched  # noqa: E402
 SEED, PAIRS, LONE, CLI_SWEEPS = 5, 3, 99, 10
 # names run_sweep reaches through lrmimo.sim: the draws, the selections of a
 # chunk and the detection of a trial, each with the helpers it calls
-STAGES = (
+SIM_STAGES = (
     "_draw_trial", "gen_channel", "_draw_packet", "sample_permutations",
-    "_chunk_selections", "extend_channel", "_candidate_stack",
-    "clll_reduce_batch", "_pick", "_identity", "_selection",
-    "_chunk_buffers", "_detect_trial", "_packet_symbols", "_lr_estimate",
-    "_lattice_indices", "_count_errors",
+    "_chunk_selections", "extend_channel", "_chunk_buffers", "_detect_trial",
+    "_packet_symbols", "_lr_estimate", "_lattice_indices", "_count_errors",
 )
-WRAPPED = [(sim, name) for name in STAGES] + [(switched, "_lr_arrays")]
+# the stages of the chunk's selections, which switched._select_all reaches
+# through lrmimo.switched
+SWITCHED_STAGES = (
+    "_candidate_stack", "clll_reduce_batch", "_pick", "_identity", "_selection",
+    "_lr_arrays",
+)
+WRAPPED = [(sim, n) for n in SIM_STAGES] + [(switched, n) for n in SWITCHED_STAGES]
 
 
 def minflt() -> int:

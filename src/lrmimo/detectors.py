@@ -14,7 +14,6 @@ slices any floating-point estimate onto the constellation.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -32,6 +31,11 @@ from .switched import KlrResult, KlrStack, _offset, extend_channel
 
 DETECTOR_KINDS = ("zf", "mmse", "sic-zf", "sic-mmse")
 ML_DEFAULT_CAP = 1_000_000
+
+# Costs (candidates x columns) that _ml_search forms at once, whatever M^n_t
+# and the packet length: 2 MiB of complex products.  Its blocks are multiples
+# of 8 wide, and OpenBLAS forms those products with the bits of one whole one.
+_ML_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -238,8 +242,7 @@ def ml_candidates(
         raise BudgetExceededError(
             f"{count} candidates exceed the enumeration cap {max_candidates}"
         )
-    cands = np.array(list(product(spec.alphabet, repeat=n_t)), dtype=np.complex128).T
-    return cands
+    return spec.alphabet[np.indices((spec.m,) * n_t).reshape(n_t, -1)]
 
 
 def ml_detect_batch(
@@ -260,12 +263,28 @@ def _ml_table(h: np.ndarray, cands: np.ndarray) -> tuple:
 
 def _ml_search(y_cols: np.ndarray, table) -> np.ndarray:
     """Numbers of the ML candidates (batch,) of the columns of y_cols,
-    given _ml_table."""
+    given _ml_table, searched in blocks of about _ML_BLOCK_ENTRIES costs
+    (the last block of columns up to twice that, never one column wide).
+    Of equal costs the first candidate wins, as in one argmin."""
     s, norms = table
-    # ||y - s_c||^2 = ||y||^2 - 2 Re(s_c^H y) + ||s_c||^2; the ||y||^2 term is
-    # constant per column and can be dropped
-    cost = norms[:, np.newaxis] - 2.0 * np.real(s.conj().T @ y_cols)
-    return np.argmin(cost, axis=0)
+    s_h = s.conj().T
+    count, cols = s_h.shape[0], y_cols.shape[1]
+    step = min(count, _ML_BLOCK_ENTRIES // 8)  # candidates per block
+    width = max(8, _ML_BLOCK_ENTRIES // step // 8 * 8)  # columns per block
+    starts = range(0, max(cols - width, 1), width)
+    best, low = np.zeros(cols, dtype=np.intp), np.full(cols, np.inf)
+    for j in map(slice, starts, [*starts[1:], cols]):
+        for c in range(0, count, step):
+            # ||y - s_c||^2 = ||y||^2 - 2 Re(s_c^H y) + ||s_c||^2; the
+            # ||y||^2 term is constant per column and can be dropped
+            cost = norms[c : c + step, np.newaxis] - 2.0 * np.real(
+                s_h[c : c + step] @ y_cols[:, j]
+            )
+            least = cost.min(axis=0)
+            won = least < low[j]  # a later block must be strictly lower
+            best[j][won] = c + np.argmin(cost, axis=0)[won]
+            low[j][won] = least[won]
+    return best
 
 
 def lr_detect(
@@ -274,16 +293,14 @@ def lr_detect(
     klr: KlrResult,
     kind: str,
     spec: ConstellationSpec,
-    sigma_n: float = 0.0,
 ) -> DetectionOutput:
     """Lattice-reduction-aided detection of one received vector.
 
     kind is one of "zf", "mmse", "sic-zf", "sic-mmse".  The MMSE kinds require
-    a KlrResult built on the extended channel; the ZF kinds require a plain
-    one.  z_hat is the reduced-domain estimate a (m + d) on the shifted,
-    scaled lattice; x_hat slices its image.  sigma_n is accepted for
-    compatibility and ignored: an extended selection carries its sigma_n
-    in its basis.
+    a KlrResult built on the extended channel, which carries its sigma_n in
+    its basis; the ZF kinds require a plain one.  z_hat is the
+    reduced-domain estimate a (m + d) on the shifted, scaled lattice; x_hat
+    slices its image.
     """
     y = as_vector(y)
     _check_channel(h, klr)  # h is validated only: klr carries the channel

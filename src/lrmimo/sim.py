@@ -25,16 +25,8 @@ from .detectors import (
 )
 from .errors import ValidationError
 from .modem import ConstellationSpec, _level_index_pairs, _level_values
-from .reduction import ReductionParams, clll_reduce_batch
-from .switched import (
-    _candidate_stack,
-    _identity,
-    _k_limit,
-    _pick,
-    _selection,
-    extend_channel,
-    sample_permutations,
-)
+from .reduction import ReductionParams
+from .switched import _k_limit, _select_all, extend_channel, sample_permutations
 
 # detector -> (flavour, estimator).  The estimator filters a basis of H
 # (False) or of [H; sigma_n I] (True): zf and mmse the identity (U = I), the
@@ -305,52 +297,25 @@ def _chunk_trials(cfg: SimConfig) -> int:
 
 
 def _chunk_selections(trials, sigma2s, ks, params) -> list:
-    """Selections of each trial of a chunk, keyed (extended, k), each a
-    KlrStack: one member per SNR point for the extended flavour, one member
-    that serves every point for the plain one.
-
-    ks maps each flavour the sweep detects on to the k of its selections
-    (_selection_ks): None the identity selection of the channels, 0 the
-    CLLL baseline, k >= 1 the pick among the first k candidates.  Every
-    basis reduced goes through one clll_reduce_batch call, one stack per
-    flavour: for each trial in order, its plain channel or its extended
-    channel at each SNR point, each followed by its permuted candidates.
-    Each (flavour, k) is one KlrStack over the chunk, formed by one
-    _selection call, and a trial's entry is a slice of it.
-    """
-    sels = [{} for _ in trials]
+    """Selections of each trial of a chunk, keyed (extended, k) as ks
+    (_selection_ks) lists them, each a slice of one switched._select_all
+    call over the chunk: one member per SNR point for the extended flavour
+    (the trial's channel extended at each point, with the trial's
+    permutations), one that serves every point for the plain one."""
+    per = {False: 1, True: len(sigma2s)}  # channels per trial
     sigmas = np.sqrt(sigma2s)
-    chans = {  # per flavour and trial, its plain channel or its extended ones
-        f: [extend_channel(h, sigmas) if f else h[np.newaxis] for h, *_ in trials]
+    chans = {
+        f: np.concatenate(
+            [extend_channel(h, sigmas) if f else h[np.newaxis] for h, *_ in trials]
+        )
         for f in ks
     }
-    reducing = sorted(f for f in ks if ks[f] - {None})
-    # per flavour reduced and trial, the permutations of its candidates
-    cands = {f: [perms[: max(ks[f] - {None})] for *_, perms in trials] for f in reducing}
-    stacks = [
-        np.concatenate([_candidate_stack(c, p) for c, p in zip(chans[f], cands[f])])
-        for f in reducing
+    perms = {f: [p for *_, p in trials for _ in range(per[f])] for f in ks}
+    found = _select_all(chans, perms, ks, params)
+    return [
+        {(f, k): s[t * per[f] : (t + 1) * per[f]] for (f, k), s in found.items()}
+        for t in range(len(trials))
     ]
-    reduced = clll_reduce_batch(stacks, params) if stacks else []
-    del stacks  # the selections need only the reduced bases
-    for extended in sorted(ks):
-        per = len(sigma2s) if extended else 1  # channels per trial
-        picks = {}
-        if extended in reducing:
-            stack = reduced.pop(0)
-            groups = [p for p in cands[extended] for _ in range(per)]
-            picks = {k: _pick(stack, groups, k) for k in ks[extended] - {None}}
-            # the picks hold copies of their bases: Q, T, T^-1, d and the
-            # filters are formed after the whole stack is released, one call
-            # each per (flavour, k) of the chunk
-            del stack
-        if None in ks[extended]:
-            picks[None] = _identity(np.concatenate(chans[extended]))
-        for k, pick in picks.items():
-            found = _selection(*pick, extended)
-            for t, sel in enumerate(sels):
-                sel[(extended, k)] = found[t * per : (t + 1) * per]
-    return sels
 
 
 def _chunk_buffers(cfg: SimConfig, spec) -> tuple:

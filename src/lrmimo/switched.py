@@ -144,26 +144,38 @@ def _k_limit(n: int) -> int:
     return min(math.factorial(n) - 1, MAX_CANDIDATES)
 
 
-def _select(reduced: ReducedStack, perms, k: int, extended: bool) -> KlrStack:
-    """Switched selection on every channel of a candidate stack.
-
-    reduced holds one group per channel, as _candidate_stack lays it out:
-    the baseline, then its candidates by perms[g] (the same count for every
-    group).  Among the first k candidates the lowest-ODF one is kept only if
-    it strictly beats the baseline; k = 0 gives the baseline with empty
-    candidate_odfs.  Returns one KlrStack, member g for group g; its bases
-    are copies, so they do not keep the whole stack alive, and their Q, T,
-    T^-1, d and pinv are formed here, once for every slice taken of them.
+def _select_all(chans, perms, ks, params: ReductionParams) -> dict:
+    """The switched selections of stacks of channels, one KlrStack per
+    (extended, k), member b for channel b.  Per flavour f of ks (False
+    plain, True extended): chans[f] is a (B, rows, n) stack of channels,
+    perms[f] each channel's candidate permutations (as many for each, the
+    first max k used), and ks[f] the k of its selections: None the
+    identity (U = I), 0 the CLLL baseline, k >= 1 the pick among the
+    first k candidates (_pick).  Each flavour's candidates are one gather,
+    all are reduced in one clll_reduce_batch call, and every k is picked
+    before the stacks are released and _selection forms the rest.
     """
-    return _selection(*_pick(reduced, perms, k), extended)
+    reducing = sorted(f for f in ks if ks[f] - {None})
+    cands = {f: [p[: max(ks[f] - {None})] for p in perms[f]] for f in reducing}
+    stacks = [_candidate_stack(chans[f], cands[f]) for f in reducing]
+    reduced = clll_reduce_batch(stacks, params) if stacks else []
+    del stacks  # the picks need only the reduced bases
+    picks = {}
+    for f in reducing:
+        stack = reduced.pop(0)
+        picks.update({(f, k): _pick(stack, cands[f], k) for k in ks[f] - {None}})
+        del stack
+    for f in ks:
+        if None in ks[f]:
+            picks[f, None] = _identity(chans[f])
+    return {key: _selection(*pick, key[0]) for key, pick in picks.items()}
 
 
 def _pick(reduced: ReducedStack, perms, k: int) -> tuple:
-    """What _select takes from the whole stack: (kept, chosen, baseline
-    ODFs, candidate ODFs), kept a ReducedStack of copies of the kept bases
-    and chosen their permutations.  A caller that selects several k can
-    pick them all, then release the stack before _selection forms the rest.
-    """
+    """Per channel of a reduced _candidate_stack, the lowest-ODF of its
+    first k candidates if it strictly beats the baseline, else the
+    baseline: (kept, chosen, baseline ODFs, candidate ODFs), kept a
+    ReducedStack of copies of the kept bases, chosen their permutations."""
     odfs = reduced.odf.reshape(len(perms), -1)
     base, cands = odfs[:, 0], odfs[:, 1 : 1 + k]
     groups = np.arange(len(odfs))
@@ -204,34 +216,34 @@ def sample_permutations(n: int, k: int, rng: np.random.Generator) -> Permutation
                 continue
             seen.add(p)
             out.append(p)
-    return PermutationSet(n=n, perms=tuple(out))
+    drawn = object.__new__(PermutationSet)  # valid as drawn: not checked again
+    drawn.__dict__.update(n=n, perms=tuple(out))
+    return drawn
 
 
 def klr_select_with(
     h, perms: PermutationSet, params: ReductionParams = ReductionParams()
 ) -> KlrResult:
     """Run the switched selection against an explicit permutation set."""
-    return _select_one(as_matrix(h), perms, params, False)
-
-
-def _select_one(h, perms: PermutationSet, params, extended: bool) -> KlrResult:
-    """klr_select_with on h, plain or extended: a stack of one from _select."""
+    h = as_matrix(h)
     if perms.n != h.shape[1]:
         raise ValidationError("permutation size does not match column count")
-    reduced = clll_reduce_batch([_candidate_stack(h[np.newaxis], perms.perms)], params)
-    return _select(reduced[0], [perms.perms], len(perms.perms), extended)[0]
+    k, chans = len(perms.perms), {False: h[np.newaxis]}
+    found = _select_all(chans, {False: [perms.perms]}, {False: {k}}, params)
+    return found[False, k][0]
 
 
 def _candidate_stack(mats: np.ndarray, perms) -> np.ndarray:
-    """Each matrix of a (count, rows, n) stack followed by its column permutations.
-
-    Returns a (count * (1 + len(perms)), rows, n) stack: matrix i sits at
-    index i * (1 + len(perms)), its candidate by perms[j] right after at
-    offset 1 + j.
-    """
-    _, rows, n = mats.shape
-    cols = np.array([tuple(range(n)), *perms], dtype=np.intp)
-    return mats[:, :, cols].transpose(0, 2, 1, 3).reshape(-1, rows, n)
+    """Each matrix of a (B, rows, n) stack followed by its K column
+    permutations perms[b], gathered into one C-contiguous (B (1 + K), rows,
+    n) stack: matrix b at b (1 + K), its candidate by perms[b][j] at offset
+    1 + j after it."""
+    count, rows, n = mats.shape
+    cols = np.empty((count, 1 + len(perms[0]), 1, n), dtype=np.intp)
+    cols[:, 0] = np.arange(n)
+    cols[:, 1:, 0] = np.reshape(perms, cols[:, 1:, 0].shape)
+    # the gather writes a new array in C order
+    return np.take_along_axis(mats[:, np.newaxis], cols, axis=-1).reshape(-1, rows, n)
 
 
 def klr_select(
@@ -272,9 +284,10 @@ def klr_select_extended(
     rng: np.random.Generator | None = None,
 ) -> KlrResult:
     """Switched selection on the extended channel [H; sigma_n I] for MMSE."""
-    h = extend_channel(h, sigma_n)
+    h = extend_channel(h, [sigma_n])
     rng = np.random.default_rng() if rng is None else rng
-    return _select_one(h, sample_permutations(h.shape[1], k, rng), params, True)
+    perms = sample_permutations(h.shape[-1], k, rng).perms
+    return _select_all({True: h}, {True: [perms]}, {True: {k}}, params)[True, k][0]
 
 
 def _identity(mats) -> tuple:
@@ -291,11 +304,12 @@ def _identity(mats) -> tuple:
 
 def identity_result(h, extended: bool = False, sigma_n: float = 0.0) -> KlrResult:
     """KlrResult with U = I and no permutation (reduction disabled): the
-    member of a stack of one from _identity, as the sweep forms them.
+    member of a stack of one from _select_all, as the sweep forms them.
 
     Feeding this to the LR detectors reproduces the conventional detector of
     the same kind.
     """
     h = as_matrix(h)
     mats = extend_channel(h, [sigma_n]) if extended else h[np.newaxis].copy()
-    return _selection(*_identity(mats), extended)[0]
+    found = _select_all({extended: mats}, {}, {extended: {None}}, ReductionParams())
+    return found[extended, None][0]

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from lrmimo import detectors
 from lrmimo.detectors import (
     DetectionOutput,
     _slice_index,
@@ -23,6 +24,8 @@ from lrmimo.detectors import (
     _lattice_indices,
     _lattice_symbols,
     _lr_estimate,
+    _ml_search,
+    _ml_table,
     _round_shifted,
     _sic,
     ml_candidates,
@@ -30,10 +33,9 @@ from lrmimo.detectors import (
 from lrmimo.errors import BudgetExceededError, SingularMatrixError, ValidationError
 from lrmimo.linalg import _pinv_from_qr
 from lrmimo.modem import ConstellationSpec
-from lrmimo.reduction import ReductionParams, clll_reduce_batch, round_gaussian
+from lrmimo.reduction import ReductionParams, round_gaussian
 from lrmimo.switched import (
-    _candidate_stack,
-    _select,
+    _select_all,
     extend_channel,
     identity_result,
     klr_select,
@@ -280,6 +282,32 @@ class TestMl:
         with pytest.raises(BudgetExceededError):
             ml_detect(crandn(rng, 4), crandn(rng, 4, 4), QAM16, max_candidates=1000)
 
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    @pytest.mark.parametrize("n_t", [1, 2, 3])
+    def test_candidates_equal_product_oracle(self, m, n_t):
+        spec = ConstellationSpec(m)
+        want = np.array(list(itertools.product(spec.alphabet, repeat=n_t))).T
+        got = ml_candidates(n_t, spec)
+        assert got.dtype == np.complex128 and got.shape == (n_t, m**n_t)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("entries", [64, 1 << 10, detectors._ML_BLOCK_ENTRIES])
+    def test_blocked_search_equals_one_argmin(self, rng, monkeypatch, entries):
+        # 16-QAM on 3 transmit antennas: 4096 candidates, listed twice, so
+        # candidate c + 4096 ties with c; 403 columns, the first all zero
+        cands = ml_candidates(3, QAM16)
+        cands = np.concatenate([cands, cands], axis=1)
+        h = crandn(rng, 3, 3)
+        y = h @ QAM16.alphabet[rng.integers(0, 16, (3, 403))]
+        y += 0.5 * crandn(rng, 3, 403)
+        y[:, 0] = 0
+        s, norms = table = _ml_table(h, cands)
+        want = np.argmin(norms[:, np.newaxis] - 2.0 * np.real(s.conj().T @ y), axis=0)
+        monkeypatch.setattr(detectors, "_ML_BLOCK_ENTRIES", entries)
+        got = _ml_search(y, table)
+        assert np.array_equal(got, want)
+        assert got.max() < 4096  # every tie goes to the first copy
+
     def test_batch_consistency(self, rng):
         h = crandn(rng, 2, 2)
         ys = crandn(rng, 2, 7)
@@ -308,7 +336,7 @@ class TestLrDetect:
             klr = klr_select_extended(h, sigma, 3, rng=rng)
             x = random_symbols(rng, QPSK, 4)
             y = h @ x + sigma * crandn(rng, 4)
-            out = lr_detect(y, h, klr, kind, QPSK, sigma_n=sigma)
+            out = lr_detect(y, h, klr, kind, QPSK)
             errs += int(not np.allclose(out.x_hat, x))
         assert errs == 0
 
@@ -440,7 +468,7 @@ class TestLrDetect:
 
 
 class TestStackedEstimator:
-    """_lr_estimate on an S-member KlrStack from _select, in one call,
+    """_lr_estimate on an S-member KlrStack from _select_all, in one call,
     against lr_detect_batch on each block with that member alone."""
 
     @pytest.mark.parametrize("kind", ["zf", "mmse", "sic-zf", "sic-mmse"])
@@ -459,17 +487,15 @@ class TestStackedEstimator:
             chans = list(crandn(rng, count, n_r, n))
             mats = np.stack(chans)
         groups = [sample_permutations(n, width, rng).perms for _ in range(count)]
-        stack = np.concatenate(
-            [_candidate_stack(m[np.newaxis], p) for m, p in zip(mats, groups)]
-        )
-        reduced = clll_reduce_batch([stack], ReductionParams())[0]
+        ks = {extended: {0, width}}
+        found = _select_all({extended: mats}, {extended: groups}, ks, ReductionParams())
         ident = tuple(range(n))
         for spec in (QPSK, QAM16):
             x = random_symbols(rng, spec, count, n, 9)
             y = np.stack([h @ xs for h, xs in zip(chans, x)])
             y += 0.3 * crandn(rng, *y.shape)
             for k in (0, width):
-                sel = _select(reduced, groups, k, extended)
+                sel = found[extended, k]
                 assert len(sel) == count >= 3
                 kept = sum(sel[s].perm != ident for s in range(count))
                 assert kept == 0 if k == 0 else kept >= 1
@@ -510,11 +536,9 @@ class TestSicInput:
         sigmas = 0.1 + 0.2 * np.arange(count)
         mats = extend_channel(h, sigmas) if extended else crandn(rng, count, n_r, n)
         groups = [sample_permutations(n, width, rng).perms for _ in range(count)]
-        stack = np.concatenate(
-            [_candidate_stack(mat[np.newaxis], p) for mat, p in zip(mats, groups)]
-        )
-        reduced = clll_reduce_batch([stack], ReductionParams())[0]
-        sel = _select(reduced, groups, width, extended)
+        ks = {extended: {width}}
+        sel = _select_all({extended: mats}, {extended: groups}, ks, ReductionParams())
+        sel = sel[extended, width]
         for spec in (QPSK, QAM16, ConstellationSpec(64)):
             y = 2.0 * crandn(rng, count, n_r, 30)
             y_before = y.copy()

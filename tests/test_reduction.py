@@ -239,7 +239,7 @@ class TestClllReduceBatch:
         trials = []
         for _ in range(16):
             h = crandn(rng, 1, 6, 6)
-            trials.append(_candidate_stack(h, sample_permutations(6, 10, rng).perms))
+            trials.append(_candidate_stack(h, [sample_permutations(6, 10, rng).perms]))
         chunk = clll_reduce_batch([np.concatenate(trials)])[0]
         for t, stack in enumerate(trials):
             for i, ref in enumerate(clll_reduce_batch([stack])[0]):

@@ -567,6 +567,19 @@ class TestChunkBuffers:
         assert max(peaks) < block / 2, peaks
         assert got == reference_sweep(cfg)
 
+    def test_ml_sweep_memory_is_bounded(self):
+        # 4096 candidates x 2000 columns per point: the whole cost matrix
+        # would take 128 MiB of complex products alone
+        cfg = small_cfg(m=64, detectors=("ml",), trials=1, packet_len=2000)
+        tracemalloc.start()
+        try:
+            got = run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, peak
+        assert got == reference_sweep(cfg)
+
 
 class TestChunks:
     """A chunk's CLLL call is capped by the bytes of its input stacks, and
@@ -577,15 +590,16 @@ class TestChunks:
 
     @staticmethod
     def count_calls(monkeypatch) -> list:
-        """Bases of each clll_reduce_batch call the sweep makes."""
+        """Bases of each clll_reduce_batch call the sweep makes, all of
+        them through switched._select_all."""
         calls = []
-        reduce = sim.clll_reduce_batch
+        reduce = switched.clll_reduce_batch
 
         def counting_reduce(stacks, params):
             calls.append(sum(len(s) for s in stacks))
             return reduce(stacks, params)
 
-        monkeypatch.setattr(sim, "clll_reduce_batch", counting_reduce)
+        monkeypatch.setattr(switched, "clll_reduce_batch", counting_reduce)
         return calls
 
     def test_non_switched_long_packets_share_calls(self, monkeypatch):

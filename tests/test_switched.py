@@ -6,14 +6,14 @@ import pytest
 from lrmimo import linalg, switched
 from lrmimo.errors import ValidationError
 from lrmimo.linalg import _pinv_from_qr
-from lrmimo.reduction import ReductionParams, clll_reduce_batch, is_unimodular
+from lrmimo.reduction import ReductionParams, is_unimodular
 from lrmimo.switched import (
     KlrResult,
     PermutationSet,
     _candidate_stack,
     _offset,
     _k_limit,
-    _select,
+    _select_all,
     extend_channel,
     identity_result,
     klr_select,
@@ -69,6 +69,17 @@ class TestSamplePermutations:
                     got, want = np.random.default_rng(seed), np.random.default_rng(seed)
                     assert sample_permutations(n, k, got).perms == loop(n, k, want)
                     assert got.bit_generator.state == want.bit_generator.state
+
+    def test_drawn_set_is_not_checked_again(self, monkeypatch):
+        # the draw keeps only distinct non-identity permutations, so its
+        # set is built without PermutationSet's check
+        def check(self):
+            raise AssertionError("checked again")
+
+        monkeypatch.setattr(PermutationSet, "__post_init__", check)
+        got = sample_permutations(6, 10, np.random.default_rng(4))
+        monkeypatch.undo()
+        assert got == PermutationSet(6, got.perms)
 
     def test_set_validation(self):
         with pytest.raises(ValidationError):
@@ -147,8 +158,8 @@ class TestKlrSelect:
 
 
 class TestStackedSelection:
-    """_select over the candidate stack of several channels, as the sweep
-    lays it out, against klr_select_with on each channel alone."""
+    """_select_all on several channels, each with its own permutations, as
+    the sweep selects, against klr_select_with on each channel alone."""
 
     @pytest.mark.parametrize("extended", [False, True])
     @pytest.mark.parametrize("delta", [0.75, 0.99])
@@ -158,13 +169,13 @@ class TestStackedSelection:
         if extended:
             chans = np.stack([extend_channel(h, 0.4) for h in chans])
         groups = [sample_permutations(n, width, rng).perms for _ in chans]
-        stack = np.concatenate(
-            [_candidate_stack(h[np.newaxis], p) for h, p in zip(chans, groups)]
-        )
-        reduced = clll_reduce_batch([stack], params)[0]
+        stack = _candidate_stack(chans, groups)
+        assert stack.flags.c_contiguous and len(stack) == len(chans) * (1 + width)
+        ks = {extended: {0, 2, width}}
+        found = _select_all({extended: chans}, {extended: groups}, ks, params)
         replaced = 0
         for k in (0, 2, width):
-            sel = _select(reduced, groups, k, extended)
+            sel = found[extended, k]
             assert len(sel) == len(chans)
             for g, h in enumerate(chans):
                 got = sel[g]
@@ -218,11 +229,9 @@ class TestLrArrays:
         if extended:
             chans = np.stack([extend_channel(h, 0.3) for h in chans])
         groups = [sample_permutations(n, width, rng).perms for _ in chans]
-        stack = np.concatenate(
-            [_candidate_stack(h[np.newaxis], p) for h, p in zip(chans, groups)]
-        )
-        reduced = clll_reduce_batch([stack], ReductionParams())[0]
-        sel = _select(reduced, groups, width, extended)
+        ks, params = {extended: {width}}, ReductionParams()
+        sel = _select_all({extended: chans}, {extended: groups}, ks, params)
+        sel = sel[extended, width]
         assert any(p != tuple(range(n)) for p in sel.perms)
         for part in (sel, sel[1:4], sel[2:3]):
             self.check(part, part.perms)
@@ -305,11 +314,8 @@ class TestFormedOnce:
         n, width = 4, 3
         chans = crandn(rng, 5, 5, n)
         groups = [sample_permutations(n, width, rng).perms for _ in chans]
-        stack = np.concatenate(
-            [_candidate_stack(h[np.newaxis], p) for h, p in zip(chans, groups)]
-        )
-        reduced = clll_reduce_batch([stack], ReductionParams())[0]
-        sel = _select(reduced, groups, width, False)
+        ks, params = {False: {width}}, ReductionParams()
+        sel = _select_all({False: chans}, {False: groups}, ks, params)[False, width]
         calls = self.counts(monkeypatch)
         for i in range(len(sel)):
             member = sel[i]

@@ -14,8 +14,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the stages bench/stages.py times, each a name lrmimo.sim calls, and the
-# switched._lr_arrays that _selection calls
+# the stages bench/stages.py times, each a name lrmimo.sim or, inside the
+# chunk's selections, lrmimo.switched calls
 STAGES = {
     "_draw_trial", "gen_channel", "_draw_packet", "sample_permutations",
     "_chunk_selections", "extend_channel", "_candidate_stack",
