@@ -304,13 +304,11 @@ def _chunk_selections(trials, sigma2s, ks, params) -> list:
     permutations), one that serves every point for the plain one."""
     per = {False: 1, True: len(sigma2s)}  # channels per trial
     sigmas = np.sqrt(sigma2s)
-    chans = {
-        f: np.concatenate(
-            [extend_channel(h, sigmas) if f else h[np.newaxis] for h, *_ in trials]
-        )
-        for f in ks
-    }
-    perms = {f: [p for *_, p in trials for _ in range(per[f])] for f in ks}
+    chans = {False: np.stack([h for h, *_ in trials])}
+    if True in ks:
+        chans[True] = np.concatenate([extend_channel(h, sigmas) for h in chans[False]])
+    perms = np.array([p for *_, p in trials], dtype=np.intp)
+    perms = {f: np.repeat(perms, per[f], axis=0) for f in ks}  # per channel
     found = _select_all(chans, perms, ks, params)
     return [
         {(f, k): s[t * per[f] : (t + 1) * per[f]] for (f, k), s in found.items()}

@@ -148,15 +148,16 @@ def _select_all(chans, perms, ks, params: ReductionParams) -> dict:
     """The switched selections of stacks of channels, one KlrStack per
     (extended, k), member b for channel b.  Per flavour f of ks (False
     plain, True extended): chans[f] is a (B, rows, n) stack of channels,
-    perms[f] each channel's candidate permutations (as many for each, the
-    first max k used), and ks[f] the k of its selections: None the
-    identity (U = I), 0 the CLLL baseline, k >= 1 the pick among the
-    first k candidates (_pick).  Each flavour's candidates are one gather,
-    all are reduced in one clll_reduce_batch call, and every k is picked
-    before the stacks are released and _selection forms the rest.
+    perms[f] a (B, K, n) integer array of each channel's candidate
+    permutations (the first max k used), and ks[f] the k of its
+    selections: None the identity (U = I), 0 the CLLL baseline, k >= 1 the
+    pick among the first k candidates (_pick).  Each flavour's candidates
+    are one gather, all are reduced in one clll_reduce_batch call, and
+    every k is picked before the stacks are released and _selection forms
+    the rest.
     """
     reducing = sorted(f for f in ks if ks[f] - {None})
-    cands = {f: [p[: max(ks[f] - {None})] for p in perms[f]] for f in reducing}
+    cands = {f: np.asarray(perms[f])[:, : max(ks[f] - {None})] for f in reducing}
     stacks = [_candidate_stack(chans[f], cands[f]) for f in reducing]
     reduced = clll_reduce_batch(stacks, params) if stacks else []
     del stacks  # the picks need only the reduced bases
@@ -185,8 +186,8 @@ def _pick(reduced: ReducedStack, perms, k: int) -> tuple:
         pick = np.where(cands[groups, best] < base, 1 + best, 0)
     kept = reduced[groups * odfs.shape[1] + pick]
     ident = tuple(range(reduced.u.shape[-1]))
-    chosen = tuple(perms[g][i - 1] if i else ident for g, i in enumerate(pick.tolist()))
-    return kept, chosen, base.copy(), tuple(map(tuple, cands.tolist()))
+    chosen = (tuple(p[i - 1].tolist()) if i else ident for p, i in zip(perms, pick))
+    return kept, tuple(chosen), base.copy(), tuple(map(tuple, cands.tolist()))
 
 
 def _selection(kept: ReducedStack, chosen, base, cands, extended: bool) -> KlrStack:
@@ -242,8 +243,10 @@ def _candidate_stack(mats: np.ndarray, perms) -> np.ndarray:
     cols = np.empty((count, 1 + len(perms[0]), 1, n), dtype=np.intp)
     cols[:, 0] = np.arange(n)
     cols[:, 1:, 0] = np.reshape(perms, cols[:, 1:, 0].shape)
-    # the gather writes a new array in C order
-    return np.take_along_axis(mats[:, np.newaxis], cols, axis=-1).reshape(-1, rows, n)
+    # one take of entry (b, r, cols[b, c, 0, j]) of the flattened stack
+    cols += rows * n * np.arange(count)[:, np.newaxis, np.newaxis, np.newaxis]
+    flat = cols + n * np.arange(rows)[:, np.newaxis]
+    return np.take(mats.reshape(-1), flat).reshape(-1, rows, n)
 
 
 def klr_select(
