@@ -243,10 +243,8 @@ def _candidate_stack(mats: np.ndarray, perms) -> np.ndarray:
     cols = np.empty((count, 1 + len(perms[0]), 1, n), dtype=np.intp)
     cols[:, 0] = np.arange(n)
     cols[:, 1:, 0] = np.reshape(perms, cols[:, 1:, 0].shape)
-    # one take of entry (b, r, cols[b, c, 0, j]) of the flattened stack
-    cols += rows * n * np.arange(count)[:, np.newaxis, np.newaxis, np.newaxis]
-    flat = cols + n * np.arange(rows)[:, np.newaxis]
-    return np.take(mats.reshape(-1), flat).reshape(-1, rows, n)
+    # the gather writes a new array in C order
+    return np.take_along_axis(mats[:, np.newaxis], cols, axis=-1).reshape(-1, rows, n)
 
 
 def klr_select(

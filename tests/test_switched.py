@@ -171,6 +171,11 @@ class TestStackedSelection:
         groups = [sample_permutations(n, width, rng).perms for _ in chans]
         stack = _candidate_stack(chans, groups)
         assert stack.flags.c_contiguous and len(stack) == len(chans) * (1 + width)
+        for g, (h, perms) in enumerate(zip(chans, groups)):
+            want = [h] + [h[:, list(p)] for p in perms]
+            assert stack[g * (1 + width) : (g + 1) * (1 + width)].tobytes() == (
+                np.stack(want).tobytes()
+            )
         ks = {extended: {0, 2, width}}
         found = _select_all({extended: chans}, {extended: groups}, ks, params)
         replaced = 0
