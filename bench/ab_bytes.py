@@ -36,6 +36,10 @@ The corpus:
   written into NaN-filled `out` arrays where the tree's `_lr_estimate`
   takes them (a tree without `out=` gives its allocated results there, so
   the two ways compare byte for byte);
+- the public detectors at M = 4 and 16 for the four kinds: `lr_detect` on
+  a vector, `lr_detect_batch` on a block, on a stack with one selection
+  and on a stack with a `KlrStack` of one member per block; and
+  `sic_detect` on a vector and `sic_detect_batch` on a block;
 - `ml_detect_batch` decisions at M = 4, 16 and 64 on 2x2, 3x3 and 2x3
   channels, the noise of each block's columns from light to heavy so
   that they spread over the grid, and `ml_detect`'s fields for two of
@@ -128,8 +132,12 @@ def corpus():
     from lrmimo.detectors import (
         DETECTOR_KINDS,
         _lr_estimate,
+        lr_detect,
+        lr_detect_batch,
         ml_detect,
         ml_detect_batch,
+        sic_detect,
+        sic_detect_batch,
     )
     from lrmimo.kz import kz_reduce
     from lrmimo.modem import ConstellationSpec
@@ -382,6 +390,32 @@ def corpus():
                 m_o, tm_o = into_stale(y, s, kind, spec)
                 yield f"{tag}/{part}-out", "m", m_o
                 yield f"{tag}/{part}-out", "tm", tm_o
+
+    # the public detectors: LR detection of a vector, a block and a stack,
+    # with one selection and with a KlrStack of one member per block, and
+    # SIC of a vector and a block
+    rng = np.random.default_rng(1413)
+    n_t, n_r, count, batch = 3, 4, 3, 12
+    for m in (4, 16):
+        spec = ConstellationSpec(m)
+        chans = crandn(rng, count, n_r, n_t)
+        sigma = 0.4 * np.sqrt(n_t / m)
+        x = spec.alphabet[rng.integers(0, m, size=(count, n_t, batch))]
+        y = chans @ x + sigma * crandn(rng, count, n_r, batch)
+        for kind in DETECTOR_KINDS:
+            extended = kind in ("mmse", "sic-mmse")
+            mats = extended_all(chans, sigma) if extended else chans
+            sel = select(mats, candidates(rng, mats), (3,), extended)[3]
+            h, tag = chans[0], f"detect/m{m}/{kind}"
+            out = lr_detect(y[0, :, 0], h, sel[0], kind, spec)
+            yield f"{tag}/vector", "x_hat", out.x_hat
+            yield f"{tag}/block", "x_hat", lr_detect_batch(y[0], h, sel[0], kind, spec)
+            yield f"{tag}/stack-one", "x_hat", lr_detect_batch(y, h, sel[0], kind, spec)
+            yield f"{tag}/stack", "x_hat", lr_detect_batch(y, h, sel, kind, spec)
+        for s, h in enumerate(chans):
+            z = 2.0 * y[s] / spec.a
+            yield f"sic/m{m}/{s}/vector", "z", sic_detect(h, z[:, 0])
+            yield f"sic/m{m}/{s}/block", "z", sic_detect_batch(h, z)
 
     # ML decisions: per order and channel shape, a block whose columns' noise
     # runs from a twentieth of a level spacing to three spacings
