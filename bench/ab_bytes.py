@@ -36,14 +36,17 @@ The corpus:
   written into NaN-filled `out` arrays where the tree's `_lr_estimate`
   takes them (a tree without `out=` gives its allocated results there, so
   the two ways compare byte for byte);
-- the public detectors at M = 4 and 16 for the four kinds: `lr_detect` on
-  a vector, `lr_detect_batch` on a block, on a stack with one selection
-  and on a stack with a `KlrStack` of one member per block; and
-  `sic_detect` on a vector and `sic_detect_batch` on a block;
-- `ml_detect_batch` decisions at M = 4, 16 and 64 on 2x2, 3x3 and 2x3
-  channels, the noise of each block's columns from light to heavy so
-  that they spread over the grid, and `ml_detect`'s fields for two of
-  its columns; 2x2 64-QAM and 3x3 16-QAM blocks of 1000 and 700 columns,
+- the public detectors at M = 4 and 16 for the four kinds: LR detection
+  of a vector, of a block, of a stack with one selection and of a stack
+  with a `KlrStack` of one member per block; and SIC of a vector and of a
+  block.  Each runs through the tree's one entry (`lr_detect`,
+  `ml_detect`, `sic_detect`) or, in a tree with single/batch pairs, the
+  entry for its shape (a vector's `x_hat`, a block through the `_batch`
+  entry);
+- ML decisions at M = 4, 16 and 64 on 2x2, 3x3 and 2x3 channels, the
+  noise of each block's columns from light to heavy so that they spread
+  over the grid, of the block and of two of its columns alone; 2x2 64-QAM
+  and 3x3 16-QAM blocks of 1000 and 700 columns,
   which span several search blocks, and, where the tree bounds its search
   blocks (`detectors._ML_BLOCK_ENTRIES`), 50 of those columns searched in
   blocks of 1024 entries, which split the candidates too;
@@ -129,16 +132,8 @@ def corpus():
     """Yield (case, field, value) of every case, in a fixed order."""
     import numpy as np
 
-    from lrmimo.detectors import (
-        DETECTOR_KINDS,
-        _lr_estimate,
-        lr_detect,
-        lr_detect_batch,
-        ml_detect,
-        ml_detect_batch,
-        sic_detect,
-        sic_detect_batch,
-    )
+    from lrmimo import detectors
+    from lrmimo.detectors import DETECTOR_KINDS, _lr_estimate
     from lrmimo.kz import kz_reduce
     from lrmimo.modem import ConstellationSpec
     from lrmimo.reduction import ReductionParams, clll_reduce, clll_reduce_batch
@@ -356,6 +351,29 @@ def corpus():
             res = klr_select_extended(h, 0.1 + 0.2 * i, k, rng=rng)
             yield from selection(f"klr-extended/n{n}/{i}", res, RESULT_FIELDS)
 
+    # the detectors through the tree's one entry each or, in a tree with
+    # single/batch pairs, the entry for y's shape
+    paired = hasattr(detectors, "lr_detect_batch")
+
+    def lr(y, h, sel, kind, spec):
+        if not paired:
+            return detectors.lr_detect(y, h, sel, kind, spec)
+        if y.ndim == 1:
+            return detectors.lr_detect(y, h, sel, kind, spec).x_hat
+        return detectors.lr_detect_batch(y, h, sel, kind, spec)
+
+    def ml(y, h, spec):
+        if not paired:
+            return detectors.ml_detect(y, h, spec)
+        if y.ndim == 1:
+            return detectors.ml_detect(y, h, spec).x_hat
+        return detectors.ml_detect_batch(y, h, spec)
+
+    def sic(h, y):
+        if paired and y.ndim == 2:
+            return detectors.sic_detect_batch(h, y)
+        return detectors.sic_detect(h, y)
+
     def into_stale(y, sel, kind, spec):
         """_lr_estimate with NaN-filled out arrays, where it takes them."""
         if "out" not in inspect.signature(_lr_estimate).parameters:
@@ -407,15 +425,14 @@ def corpus():
             mats = extended_all(chans, sigma) if extended else chans
             sel = select(mats, candidates(rng, mats), (3,), extended)[3]
             h, tag = chans[0], f"detect/m{m}/{kind}"
-            out = lr_detect(y[0, :, 0], h, sel[0], kind, spec)
-            yield f"{tag}/vector", "x_hat", out.x_hat
-            yield f"{tag}/block", "x_hat", lr_detect_batch(y[0], h, sel[0], kind, spec)
-            yield f"{tag}/stack-one", "x_hat", lr_detect_batch(y, h, sel[0], kind, spec)
-            yield f"{tag}/stack", "x_hat", lr_detect_batch(y, h, sel, kind, spec)
+            yield f"{tag}/vector", "x_hat", lr(y[0, :, 0], h, sel[0], kind, spec)
+            yield f"{tag}/block", "x_hat", lr(y[0], h, sel[0], kind, spec)
+            yield f"{tag}/stack-one", "x_hat", lr(y, h, sel[0], kind, spec)
+            yield f"{tag}/stack", "x_hat", lr(y, h, sel, kind, spec)
         for s, h in enumerate(chans):
             z = 2.0 * y[s] / spec.a
-            yield f"sic/m{m}/{s}/vector", "z", sic_detect(h, z[:, 0])
-            yield f"sic/m{m}/{s}/block", "z", sic_detect_batch(h, z)
+            yield f"sic/m{m}/{s}/vector", "z", sic(h, z[:, 0])
+            yield f"sic/m{m}/{s}/block", "z", sic(h, z)
 
     # ML decisions: per order and channel shape, a block whose columns' noise
     # runs from a twentieth of a level spacing to three spacings
@@ -430,16 +447,12 @@ def corpus():
             x = spec.levels[idx[..., 0]] + 1j * spec.levels[idx[..., 1]]
             y = h @ x + scale * crandn(rng, n_r, batch)
             tag = f"ml/m{m}/{n_r}x{n_t}"
-            yield tag, "batch", ml_detect_batch(y, h, spec)
+            yield tag, "batch", ml(y, h, spec)
             for col in (0, batch - 1):
-                out = ml_detect(y[:, col], h, spec)
-                yield f"{tag}/col{col}", "x_hat", out.x_hat
-                yield f"{tag}/col{col}", "z_hat", out.z_hat
+                yield f"{tag}/col{col}", "x_hat", ml(y[:, col], h, spec)
 
     # ML decisions whose columns span several search blocks, and, where the
     # tree bounds its search blocks, blocks that split the candidates too
-    from lrmimo import detectors
-
     rng = np.random.default_rng(1412)
     for m, n_t, batch in ((64, 2, 1000), (16, 3, 700)):
         spec = ConstellationSpec(m)
@@ -448,12 +461,12 @@ def corpus():
         x = spec.levels[idx[..., 0]] + 1j * spec.levels[idx[..., 1]]
         y = h @ x + spec.a * np.geomspace(0.05, 3.0, batch) * crandn(rng, n_t, batch)
         tag = f"ml-blocks/m{m}/{n_t}x{n_t}"
-        yield tag, "batch", ml_detect_batch(y, h, spec)
+        yield tag, "batch", ml(y, h, spec)
         bound = getattr(detectors, "_ML_BLOCK_ENTRIES", None)
         try:
             if bound is not None:
                 detectors._ML_BLOCK_ENTRIES = 1 << 10
-            yield f"{tag}/split", "batch", ml_detect_batch(y[:, :50], h, spec)
+            yield f"{tag}/split", "batch", ml(y[:, :50], h, spec)
         finally:
             if bound is not None:
                 detectors._ML_BLOCK_ENTRIES = bound

@@ -6,14 +6,13 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .linalg import gram_det, pseudoinverse, qr_decompose, singular_values
+from .linalg import gram_det, pseudoinverse, qr_decompose
 from .reduction import (
     ReducedBasis,
     ReducedStack,
     ReductionParams,
     clll_reduce,
     clll_reduce_batch,
-    condition_number,
     is_clll_reduced,
     is_unimodular,
     odf,
@@ -29,19 +28,8 @@ from .switched import (
     klr_select_with,
     sample_permutations,
 )
-from .modem import ConstellationSpec, demodulate, modulate
-from .detectors import (
-    DetectionOutput,
-    extend_system,
-    hard_slice,
-    lr_detect,
-    ml_detect,
-    mmse_filter_direct,
-    shift_scale_quantize,
-    sic_detect,
-    zf_error_covariance,
-    zf_filter,
-)
+from .modem import ConstellationSpec, modulate
+from .detectors import lr_detect, ml_detect, sic_detect
 from .sim import (
     BerRecord,
     SimConfig,
@@ -55,7 +43,6 @@ __all__ = [
     "BerRecord",
     "BudgetExceededError",
     "ConstellationSpec",
-    "DetectionOutput",
     "EnumerationBudget",
     "KlrResult",
     "KlrStack",
@@ -69,12 +56,8 @@ __all__ = [
     "ValidationError",
     "clll_reduce",
     "clll_reduce_batch",
-    "condition_number",
-    "demodulate",
-    "extend_system",
     "gen_channel",
     "gram_det",
-    "hard_slice",
     "identity_result",
     "is_clll_reduced",
     "is_kz_reduced",
@@ -85,19 +68,14 @@ __all__ = [
     "kz_reduce",
     "lr_detect",
     "ml_detect",
-    "mmse_filter_direct",
     "modulate",
     "odf",
     "pseudoinverse",
     "qr_decompose",
     "run_sweep",
     "sample_permutations",
-    "shift_scale_quantize",
     "shortest_vector",
     "sic_detect",
-    "singular_values",
     "snr_config",
     "write_records",
-    "zf_error_covariance",
-    "zf_filter",
 ]

@@ -1,4 +1,4 @@
-"""LR-aided and conventional MIMO detectors.
+"""LR-aided and ML MIMO detectors.
 
 The LR-aided detectors share one tail on Gaussian integers: estimate the
 reduced-domain symbols, round them to the integer vector m of the shifted,
@@ -9,25 +9,18 @@ integer image T m, shifted by side/2 and clipped to the grid, are its slice
 indices, and the estimate itself is never sliced.  SIC performs the integer
 rounding inside a QR back-substitution on a pre-shifted received signal so
 that noise-free detection is exact.  ML decides points of the same lattice
-(T = I), so the sweep slices their integer images the same way; hard_slice
-slices any floating-point estimate onto the constellation.
+(T = I), so the sweep slices their integer images the same way.  lr_detect,
+ml_detect and sic_detect take a received vector, block or stack of blocks
+and check it once.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
-from .linalg import (
-    _as_stack,
-    as_matrix,
-    as_vector,
-    pseudoinverse,
-    qr_decompose,
-)
+from .linalg import as_matrix, qr_decompose
 from .modem import ConstellationSpec
 from .reduction import _rounded
-from .switched import KlrResult, KlrStack, _offset, extend_channel
+from .switched import KlrResult, KlrStack
 
 DETECTOR_KINDS = ("zf", "mmse", "sic-zf", "sic-mmse")
 ML_DEFAULT_CAP = 1_000_000
@@ -38,66 +31,39 @@ ML_DEFAULT_CAP = 1_000_000
 _ML_BLOCK_ENTRIES = 1 << 17
 
 
-@dataclass(frozen=True)
-class DetectionOutput:
-    x_hat: np.ndarray  # constellation-domain estimate
-    z_hat: np.ndarray  # reduced-domain estimate
+def _received(y, rows: int) -> np.ndarray:
+    """y, a vector (rows,), a block (rows, batch) or a stack of blocks
+    (S, rows, batch), as an (S, rows, batch) stack of views.  The one input
+    check of the public detectors: raises ValidationError unless y is
+    nonempty, finite and has rows received rows."""
+    y = np.asarray(y, dtype=np.complex128)
+    if not 1 <= y.ndim <= 3 or 0 in y.shape:
+        raise ValidationError(
+            f"expected a nonempty vector, block or stack of blocks, got shape {y.shape}"
+        )
+    got = y.shape[1 if y.ndim == 3 else 0]
+    if got != rows:
+        raise ValidationError(f"{got} received rows for a channel of {rows}")
+    if not np.isfinite(y).all():
+        raise ValidationError("received entries must be finite")
+    return y.reshape(1, rows, 1) if y.ndim == 1 else y.reshape(-1, rows, y.shape[-1])
 
 
-def zf_filter(h_tilde) -> np.ndarray:
-    """Zero-forcing filter: the left pseudoinverse of the (reduced) channel."""
-    return pseudoinverse(h_tilde)
-
-
-def zf_error_covariance(g, sigma2: float) -> np.ndarray:
-    """ZF estimation error covariance sigma^2 * G G^H (Hermitian PSD)."""
-    g = as_matrix(g)
-    if sigma2 < 0:
-        raise ValidationError("sigma2 must be >= 0")
-    return sigma2 * (g @ g.conj().T)
-
-
-def mmse_filter_direct(h, sigma2) -> np.ndarray:
-    """MMSE filter (H^H H + sigma^2 I)^-1 H^H.
-
-    For a 1-D array of sigma^2 values, the stack of their filters, solved
-    in one call; each is bitwise the filter of its value alone.
-    """
-    h = as_matrix(h)
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    if sigma2.ndim > 1 or np.any(sigma2 < 0):
-        raise ValidationError("sigma2 must be >= 0, a scalar or a 1-D array")
-    n = h.shape[1]
-    gram = h.conj().T @ h + sigma2[..., np.newaxis, np.newaxis] * np.eye(n)
-    try:
-        return np.linalg.solve(gram, h.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-
-
-def extend_system(h, y, sigma_n: float) -> tuple[np.ndarray, np.ndarray]:
-    """Extended model: ([H; sigma_n I], [y; 0]) so MMSE becomes plain ZF."""
-    h = as_matrix(h)
-    y = as_vector(y)
-    if y.shape[0] != h.shape[0]:
-        raise ValidationError("y length must match the row count of h")
-    h_ext = extend_channel(h, sigma_n)
-    y_ext = np.concatenate([y, np.zeros(h.shape[1], dtype=np.complex128)])
-    return h_ext, y_ext
+def _like(x: np.ndarray, y) -> np.ndarray:
+    """x, the (S, rows, batch) results of _received(y), in the shape of y."""
+    return x[0, :, 0] if np.ndim(y) == 1 else x[0] if np.ndim(y) == 2 else x
 
 
 def sic_detect(h_tilde, y) -> np.ndarray:
     """Successive interference cancellation via QR back-substitution.
 
-    Returns the Gaussian-integer layer decisions (pre-quantizer): the top layer
-    is rounded first, its contribution is subtracted, and so on downwards.
+    y is a vector, a block or a stack of blocks (see lr_detect).  Returns
+    the Gaussian-integer layer decisions (pre-quantizer) in y's shape: the
+    top layer is rounded first, its contribution is subtracted, and so on
+    downwards.
     """
-    return sic_detect_batch(h_tilde, as_vector(y)[:, np.newaxis])[:, 0]
-
-
-def sic_detect_batch(h_tilde, y_cols: np.ndarray) -> np.ndarray:
-    """sic_detect applied column-wise to a (rows, batch) array."""
-    return _sic(*qr_decompose(as_matrix(h_tilde)), y_cols)
+    h_tilde = as_matrix(h_tilde)
+    return _like(_sic(*qr_decompose(h_tilde), _received(y, h_tilde.shape[0])), y)
 
 
 def _sic(
@@ -109,8 +75,7 @@ def _sic(
     leading axes that broadcast against them.  The decisions overwrite
     Q^H y, written to out if given, row by row, each row read once before
     it is overwritten.  Each is rounded in place on the float view (ties
-    to even), which gives the values of round_gaussian; only the sign of a
-    zero part can differ.
+    to even, _rounded).
     """
     z = np.matmul(np.swapaxes(q.conj(), -1, -2), y, out=out)
     for i in range(r.shape[-1] - 1, -1, -1):
@@ -119,21 +84,6 @@ def _sic(
         zi /= r[..., i, i, np.newaxis]
         _rounded(zi)
     return z
-
-
-def shift_scale_quantize(z_breve, u_inv, spec: ConstellationSpec) -> np.ndarray:
-    """Snap reduced-domain estimates onto the shifted-scaled integer lattice.
-
-    The constellation lattice is a * (Z[i]^n + (1+j)/2 per dimension); in the
-    reduced domain the offset becomes (1/2) U^-1 (1+j) 1.  z_breve is a vector
-    or a (n, batch) block; u_inv may be a stack of S matrices, one per member
-    of an (S, n, batch) z_breve.
-    """
-    z_breve = np.asarray(z_breve, dtype=np.complex128)
-    d = _offset(_as_stack(u_inv))
-    if z_breve.ndim >= 2:
-        d = d[..., np.newaxis]
-    return spec.a * (_round_shifted(z_breve, d, spec.a) + d)
 
 
 def _round_shifted(
@@ -157,35 +107,6 @@ def _scaled(v: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarra
     flat = np.ascontiguousarray(v).view(np.float64)
     w = np.multiply(flat, 1.0 / a, out=None if out is None else out.view(np.float64))
     return w.view(np.complex128)
-
-
-def hard_slice(v, spec: ConstellationSpec) -> np.ndarray:
-    """Componentwise nearest constellation point, clipping out-of-range values.
-
-    Midpoint ties go to the lower-magnitude level.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    levels = spec.levels
-    return levels[_slice_index(v.real, spec)] + 1j * levels[_slice_index(v.imag, spec)]
-
-
-def _slice_index(vals: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
-    """Index into spec.levels of the level nearest to each real value.
-
-    Out-of-range values clip to the outer levels.  On a midpoint tie the
-    level closer to zero wins; if both are equally far (the +-a/2 pair) the
-    lower index.  A NaN gives an index outside [0, side).
-    """
-    side = spec.side
-    center = (side - 1) / 2
-    t = vals / spec.a + center
-    t += 0.5
-    k = np.floor(t)
-    tie = t == k
-    if tie.any():
-        k = np.where(tie & (np.abs(k - center) >= np.abs(k - 1 - center)), k - 1, k)
-    np.clip(k, 0, side - 1, out=k)
-    return k.astype(np.intp)
 
 
 def _lattice_indices(tm: np.ndarray, spec: ConstellationSpec, out=None) -> np.ndarray:
@@ -219,20 +140,6 @@ def _lattice_symbols(tm: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     return spec.levels[idx[..., 0::2]] + 1j * spec.levels[idx[..., 1::2]]
 
 
-def ml_detect(
-    y, h, spec: ConstellationSpec, max_candidates: int = ML_DEFAULT_CAP
-) -> DetectionOutput:
-    """Exhaustive maximum-likelihood search over all constellation vectors.
-
-    Ties break toward the lexicographically first candidate in symbol-index
-    order.  Raises BudgetExceededError when M^N_T exceeds max_candidates.
-    """
-    y = as_vector(y)
-    h = as_matrix(h)
-    x = ml_detect_batch(y[:, np.newaxis], h, spec, max_candidates)[:, 0]
-    return DetectionOutput(x_hat=x, z_hat=x.copy())
-
-
 def ml_candidates(
     n_t: int, spec: ConstellationSpec, max_candidates: int = ML_DEFAULT_CAP
 ) -> np.ndarray:
@@ -245,13 +152,21 @@ def ml_candidates(
     return spec.alphabet[np.indices((spec.m,) * n_t).reshape(n_t, -1)]
 
 
-def ml_detect_batch(
-    y_cols: np.ndarray, h, spec: ConstellationSpec, max_candidates: int = ML_DEFAULT_CAP
+def ml_detect(
+    y, h, spec: ConstellationSpec, max_candidates: int = ML_DEFAULT_CAP
 ) -> np.ndarray:
-    """ML detection for every column of y_cols; returns (n_t, batch) symbols."""
+    """Exhaustive maximum-likelihood search over all constellation vectors.
+
+    y is a vector, a block or a stack of blocks (see lr_detect); returns
+    the decided symbols in y's shape with n_t rows.  Ties break toward the
+    lexicographically first candidate in symbol-index order.  Raises
+    BudgetExceededError when M^N_T exceeds max_candidates.
+    """
     h = as_matrix(h)
+    stack = _received(y, h.shape[0])
     cands = ml_candidates(h.shape[1], spec, max_candidates)
-    return cands[:, _ml_search(y_cols, _ml_table(h, cands))]
+    table = _ml_table(h, cands)
+    return _like(np.stack([cands[:, _ml_search(b, table)] for b in stack]), y)
 
 
 def _ml_table(h: np.ndarray, cands: np.ndarray) -> tuple:
@@ -288,58 +203,29 @@ def _ml_search(y_cols: np.ndarray, table) -> np.ndarray:
 
 
 def lr_detect(
-    y,
-    h,
-    klr: KlrResult,
-    kind: str,
-    spec: ConstellationSpec,
-) -> DetectionOutput:
-    """Lattice-reduction-aided detection of one received vector.
-
-    kind is one of "zf", "mmse", "sic-zf", "sic-mmse".  The MMSE kinds require
-    a KlrResult built on the extended channel, which carries its sigma_n in
-    its basis; the ZF kinds require a plain one.  z_hat is the
-    reduced-domain estimate a (m + d) on the shifted, scaled lattice; x_hat
-    slices its image.
-    """
-    y = as_vector(y)
-    _check_channel(h, klr)  # h is validated only: klr carries the channel
-    m, tm = _lr_estimate(y[np.newaxis, :, np.newaxis], klr, kind, spec)
-    z_hat = spec.a * (m[0, :, 0] + klr.offset)
-    return DetectionOutput(x_hat=_lattice_symbols(tm, spec)[0, :, 0], z_hat=z_hat)
-
-
-def lr_detect_batch(
-    y_cols: np.ndarray, h, klr, kind: str, spec: ConstellationSpec
+    y, h, sel: KlrResult | KlrStack, kind: str, spec: ConstellationSpec
 ) -> np.ndarray:
-    """LR-aided detection of every column of y_cols; returns sliced symbols.
+    """Lattice-reduction-aided detection; returns the decided symbols in
+    y's shape with n_t rows.
 
-    y_cols is a (rows, batch) block or an (S, rows, batch) stack of blocks.
-    klr is one KlrResult, which serves every block, or a sequence of S of
-    them, block s detected with klr[s].  The result has the shape of y_cols
-    with n_t rows.
+    y is a vector (n_r,), a block (n_r, batch) or a stack of blocks
+    (S, n_r, batch).  sel is a KlrResult, which serves every block, or a
+    KlrStack of S selections, block s detected with sel[s], or of one that
+    serves every block.  kind is one of "zf", "mmse", "sic-zf",
+    "sic-mmse".  The MMSE kinds require a selection built on the extended
+    channel, which carries its sigma_n in its basis; the ZF kinds require
+    a plain one.
     """
-    klrs = [klr] if isinstance(klr, KlrResult) else list(klr)
-    y = np.asarray(y_cols, dtype=np.complex128)
-    if y.ndim not in (2, 3) or 0 in y.shape:
-        raise ValidationError(
-            f"expected a nonempty 2-D block or 3-D stack, got shape {y.shape}"
-        )
-    stack = y if y.ndim == 3 else y[np.newaxis]
-    if len(klrs) not in (1, len(stack)):
-        raise ValidationError(f"{len(klrs)} selections for a stack of {len(stack)}")
-    for sel in klrs:
-        _check_channel(h, sel)
-    blocks = [stack] if len(klrs) == 1 else stack[:, np.newaxis]
-    tm = [_lr_estimate(b, sel, kind, spec)[1] for b, sel in zip(blocks, klrs)]
-    x = _lattice_symbols(np.concatenate(tm), spec)
-    return x if y.ndim == 3 else x[0]
+    stack = _received(y, _check_channel(h, sel))
+    if isinstance(sel, KlrStack) and len(sel) not in (1, len(stack)):
+        raise ValidationError(f"{len(sel)} selections for a stack of {len(stack)}")
+    return _like(_lattice_symbols(_lr_estimate(stack, sel, kind, spec)[1], spec), y)
 
 
-def _check_channel(h, sel: KlrResult) -> None:
-    """The channel h must have the shape of the one sel was reduced from:
-    the basis, less its n_t padding rows if extended.  _lr_estimate checks
-    the received rows against the basis, so against h too."""
+def _check_channel(h, sel: KlrResult | KlrStack) -> int:
+    """The row count of the channel h, which must have the shape of the one
+    sel was reduced from: the basis, less its n_t padding rows if
+    extended."""
     shape = as_matrix(h).shape
     b_rows, n_t = sel.basis.h_tilde.shape[-2:]
     reduced = (b_rows - n_t if sel.extended else b_rows, n_t)
@@ -348,6 +234,7 @@ def _check_channel(h, sel: KlrResult) -> None:
             f"a {shape[0]}x{shape[1]} channel for a selection reduced from "
             f"a {reduced[0]}x{reduced[1]} one"
         )
+    return shape[0]
 
 
 def _lr_estimate(

@@ -37,16 +37,6 @@ def _as_stack(a) -> np.ndarray:
     return m
 
 
-def as_vector(v) -> np.ndarray:
-    """Validate and return a 1-D complex array (finite entries, nonempty)."""
-    w = np.asarray(v, dtype=np.complex128)
-    if w.ndim != 1 or w.shape[0] < 1:
-        raise ValidationError(f"expected a nonempty 1-D array, got shape {w.shape}")
-    if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
-        raise ValidationError("vector entries must be finite")
-    return w
-
-
 def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR of a full-column-rank matrix, R diagonal real and positive.
 
@@ -122,12 +112,6 @@ def _pinv_from_qr(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Pseudoinverse of the matrix whose QR factors are (q, r), or of each
     matrix of a stack."""
     return np.linalg.solve(r, np.swapaxes(q.conj(), -1, -2))
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values of a, sorted descending (all nonnegative)."""
-    a = as_matrix(a)
-    return np.linalg.svd(a, compute_uv=False)
 
 
 def gram_det(a) -> float:

@@ -12,7 +12,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import as_vector
 
 
 def _gray_encode(i):
@@ -95,19 +94,6 @@ def _level_index_pairs(bits: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     return _gray_decode(g, half)
 
 
-def _levels_to_bits(vals: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
-    """Amplitude levels -> Gray bits, shape (..., bits_per_symbol/2)."""
-    half = spec.bits_per_symbol // 2
-    idx = np.rint(vals / spec.a + (spec.side - 1) / 2).astype(np.int64)
-    if np.any(idx < 0) or np.any(idx >= spec.side):
-        raise ValidationError("value outside the constellation grid")
-    if np.max(np.abs(vals - spec.levels[idx])) > 1e-6 * spec.a:
-        raise ValidationError("value is not a constellation level")
-    g = _gray_encode(idx)
-    shifts = np.arange(half - 1, -1, -1)
-    return (g[..., np.newaxis] >> shifts) & 1
-
-
 def _bit_distance(spec: ConstellationSpec) -> np.ndarray:
     """(side, side) table: bits that differ between the Gray labels of level
     indices i and j of one axis.  The sweep's error count (sim._count_errors)
@@ -126,14 +112,6 @@ def map_bits(bits: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     return levels[..., 0] + 1j * levels[..., 1]
 
 
-def unmap_symbols(symbols: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
-    """Inverse of map_bits on exact constellation points."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    bi = _levels_to_bits(symbols.real, spec)
-    bq = _levels_to_bits(symbols.imag, spec)
-    return np.concatenate([bi, bq], axis=-1)
-
-
 def modulate(bits, spec: ConstellationSpec, n_t: int) -> np.ndarray:
     """Map n_t * log2(M) bits to a length-n_t symbol vector."""
     bits = np.asarray(bits).ravel()
@@ -143,9 +121,3 @@ def modulate(bits, spec: ConstellationSpec, n_t: int) -> np.ndarray:
             f"need {n_t * bps} bits for {n_t} symbols, got {bits.shape[0]}"
         )
     return map_bits(bits.reshape(n_t, bps), spec)
-
-
-def demodulate(symbols, spec: ConstellationSpec) -> np.ndarray:
-    """Map constellation points back to bits; exact inverse of modulate."""
-    symbols = as_vector(symbols)
-    return unmap_symbols(symbols, spec).ravel()

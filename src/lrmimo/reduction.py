@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .linalg import _qr_r, as_matrix, gram_det, qr_decompose, singular_values
+from .linalg import _qr_r, as_matrix, gram_det, qr_decompose
 
 # Relative slack on the reducedness inequalities so that a floating-point QR
 # of an exactly reduced basis still passes.
@@ -50,15 +50,11 @@ class ReducedBasis:
     q: np.ndarray
 
 
-def round_gaussian(z):
-    """Round real and imaginary parts to the nearest integers (ties to even)."""
-    return np.rint(np.real(z)) + 1j * np.rint(np.imag(z))
-
-
 def _rounded(z: np.ndarray) -> np.ndarray:
-    """z rounded in place on its float view, each part to the nearest
-    integer (ties to even), and returned: the values of round_gaussian(z)
-    without its temporaries.  Only the sign of a zero part can differ."""
+    """z, a complex array, rounded in place on its float view, each part to
+    the nearest integer (ties to even), and returned: no temporary is
+    formed.  np.rint of each part gives the same values; only the sign of a
+    zero part can differ."""
     flat = z.view(np.float64)
     np.rint(flat, out=flat)
     return z
@@ -149,14 +145,6 @@ def _stack_of_one(basis: ReducedBasis) -> ReducedStack:
     )
     vars(stack)["q"] = basis.q[np.newaxis]
     return stack
-
-
-def condition_number(h) -> float:
-    """Ratio of the largest to the smallest singular value (>= 1)."""
-    s = singular_values(h)
-    if s[-1] <= 1e-14 * s[0]:
-        raise SingularMatrixError("condition number undefined for singular matrix")
-    return float(s[0] / s[-1])
 
 
 def is_clll_reduced(r, params: ReductionParams = ReductionParams()) -> tuple[bool, bool]:

