@@ -121,6 +121,9 @@ class TestSic:
 
 
 class TestQuantizeAndSlice:
+    """The oracle's quantizer and float slicer (tests/oracles.py), which
+    the integer tail is checked against."""
+
     def test_quantize_identity_transform_fixes_constellation(self, rng):
         for spec in (QPSK, QAM16):
             x = random_symbols(rng, spec, 5)
@@ -182,6 +185,8 @@ def nearest_level_oracle(v, spec):
 
 
 class TestSliceIndex:
+    """The oracle's slice index against the nearest level by distance."""
+
     @pytest.mark.parametrize("m", [4, 16, 64])
     def test_lookup_equals_hard_slice_and_nearest_level(self, rng, m):
         spec = ConstellationSpec(m)
