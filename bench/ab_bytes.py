@@ -22,10 +22,9 @@ The corpus:
   eps noise, eps = 1e-6, 1e-9 and 1e-11) through `clll_reduce`; where a
   case raises, the type and message of its error are digested in place of
   its fields;
-- switched selection stacks, plain and extended, K = 0 and 3, through the
-  tree's one selection function (`switched._select_all`) or, in a tree
-  without it, `switched._select`: the basis arrays, perms, ODFs, T, T^-1, d
-  and pinv of the stack, of a slice and of each member;
+- switched selection stacks, plain and extended, K = 0 and 3, through
+  `switched._select_all`: the basis arrays, perms, ODFs, T, T^-1, d and
+  pinv of the stack, of a slice and of each member;
 - `sim._chunk_selections` of several channels, each with its own
   permutations, plain and extended, K = 0 and 3, with and without the
   identity selections: every field of each trial's stacks;
@@ -33,23 +32,18 @@ The corpus:
   `replace(..., extended=True)` copies of the extended ones;
 - `detectors._lr_estimate`'s m and T m for the four kinds at M = 4, 16 and
   64, with a stack of selections and with one lone selection, each also
-  written into NaN-filled `out` arrays where the tree's `_lr_estimate`
-  takes them (a tree without `out=` gives its allocated results there, so
-  the two ways compare byte for byte);
+  written into NaN-filled `out` arrays;
 - the public detectors at M = 4 and 16 for the four kinds: LR detection
   of a vector, of a block, of a stack with one selection and of a stack
   with a `KlrStack` of one member per block; and SIC of a vector and of a
-  block.  Each runs through the tree's one entry (`lr_detect`,
-  `ml_detect`, `sic_detect`) or, in a tree with single/batch pairs, the
-  entry for its shape (a vector's `x_hat`, a block through the `_batch`
-  entry);
+  block, through `lr_detect` and `sic_detect`;
 - ML decisions at M = 4, 16 and 64 on 2x2, 3x3 and 2x3 channels, the
   noise of each block's columns from light to heavy so that they spread
   over the grid, of the block and of two of its columns alone; 2x2 64-QAM
-  and 3x3 16-QAM blocks of 1000 and 700 columns,
-  which span several search blocks, and, where the tree bounds its search
-  blocks (`detectors._ML_BLOCK_ENTRIES`), 50 of those columns searched in
-  blocks of 1024 entries, which split the candidates too;
+  and 3x3 16-QAM blocks of 1000 and 700 columns, which span several
+  search blocks, and 50 of those columns searched in
+  blocks of 1024 entries (`detectors._ML_BLOCK_ENTRIES`), which split the
+  candidates too;
 - `identity_result` selections (U = T = I), plain and extended, of square
   and 3x4 channels;
 - lone `clll_reduce` bases, square and extended, n = 2..6, and
@@ -58,6 +52,14 @@ The corpus:
   channel, its KZ basis with composed transforms, and the CLLL basis of a
   column permutation), as the acceptance oracle builds them, and
   `klr_select_extended` results;
+- `kz_reduce` at n = 5 and 6 (max_dim 6): every field of the ReducedBasis;
+  `shortest_vector`'s v and coefficients at n = 2..4; and the verdicts of
+  `is_kz_reduced` on KZ bases at n = 2..6 and on copies with one entry
+  above the diagonal raised past half its pivot, or to just within it;
+- `is_unimodular` verdicts at n = 1..8: seeded products of elementary
+  Gaussian column operations (shears, unit scalings, swaps), the same with
+  one column times (1+j), with 0.25 or 1e-10 added to one entry, or with
+  its last column dropped;
 - the `run_sweep` records of the golden configs (tests/test_golden.py), of
   the three benchmark shapes at 8 trials, and of four shapes that reach the
   conventional detectors (zf, mmse, ml) beyond those: 64-QAM, a 3x4
@@ -75,7 +77,6 @@ pins.  Run from the root of a checkout:
 import argparse
 import hashlib
 import importlib.util
-import inspect
 import json
 import math
 import os
@@ -133,10 +134,21 @@ def corpus():
     import numpy as np
 
     from lrmimo import detectors
-    from lrmimo.detectors import DETECTOR_KINDS, _lr_estimate
-    from lrmimo.kz import kz_reduce
+    from lrmimo.detectors import (
+        DETECTOR_KINDS,
+        _lr_estimate,
+        lr_detect,
+        ml_detect,
+        sic_detect,
+    )
+    from lrmimo.kz import EnumerationBudget, is_kz_reduced, kz_reduce, shortest_vector
     from lrmimo.modem import ConstellationSpec
-    from lrmimo.reduction import ReductionParams, clll_reduce, clll_reduce_batch
+    from lrmimo.reduction import (
+        ReductionParams,
+        clll_reduce,
+        clll_reduce_batch,
+        is_unimodular,
+    )
     from lrmimo import switched
     from lrmimo.sim import SimConfig, _chunk_selections, run_sweep
     from lrmimo.switched import (
@@ -162,19 +174,27 @@ def corpus():
 
     def select(mats, groups, ks, extended):
         """{k: KlrStack} of the switched selections of the channels mats,
-        channel g with the candidates groups[g], through the tree's one
-        selection function or, where it has none, its _select."""
-        params = ReductionParams()
-        if hasattr(switched, "_select_all"):
-            found = switched._select_all(
-                {extended: mats}, {extended: groups}, {extended: set(ks)}, params
-            )
-            return {k: found[(extended, k)] for k in ks}
-        stack = np.concatenate(
-            [switched._candidate_stack(h[None], p) for h, p in zip(mats, groups)]
+        channel g with the candidates groups[g]."""
+        found = switched._select_all(
+            {extended: mats}, {extended: groups}, {extended: set(ks)}, ReductionParams()
         )
-        reduced = clll_reduce_batch([stack], params)[0]
-        return {k: switched._select(reduced, groups, k, extended) for k in ks}
+        return {k: found[(extended, k)] for k in ks}
+
+    def column_ops(rng, n):
+        """A product of 2n random elementary Gaussian column operations on
+        I: a shear by a Gaussian integer of parts in {-1, 0, 1}, a unit
+        scaling or a swap."""
+        u = np.eye(n, dtype=np.complex128)
+        for _ in range(2 * n):
+            i, j = rng.permutation(n)[:2] if n > 1 else (0, 0)
+            op = rng.integers(3) if n > 1 else 1
+            if op == 0:
+                u[:, j] += complex(*rng.integers(-1, 2, 2)) * u[:, i]
+            elif op == 1:
+                u[:, i] *= (1, -1, 1j, -1j)[rng.integers(4)]
+            else:
+                u[:, [i, j]] = u[:, [j, i]]
+        return u
 
     def candidates(rng, mats):
         """3 candidate permutations for each channel of mats."""
@@ -342,6 +362,53 @@ def corpus():
             )
             yield from selection(f"built/{rows}x{n}/{name}", klr, RESULT_FIELDS)
 
+    # KZ at n = 5 and 6, shortest vectors at n = 2..4, and is_kz_reduced
+    # on KZ bases and on copies with one entry above the diagonal raised
+    # past half its pivot (0.6) or to just within it (0.5 + 1e-10)
+    rng = np.random.default_rng(1414)
+    budget = EnumerationBudget(max_dim=6)
+    for n in range(2, 7):
+        for i in range(2):
+            h = crandn(rng, n, n)
+            tag = f"kz-oracle/n{n}/{i}"
+            kz = kz_reduce(h, budget)
+            if n >= 5:
+                yield from selection(tag, kz, MEMBER_FIELDS)
+            else:
+                v, coeffs = shortest_vector(h)
+                yield tag, "shortest_v", v
+                yield tag, "shortest_coeffs", coeffs
+            yield tag, "is_kz_reduced", is_kz_reduced(kz.r, budget)
+            row = int(rng.integers(n - 1))
+            col = int(rng.integers(row + 1, n))
+            for share in (0.6, 0.5 + 1e-10):
+                raised = kz.r.copy()
+                raised[row, col] = share * kz.r[row, row] + 1j * kz.r[row, col].imag
+                verdict = is_kz_reduced(raised, budget)
+                yield tag, f"is_kz_reduced/raised{share:g}", verdict
+
+    # is_unimodular: products of elementary column operations and the
+    # same with one column times (1+j), an entry off by 0.25 or by 1e-10
+    # (within the integrality tolerance), or the last column dropped
+    rng = np.random.default_rng(1415)
+    for n in range(1, 9):
+        for i in range(6):
+            u = column_ops(rng, n)
+            j, k = rng.integers(n, size=2)
+            scaled, off, near = u.copy(), u.copy(), u.copy()
+            scaled[:, j] *= 1 + 1j
+            off[j, k] += 0.25
+            near[j, k] += 1e-10
+            tag = f"unimodular/n{n}/{i}"
+            for name, mat in (
+                ("ops", u), ("scaled", scaled), ("off", off), ("near", near),
+                ("non-square", u[:, :-1] if n > 1 else u[:, :0]),
+            ):
+                try:
+                    yield tag, name, is_unimodular(mat)
+                except Exception as exc:  # a raising case is digested too
+                    yield tag, name, f"{type(exc).__name__}: {exc}"
+
     # klr_select_extended results
     rng = np.random.default_rng(1408)
     for n in (2, 3, 4, 6):
@@ -351,33 +418,8 @@ def corpus():
             res = klr_select_extended(h, 0.1 + 0.2 * i, k, rng=rng)
             yield from selection(f"klr-extended/n{n}/{i}", res, RESULT_FIELDS)
 
-    # the detectors through the tree's one entry each or, in a tree with
-    # single/batch pairs, the entry for y's shape
-    paired = hasattr(detectors, "lr_detect_batch")
-
-    def lr(y, h, sel, kind, spec):
-        if not paired:
-            return detectors.lr_detect(y, h, sel, kind, spec)
-        if y.ndim == 1:
-            return detectors.lr_detect(y, h, sel, kind, spec).x_hat
-        return detectors.lr_detect_batch(y, h, sel, kind, spec)
-
-    def ml(y, h, spec):
-        if not paired:
-            return detectors.ml_detect(y, h, spec)
-        if y.ndim == 1:
-            return detectors.ml_detect(y, h, spec).x_hat
-        return detectors.ml_detect_batch(y, h, spec)
-
-    def sic(h, y):
-        if paired and y.ndim == 2:
-            return detectors.sic_detect_batch(h, y)
-        return detectors.sic_detect(h, y)
-
     def into_stale(y, sel, kind, spec):
-        """_lr_estimate with NaN-filled out arrays, where it takes them."""
-        if "out" not in inspect.signature(_lr_estimate).parameters:
-            return _lr_estimate(y, sel, kind, spec)
+        """_lr_estimate with NaN-filled out arrays."""
         rows, n = sel.basis.h_tilde.shape[-2:]  # work, then m and T m
         nan = complex(math.nan, math.nan)
         out = tuple(np.full((len(y), r, y.shape[2]), nan) for r in (rows, n, n))
@@ -425,14 +467,14 @@ def corpus():
             mats = extended_all(chans, sigma) if extended else chans
             sel = select(mats, candidates(rng, mats), (3,), extended)[3]
             h, tag = chans[0], f"detect/m{m}/{kind}"
-            yield f"{tag}/vector", "x_hat", lr(y[0, :, 0], h, sel[0], kind, spec)
-            yield f"{tag}/block", "x_hat", lr(y[0], h, sel[0], kind, spec)
-            yield f"{tag}/stack-one", "x_hat", lr(y, h, sel[0], kind, spec)
-            yield f"{tag}/stack", "x_hat", lr(y, h, sel, kind, spec)
+            yield f"{tag}/vector", "x_hat", lr_detect(y[0, :, 0], h, sel[0], kind, spec)
+            yield f"{tag}/block", "x_hat", lr_detect(y[0], h, sel[0], kind, spec)
+            yield f"{tag}/stack-one", "x_hat", lr_detect(y, h, sel[0], kind, spec)
+            yield f"{tag}/stack", "x_hat", lr_detect(y, h, sel, kind, spec)
         for s, h in enumerate(chans):
             z = 2.0 * y[s] / spec.a
-            yield f"sic/m{m}/{s}/vector", "z", sic(h, z[:, 0])
-            yield f"sic/m{m}/{s}/block", "z", sic(h, z)
+            yield f"sic/m{m}/{s}/vector", "z", sic_detect(h, z[:, 0])
+            yield f"sic/m{m}/{s}/block", "z", sic_detect(h, z)
 
     # ML decisions: per order and channel shape, a block whose columns' noise
     # runs from a twentieth of a level spacing to three spacings
@@ -447,12 +489,12 @@ def corpus():
             x = spec.levels[idx[..., 0]] + 1j * spec.levels[idx[..., 1]]
             y = h @ x + scale * crandn(rng, n_r, batch)
             tag = f"ml/m{m}/{n_r}x{n_t}"
-            yield tag, "batch", ml(y, h, spec)
+            yield tag, "batch", ml_detect(y, h, spec)
             for col in (0, batch - 1):
-                yield f"{tag}/col{col}", "x_hat", ml(y[:, col], h, spec)
+                yield f"{tag}/col{col}", "x_hat", ml_detect(y[:, col], h, spec)
 
-    # ML decisions whose columns span several search blocks, and, where the
-    # tree bounds its search blocks, blocks that split the candidates too
+    # ML decisions whose columns span several search blocks, and blocks
+    # that split the candidates too
     rng = np.random.default_rng(1412)
     for m, n_t, batch in ((64, 2, 1000), (16, 3, 700)):
         spec = ConstellationSpec(m)
@@ -461,15 +503,12 @@ def corpus():
         x = spec.levels[idx[..., 0]] + 1j * spec.levels[idx[..., 1]]
         y = h @ x + spec.a * np.geomspace(0.05, 3.0, batch) * crandn(rng, n_t, batch)
         tag = f"ml-blocks/m{m}/{n_t}x{n_t}"
-        yield tag, "batch", ml(y, h, spec)
-        bound = getattr(detectors, "_ML_BLOCK_ENTRIES", None)
+        yield tag, "batch", ml_detect(y, h, spec)
+        bound, detectors._ML_BLOCK_ENTRIES = detectors._ML_BLOCK_ENTRIES, 1 << 10
         try:
-            if bound is not None:
-                detectors._ML_BLOCK_ENTRIES = 1 << 10
-            yield f"{tag}/split", "batch", ml(y[:, :50], h, spec)
+            yield f"{tag}/split", "batch", ml_detect(y[:, :50], h, spec)
         finally:
-            if bound is not None:
-                detectors._ML_BLOCK_ENTRIES = bound
+            detectors._ML_BLOCK_ENTRIES = bound
 
     # sweeps: the golden configs and the benchmark shapes at 8 trials
     path = ROOT / "tests" / "test_golden.py"
