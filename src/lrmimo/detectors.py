@@ -140,31 +140,29 @@ def _lattice_symbols(tm: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
     return spec.levels[idx[..., 0::2]] + 1j * spec.levels[idx[..., 1::2]]
 
 
-def ml_candidates(
-    n_t: int, spec: ConstellationSpec, max_candidates: int = ML_DEFAULT_CAP
-) -> np.ndarray:
-    """All candidate transmit vectors (n_t, M^n_t) in lexicographic order."""
+def ml_candidates(n_t: int, spec: ConstellationSpec) -> np.ndarray:
+    """All candidate transmit vectors (n_t, M^n_t) in lexicographic order.
+    Raises BudgetExceededError, before forming any, when M^n_t exceeds
+    ML_DEFAULT_CAP."""
     count = spec.m**n_t
-    if count > max_candidates:
+    if count > ML_DEFAULT_CAP:
         raise BudgetExceededError(
-            f"{count} candidates exceed the enumeration cap {max_candidates}"
+            f"{count} candidates exceed the enumeration cap {ML_DEFAULT_CAP}"
         )
     return spec.alphabet[np.indices((spec.m,) * n_t).reshape(n_t, -1)]
 
 
-def ml_detect(
-    y, h, spec: ConstellationSpec, max_candidates: int = ML_DEFAULT_CAP
-) -> np.ndarray:
+def ml_detect(y, h, spec: ConstellationSpec) -> np.ndarray:
     """Exhaustive maximum-likelihood search over all constellation vectors.
 
     y is a vector, a block or a stack of blocks (see lr_detect); returns
     the decided symbols in y's shape with n_t rows.  Ties break toward the
     lexicographically first candidate in symbol-index order.  Raises
-    BudgetExceededError when M^N_T exceeds max_candidates.
+    BudgetExceededError when M^N_T exceeds ML_DEFAULT_CAP.
     """
     h = as_matrix(h)
     stack = _received(y, h.shape[0])
-    cands = ml_candidates(h.shape[1], spec, max_candidates)
+    cands = ml_candidates(h.shape[1], spec)
     table = _ml_table(h, cands)
     return _like(np.stack([cands[:, _ml_search(b, table)] for b in stack]), y)
 

@@ -14,20 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .linalg import _qr_r, as_matrix
+from .linalg import _qr_r, _real_embedding, as_matrix
 from .reduction import (
+    _PRED_EPS,
     ReducedBasis,
-    _gdiv_exact,
-    _gmul,
-    _gsub,
+    _checked_r,
     _columns,
+    _reduced_flags,
     _reduced_stack,
     _size_reduce_all,
     _split_columns,
     clll_reduce_batch,
 )
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,28 +43,27 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-def _real_embedding(r: np.ndarray) -> np.ndarray:
-    """Interleaved real representation of a complex upper-triangular matrix.
+def _within_budget(h, budget: EnumerationBudget) -> np.ndarray:
+    """as_matrix(h), once its column count is checked against
+    budget.max_dim; raises BudgetExceededError beyond it."""
+    h = as_matrix(h)
+    if h.shape[1] > budget.max_dim:
+        raise BudgetExceededError(
+            f"dimension {h.shape[1]} exceeds budget max_dim={budget.max_dim}"
+        )
+    return h
 
-    Coordinate 2k holds the real part of Gaussian coefficient k, coordinate
-    2k+1 the imaginary part.  Upper triangular because diag(r) is real.
+
+def _enumerate_shortest(r: np.ndarray, max_nodes: int) -> tuple[np.ndarray, float, int]:
+    """Shortest nonzero Gaussian-integer combination of the columns of an
+    upper-triangular r with a real diagonal.
+
+    Returns (Gaussian coefficients, squared length, nodes visited).  The
+    search runs over the integer coordinates of r's real embedding:
+    depth-first with radius pruning, the radius starting at the shortest
+    column norm and tightening on every improvement.
     """
-    n = r.shape[1]
-    b = np.zeros((2 * n, 2 * n))
-    b[0::2, 0::2] = r.real
-    b[0::2, 1::2] = -r.imag
-    b[1::2, 0::2] = r.imag
-    b[1::2, 1::2] = r.real
-    return b
-
-
-def _enumerate_shortest(b: np.ndarray, max_nodes: int) -> tuple[np.ndarray, float, int]:
-    """Shortest nonzero integer combination of the columns of upper-triangular b.
-
-    Returns (coefficients, squared length, nodes visited).  Depth-first search
-    with radius pruning; the radius starts at the shortest column norm and
-    tightens on every improvement.
-    """
+    b = _real_embedding(r)
     m = b.shape[1]
     col_norms2 = np.sum(b * b, axis=0)
     j0 = int(np.argmin(col_norms2))
@@ -86,12 +83,7 @@ def _enumerate_shortest(b: np.ndarray, max_nodes: int) -> tuple[np.ndarray, floa
         while True:
             # zig-zag around the center in order of increasing distance:
             # base, base+sgn, base-sgn, base+2*sgn, ...
-            if step == 0:
-                xi = base
-            elif step % 2 == 1:
-                xi = base + sgn * ((step + 1) // 2)
-            else:
-                xi = base - sgn * (step // 2)
+            xi = base + (sgn if step % 2 else -sgn) * ((step + 1) // 2)
             term = (b[i, i] * (xi - c)) ** 2
             if rho + term >= best:
                 break
@@ -109,7 +101,7 @@ def _enumerate_shortest(b: np.ndarray, max_nodes: int) -> tuple[np.ndarray, floa
         x[i] = 0
 
     dfs(m - 1, 0.0)
-    return best_x, best, nodes
+    return best_x[0::2].astype(np.complex128) + 1j * best_x[1::2], best, nodes
 
 
 def shortest_vector(h, budget: EnumerationBudget = DEFAULT_BUDGET):
@@ -118,23 +110,34 @@ def shortest_vector(h, budget: EnumerationBudget = DEFAULT_BUDGET):
     Returns (v, coeffs) with v = h @ coeffs.  Raises BudgetExceededError when
     the dimension exceeds budget.max_dim or the node budget runs out.
     """
-    h = as_matrix(h)
-    if h.shape[1] > budget.max_dim:
-        raise BudgetExceededError(
-            f"dimension {h.shape[1]} exceeds budget max_dim={budget.max_dim}"
-        )
-    xr, _, _ = _enumerate_shortest(_real_embedding(_qr_r(h)), budget.max_nodes)
-    coeffs = xr[0::2].astype(np.complex128) + 1j * xr[1::2]
+    h = _within_budget(h, budget)
+    coeffs, _, _ = _enumerate_shortest(_qr_r(h), budget.max_nodes)
     return h @ coeffs, coeffs
 
 
-# --- Gaussian-integer extended gcd and unimodular completion -------------------
+# --- Gaussian-integer arithmetic on int pairs and unimodular completion --------
+
+def _gmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gsub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
 
 def _gdivround(a, b):
     """Nearest-Gaussian-integer quotient of a/b (Euclidean division step)."""
     n = b[0] * b[0] + b[1] * b[1]
     num = _gmul(a, (b[0], -b[1]))
     return (round(num[0] / n), round(num[1] / n))
+
+
+def _gdiv_exact(a, b):
+    """Exact division in Z[i]; the caller guarantees divisibility."""
+    q = _gdivround(a, b)
+    if _gmul(q, b) != a:
+        raise ArithmeticError("inexact Gaussian-integer division")
+    return q
 
 
 def _gxgcd(a, b):
@@ -150,10 +153,6 @@ def _gxgcd(a, b):
     return r0, s0, t0
 
 
-def _to_complex(p):
-    return complex(p[0], p[1])
-
-
 def _complete_unimodular(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unimodular T (and exact inverse) whose first column equals coeffs.
 
@@ -161,38 +160,26 @@ def _complete_unimodular(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     coefficient vectors always are.
     """
     n = coeffs.shape[0]
-    x = [(int(round(z.real)), int(round(z.imag))) for z in coeffs]
+    acc = [(int(round(z.real)), int(round(z.imag))) for z in coeffs]
     t = np.eye(n, dtype=np.complex128)
     tinv = np.eye(n, dtype=np.complex128)
-    # fold every coordinate into slot 0 with 2x2 Bezout blocks; accumulate the
-    # inverse operations (= T) on the fly
-    acc = x[:]
+    # fold every coordinate into slot 0: the 2x2 Bezout block
+    # M = [[s, t], [-q, p]] (det 1, M (a, b) = (g, 0)) acts on rows 0 and i
+    # of T^-1, and its inverse [[p, -t], [q, s]] on columns 0 and i of T
     for i in range(1, n):
         a, b = acc[0], acc[i]
         if b == (0, 0):
             continue
         g, s, t_bez = _gxgcd(a, b)
-        p = _gdiv_exact(a, g)
-        q = _gdiv_exact(b, g)
-        # block M on coords (0, i): [[s, t],[-q, p]], det = 1, M @ (a, b) = (g, 0)
-        # inverse block: [[p, -t],[q, s]]
-        m00, m01 = _to_complex(s), _to_complex(t_bez)
-        m10, m11 = -_to_complex(q), _to_complex(p)
-        i00, i01 = _to_complex(p), -_to_complex(t_bez)
-        i10, i11 = _to_complex(q), _to_complex(s)
-        row0 = tinv[0, :].copy()
-        rowi = tinv[i, :].copy()
-        tinv[0, :] = m00 * row0 + m01 * rowi
-        tinv[i, :] = m10 * row0 + m11 * rowi
-        col0 = t[:, 0].copy()
-        coli = t[:, i].copy()
-        t[:, 0] = i00 * col0 + i10 * coli
-        t[:, i] = i01 * col0 + i11 * coli
+        p, q = _gdiv_exact(a, g), _gdiv_exact(b, g)
+        s, t_bez, p, q = (complex(*z) for z in (s, t_bez, p, q))
+        tinv[[0, i]] = np.array([[s, t_bez], [-q, p]]) @ tinv[[0, i]]
+        t[:, [0, i]] = t[:, [0, i]] @ np.array([[p, -t_bez], [q, s]])
         acc[0], acc[i] = g, (0, 0)
     g = acc[0]
     if g[0] * g[0] + g[1] * g[1] != 1:
         raise ValidationError("coefficient vector is not primitive")
-    gz = _to_complex(g)
+    gz = complex(*g)
     t[:, 0] *= gz
     tinv[0, :] *= np.conj(gz)
     return t, tinv
@@ -205,9 +192,8 @@ def _kz_recurse(r: np.ndarray, budget: EnumerationBudget, nodes: list):
     eye = np.eye(n, dtype=np.complex128)
     if n == 1:
         return r.copy(), eye.copy(), eye.copy()
-    xr, _, visited = _enumerate_shortest(_real_embedding(r), budget.max_nodes)
+    coeffs, _, visited = _enumerate_shortest(r, budget.max_nodes)
     nodes[0] += visited
-    coeffs = xr[0::2].astype(np.complex128) + 1j * xr[1::2]
     t1, t1inv = _complete_unimodular(coeffs)
     r2 = _qr_r(r @ t1)
     r_sub, ts, tsinv = _kz_recurse(r2[1:, 1:], budget, nodes)
@@ -238,11 +224,7 @@ def kz_reduce(h, budget: EnumerationBudget = DEFAULT_BUDGET) -> ReducedBasis:
     i.i.d. Gaussian 6x6 channels of seed 2024, 4 raw bases needed between 2e5
     and more than 1e7 nodes; after CLLL none needed more than 1254.
     """
-    h = as_matrix(h)
-    if h.shape[1] > budget.max_dim:
-        raise BudgetExceededError(
-            f"dimension {h.shape[1]} exceeds budget max_dim={budget.max_dim}"
-        )
+    h = _within_budget(h, budget)
     clll = clll_reduce_batch([h[np.newaxis]])[0]
     nodes = [0]
     _, t, tinv = _kz_recurse(clll.r[0], budget, nodes)
@@ -254,27 +236,17 @@ def kz_reduce(h, budget: EnumerationBudget = DEFAULT_BUDGET) -> ReducedBasis:
 def is_kz_reduced(r, budget: EnumerationBudget = DEFAULT_BUDGET) -> bool:
     """Check KZ reducedness of an upper-triangular R within the budget.
 
-    Level by level: the diagonal entry must equal the shortest-vector length of
-    the projected sublattice, and the off-diagonal entries of the pivot row must
-    be componentwise within half the pivot (all with 1e-9 relative slack).
+    R must be size-reduced, as is_clll_reduced checks it (_reduced_flags),
+    and level by level its diagonal entry must equal the shortest-vector
+    length of the projected sublattice, both with 1e-9 relative slack.
+    Raises ValidationError unless R is square, upper triangular and has a
+    real, strictly positive diagonal, as is_clll_reduced does.
     """
-    r = as_matrix(r)
-    n = r.shape[1]
-    if r.shape[0] != n:
-        raise ValidationError("R must be square")
-    if n > budget.max_dim:
-        raise BudgetExceededError(
-            f"dimension {n} exceeds budget max_dim={budget.max_dim}"
-        )
-    for i in range(n):
-        sub = r[i:, i:]
-        _, blen2, _ = _enumerate_shortest(_real_embedding(sub), budget.max_nodes)
-        pivot = abs(r[i, i])
-        if pivot > np.sqrt(blen2) * (1.0 + _EPS):
-            return False
-        lim = 0.5 * pivot + _EPS * pivot
-        if np.any(np.abs(r[i, i + 1 :].real) > lim) or np.any(
-            np.abs(r[i, i + 1 :].imag) > lim
-        ):
+    r = _within_budget(_checked_r(r), budget)
+    if not _reduced_flags(r[np.newaxis], 1.0)[0][0]:  # its size flag alone
+        return False
+    for i in range(r.shape[1]):
+        _, blen2, _ = _enumerate_shortest(r[i:, i:], budget.max_nodes)
+        if abs(r[i, i]) > np.sqrt(blen2) * (1.0 + _PRED_EPS):
             return False
     return True

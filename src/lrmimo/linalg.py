@@ -103,6 +103,21 @@ def _max_col_norm2(a: np.ndarray) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _real_embedding(a: np.ndarray) -> np.ndarray:
+    """The interleaved (2n, 2n) real matrix of a square complex matrix:
+    entry a_jk becomes the block [[Re, -Im], [Im, Re]] at rows and columns
+    2j, 2k, so coordinate 2k holds the real part of Gaussian coefficient k
+    and 2k+1 its imaginary part.  Its determinant is |det a|^2, and it is
+    upper triangular when a is, with a real diagonal."""
+    n = a.shape[1]
+    b = np.zeros((2 * n, 2 * n))
+    b[0::2, 0::2] = a.real
+    b[0::2, 1::2] = -a.imag
+    b[1::2, 0::2] = a.imag
+    b[1::2, 1::2] = a.real
+    return b
+
+
 def pseudoinverse(a) -> np.ndarray:
     """Left pseudoinverse (A^H A)^-1 A^H of a full-column-rank matrix."""
     return _pinv_from_qr(*qr_decompose(a))

@@ -14,10 +14,6 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _gray_encode(i):
-    return i ^ (i >> 1)
-
-
 def _gray_decode(g, nbits: int):
     b = np.asarray(g).copy()
     shift = 1
@@ -92,14 +88,6 @@ def _level_index_pairs(bits: np.ndarray, spec: ConstellationSpec) -> np.ndarray:
         g <<= 1
         g |= planes[..., j]
     return _gray_decode(g, half)
-
-
-def _bit_distance(spec: ConstellationSpec) -> np.ndarray:
-    """(side, side) table: bits that differ between the Gray labels of level
-    indices i and j of one axis.  The sweep's error count (sim._count_errors)
-    XORs the labels instead; its tests check it against this table."""
-    g = _gray_encode(np.arange(spec.side))
-    return np.bitwise_count(g[:, np.newaxis] ^ g).astype(np.intp)
 
 
 def map_bits(bits: np.ndarray, spec: ConstellationSpec) -> np.ndarray:

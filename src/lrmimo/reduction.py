@@ -12,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import SingularMatrixError, ValidationError
-from .linalg import _qr_r, as_matrix, gram_det, qr_decompose
+from .linalg import _qr_r, _real_embedding, as_matrix, gram_det, qr_decompose
 
 # Relative slack on the reducedness inequalities so that a floating-point QR
 # of an exactly reduced basis still passes.
@@ -136,36 +136,31 @@ def _reduced_stack(h_tilde, u, u_inv, iterations, with_q=False) -> ReducedStack:
     return stack
 
 
-def _stack_of_one(basis: ReducedBasis) -> ReducedStack:
-    """The ReducedStack whose one member is basis, of views of its arrays."""
-    stack = ReducedStack(
-        *(a[np.newaxis] for a in (basis.h_tilde, basis.u, basis.u_inv, basis.r)),
-        np.array([basis.odf_value]),
-        np.array([basis.iteration_count]),
-    )
-    vars(stack)["q"] = basis.q[np.newaxis]
-    return stack
-
-
 def is_clll_reduced(r, params: ReductionParams = ReductionParams()) -> tuple[bool, bool]:
     """Check the two CLLL reducedness conditions on an upper-triangular R.
 
     Returns (size_reduced, lovasz_ok).  Size reduction is checked componentwise
     against half the (real, positive) diagonal; the Lovasz condition uses the
-    configured delta.  Both inequalities get 1e-9 relative slack.
+    configured delta.  Both inequalities get 1e-9 relative slack.  Raises
+    ValidationError unless R is one (_checked_r).
     """
+    size_reduced, lovasz_ok = _reduced_flags(_checked_r(r)[np.newaxis], params.delta)
+    return bool(size_reduced[0]), bool(lovasz_ok[0])
+
+
+def _checked_r(r) -> np.ndarray:
+    """r as a complex matrix, once it is checked to be an R factor: square,
+    upper triangular and with a real, strictly positive diagonal (each with
+    1e-9 relative slack); raises ValidationError otherwise."""
     r = as_matrix(r)
-    n = r.shape[1]
-    if r.shape[0] != n:
+    if r.shape[0] != r.shape[1]:
         raise ValidationError("R must be square")
     d = np.diagonal(r)
-    scale = np.max(np.abs(r)) if r.size else 0.0
-    if np.any(np.abs(np.tril(r, -1)) > 1e-9 * max(scale, 1e-300)):
+    if np.any(np.abs(np.tril(r, -1)) > 1e-9 * max(np.max(np.abs(r)), 1e-300)):
         raise ValidationError("R must be upper triangular")
     if np.any(d.real <= 0.0) or np.any(np.abs(d.imag) > 1e-9 * np.abs(d.real)):
         raise ValidationError("R diagonal must be real and strictly positive")
-    size_reduced, lovasz_ok = _reduced_flags(r[np.newaxis], params.delta)
-    return bool(size_reduced[0]), bool(lovasz_ok[0])
+    return r
 
 
 def _reduced_flags(r: np.ndarray, delta: float) -> tuple:
@@ -366,66 +361,34 @@ def _size_reduce_all(cols) -> None:
             cl[:, ui] += mu * ck[:, ui]
 
 
-# --- exact Gaussian-integer determinant (Bareiss) ------------------------------
-
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gsub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gdiv_exact(a, b):
-    """Exact division in Z[i]; the caller guarantees divisibility."""
-    n = b[0] * b[0] + b[1] * b[1]
-    num = _gmul(a, (b[0], -b[1]))
-    qr, rr = divmod(num[0], n)
-    qi, ri = divmod(num[1], n)
-    if rr or ri:
-        raise ArithmeticError("inexact Gaussian-integer division")
-    return (qr, qi)
-
-
-def _gaussian_det(mat):
-    """Exact determinant of a square Gaussian-integer matrix (int pairs).
-
-    Fraction-free Bareiss elimination; all intermediate divisions are exact.
-    """
-    m = [row[:] for row in mat]
-    n = len(m)
-    sign = 1
-    prev = (1, 0)
-    for k in range(n - 1):
-        if m[k][k] == (0, 0):
-            for i in range(k + 1, n):
-                if m[i][k] != (0, 0):
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return (0, 0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _gsub(_gmul(m[k][k], m[i][j]), _gmul(m[i][k], m[k][j]))
-                m[i][j] = _gdiv_exact(num, prev)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return (sign * d[0], sign * d[1])
-
-
 def is_unimodular(u) -> bool:
-    """True iff u is square with Gaussian-integer entries and |det(u)| = 1."""
+    """True iff u is square with Gaussian-integer entries (each part within
+    1e-9 of an integer) and |det(u)| = 1, that is when the exact determinant
+    of its real embedding, |det(u)|^2, is 1."""
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         return False
-    re = np.rint(u.real)
-    im = np.rint(u.imag)
-    if np.max(np.abs(u.real - re)) > 1e-9 or np.max(np.abs(u.imag - im)) > 1e-9:
+    b = _real_embedding(u)
+    ints = np.rint(b)
+    if np.max(np.abs(b - ints)) > 1e-9:
         return False
-    mat = [
-        [(int(re[i, j]), int(im[i, j])) for j in range(u.shape[1])]
-        for i in range(u.shape[0])
-    ]
-    d = _gaussian_det(mat)
-    return d[0] * d[0] + d[1] * d[1] == 1
+    return _bareiss_det(np.frompyfunc(int, 1, 1)(ints)) == 1
+
+
+def _bareiss_det(m: np.ndarray) -> int:
+    """Exact determinant of a square object array of Python ints by
+    fraction-free Bareiss elimination, whose every division is exact; a
+    zero pivot swaps in a lower row."""
+    m, sign, prev = m.copy(), 1, 1
+    for k in range(len(m) - 1):
+        if m[k, k] == 0:
+            below = np.flatnonzero(m[k + 1 :, k])
+            if not below.size:
+                return 0
+            i = k + 1 + below[0]
+            m[[k, i]] = m[[i, k]]
+            sign = -sign
+        rest = m[k + 1 :, k + 1 :]
+        rest[...] = (m[k, k] * rest - np.outer(m[k + 1 :, k], m[k, k + 1 :])) // prev
+        prev = m[k, k]
+    return sign * m[-1, -1]

@@ -19,7 +19,6 @@ from .reduction import (
     ReducedStack,
     ReductionParams,
     _reduced_stack,
-    _stack_of_one,
     clll_reduce_batch,
 )
 
@@ -52,12 +51,13 @@ def _offset(t_inv: np.ndarray) -> np.ndarray:
     return 0.5 * (t_inv @ np.full(t_inv.shape[-1], 1.0 + 1.0j))
 
 
-def _lr_arrays(perms, basis: ReducedStack) -> tuple:
+def _lr_arrays(perms, basis: ReducedStack | ReducedBasis) -> tuple:
     """What LR detection reads of each member of a stack of kept bases and
-    of its permutation perms[i]: T = P U and T^-1 = U^-1 P^T (P's column j
-    is unit vector perm[j]; the matmuls keep the exact bits of the Gaussian
-    integers, signed zeros included), d = _offset(T^-1) and pinv, the
-    LR-ZF/MMSE filter, from the QR of the basis."""
+    of its permutation perms[i], or of one basis and its permutation perms:
+    T = P U and T^-1 = U^-1 P^T (P's column j is unit vector perm[j]; the
+    matmuls keep the exact bits of the Gaussian integers, signed zeros
+    included), d = _offset(T^-1) and pinv, the LR-ZF/MMSE filter, from the
+    QR of the basis."""
     p_t = np.eye(basis.u.shape[-1], dtype=np.complex128)[np.array(perms, dtype=np.intp)]
     t_inv = basis.u_inv @ p_t
     pinv = _pinv_from_qr(basis.q, basis.r)
@@ -72,7 +72,7 @@ class KlrResult:
     permutation and the unimodular matrix into a single unimodular transform on
     the original column order.  basis, transform, transform_inv, offset and
     pinv are views of those of its KlrStack; built without the last four, it
-    is the member of a stack of one from _selection.  dataclasses.replace
+    forms them with _lr_arrays on its lone basis.  dataclasses.replace
     passes them on: it may change only extended and the ODF fields.
     """
 
@@ -89,11 +89,9 @@ class KlrResult:
 
     def __post_init__(self):
         if self.pinv is None:
-            one = _stack_of_one(self.basis)
-            base, cands = np.array([self.odf_baseline]), (self.candidate_odfs,)
-            one = _selection(one, (self.perm,), base, cands, self.extended)
-            for name in ("transform", "transform_inv", "offset", "pinv"):
-                object.__setattr__(self, name, getattr(one, name)[0])
+            names = "transform", "transform_inv", "offset", "pinv"
+            for name, a in zip(names, _lr_arrays(self.perm, self.basis)):
+                object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)

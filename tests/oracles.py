@@ -3,7 +3,7 @@
 Each is written apart from the code it checks and shares none of it: a
 float slicer with its own tie rule, a quantizer onto the shifted, scaled
 lattice, the MMSE filter solved directly, a float Gray demapper with
-tolerances, and Gaussian rounding.  Only tests import this module; the
+tolerances, a table of Gray-label bit distances, and Gaussian rounding.  Only tests import this module; the
 library's own path slices integer images (detectors._lattice_indices),
 rounds in place (reduction._rounded) and counts errors from slice indices.
 """
@@ -94,3 +94,15 @@ def _levels_to_bits(vals: np.ndarray, spec) -> np.ndarray:
     g = idx ^ (idx >> 1)
     shifts = np.arange(half - 1, -1, -1)
     return (g[..., np.newaxis] >> shifts) & 1
+
+
+def _gray_encode(i):
+    return i ^ (i >> 1)
+
+
+def _bit_distance(spec) -> np.ndarray:
+    """(side, side) table: bits that differ between the Gray labels of level
+    indices i and j of one axis.  The sweep's error count (sim._count_errors)
+    XORs the labels instead; its tests check it against this table."""
+    g = _gray_encode(np.arange(spec.side))
+    return np.bitwise_count(g[:, np.newaxis] ^ g).astype(np.intp)

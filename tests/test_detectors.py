@@ -261,8 +261,9 @@ class TestMl:
         assert np.allclose(out, [QPSK.alphabet[0], QPSK.alphabet[0]])
 
     def test_candidate_cap(self, rng):
+        # 64^4 > ML_DEFAULT_CAP = 10^6 candidates: raised before any is formed
         with pytest.raises(BudgetExceededError):
-            ml_detect(crandn(rng, 4), crandn(rng, 4, 4), QAM16, max_candidates=1000)
+            ml_detect(crandn(rng, 4), crandn(rng, 4, 4), ConstellationSpec(64))
 
     @pytest.mark.parametrize("m", [4, 16, 64])
     @pytest.mark.parametrize("n_t", [1, 2, 3])

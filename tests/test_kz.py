@@ -138,6 +138,19 @@ class TestIsKzReduced:
         r = np.array([[1.0, 0.9], [0.0, 1.2]], dtype=complex)
         assert not is_kz_reduced(r)
 
+    @pytest.mark.parametrize(
+        "r",
+        [[[1, 0], [5, 1]], [[-1, 0.2], [0, 1]], [[0, 0], [0, 1]], [[1j, 0.2], [0, 1]]],
+        ids=["lower-triangular", "negative-diagonal", "singular", "imaginary-diagonal"],
+    )
+    def test_malformed_r_rejected(self, r):
+        # the R check of is_clll_reduced, which is_kz_reduced shares
+        r = np.array(r, dtype=complex)
+        with pytest.raises(ValidationError):
+            is_clll_reduced(r)
+        with pytest.raises(ValidationError):
+            is_kz_reduced(r)
+
     def test_clll_output_can_fail_kz(self, rng):
         # CLLL does not guarantee the shortest vector first; find a case
         from lrmimo.reduction import clll_reduce

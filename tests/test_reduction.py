@@ -399,7 +399,40 @@ class TestOdf:
             odf(np.array([[1, 1], [1, 1]], dtype=complex))
 
 
+def column_operations(rng, n: int) -> np.ndarray:
+    """I after 3n random elementary Gaussian column operations: a shear by a
+    Gaussian integer of parts in [-2, 2], a unit scaling or a swap."""
+    u = np.eye(n, dtype=complex)
+    for _ in range(3 * n):
+        i, j = rng.permutation(n)[:2] if n > 1 else (0, 0)
+        op = rng.integers(3) if n > 1 else 1
+        if op == 0:
+            u[:, j] += complex(*rng.integers(-2, 3, 2)) * u[:, i]
+        elif op == 1:
+            u[:, i] *= (1, -1, 1j, -1j)[rng.integers(4)]
+        else:
+            u[:, [i, j]] = u[:, [j, i]]
+    return u
+
+
 class TestIsUnimodular:
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_column_operations(self, n, seed):
+        # swaps and unit scalings by +-j put zeros on the pivots of the
+        # real embedding, so the elimination swaps rows too
+        rng = np.random.default_rng(seed)
+        u = column_operations(rng, n)
+        assert is_unimodular(u)
+        j, k = rng.integers(n, size=2)
+        for scale in (1 + 1j, 2):
+            scaled = u.copy()
+            scaled[:, j] *= scale
+            assert not is_unimodular(scaled)
+        off = u.copy()
+        off[j, k] += 0.25
+        assert not is_unimodular(off)
+
     def test_identity(self):
         assert is_unimodular(np.eye(3))
 

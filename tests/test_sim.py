@@ -17,7 +17,7 @@ from lrmimo.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from lrmimo.detectors import lr_detect, ml_detect
 from lrmimo.errors import ValidationError
 from lrmimo.linalg import pseudoinverse
-from lrmimo.modem import ConstellationSpec, _bit_distance, map_bits
+from lrmimo.modem import ConstellationSpec, map_bits
 from lrmimo.reduction import ReductionParams
 from lrmimo.sim import (
     CSV_HEADER,
@@ -38,7 +38,13 @@ from lrmimo.switched import (
     sample_permutations,
 )
 
-from oracles import _slice_index, hard_slice, mmse_filter_direct, unmap_symbols
+from oracles import (
+    _bit_distance,
+    _slice_index,
+    hard_slice,
+    mmse_filter_direct,
+    unmap_symbols,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -669,7 +675,7 @@ class TestChunks:
 
 
 class TestCountErrors:
-    """sim._count_errors XORs Gray labels; modem._bit_distance is the table
+    """sim._count_errors XORs Gray labels; oracles._bit_distance is the table
     of Gray-label distances it must agree with."""
 
     @staticmethod

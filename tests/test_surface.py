@@ -17,7 +17,7 @@ GONE = {
     "zf_filter", "zf_error_covariance", "extend_system", "mmse_filter_direct",
     "hard_slice", "_slice_index", "shift_scale_quantize", "unmap_symbols",
     "_levels_to_bits", "round_gaussian", "singular_values", "condition_number",
-    "demodulate", "as_vector",
+    "demodulate", "as_vector", "_bit_distance", "_gray_encode",
 }
 
 
