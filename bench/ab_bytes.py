@@ -22,6 +22,15 @@ The corpus:
   eps noise, eps = 1e-6, 1e-9 and 1e-11) through `clll_reduce`; where a
   case raises, the type and message of its error are digested in place of
   its fields;
+- sheared bases (random Gaussian-integer column shears, as
+  tests/test_reduction.py::hard_basis scrambles them), 20 and 40 shears,
+  n = 4 and 6, 6 and 12 rows, delta 0.75 and 0.99, lone and batched; the
+  parts of a reduced stack read before the whole (an index array, as
+  switched._pick keeps its bases, then a slice) and a member read by int
+  index: every array, U^-1 and Q included;
+- `qr_decompose` and `clll_reduce_batch` of stacks scaled by 1e+-150, of
+  near rank-deficient stacks, of stacks with a NaN or +-inf entry (the
+  error is digested) and of non-contiguous stacks;
 - switched selection stacks, plain and extended, K = 0 and 3, through
   `switched._select_all`: the basis arrays, perms, ODFs, T, T^-1, d and
   pinv of the stack, of a slice and of each member;
@@ -142,6 +151,7 @@ def corpus():
         sic_detect,
     )
     from lrmimo.kz import EnumerationBudget, is_kz_reduced, kz_reduce, shortest_vector
+    from lrmimo.linalg import qr_decompose
     from lrmimo.modem import ConstellationSpec
     from lrmimo.reduction import (
         ReductionParams,
@@ -210,15 +220,30 @@ def corpus():
 
     def outcome(case, fields, reduce, *args):
         """The fields of reduce(*args), of its first stack where it returns
-        a list, or the type and message of what it raises."""
+        a list, each of its items where it returns a tuple, or the type and
+        message of what it raises."""
         try:
             result = reduce(*args)
         except Exception as exc:  # a raising case is digested too
             yield case, "error", f"{type(exc).__name__}: {exc}"
             return
+        if isinstance(result, tuple):
+            yield from ((case, name, a) for name, a in zip(fields, result))
+            return
         if isinstance(result, list):
             result = result[0]
         yield from selection(case, result, fields)
+
+    def sheared(rng, count, rows, n, shears):
+        """count bases scrambled as tests/test_reduction.py::hard_basis
+        scrambles one: shears random column shears by Gaussian integers of
+        parts in [-3, 3]."""
+        mats = crandn(rng, count, rows, n)
+        for h in mats:
+            for _ in range(shears):
+                i, j = rng.choice(n, 2, replace=False)
+                h[:, j] += complex(*rng.integers(-3, 4, 2)) * h[:, i]
+        return mats
 
     # CLLL: per delta and n, each basis lone, each flavour's 8 in one call,
     # and both flavours' stacks in one call
@@ -264,6 +289,63 @@ def corpus():
         for delta in (0.75, 0.99):
             args = clll_reduce, h, ReductionParams(delta)
             yield from outcome(f"probe/eps{eps:g}/d{delta}", MEMBER_FIELDS, *args)
+
+    # sheared bases, whose U and U^-1 parts run far above those of random
+    # bases: per shear count, n, rows and delta, each basis lone and the
+    # four in one call
+    rng = np.random.default_rng(1416)
+    for shears in (20, 40):
+        for n in (4, 6):
+            for rows in (6, 12):
+                for delta in (0.75, 0.99):
+                    mats = sheared(rng, 4, rows, n, shears)
+                    params = ReductionParams(delta)
+                    tag = f"clll-sheared/s{shears}/n{n}/r{rows}/d{delta}"
+                    for i, mat in enumerate(mats):
+                        args = clll_reduce_batch, [mat[None]], params
+                        yield from outcome(f"{tag}/lone{i}", BASIS_FIELDS, *args)
+                    args = clll_reduce_batch, [mats], params
+                    yield from outcome(f"{tag}/batch", BASIS_FIELDS, *args)
+
+    # parts of a reduced stack read before the whole: an index array, as
+    # switched._pick keeps its bases, then a slice, then the whole stack,
+    # and a member of a stack read by int index alone
+    rng = np.random.default_rng(1417)
+    for rows, n in ((6, 4), (12, 6)):
+        mats = sheared(rng, 8, rows, n, 20)
+        stack = clll_reduce_batch([mats])[0]
+        tag = f"clll-parts/{rows}x{n}"
+        yield from stack_fields(f"{tag}/index", stack[np.array([5, 1, 5, 7])])
+        yield from stack_fields(f"{tag}/slice", stack[2:6])
+        yield from stack_fields(f"{tag}/whole", stack)
+        member = clll_reduce_batch([mats])[0][3]
+        yield from selection(f"{tag}/member", member, MEMBER_FIELDS)
+
+    # QR and CLLL of stacks scaled by 1e+-150, of near rank-deficient
+    # stacks (column 2 = column 0 - 1j column 1 + eps noise), of stacks
+    # with a NaN or +-inf entry (the error is digested) and of
+    # non-contiguous stacks: a transposed view, a row-strided view and a
+    # Fortran-ordered copy
+    rng = np.random.default_rng(1418)
+    qr_inputs = {}
+    for scale in (1e150, 1e-150):
+        qr_inputs[f"scaled{scale:g}"] = scale * crandn(rng, 4, 5, 3)
+    for eps in (1e-9, 1e-11, 1e-12, 1e-13):
+        mats = crandn(rng, 4, 5, 3)
+        mats[1, :, 2] = mats[1, :, 0] - 1j * mats[1, :, 1] + eps * crandn(rng, 5)
+        qr_inputs[f"near{eps:g}"] = mats
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        mats = crandn(rng, 3, 4, 3)
+        mats[2, 1, 0] = bad
+        qr_inputs[f"nonfinite{bad}"] = mats
+    wide = crandn(rng, 4, 5, 7)
+    qr_inputs["transposed"] = np.swapaxes(wide, -1, -2)
+    qr_inputs["row-strided"] = crandn(rng, 4, 10, 3)[:, ::2]
+    qr_inputs["fortran"] = np.asfortranarray(crandn(rng, 4, 5, 3))
+    for name, mats in qr_inputs.items():
+        tag = f"qr-inputs/{name}"
+        yield from outcome(f"{tag}/qr", ("q", "r"), qr_decompose, mats)
+        yield from outcome(f"{tag}/clll", BASIS_FIELDS, clll_reduce_batch, [mats])
 
     # switched selection stacks, their slices and members
     rng = np.random.default_rng(1402)
