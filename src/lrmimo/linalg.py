@@ -94,12 +94,13 @@ def _max_col_norm2(a: np.ndarray) -> np.ndarray:
     np.linalg.norm's own arithmetic without its wrapper: 0 for a matrix
     whose squares underflow, inf where they overflow.  A stack is taken in
     blocks along its first axis, each with the arithmetic of the whole, so
-    the temporaries stay small and every matrix gets the same bits."""
-    step = max(1, _NORM_BLOCK_BYTES // a[0].nbytes) if a.ndim > 2 else len(a)
-    parts = [
-        np.add.reduce((b.conj() * b).real, axis=-2).max(axis=-1)
-        for b in (a[i : i + step] for i in range(0, len(a), step))
-    ]
+    the temporaries stay small and every matrix gets the same bits; an
+    empty stack is one block."""
+    blocks = [a]
+    if a.ndim > 2 and a.size:
+        step = max(1, _NORM_BLOCK_BYTES // a[0].nbytes)
+        blocks = [a[i : i + step] for i in range(0, len(a), step)]
+    parts = [np.add.reduce((b.conj() * b).real, axis=-2).max(axis=-1) for b in blocks]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 

@@ -1,9 +1,10 @@
 """Complex LLL (CLLL) lattice reduction and basis-quality metrics.
 
 The reducer works on the upper-triangular factor of the input basis and
-maintains the unimodular transform U together with its inverse in exact
-Gaussian-integer arithmetic (integer-valued complex arrays; all updates are
-integer column/row operations, so no rounding ever occurs in U or U^-1).
+carries the unimodular transform U in exact Gaussian-integer arithmetic
+(integer-valued complex arrays; all updates are integer column operations,
+so no rounding ever occurs in U).  U^-1 is formed where it is read, and
+checked exactly against U.
 """
 
 from dataclasses import dataclass, fields
@@ -11,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SingularMatrixError, ValidationError
+from .errors import BudgetExceededError, SingularMatrixError, ValidationError
 from .linalg import _qr_r, _real_embedding, as_matrix, gram_det, qr_decompose
 
 # Relative slack on the reducedness inequalities so that a floating-point QR
@@ -19,6 +20,16 @@ from .linalg import _qr_r, _real_embedding, as_matrix, gram_det, qr_decompose
 _PRED_EPS = 1e-9
 
 DEFAULT_DELTA = 0.75
+
+# CLLL iterations (loop steps) a basis may take before clll_reduce_batch
+# raises BudgetExceededError.  The most any basis of the tests, the A/B
+# corpus or the benchmark takes is 307, and 8-column bases scrambled by 60
+# random column shears took up to 623.
+MAX_ITERATIONS = 10_000
+
+# Refinement steps _inverse may take to confirm U^-1; a rounded float
+# inverse of a U with parts near 2e7 needs one.
+_INVERSE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -84,17 +95,18 @@ class ReducedStack:
 
     h_tilde and q are (B, rows, n), u, u_inv and r are (B, n, n), odf and
     iterations are (B,); member i satisfies everything ReducedBasis states.
-    q is factored on first access, bitwise the Q of the QR whose R is r.
-    A slice or an index array gives a ReducedStack (of copies, for an index
-    array, as numpy indexing makes them) that keeps its part of a q already
-    factored, so a stack of which only a part is kept factors Q for that
-    part alone.  An int index gives the ReducedBasis of one member, of views
-    of the stack's arrays, q included.  Iteration yields the members in order.
+    q is factored on first access, bitwise the Q of the QR whose R is r, and
+    u_inv is formed on first access (_inverse) where it was not given.  A
+    slice or an index array gives a ReducedStack (of copies, for an index
+    array, as numpy indexing makes them) that keeps its part of a q or u_inv
+    already formed, so a stack of which only a part is kept forms them for
+    that part alone.  An int index gives the ReducedBasis of one member, of
+    views of the stack's arrays, q and u_inv included.  Iteration yields the
+    members in order.
     """
 
     h_tilde: np.ndarray
     u: np.ndarray
-    u_inv: np.ndarray
     r: np.ndarray
     odf: np.ndarray
     iterations: np.ndarray
@@ -103,14 +115,19 @@ class ReducedStack:
     def q(self) -> np.ndarray:
         return qr_decompose(self.h_tilde)[0]
 
+    @cached_property
+    def u_inv(self) -> np.ndarray:
+        return _inverse(self.u)
+
     def __len__(self) -> int:
         return len(self.odf)
 
     def __getitem__(self, i):
         if isinstance(i, (slice, np.ndarray)):
             part = ReducedStack(*(getattr(self, f.name)[i] for f in fields(self)))
-            if "q" in vars(self):  # the cached property, once factored
-                vars(part)["q"] = self.q[i]
+            for name in ("q", "u_inv"):  # the cached properties, once formed
+                if name in vars(self):
+                    vars(part)[name] = vars(self)[name][i]
             return part
         return ReducedBasis(
             self.h_tilde[i], self.u[i], self.u_inv[i], self.r[i],
@@ -122,7 +139,8 @@ class ReducedStack:
 
 
 def _reduced_stack(h_tilde, u, u_inv, iterations, with_q=False) -> ReducedStack:
-    """ReducedStack of a stack h_tilde = original @ u.
+    """ReducedStack of a stack h_tilde = original @ u, with the given
+    u_inv, or with u_inv formed when read where it is None.
 
     One batched QR gives r and the ODF denominators; it forms q too with
     with_q, else q waits until it is read.
@@ -130,10 +148,61 @@ def _reduced_stack(h_tilde, u, u_inv, iterations, with_q=False) -> ReducedStack:
     q, r = qr_decompose(h_tilde) if with_q else (None, _qr_r(h_tilde))
     d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     odfs = _odf(h_tilde, np.prod(d * d, axis=-1))
-    stack = ReducedStack(h_tilde, u, u_inv, r, odfs, np.asarray(iterations))
-    if with_q:
-        vars(stack)["q"] = q
+    stack = ReducedStack(h_tilde, u, r, odfs, np.asarray(iterations))
+    for name, a in (("q", q), ("u_inv", u_inv)):
+        if a is not None:
+            vars(stack)[name] = a
     return stack
+
+
+def _inverse(u: np.ndarray) -> np.ndarray:
+    """The exact inverse of each Gaussian-integer matrix of a (B, n, n)
+    stack u, whose parts stay below 2^53.
+
+    The rounded float inverse is refined with the exact residual I - U X,
+    in int64 or, where a product could leave int64, in Python ints, until
+    it vanishes, so U X = I holds in integers; + 0.0 leaves no -0 part.
+    Raises SingularMatrixError, naming the first such matrix, where X
+    cannot be confirmed: a float inverse that fails, a part of U or X at
+    or above 2^53, or a residual left after _INVERSE_STEPS refinements, as
+    for a U that is not unimodular.
+    """
+    n = u.shape[-1]
+    eye = np.eye(n, dtype=np.int64)
+    try:
+        y = np.linalg.inv(u)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("U^-1 cannot be formed: U is singular") from None
+    big_u = _largest_part(u)
+    x = _rounded(y.copy())
+    for step in range(_INVERSE_STEPS + 1):
+        big_x = _largest_part(x)
+        ok = np.maximum(big_u, big_x) < 2.0**53
+        if not ok.all():
+            break
+        # int64 holds every product U X and its sums, else Python ints do
+        exact = np.int64 if (2.0 * n * big_u * big_x < 2.0**62).all() else object
+        a, b, c, d = (
+            np.asarray(p.astype(np.int64), dtype=exact)
+            for p in (u.real, u.imag, x.real, x.imag)
+        )
+        res_re, res_im = eye - (a @ c - b @ d), -(a @ d + b @ c)
+        ok = ~(res_re.any(axis=(-2, -1)) | res_im.any(axis=(-2, -1)))
+        if ok.all():
+            return x + 0.0
+        if step < _INVERSE_STEPS:
+            x += _rounded(y @ np.asarray(res_re + 1j * res_im, dtype=np.complex128))
+    i = int(np.argmin(ok))
+    raise SingularMatrixError(
+        f"U^-1 of basis {i} cannot be confirmed exactly: U is not unimodular "
+        f"or its parts are too large (largest {big_u[i]:.3g})"
+    )
+
+
+def _largest_part(a: np.ndarray) -> np.ndarray:
+    """The largest magnitude of a real or imaginary part of each matrix of
+    a complex (B, n, n) stack, (B,)."""
+    return np.abs(a.view(np.float64)).max(axis=(-2, -1))
 
 
 def is_clll_reduced(r, params: ReductionParams = ReductionParams()) -> tuple[bool, bool]:
@@ -184,24 +253,27 @@ def _reduced_flags(r: np.ndarray, delta: float) -> tuple:
 def _check_reduced(stacks, delta: float) -> None:
     """Raise SingularMatrixError, naming the first failing basis, unless
     every basis of the ReducedStacks clll_reduce_batch returns has an R
-    that meets both CLLL conditions (_reduced_flags) and a U and U^-1
-    whose parts stay below 2^53 in magnitude, where float64 holds every
-    integer exactly.  A basis that only just clears the rank tolerance
+    that meets both CLLL conditions (_reduced_flags) and a U whose parts
+    stay below 2^53 in magnitude, where float64 holds every integer
+    exactly; U^-1 is checked where it is formed (_inverse).  The message
+    gives the largest part of the failing basis's U and, where it can be
+    formed, of its U^-1.  A basis that only just clears the rank tolerance
     can fail: the final QR of H U then drifts from the R the loop
     reduced."""
     for s, stack in enumerate(stacks):
         size_reduced, lovasz_ok = _reduced_flags(stack.r, delta)
-        big = np.maximum(
-            np.abs(stack.u.view(np.float64)).max(axis=(-2, -1)),
-            np.abs(stack.u_inv.view(np.float64)).max(axis=(-2, -1)),
-        )
+        big = _largest_part(stack.u)
         bad = np.flatnonzero(~(size_reduced & lovasz_ok & (big < 2.0**53)))
         if bad.size:
             i = bad[0]
+            try:
+                big_i = max(big[i], _largest_part(stack[i : i + 1].u_inv)[0])
+            except SingularMatrixError:
+                big_i = big[i]
             raise SingularMatrixError(
                 f"basis {i} of stack {s}: CLLL output not reduced (size-reduced "
                 f"{size_reduced[i]}, Lovasz {lovasz_ok[i]}, largest part of U "
-                f"and U^-1 {big[i]:.3g}); the basis is too close to rank deficient"
+                f"and U^-1 {big_i:.3g}); the basis is too close to rank deficient"
             )
 
 
@@ -210,7 +282,7 @@ def clll_reduce(h, params: ReductionParams = ReductionParams()) -> ReducedBasis:
 
     Size reduction uses nearest-Gaussian-integer rounding; a failed Lovasz test
     swaps the two columns and re-triangularizes R with a 2x2 unitary rotation.
-    U and U^-1 are carried along exactly.
+    U is carried along exactly, and U^-1 formed from it exactly.
     """
     return clll_reduce_batch([as_matrix(h)[np.newaxis]], params)[0][0]
 
@@ -220,20 +292,24 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
 
     The stacks share the column count n; their row counts may differ (say the
     plain and the extended channel).  The R factors of all bases are reduced
-    together as a masked state machine: each basis keeps its own column index
-    k and iteration count, and each step of the sequential algorithm (size
-    reduction of column k against column k-1, the Lovasz test, a swap with
-    its Givens rotation) is a few vectorized operations over the bases still
-    running.  The Lovasz test reads only r_{k-1,k-1}, r_{k-1,k} and r_kk,
+    together as a masked state machine over the packed columns of R and U:
+    each basis keeps its own column index k, and each step of the
+    sequential algorithm (size reduction of column k against column k-1,
+    the Lovasz test, a swap with its Givens rotation) is a few vectorized
+    operations over the bases still running.  A basis leaves that set for
+    good once k reaches n, and its iteration count is the step at which it
+    leaves.  The Lovasz test reads only r_{k-1,k-1}, r_{k-1,k} and r_kk,
     which size reduction against columns l < k-1 leaves unchanged, so that
     reduction is deferred to one full pass over every basis after the loop
-    (effective CLLL; Ling and Howgrave-Graham, ISIT 2007).  Every basis gets
+    (effective CLLL; Ling and Howgrave-Graham, ISIT 2007); none of it reads
+    U^-1, which each ReducedStack forms when read.  Every basis gets
     bitwise the result it gets alone.  Both QRs, of the input and of the
     reduced bases, form R only.  Returns one ReducedStack per input stack,
-    in stack order, whose Q is factored when read.  Raises
-    SingularMatrixError if any basis is numerically rank deficient, or if
-    the output of any basis fails the CLLL conditions or exact U and U^-1
-    (_check_reduced).
+    in stack order (an empty one for an empty stack), whose Q is factored
+    when read.  Raises SingularMatrixError if any basis is numerically rank
+    deficient, or if the output of any basis fails the CLLL conditions or
+    exact U (_check_reduced); BudgetExceededError, naming the basis, if one
+    needs more than MAX_ITERATIONS iterations.
     """
     hs = [np.asarray(h, dtype=np.complex128) for h in stacks]
     if not hs or any(h.ndim != 3 or h.shape[2] != hs[0].shape[2] for h in hs):
@@ -241,41 +317,56 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     n = hs[0].shape[2]
     r = np.concatenate([_qr_r(h) for h in hs])  # raises on rank deficiency
     b = r.shape[0]
-    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (b, n, n))
-    cols = _columns(r, eye, eye)
+    cols = _columns(r, np.broadcast_to(np.eye(n, dtype=np.complex128), (b, n, n)))
     del r  # cols carries R from here on
-    k = np.ones(b, dtype=np.intp)
     iters = np.zeros(b, dtype=np.int64)
-
-    act = np.flatnonzero(k < n)
+    # the running bases and their k, in basis order: every basis starts at
+    # k = 1 and leaves once k = n
+    act = np.arange(b if n > 1 else 0)
+    k = np.ones(act.size, dtype=np.intp)
+    step = 0
     while act.size:
-        iters[act] += 1
-        kc = k[act]
-        km = kc - 1
-        ck = _size_reduce(cols, act, kc, km)
+        if step == MAX_ITERATIONS:
+            raise BudgetExceededError(
+                f"{_named(hs, act[0])}: CLLL needs more than {MAX_ITERATIONS} iterations"
+            )
+        step += 1
+        km = k - 1
+        ck, cl = _size_reduce(cols, act, k, km)
         m = np.arange(act.size)
-        swap = params.delta * cols[act, km, km].real ** 2 > (
-            np.abs(ck[m, kc]) ** 2 + np.abs(ck[m, km]) ** 2
+        swap = params.delta * cl[m, km].real ** 2 > (
+            np.abs(ck[m, k]) ** 2 + np.abs(ck[m, km]) ** 2
         )
-        del ck  # the next step's columns take its place
-        sw, k1 = act[swap], kc[swap]
-        if sw.size:
-            _swap(cols, sw, k1)  # its temporaries go before the next step
-            k[sw] = np.maximum(k1 - 1, 1)
-        k[act[~swap]] += 1
-        act = np.flatnonzero(k < n)
+        del ck, cl  # the next step's columns take their place
+        if swap.any():
+            _swap(cols, act[swap], k[swap])  # its temporaries go before the next step
+        k = np.where(swap, np.maximum(km, 1), k + 1)
+        done = k == n
+        if done.any():
+            iters[act[done]] = step
+            running = ~done
+            act, k = act[running], k[running]
     _size_reduce_all(cols)
     # R comes from the final QR below
-    u, u_inv = (np.ascontiguousarray(a) for a in _split_columns(cols)[1:])
+    u = np.ascontiguousarray(_split_columns(cols)[1])
     del cols
 
     out, start = [], 0
     for h in hs:
         part = slice(start, start + h.shape[0])
-        out.append(_reduced_stack(h @ u[part], u[part], u_inv[part], iters[part]))
+        out.append(_reduced_stack(h @ u[part], u[part], None, iters[part]))
         start = part.stop
     _check_reduced(out, params.delta)
     return out
+
+
+def _named(hs, i) -> str:
+    """'basis j of stack s' for basis i of the concatenated stacks hs."""
+    for s, h in enumerate(hs):
+        if i < len(h):
+            return f"basis {i} of stack {s}"
+        i -= len(h)
+    raise IndexError(i)
 
 
 def _swap(cols, sw, k1) -> None:
@@ -301,64 +392,66 @@ def _swap(cols, sw, k1) -> None:
     cols[sw, :, k0], cols[sw, :, k1] = new0, new1
 
 
-def _columns(r, u, u_inv) -> np.ndarray:
-    """Pack stacks of R, U and U^-1 (each (batch, n, n)) for _size_reduce.
+def _columns(r, u, u_inv=None) -> np.ndarray:
+    """Pack stacks of R and U, and of U^-1 where given (each (batch, n,
+    n)), for _size_reduce and _size_reduce_all.
 
-    Entry [i, j] is column j of R, then column j of U, then row j of U^-1 of
-    basis i, so one indexed operation moves all three.
+    Entry [i, j] is column j of R, then column j of U, then row j of U^-1
+    where given, of basis i, so one indexed operation moves them all.
     """
-    return np.concatenate(
-        [r.transpose(0, 2, 1), u.transpose(0, 2, 1), u_inv], axis=2
-    )
+    parts = [r.transpose(0, 2, 1), u.transpose(0, 2, 1)]
+    return np.concatenate(parts + ([] if u_inv is None else [u_inv]), axis=2)
 
 
 def _split_columns(cols):
-    """Inverse of _columns: views (r, u, u_inv) of cols, of which the
-    caller copies what it keeps."""
+    """Inverse of _columns: views (r, u) or (r, u, u_inv) of cols, of
+    which the caller copies what it keeps."""
     n = cols.shape[1]
-    r, u, u_inv = (cols[:, :, j * n : (j + 1) * n] for j in range(3))
-    return r.transpose(0, 2, 1), u.transpose(0, 2, 1), u_inv
+    parts = [cols[:, :, j : j + n] for j in range(0, cols.shape[2], n)]
+    return (parts[0].transpose(0, 2, 1), parts[1].transpose(0, 2, 1), *parts[2:])
 
 
-def _size_reduce(cols, idx, k, l) -> np.ndarray:
+def _size_reduce(cols, idx, k, l) -> tuple:
     """Size-reduce column k[i] of basis idx[i] against its column l[i] < k[i].
 
-    cols is packed by _columns and is updated in place: R and U columns k
-    lose mu times columns l and U^-1 rows l gain mu times rows k, mu the
-    nearest Gaussian integer to r_lk / r_ll.  Whole columns are updated:
-    column l of R is zero below row l, so every nonzero entry changes
-    exactly as in an update of rows 0..l.  Returns the new packed columns k.
+    cols, packed by _columns of R and U, is updated in place: R and U
+    columns k lose mu times columns l, mu the nearest Gaussian integer to
+    r_lk / r_ll.  Whole columns are updated: column l of R is zero below
+    row l, so every nonzero entry changes exactly as in an update of rows
+    0..l.  Returns the gathered packed columns (k, after the update, and
+    l).
 
     mu is rounded by _rounded, and the sign of a zero part of mu changes no
-    output bit: U and U^-1 start as I with +0 entries and change only by
-    x - p and x + p, which give -0 only from a -0 operand; the signed zeros
-    of the loop's R decide no comparison and no nonzero value; and the
-    output R comes from the final QR.
+    output bit: U starts as I with +0 entries and changes only by x - p,
+    which gives -0 only from a -0 operand; the signed zeros of the loop's R
+    decide no comparison and no nonzero value; and the output R comes from
+    the final QR.
     """
-    n = cols.shape[1]
-    ru, ui = slice(0, 2 * n), slice(2 * n, 3 * n)
     m = np.arange(idx.size)
     ck, cl = cols[idx, k], cols[idx, l]
     mu = _rounded(ck[m, l] / cl[m, l])
-    ck[:, ru] -= mu[:, np.newaxis] * cl[:, ru]
-    cols[idx, l, ui] = cl[:, ui] + mu[:, np.newaxis] * ck[:, ui]
+    ck -= mu[:, np.newaxis] * cl
     cols[idx, k] = ck
-    return ck
+    return ck, cl
 
 
 def _size_reduce_all(cols) -> None:
     """Full size reduction of every basis of packed cols, in place: column
     k = 1 .. n-1 against columns k-1 .. 0, in that order, each step the
-    update of _size_reduce made on views of the columns."""
+    update of _size_reduce made on views of the columns.  Where cols
+    carries U^-1 rows too (_columns), rows l of U^-1 gain mu times rows k,
+    which keeps U U^-1 = I and, from +0 entries, gives no -0."""
     n = cols.shape[1]
     ru, ui = slice(0, 2 * n), slice(2 * n, 3 * n)
+    with_inverse = cols.shape[2] > 2 * n
     for k in range(1, n):
         ck = cols[:, k]
         for l in range(k - 1, -1, -1):
             cl = cols[:, l]
             mu = _rounded(ck[:, l] / cl[:, l])[:, np.newaxis]
             ck[:, ru] -= mu * cl[:, ru]
-            cl[:, ui] += mu * ck[:, ui]
+            if with_inverse:
+                cl[:, ui] += mu * ck[:, ui]
 
 
 def is_unimodular(u) -> bool:

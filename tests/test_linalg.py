@@ -142,6 +142,17 @@ class TestQrROnly:
             _qr_r(crandn(rng, 3, 2, 4))
 
 
+class TestEmptyStack:
+    """A stack of no matrices has empty factors, as numpy's own QR of it."""
+
+    def test_empty_factors(self):
+        a = np.zeros((0, 4, 3))
+        q, r = qr_decompose(a)
+        ref_q, ref_r = np.linalg.qr(a.astype(complex))
+        assert q.shape == ref_q.shape == (0, 4, 3)
+        assert r.shape == ref_r.shape == _qr_r(a).shape == (0, 3, 3)
+
+
 class TestPseudoinverse:
     def test_identity(self):
         assert np.allclose(pseudoinverse(np.eye(4)), np.eye(4))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrmimo.errors import SingularMatrixError, ValidationError
+from lrmimo import reduction
+from lrmimo.errors import BudgetExceededError, SingularMatrixError, ValidationError
 from lrmimo.linalg import gram_det
 from lrmimo.reduction import (
     ReducedBasis,
@@ -275,6 +276,32 @@ class TestClllReduceBatch:
         with pytest.raises(ValidationError):
             clll_reduce_batch([crandn(rng, 2, 4, 3), crandn(rng, 2, 4, 4)])
 
+    def test_empty_stacks(self, rng):
+        empty = np.zeros((0, 4, 3))
+        (out,) = clll_reduce_batch([empty])
+        assert len(out) == 0 and list(out) == []
+        assert out.h_tilde.shape == out.q.shape == (0, 4, 3)
+        assert out.u.shape == out.u_inv.shape == out.r.shape == (0, 3, 3)
+        full = crandn(rng, 2, 5, 3)
+        none, some = clll_reduce_batch([empty, full])
+        assert len(none) == 0 and none.h_tilde.shape == (0, 4, 3)
+        ref = clll_reduce_batch([full])[0]
+        for name in ("h_tilde", "u", "u_inv", "q", "r", "odf", "iterations"):
+            assert same_bits(getattr(some, name), getattr(ref, name)), name
+
+    def test_iteration_cap_names_the_basis(self, rng, monkeypatch):
+        hard = hard_basis(rng, 6)
+        needed = clll_reduce(hard).iteration_count
+        # a 6x6 identity takes 5 iterations, one per column pair
+        stacks = [np.stack([np.eye(6)] * 2), np.stack([np.eye(6), hard])]
+        monkeypatch.setattr(reduction, "MAX_ITERATIONS", needed)
+        clll_reduce_batch(stacks)
+        monkeypatch.setattr(reduction, "MAX_ITERATIONS", needed - 1)
+        with pytest.raises(BudgetExceededError, match="basis 1 of stack 1"):
+            clll_reduce_batch(stacks)
+        with pytest.raises(BudgetExceededError, match="basis 0 of stack 0"):
+            clll_reduce(hard)
+
 
 class TestIllConditionedBasis:
     """A 4x4 basis whose column 1 is (1+0.3j) column 0 plus eps noise: far
@@ -413,6 +440,59 @@ def column_operations(rng, n: int) -> np.ndarray:
         else:
             u[:, [i, j]] = u[:, [j, i]]
     return u
+
+
+class TestInverseOnRead:
+    """U^-1 is formed where it is read, exactly: U X = I in integers, with
+    no -0 part, or SingularMatrixError."""
+
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        rounds=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_or_raises(self, n, rounds, seed):
+        rng = np.random.default_rng(seed)
+        u = np.eye(n, dtype=complex)
+        for _ in range(rounds):  # products of column operations, parts <= 2^26
+            more = u @ column_operations(rng, n)
+            if np.abs(more.view(np.float64)).max() > 2.0**26:
+                break
+            u = more
+        x = reduction._inverse(u[np.newaxis])[0]
+        eye = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+        assert exact_product(gaussian_ints(u), gaussian_ints(x)) == eye
+        parts = x.view(np.float64)
+        assert not (np.signbit(parts) & (parts == 0)).any()  # no -0
+        scaled = u.copy()
+        scaled[:, rng.integers(n)] *= 1 + 1j
+        with pytest.raises(SingularMatrixError, match="basis 1 "):
+            reduction._inverse(np.stack([u, scaled]))
+
+    @pytest.mark.parametrize("part", [2.0**53, 1j * 2.0**60])
+    def test_parts_too_large_to_confirm_raise(self, part):
+        eye = np.eye(3, dtype=complex)
+        u = eye.copy()
+        u[0, 2] = part  # a unimodular shear, its inverse -part
+        with pytest.raises(SingularMatrixError, match="basis 1 "):
+            reduction._inverse(np.stack([eye, u]))
+
+    def test_parts_are_formed_for_their_members(self, rng, monkeypatch):
+        formed = []
+        inverse = reduction._inverse
+        monkeypatch.setattr(
+            reduction, "_inverse", lambda u: formed.append(len(u)) or inverse(u)
+        )
+        stack = clll_reduce_batch([np.stack([hard_basis(rng, 6) for _ in range(6)])])[0]
+        kept = stack[np.array([4, 1])]
+        part = stack[2:5]
+        assert formed == []
+        assert same_bits(kept.u_inv, stack.u_inv[[4, 1]])
+        assert same_bits(part.u_inv, stack.u_inv[2:5])
+        assert formed == [2, 6, 3]
+        assert same_bits(stack[3:].u_inv, stack.u_inv[3:])  # kept from the whole
+        assert formed == [2, 6, 3]
 
 
 class TestIsUnimodular:

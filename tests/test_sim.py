@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrmimo import cli, linalg, sim, switched
+from lrmimo import cli, linalg, reduction, sim, switched
 from lrmimo.cli import EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from lrmimo.detectors import lr_detect, ml_detect
 from lrmimo.errors import ValidationError
@@ -672,6 +672,38 @@ class TestChunks:
         assert solves == [64] * 3
         assert got == reference_sweep(cfg)
         assert all(r.bit_errors > 0 for r in got if r.snr_db == 14.0)
+
+
+    def test_inverse_formed_for_kept_members_only(self, monkeypatch):
+        # the benchmark's klr-mmse shape: a chunk of C extended channels
+        # reduces 11 C bases, and U^-1 is formed for the C baselines and
+        # the C K = 10 picks alone (the identity selections give theirs)
+        calls = self.count_calls(monkeypatch)
+        formed = collections.defaultdict(list)
+        inverse = reduction._inverse
+
+        def counting_inverse(u):
+            formed[len(calls)].append(len(u))
+            return inverse(u)
+
+        monkeypatch.setattr(reduction, "_inverse", counting_inverse)
+        monkeypatch.setattr(sim, "_chunk_trials", lambda cfg: 3)
+        cfg = SimConfig(
+            n_t=6,
+            n_r=6,
+            m=4,
+            snr_grid_db=(14.0, 18.0, 22.0),
+            detectors=("mmse", "clr-mmse", "klr-mmse", "clr-mmse-sic", "klr-mmse-sic"),
+            k_candidates=(10,),
+            trials=5,
+            packet_len=20,
+            seed=5,
+        )
+        got = run_sweep(cfg)
+        # chunks of 3 and 2 trials, 3 SNR points each
+        assert calls == [99, 66]
+        assert dict(formed) == {1: [9, 9], 2: [6, 6]}
+        assert got == reference_sweep(cfg)
 
 
 class TestCountErrors:

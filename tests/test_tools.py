@@ -126,3 +126,35 @@ def test_ab_bytes_prints_its_comparison():
     assert out["cases"] > 0 and out["fields"] >= out["cases"]
     assert (out["differing_cases"] == 0) == (out["first_difference"] is None)
     assert proc.returncode == (out["differing_cases"] > 0)
+
+
+def test_ab_time_prints_its_ratios():
+    if not (ROOT / ".git").exists():
+        pytest.skip("bench/ab_time.py extracts its ref from git")
+    proc = subprocess.run(
+        [sys.executable, "bench/ab_time.py", "--ref", "HEAD", "--pairs", "2", "--trials", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert set(out) == {"ref", "parent_commit", "pairs", "seed", "workloads"}
+    assert set(out["workloads"]) == {"klr-zf", "klr-mmse", "detect-16qam"}
+    for name, figures in out["workloads"].items():
+        assert set(figures) == {
+            "trials",
+            "median_ratio",
+            "ratio_q1",
+            "ratio_q3",
+            "ratio_iqr",
+            "change_wins",
+            "pairs",
+            "parent_s",
+            "change_s",
+        }, name
+        assert figures["trials"] == 1 and figures["pairs"] == 2
+        assert 0 <= figures["change_wins"] <= 2
+        assert figures["ratio_q1"] <= figures["median_ratio"] <= figures["ratio_q3"]
+        assert figures["parent_s"] > 0 and figures["change_s"] > 0
