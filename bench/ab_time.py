@@ -110,7 +110,9 @@ def main(argv=None) -> int:
     parser.add_argument("--ref", default="HEAD", help="git ref of the parent side")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=0, help="simulate seed of pair 0")
-    parser.add_argument("--trials", type=int, help="trials per sweep (default: the workload's)")
+    parser.add_argument(
+        "--trials", type=int, help="trials per sweep (default: the workload's)"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1 or (args.trials is not None and args.trials < 1):
         parser.error("--pairs and --trials must be >= 1")

@@ -328,7 +328,8 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     while act.size:
         if step == MAX_ITERATIONS:
             raise BudgetExceededError(
-                f"{_named(hs, act[0])}: CLLL needs more than {MAX_ITERATIONS} iterations"
+                f"{_named(hs, act[0])}: CLLL needs more than "
+                f"{MAX_ITERATIONS} iterations"
             )
         step += 1
         km = k - 1

@@ -673,7 +673,6 @@ class TestChunks:
         assert got == reference_sweep(cfg)
         assert all(r.bit_errors > 0 for r in got if r.snr_db == 14.0)
 
-
     def test_inverse_formed_for_kept_members_only(self, monkeypatch):
         # the benchmark's klr-mmse shape: a chunk of C extended channels
         # reduces 11 C bases, and U^-1 is formed for the C baselines and

@@ -132,7 +132,8 @@ def test_ab_time_prints_its_ratios():
     if not (ROOT / ".git").exists():
         pytest.skip("bench/ab_time.py extracts its ref from git")
     proc = subprocess.run(
-        [sys.executable, "bench/ab_time.py", "--ref", "HEAD", "--pairs", "2", "--trials", "1"],
+        [sys.executable, "bench/ab_time.py", "--ref", "HEAD", "--pairs", "2",
+         "--trials", "1"],
         cwd=ROOT,
         capture_output=True,
         text=True,
