@@ -6,7 +6,7 @@ this one process under two package names, `lrmimo_parent` and
 `lrmimo_change` (the package imports its own modules only relatively).  For
 each workload of the benchmark (sweepbench/workloads.py) it runs `run_sweep`
 at the workload's sweep size (or `--trials`) in `--pairs` interleaved pairs:
-pair i runs both trees with simulate seed `--seed + i`, the parent first on
+pair i runs both trees with simulate seed i, the parent first on
 even i and the change first on odd i, and checks that the two trees'
 records are equal.  One untimed sweep of each tree runs first.  BLAS runs on
 one thread.  Prints one JSON line: the ref and its commit, the settings,
@@ -94,11 +94,11 @@ def compare(sims: dict, wl, trials: int, args) -> dict:
     wl, after one untimed sweep of each tree; raises RuntimeError where a
     pair's records differ."""
     for sim in sims.values():
-        timed(sim, wl, trials, args.seed)
+        timed(sim, wl, trials, 0)
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        runs = {side: timed(sims[side], wl, trials, args.seed + i) for side in order}
+        runs = {side: timed(sims[side], wl, trials, i) for side in order}
         if runs["parent"][1] != runs["change"][1]:
             raise RuntimeError(f"{wl.name} pair {i}: the trees' records differ")
         pairs.append((runs["parent"][0], runs["change"][0]))
@@ -109,7 +109,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--ref", default="HEAD", help="git ref of the parent side")
     parser.add_argument("--pairs", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=0, help="simulate seed of pair 0")
     parser.add_argument(
         "--trials", type=int, help="trials per sweep (default: the workload's)"
     )
@@ -130,7 +129,6 @@ def main(argv=None) -> int:
         "ref": args.ref,
         "parent_commit": git("rev-parse", args.ref),
         "pairs": args.pairs,
-        "seed": args.seed,
         "workloads": out,
     }))
     return 0

@@ -159,13 +159,13 @@ def _inverse(u: np.ndarray) -> np.ndarray:
     """The exact inverse of each Gaussian-integer matrix of a (B, n, n)
     stack u, whose parts stay below 2^53.
 
-    The rounded float inverse is refined with the exact residual I - U X,
-    in int64 or, where a product could leave int64, in Python ints, until
-    it vanishes, so U X = I holds in integers; + 0.0 leaves no -0 part.
-    Raises SingularMatrixError, naming the first such matrix, where X
-    cannot be confirmed: a float inverse that fails, a part of U or X at
-    or above 2^53, or a residual left after _INVERSE_STEPS refinements, as
-    for a U that is not unimodular.
+    The rounded float inverse is refined with the exact int64 residual
+    I - U X until it vanishes, so U X = I holds in integers; + 0.0 leaves
+    no -0 part.  Raises SingularMatrixError, naming the first such matrix,
+    where X cannot be confirmed: a float inverse that fails, a part of U or
+    X at or above 2^53, a product U X that could leave int64, or a residual
+    left after _INVERSE_STEPS refinements, as for a U that is not
+    unimodular.
     """
     n = u.shape[-1]
     eye = np.eye(n, dtype=np.int64)
@@ -177,15 +177,11 @@ def _inverse(u: np.ndarray) -> np.ndarray:
     x = _rounded(y.copy())
     for step in range(_INVERSE_STEPS + 1):
         big_x = _largest_part(x)
-        ok = np.maximum(big_u, big_x) < 2.0**53
+        # float64 holds every part exactly, and int64 every product U X and its sums
+        ok = (np.maximum(big_u, big_x) < 2.0**53) & (2.0 * n * big_u * big_x < 2.0**62)
         if not ok.all():
             break
-        # int64 holds every product U X and its sums, else Python ints do
-        exact = np.int64 if (2.0 * n * big_u * big_x < 2.0**62).all() else object
-        a, b, c, d = (
-            np.asarray(p.astype(np.int64), dtype=exact)
-            for p in (u.real, u.imag, x.real, x.imag)
-        )
+        a, b, c, d = (p.astype(np.int64) for p in (u.real, u.imag, x.real, x.imag))
         res_re, res_im = eye - (a @ c - b @ d), -(a @ d + b @ c)
         ok = ~(res_re.any(axis=(-2, -1)) | res_im.any(axis=(-2, -1)))
         if ok.all():
@@ -255,25 +251,21 @@ def _check_reduced(stacks, delta: float) -> None:
     every basis of the ReducedStacks clll_reduce_batch returns has an R
     that meets both CLLL conditions (_reduced_flags) and a U whose parts
     stay below 2^53 in magnitude, where float64 holds every integer
-    exactly; U^-1 is checked where it is formed (_inverse).  The message
-    gives the largest part of the failing basis's U and, where it can be
-    formed, of its U^-1.  A basis that only just clears the rank tolerance
-    can fail: the final QR of H U then drifts from the R the loop
-    reduced."""
+    exactly.  U^-1 is not checked here: a U^-1 that cannot be confirmed
+    raises where it is read (_inverse).  The message gives the largest part
+    of the failing basis's U.  A basis that only just clears the rank
+    tolerance can fail: the final QR of H U then drifts from the R the
+    loop reduced."""
     for s, stack in enumerate(stacks):
         size_reduced, lovasz_ok = _reduced_flags(stack.r, delta)
         big = _largest_part(stack.u)
         bad = np.flatnonzero(~(size_reduced & lovasz_ok & (big < 2.0**53)))
         if bad.size:
             i = bad[0]
-            try:
-                big_i = max(big[i], _largest_part(stack[i : i + 1].u_inv)[0])
-            except SingularMatrixError:
-                big_i = big[i]
             raise SingularMatrixError(
                 f"basis {i} of stack {s}: CLLL output not reduced (size-reduced "
                 f"{size_reduced[i]}, Lovasz {lovasz_ok[i]}, largest part of U "
-                f"and U^-1 {big_i:.3g}); the basis is too close to rank deficient"
+                f"{big[i]:.3g}); the basis is too close to rank deficient"
             )
 
 
