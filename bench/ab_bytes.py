@@ -7,9 +7,9 @@ BLAS on one thread.  The corpus is this file's, so both trees run the same
 cases.  Each child digests every array of every case (SHA-256 of its dtype,
 shape and bytes; other values by their repr), and the two digest lists are
 compared.  Prints one JSON line: the ref and its commit, the number of cases
-and of digested fields, the number of cases that differ, and the first
-differing case and field (null when none).  Exits 0 when every digest
-agrees, 1 otherwise.
+and of digested fields, the number of cases that differ, and each differing
+case with its differing fields (empty when none).  Exits 0 when every
+digest agrees, 1 otherwise.
 
 The corpus:
 
@@ -57,6 +57,10 @@ The corpus:
   and 3x4 channels;
 - lone `clll_reduce` bases, square and extended, n = 2..6, and
   `kz_reduce` of small bases (n <= 4): every field of the ReducedBasis;
+  every KZ case below and here also digests U's canonical form
+  (`u_canonical`: each column times the unit that puts its first nonzero
+  entry in re > 0, im >= 0, in its column order), so a change of column
+  units alone shows as such;
 - `KlrResult`s built directly from a ReducedBasis (the CLLL basis of a
   channel, its KZ basis with composed transforms, and the CLLL basis of a
   column permutation), as the acceptance oracle builds them, and
@@ -130,6 +134,20 @@ def digest(value) -> str:
     else:
         h.update(repr(value).encode())
     return h.hexdigest()
+
+
+def canonical(u):
+    """u with each column times the unit that puts its first nonzero entry
+    in re > 0, im >= 0; + 0j leaves no -0 part."""
+    import numpy as np
+
+    out = np.array(u, dtype=np.complex128)
+    for col in out.T:
+        lead = col[np.flatnonzero(col)[0]]
+        while not (lead.real > 0 and lead.imag >= 0):
+            lead *= 1j
+            col *= 1j
+    return out + 0j
 
 
 def read(obj, path: str):
@@ -427,6 +445,7 @@ def corpus():
         base = clll_reduce(h)
         kz = kz_reduce(base.h_tilde)
         yield from selection(f"kz/{rows}x{n}", kz, MEMBER_FIELDS)
+        yield f"kz/{rows}x{n}", "u_canonical", canonical(kz.u)
         kz = replace(kz, u=base.u @ kz.u, u_inv=kz.u_inv @ base.u_inv)
         perm = sample_permutations(n, 1, rng).perms[0]
         ident = tuple(range(n))
@@ -443,6 +462,8 @@ def corpus():
                 candidate_odfs=(),
             )
             yield from selection(f"built/{rows}x{n}/{name}", klr, RESULT_FIELDS)
+            if name == "kz":
+                yield f"built/{rows}x{n}/{name}", "u_canonical", canonical(basis.u)
 
     # KZ at n = 5 and 6, shortest vectors at n = 2..4, and is_kz_reduced
     # on KZ bases and on copies with one entry above the diagonal raised
@@ -454,6 +475,7 @@ def corpus():
             h = crandn(rng, n, n)
             tag = f"kz-oracle/n{n}/{i}"
             kz = kz_reduce(h, budget)
+            yield tag, "u_canonical", canonical(kz.u)
             if n >= 5:
                 yield from selection(tag, kz, MEMBER_FIELDS)
             else:
@@ -672,18 +694,17 @@ def collect(proc: subprocess.Popen, side: str) -> dict:
     return cases
 
 
-def compare(parent: dict, change: dict) -> tuple:
-    """(differing cases, first (case, field)), in the change's case order
-    and then the parent's cases it lacks."""
-    differing, first = 0, None
+def compare(parent: dict, change: dict) -> dict:
+    """{case: its differing fields} of every differing case, in the
+    change's case and field order and then the parent's that it lacks."""
+    differences = {}
     for case in [*change, *(c for c in parent if c not in change)]:
         a, b = parent.get(case, {}), change.get(case, {})
         fields = [*b, *(f for f in a if f not in b)]
         bad = [f for f in fields if a.get(f) != b.get(f)]
         if bad:
-            differing += 1
-            first = first or {"case": case, "field": bad[0]}
-    return differing, first
+            differences[case] = bad
+    return differences
 
 
 def main(argv=None) -> int:
@@ -699,16 +720,16 @@ def main(argv=None) -> int:
         srcs = {"parent": Path(tmp) / "src", "change": ROOT / "src"}
         procs = {side: run_child(src) for side, src in srcs.items()}
         parent, change = (collect(p, side) for side, p in procs.items())
-    differing, first = compare(parent, change)
+    differences = compare(parent, change)
     print(json.dumps({
         "ref": args.ref,
         "parent_commit": git("rev-parse", args.ref),
         "cases": len(change),
         "fields": sum(len(f) for f in change.values()),
-        "differing_cases": differing,
-        "first_difference": first,
+        "differing_cases": len(differences),
+        "differences": differences,
     }))
-    return 1 if differing else 0
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":

@@ -121,10 +121,11 @@ def test_ab_bytes_prints_its_comparison():
         "cases",
         "fields",
         "differing_cases",
-        "first_difference",
+        "differences",
     }
     assert out["cases"] > 0 and out["fields"] >= out["cases"]
-    assert (out["differing_cases"] == 0) == (out["first_difference"] is None)
+    assert out["differing_cases"] == len(out["differences"])
+    assert all(out["differences"].values())
     assert proc.returncode == (out["differing_cases"] > 0)
 
 
