@@ -22,8 +22,10 @@ from .reduction import (
     _columns,
     _reduced_flags,
     _reduced_stack,
+    _rounded,
     _size_reduce_all,
     _split_columns,
+    _swap,
     clll_reduce_batch,
 )
 
@@ -115,99 +117,30 @@ def shortest_vector(h, budget: EnumerationBudget = DEFAULT_BUDGET):
     return h @ coeffs, coeffs
 
 
-# --- Gaussian-integer arithmetic on int pairs and unimodular completion --------
-
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gsub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _gdivround(a, b):
-    """Nearest-Gaussian-integer quotient of a/b (Euclidean division step)."""
-    n = b[0] * b[0] + b[1] * b[1]
-    num = _gmul(a, (b[0], -b[1]))
-    return (round(num[0] / n), round(num[1] / n))
-
-
-def _gdiv_exact(a, b):
-    """Exact division in Z[i]; the caller guarantees divisibility."""
-    q = _gdivround(a, b)
-    if _gmul(q, b) != a:
-        raise ArithmeticError("inexact Gaussian-integer division")
-    return q
-
-
-def _gxgcd(a, b):
-    """Extended gcd in Z[i]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = (1, 0), (0, 0)
-    t0, t1 = (0, 0), (1, 0)
-    while r1 != (0, 0):
-        q = _gdivround(r0, r1)
-        r0, r1 = r1, _gsub(r0, _gmul(q, r1))
-        s0, s1 = s1, _gsub(s0, _gmul(q, s1))
-        t0, t1 = t1, _gsub(t0, _gmul(q, t1))
-    return r0, s0, t0
-
-
-def _complete_unimodular(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unimodular T (and exact inverse) whose first column equals coeffs.
-
-    coeffs must be a primitive Gaussian-integer vector, which shortest-vector
-    coefficient vectors always are.
-    """
-    n = coeffs.shape[0]
-    acc = [(int(round(z.real)), int(round(z.imag))) for z in coeffs]
-    t = np.eye(n, dtype=np.complex128)
-    tinv = np.eye(n, dtype=np.complex128)
-    # fold every coordinate into slot 0: the 2x2 Bezout block
-    # M = [[s, t], [-q, p]] (det 1, M (a, b) = (g, 0)) acts on rows 0 and i
-    # of T^-1, and its inverse [[p, -t], [q, s]] on columns 0 and i of T
-    for i in range(1, n):
-        a, b = acc[0], acc[i]
-        if b == (0, 0):
-            continue
-        g, s, t_bez = _gxgcd(a, b)
-        p, q = _gdiv_exact(a, g), _gdiv_exact(b, g)
-        s, t_bez, p, q = (complex(*z) for z in (s, t_bez, p, q))
-        tinv[[0, i]] = np.array([[s, t_bez], [-q, p]]) @ tinv[[0, i]]
-        t[:, [0, i]] = t[:, [0, i]] @ np.array([[p, -t_bez], [q, s]])
-        acc[0], acc[i] = g, (0, 0)
-    g = acc[0]
-    if g[0] * g[0] + g[1] * g[1] != 1:
-        raise ValidationError("coefficient vector is not primitive")
-    gz = complex(*g)
-    t[:, 0] *= gz
-    tinv[0, :] *= np.conj(gz)
-    return t, tinv
-
-
 # --- KZ reduction --------------------------------------------------------------
 
-def _kz_recurse(r: np.ndarray, budget: EnumerationBudget, nodes: list):
-    n = r.shape[1]
-    eye = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return r.copy(), eye.copy(), eye.copy()
-    coeffs, _, visited = _enumerate_shortest(r, budget.max_nodes)
-    nodes[0] += visited
-    t1, t1inv = _complete_unimodular(coeffs)
-    r2 = _qr_r(r @ t1)
-    r_sub, ts, tsinv = _kz_recurse(r2[1:, 1:], budget, nodes)
-    r_new = r2.copy()
-    r_new[0, 1:] = r2[0, 1:] @ ts
-    r_new[1:, 1:] = r_sub
-    t = t1.copy()
-    t[:, 1:] = t1[:, 1:] @ ts
-    tinv = t1inv.copy()
-    tinv[1:, :] = tsinv @ t1inv[1:, :]
-    cols = _columns(r_new[np.newaxis], t[np.newaxis], tinv[np.newaxis])
-    _size_reduce_all(cols)
-    r_new, t, tinv = (np.ascontiguousarray(x[0]) for x in _split_columns(cols))
-    return r_new, t, tinv
+def _to_front(cols, j: int, coeffs: np.ndarray) -> None:
+    """Make column j of the packed columns cols (_columns of one basis) a
+    unit times the lattice vector sum_i coeffs[i] b_{j+i}, in place, with
+    the engine's column operations: Euclid on each coefficient pair
+    (c_{i-1}, c_i), i = len(coeffs)-1 .. 1.  Each step is the
+    size-reduction update b_i -= mu b_{i-1}, mu the rounded Gaussian
+    quotient -c_{i-1} / c_i, which leaves c_{i-1} its remainder, then the
+    _swap of b_{i-1} and b_i with its Givens rotation; a pair is done once
+    c_i = 0.  R stays upper triangular with a real positive diagonal, and U
+    exact.  Raises ValidationError unless coeffs is primitive (its gcd a
+    unit)."""
+    c = coeffs.astype(np.complex128)
+    basis = np.zeros(1, dtype=np.intp)
+    for i in range(len(c) - 1, 0, -1):
+        while c[i]:
+            mu = _rounded(-c[i - 1 : i] / c[i])
+            c[i - 1] += mu[0] * c[i]
+            cols[0, j + i] -= mu * cols[0, j + i - 1]
+            _swap(cols, basis, np.array([j + i]))
+            c[i - 1], c[i] = c[i], c[i - 1]
+    if abs(c[0]) != 1.0:
+        raise ValidationError("coefficient vector is not primitive")
 
 
 def kz_reduce(h, budget: EnumerationBudget = DEFAULT_BUDGET) -> ReducedBasis:
@@ -217,20 +150,29 @@ def kz_reduce(h, budget: EnumerationBudget = DEFAULT_BUDGET) -> ReducedBasis:
     trailing sublattice is recursively KZ-reduced and all off-diagonal entries
     are size-reduced.  iteration_count reports total enumeration nodes.
 
-    The input is CLLL-reduced first and enumeration starts from that basis:
-    at every level of the recursion its triangular factor sets the search
-    order and its shortest column the initial radius, so the node count
-    depends strongly on how reduced the starting basis is.  On the first 1000
-    i.i.d. Gaussian 6x6 channels of seed 2024, 4 raw bases needed between 2e5
-    and more than 1e7 nodes; after CLLL none needed more than 1254.
+    The input is CLLL-reduced first, and the levels work on the packed R and
+    U of that basis (Zhang, Qiao and Wei, IEEE T-SP 2012): level j
+    enumerates the shortest vector of R[j:, j:] and brings it to column j
+    with column operations (_to_front), which keep R triangular, so no
+    level needs a QR.  One full size reduction follows, and U^-1 is formed
+    from U when read.  R sets each level's search order and its shortest
+    column the initial radius, so the node count depends strongly on how
+    reduced the starting basis is.  On the first 1000 i.i.d. Gaussian 6x6
+    channels of seed 2024, 4 raw bases needed between 2e5 and more than 1e7
+    nodes; after CLLL none needed more than 1109.
     """
     h = _within_budget(h, budget)
+    n = h.shape[1]
     clll = clll_reduce_batch([h[np.newaxis]])[0]
-    nodes = [0]
-    _, t, tinv = _kz_recurse(clll.r[0], budget, nodes)
-    u, u_inv = clll.u[0] @ t, tinv @ clll.u_inv[0]
-    arrays = (h @ u)[np.newaxis], u[np.newaxis], u_inv[np.newaxis]
-    return _reduced_stack(*arrays, (nodes[0],), with_q=True)[0]
+    cols = _columns(clll.r, clll.u)
+    nodes = 0
+    for j in range(n - 1):
+        coeffs, _, visited = _enumerate_shortest(cols[0, j:, j:n].T, budget.max_nodes)
+        nodes += visited
+        _to_front(cols, j, coeffs)
+    _size_reduce_all(cols)
+    u = np.ascontiguousarray(_split_columns(cols)[1])
+    return _reduced_stack(h @ u, u, None, (nodes,), with_q=True)[0]
 
 
 def is_kz_reduced(r, budget: EnumerationBudget = DEFAULT_BUDGET) -> bool:

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BudgetExceededError, SingularMatrixError, ValidationError
-from .linalg import _qr_r, _real_embedding, as_matrix, gram_det, qr_decompose
+from .linalg import _qr_r, _real_embedding, as_matrix, qr_decompose
 
 # Relative slack on the reducedness inequalities so that a floating-point QR
 # of an exactly reduced basis still passes.
@@ -75,17 +75,27 @@ def odf(h) -> float:
     """Orthogonality defect factor: prod of squared column norms over det(H^H H).
 
     Equals 1 exactly when the columns are mutually orthogonal, > 1 otherwise.
+    Raises SingularMatrixError for a numerically rank-deficient h.
     """
     h = as_matrix(h)
-    return float(_odf(h, gram_det(h)))
+    return float(_odf(h, np.abs(np.diagonal(_qr_r(h)))))
 
 
-def _odf(h: np.ndarray, denom):
-    """odf of h, or of each matrix of a stack, given denom = det(h^H h)."""
+def _odf(h: np.ndarray, d):
+    """odf of h, or of each matrix of a stack, given d = |diag R| of its QR.
+
+    Each matrix and its d are first scaled by 2^-e, e the exponent of the
+    largest magnitude of its entries: exactly, and without changing the
+    ODF, so that neither product leaves float range at any scale of h.
+    """
+    sq = np.abs(h)
+    scale = np.ldexp(1.0, -np.frexp(sq.max(axis=(-2, -1)))[1])[..., np.newaxis]
+    d = d * scale
+    denom = np.prod(d * d, axis=-1)
     if np.any(denom <= 0.0):
         raise SingularMatrixError("orthogonality defect undefined for singular basis")
-    sq = np.abs(h)
-    sq *= sq  # the bits of np.abs(h) ** 2, in one temporary
+    sq *= scale[..., np.newaxis]
+    sq *= sq  # the bits of (np.abs(h) * scale) ** 2, in one temporary
     return np.prod(np.sum(sq, axis=-2), axis=-1) / denom
 
 
@@ -146,8 +156,7 @@ def _reduced_stack(h_tilde, u, u_inv, iterations, with_q=False) -> ReducedStack:
     with_q, else q waits until it is read.
     """
     q, r = qr_decompose(h_tilde) if with_q else (None, _qr_r(h_tilde))
-    d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    odfs = _odf(h_tilde, np.prod(d * d, axis=-1))
+    odfs = _odf(h_tilde, np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
     stack = ReducedStack(h_tilde, u, r, odfs, np.asarray(iterations))
     for name, a in (("q", q), ("u_inv", u_inv)):
         if a is not None:
@@ -385,23 +394,21 @@ def _swap(cols, sw, k1) -> None:
     cols[sw, :, k0], cols[sw, :, k1] = new0, new1
 
 
-def _columns(r, u, u_inv=None) -> np.ndarray:
-    """Pack stacks of R and U, and of U^-1 where given (each (batch, n,
-    n)), for _size_reduce and _size_reduce_all.
+def _columns(r, u) -> np.ndarray:
+    """Pack stacks of R and U (each (batch, n, n)) for _size_reduce,
+    _size_reduce_all and _swap.
 
-    Entry [i, j] is column j of R, then column j of U, then row j of U^-1
-    where given, of basis i, so one indexed operation moves them all.
+    Entry [i, j] is column j of R, then column j of U, of basis i, so one
+    indexed operation moves them both.
     """
-    parts = [r.transpose(0, 2, 1), u.transpose(0, 2, 1)]
-    return np.concatenate(parts + ([] if u_inv is None else [u_inv]), axis=2)
+    return np.concatenate([r.transpose(0, 2, 1), u.transpose(0, 2, 1)], axis=2)
 
 
 def _split_columns(cols):
-    """Inverse of _columns: views (r, u) or (r, u, u_inv) of cols, of
-    which the caller copies what it keeps."""
+    """Inverse of _columns: views (r, u) of cols, of which the caller
+    copies what it keeps."""
     n = cols.shape[1]
-    parts = [cols[:, :, j : j + n] for j in range(0, cols.shape[2], n)]
-    return (parts[0].transpose(0, 2, 1), parts[1].transpose(0, 2, 1), *parts[2:])
+    return cols[:, :, :n].transpose(0, 2, 1), cols[:, :, n:].transpose(0, 2, 1)
 
 
 def _size_reduce(cols, idx, k, l) -> tuple:
@@ -431,20 +438,13 @@ def _size_reduce(cols, idx, k, l) -> tuple:
 def _size_reduce_all(cols) -> None:
     """Full size reduction of every basis of packed cols, in place: column
     k = 1 .. n-1 against columns k-1 .. 0, in that order, each step the
-    update of _size_reduce made on views of the columns.  Where cols
-    carries U^-1 rows too (_columns), rows l of U^-1 gain mu times rows k,
-    which keeps U U^-1 = I and, from +0 entries, gives no -0."""
+    update of _size_reduce made on views of the columns."""
     n = cols.shape[1]
-    ru, ui = slice(0, 2 * n), slice(2 * n, 3 * n)
-    with_inverse = cols.shape[2] > 2 * n
     for k in range(1, n):
         ck = cols[:, k]
         for l in range(k - 1, -1, -1):
             cl = cols[:, l]
-            mu = _rounded(ck[:, l] / cl[:, l])[:, np.newaxis]
-            ck[:, ru] -= mu * cl[:, ru]
-            if with_inverse:
-                cl[:, ui] += mu * ck[:, ui]
+            ck -= _rounded(ck[:, l] / cl[:, l])[:, np.newaxis] * cl
 
 
 def is_unimodular(u) -> bool:

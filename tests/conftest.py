@@ -7,6 +7,22 @@ def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def column_operations(rng, n: int) -> np.ndarray:
+    """I after 3n random elementary Gaussian column operations: a shear by a
+    Gaussian integer of parts in [-2, 2], a unit scaling or a swap."""
+    u = np.eye(n, dtype=complex)
+    for _ in range(3 * n):
+        i, j = rng.permutation(n)[:2] if n > 1 else (0, 0)
+        op = rng.integers(3) if n > 1 else 1
+        if op == 0:
+            u[:, j] += complex(*rng.integers(-2, 3, 2)) * u[:, i]
+        elif op == 1:
+            u[:, i] *= (1, -1, 1j, -1j)[rng.integers(4)]
+        else:
+            u[:, [i, j]] = u[:, [j, i]]
+    return u
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

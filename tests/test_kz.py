@@ -2,13 +2,28 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrmimo.errors import BudgetExceededError, ValidationError
-from lrmimo.kz import EnumerationBudget, is_kz_reduced, kz_reduce, shortest_vector
-from lrmimo.reduction import clll_reduce, is_clll_reduced, is_unimodular
+from lrmimo.kz import (
+    EnumerationBudget,
+    _to_front,
+    is_kz_reduced,
+    kz_reduce,
+    shortest_vector,
+)
+from lrmimo.linalg import _qr_r
+from lrmimo.reduction import (
+    _columns,
+    _split_columns,
+    clll_reduce,
+    is_clll_reduced,
+    is_unimodular,
+)
 from lrmimo.sim import gen_channel
 
-from conftest import crandn
+from conftest import column_operations, crandn
 
 
 def brute_force_shortest(h, radius=3, reduce_first=False):
@@ -116,7 +131,7 @@ class TestKzReduce:
 
     def test_raw_channel_is_pre_reduced(self):
         # trial 282 of seed 2024: enumerating from the raw basis exhausts
-        # 1e7 nodes, from its CLLL-reduced basis it needs 410
+        # 1e7 nodes, from its CLLL-reduced basis it needs 374
         seq = np.random.SeedSequence(2024, spawn_key=(282,))
         h = gen_channel(6, 6, np.random.default_rng(seq))
         budget = EnumerationBudget(max_dim=6, max_nodes=10_000)
@@ -124,6 +139,40 @@ class TestKzReduce:
         assert is_kz_reduced(out.r, budget)
         assert np.array_equal(h @ out.u, out.h_tilde)
         assert np.array_equal(out.u @ out.u_inv, np.eye(6).astype(complex))
+
+
+def packed(h):
+    """The packed columns of h's R and U = I, as kz_reduce's levels see them."""
+    n = h.shape[1]
+    return _columns(_qr_r(h)[np.newaxis], np.eye(n, dtype=complex)[np.newaxis])
+
+
+class TestToFront:
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_vector_reaches_column_j(self, n, seed):
+        rng = np.random.default_rng(seed)
+        h = crandn(rng, n + 1, n)
+        j = int(rng.integers(n))
+        # a column of a unimodular matrix is primitive
+        c = (column_operations(rng, n - j) @ column_operations(rng, n - j))[:, 0]
+        cols = packed(h)
+        _to_front(cols, j, c)
+        r, u = (np.array(part[0]) for part in _split_columns(cols))
+        want = np.zeros(n, dtype=complex)
+        want[j:] = c
+        assert any(np.array_equal(u[:, j], w * want) for w in (1, 1j, -1, -1j))
+        assert is_unimodular(u)
+        assert not np.tril(r, -1).any()
+        d = np.diagonal(r)
+        assert (d.real > 0).all() and not d.imag.any()
+        assert np.abs(r - _qr_r(h @ u)).max() <= 1e-9 * np.abs(r).max()
+
+    @pytest.mark.parametrize("factor", [1 + 1j, 2, 0])
+    def test_non_primitive_vector_raises(self, rng, factor):
+        c = factor * column_operations(rng, 3)[:, 0]
+        with pytest.raises(ValidationError, match="not primitive"):
+            _to_front(packed(crandn(rng, 4, 4)), 1, c)
 
 
 class TestIsKzReduced:

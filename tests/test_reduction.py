@@ -18,7 +18,7 @@ from lrmimo.reduction import (
 )
 from lrmimo.switched import _candidate_stack, extend_channel, sample_permutations
 
-from conftest import crandn
+from conftest import column_operations, crandn
 
 
 class TestReductionParams:
@@ -425,21 +425,18 @@ class TestOdf:
         with pytest.raises(SingularMatrixError):
             odf(np.array([[1, 1], [1, 1]], dtype=complex))
 
-
-def column_operations(rng, n: int) -> np.ndarray:
-    """I after 3n random elementary Gaussian column operations: a shear by a
-    Gaussian integer of parts in [-2, 2], a unit scaling or a swap."""
-    u = np.eye(n, dtype=complex)
-    for _ in range(3 * n):
-        i, j = rng.permutation(n)[:2] if n > 1 else (0, 0)
-        op = rng.integers(3) if n > 1 else 1
-        if op == 0:
-            u[:, j] += complex(*rng.integers(-2, 3, 2)) * u[:, i]
-        elif op == 1:
-            u[:, i] *= (1, -1, 1j, -1j)[rng.integers(4)]
-        else:
-            u[:, [i, j]] = u[:, [j, i]]
-    return u
+    @pytest.mark.parametrize(
+        "scale", [1e40, 1e150, 1e-60, 1e-150, 2.0**-400],
+        ids=["1e40", "1e150", "1e-60", "1e-150", "2^-400"],
+    )
+    def test_scale_free(self, rng, scale):
+        # the ODF does not depend on scale, though on a 6-column basis its
+        # two products leave float range from about 1e40 and 1e-60
+        h = crandn(rng, 6, 6)
+        assert odf(scale * h) == pytest.approx(odf(h), rel=1e-14)
+        got, want = (clll_reduce_batch([s * h[np.newaxis]])[0] for s in (scale, 1.0))
+        assert np.array_equal(got.u, want.u)
+        assert got.odf == pytest.approx(want.odf, rel=1e-14)
 
 
 class TestInverseOnRead:
