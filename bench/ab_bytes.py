@@ -34,6 +34,10 @@ The corpus:
 - switched selection stacks, plain and extended, K = 0 and 3, through
   `switched._select_all`: the basis arrays, perms, ODFs, T, T^-1, d and
   pinv of the stack, of a slice and of each member;
+- selection stacks of B = 1 and 3 channels, plain and extended (one
+  sigma per channel), k = None (the identity), 0, 1 and 3 with explicit
+  permutations, through `switched._select_all`: every field of the stack
+  and of each member;
 - `sim._chunk_selections` of several channels, each with its own
   permutations, plain and extended, K = 0 and 3, with and without the
   identity selections: every field of each trial's stacks;
@@ -208,6 +212,18 @@ def corpus():
         )
         return {k: found[(extended, k)] for k in ks}
 
+    def select_stack(chans, k, groups, sigmas):
+        """The KlrStack of the channels chans at k, channel b with the
+        candidates groups[b]: extended by sigmas[b], or plain where sigmas
+        is None."""
+        extended = sigmas is not None
+        if extended:
+            chans = np.stack([extend_channel(h, s) for h, s in zip(chans, sigmas)])
+        found = switched._select_all(
+            {extended: chans}, {extended: groups}, {extended: {k}}, ReductionParams()
+        )
+        return found[extended, k]
+
     def column_ops(rng, n):
         """A product of 2n random elementary Gaussian column operations on
         I: a shear by a Gaussian integer of parts in {-1, 0, 1}, a unit
@@ -379,6 +395,23 @@ def corpus():
                 yield from selection(f"{tag}/slice", sel[1:4], STACK_FIELDS)
                 for i in range(len(sel)):
                     yield from selection(f"{tag}/member{i}", sel[i], RESULT_FIELDS)
+
+    # selection stacks of B = 1 and 3 channels, plain and extended (one
+    # sigma per channel), each k with explicit permutations
+    rng = np.random.default_rng(1419)
+    for count in (1, 3):
+        for n, rows in ((3, 4), (4, 4)):
+            chans = crandn(rng, count, rows, n)
+            groups = candidates(rng, chans)
+            sigmas = 0.1 + 0.2 * np.arange(count)
+            for extended in (False, True):
+                for k in (None, 0, 1, 3):
+                    sel = select_stack(chans, k, groups, sigmas if extended else None)
+                    flavour = "ext" if extended else "plain"
+                    tag = f"stack/b{count}/{rows}x{n}/{flavour}/k{k}"
+                    yield from selection(tag, sel, STACK_FIELDS)
+                    for i in range(len(sel)):
+                        yield from selection(f"{tag}/member{i}", sel[i], RESULT_FIELDS)
 
     # klr_select_with results and replace(..., extended=True) copies
     rng = np.random.default_rng(1403)
