@@ -36,12 +36,15 @@ The corpus:
   pinv of the stack, of a slice and of each member;
 - selection stacks of B = 1 and 3 channels, plain and extended (one
   sigma per channel), k = None (the identity), 0, 1 and 3 with explicit
-  permutations, through `switched._select_all`: every field of the stack
-  and of each member;
+  permutations, through `klr_select` or, in a tree whose `klr_select`
+  takes no stack, `switched._select_all`: every field of the stack and of
+  each member;
 - `sim._chunk_selections` of several channels, each with its own
   permutations, plain and extended, K = 0 and 3, with and without the
   identity selections: every field of each trial's stacks;
-- `klr_select_with` results, of plain and extended channels, and the
+- selections of one channel against explicit permutations
+  (`klr_select(h, len(p.perms), perms=p)`, or `klr_select_with` in a tree
+  that has it), of plain and extended channels, and the
   `replace(..., extended=True)` copies of the extended ones;
 - `detectors._lr_estimate`'s m and T m for the four kinds at M = 4, 16 and
   64, with a stack of selections and with one lone selection, each also
@@ -57,7 +60,8 @@ The corpus:
   search blocks, and 50 of those columns searched in
   blocks of 1024 entries (`detectors._ML_BLOCK_ENTRIES`), which split the
   candidates too;
-- `identity_result` selections (U = T = I), plain and extended, of square
+- identity selections (U = T = I: `klr_select(h, None)`, or
+  `identity_result` in a tree that has it), plain and extended, of square
   and 3x4 channels;
 - lone `clll_reduce` bases, square and extended, n = 2..6, and
   `kz_reduce` of small bases (n <= 4): every field of the ReducedBasis;
@@ -67,8 +71,9 @@ The corpus:
   units alone shows as such;
 - `KlrResult`s built directly from a ReducedBasis (the CLLL basis of a
   channel, its KZ basis with composed transforms, and the CLLL basis of a
-  column permutation), as the acceptance oracle builds them, and
-  `klr_select_extended` results;
+  column permutation), as the acceptance oracle builds them, and extended
+  selections with sampled permutations (`klr_select(h, k, sigma_n=s)`, or
+  `klr_select_extended` in a tree that has it);
 - `kz_reduce` at n = 5 and 6 (max_dim 6): every field of the ReducedBasis;
   `shortest_vector`'s v and coefficients at n = 2..4; and the verdicts of
   `is_kz_reduced` on KZ bases at n = 2..6 and on copies with one entry
@@ -185,12 +190,31 @@ def corpus():
     from lrmimo.sim import SimConfig, _chunk_selections, run_sweep
     from lrmimo.switched import (
         KlrResult,
+        PermutationSet,
         extend_channel,
-        identity_result,
-        klr_select_extended,
-        klr_select_with,
         sample_permutations,
     )
+
+    # the single-channel entries of a tree that has them (klr_select_with,
+    # klr_select_extended, identity_result), else the one klr_select
+    one_entry = not hasattr(switched, "klr_select_with")
+
+    def select_with(h, perms, params):
+        if one_entry:
+            return switched.klr_select(h, len(perms.perms), params, perms=perms)
+        return switched.klr_select_with(h, perms, params)
+
+    def select_extended(h, sigma_n, k, rng):
+        if one_entry:
+            return switched.klr_select(h, k, rng=rng, sigma_n=sigma_n)
+        return switched.klr_select_extended(h, sigma_n, k, rng=rng)
+
+    def identity(h, sigma_n=None):
+        if one_entry:
+            return switched.klr_select(h, None, sigma_n=sigma_n)
+        if sigma_n is None:
+            return switched.identity_result(h)
+        return switched.identity_result(h, extended=True, sigma_n=sigma_n)
 
     def crandn(rng, *shape):
         parts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -215,7 +239,12 @@ def corpus():
     def select_stack(chans, k, groups, sigmas):
         """The KlrStack of the channels chans at k, channel b with the
         candidates groups[b]: extended by sigmas[b], or plain where sigmas
-        is None."""
+        is None; through klr_select where the tree takes a stack there,
+        else through switched._select_all."""
+        if one_entry:
+            perms = [PermutationSet(h.shape[-1], g) for h, g in zip(chans, groups)]
+            perms = perms if k else None
+            return switched.klr_select(chans, k, perms=perms, sigma_n=sigmas)
         extended = sigmas is not None
         if extended:
             chans = np.stack([extend_channel(h, s) for h, s in zip(chans, sigmas)])
@@ -413,7 +442,8 @@ def corpus():
                     for i in range(len(sel)):
                         yield from selection(f"{tag}/member{i}", sel[i], RESULT_FIELDS)
 
-    # klr_select_with results and replace(..., extended=True) copies
+    # selections against explicit permutations and replace(...,
+    # extended=True) copies
     rng = np.random.default_rng(1403)
     for n in (2, 3, 4, 6):
         for i in range(4):
@@ -421,8 +451,8 @@ def corpus():
             perms = sample_permutations(n, min(3, math.factorial(n) - 1), rng)
             params = ReductionParams(0.99 if i % 2 else 0.75)
             tag = f"klr/n{n}/{i}"
-            yield from selection(tag, klr_select_with(h, perms, params), RESULT_FIELDS)
-            ext = klr_select_with(extend_channel(h, 0.2), perms, params)
+            yield from selection(tag, select_with(h, perms, params), RESULT_FIELDS)
+            ext = select_with(extend_channel(h, 0.2), perms, params)
             yield from selection(f"{tag}/ext", ext, RESULT_FIELDS)
             copy = replace(ext, extended=True)
             yield from selection(f"{tag}/ext-replaced", copy, RESULT_FIELDS)
@@ -456,8 +486,8 @@ def corpus():
     for n, rows in ((2, 2), (3, 4), (4, 4)):
         h = crandn(rng, rows, n)
         tag = f"identity/{rows}x{n}"
-        yield from selection(f"{tag}/plain", identity_result(h), RESULT_FIELDS)
-        ext = identity_result(h, extended=True, sigma_n=0.3)
+        yield from selection(f"{tag}/plain", identity(h), RESULT_FIELDS)
+        ext = identity(h, sigma_n=0.3)
         yield from selection(f"{tag}/ext", ext, RESULT_FIELDS)
 
     # lone clll_reduce bases, square and extended
@@ -546,13 +576,13 @@ def corpus():
                 except Exception as exc:  # a raising case is digested too
                     yield tag, name, f"{type(exc).__name__}: {exc}"
 
-    # klr_select_extended results
+    # extended selections with sampled permutations
     rng = np.random.default_rng(1408)
     for n in (2, 3, 4, 6):
         for i in range(3):
             h = crandn(rng, n + i % 2, n)
             k = min(3, math.factorial(n) - 1)
-            res = klr_select_extended(h, 0.1 + 0.2 * i, k, rng=rng)
+            res = select_extended(h, 0.1 + 0.2 * i, k, rng)
             yield from selection(f"klr-extended/n{n}/{i}", res, RESULT_FIELDS)
 
     def into_stale(y, sel, kind, spec):

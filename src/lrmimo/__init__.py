@@ -22,10 +22,7 @@ from .switched import (
     KlrResult,
     KlrStack,
     PermutationSet,
-    identity_result,
     klr_select,
-    klr_select_extended,
-    klr_select_with,
     sample_permutations,
 )
 from .modem import ConstellationSpec, modulate
@@ -58,13 +55,10 @@ __all__ = [
     "clll_reduce_batch",
     "gen_channel",
     "gram_det",
-    "identity_result",
     "is_clll_reduced",
     "is_kz_reduced",
     "is_unimodular",
     "klr_select",
-    "klr_select_extended",
-    "klr_select_with",
     "kz_reduce",
     "lr_detect",
     "ml_detect",

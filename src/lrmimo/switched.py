@@ -1,19 +1,20 @@
-"""Randomly switched CLLL candidate selection.
+"""Randomly switched CLLL candidate selection, of a channel or of a stack.
 
-Generates K randomly column-permuted CLLL-reduced candidates of the channel,
-scores each by orthogonality defect and keeps the best candidate only when it
-strictly beats the unpermuted baseline.  The composed transform (permutation
-times unimodular matrix) is tracked so detection recovers the original symbol
-order automatically.
+klr_select reduces K random column permutations of the channel H, or of
+[H; sigma_n I] for MMSE, scores each by orthogonality defect and keeps the
+best only when it strictly beats the unpermuted CLLL baseline.  The composed
+transform (permutation times unimodular matrix) is tracked so detection
+recovers the original symbol order automatically.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _pinv_from_qr, as_matrix
+from .linalg import _as_stack, _pinv_from_qr, as_matrix
 from .reduction import (
     ReducedBasis,
     ReducedStack,
@@ -27,15 +28,20 @@ MAX_CANDIDATES = 10
 
 @dataclass(frozen=True)
 class PermutationSet:
-    """K distinct non-identity permutations of {0..n-1}."""
+    """K distinct non-identity permutations of {0..n-1}, as tuples of ints."""
 
     n: int
     perms: tuple
 
     def __post_init__(self):
+        try:  # a list or an array row too, its entries as Python ints
+            perms = tuple(tuple(map(operator.index, p)) for p in self.perms)
+        except TypeError as exc:
+            raise ValidationError(f"permutations must be integers: {self.perms}") from exc
+        object.__setattr__(self, "perms", perms)
         ident = tuple(range(self.n))
         seen = set()
-        for p in self.perms:
+        for p in perms:
             if tuple(sorted(p)) != ident:
                 raise ValidationError(f"not a permutation of 0..{self.n - 1}: {p}")
             if p == ident:
@@ -220,18 +226,6 @@ def sample_permutations(n: int, k: int, rng: np.random.Generator) -> Permutation
     return drawn
 
 
-def klr_select_with(
-    h, perms: PermutationSet, params: ReductionParams = ReductionParams()
-) -> KlrResult:
-    """Run the switched selection against an explicit permutation set."""
-    h = as_matrix(h)
-    if perms.n != h.shape[1]:
-        raise ValidationError("permutation size does not match column count")
-    k, chans = len(perms.perms), {False: h[np.newaxis]}
-    found = _select_all(chans, {False: [perms.perms]}, {False: {k}}, params)
-    return found[False, k][0]
-
-
 def _candidate_stack(mats: np.ndarray, perms) -> np.ndarray:
     """Each matrix of a (B, rows, n) stack followed by its K column
     permutations perms[b], gathered into one C-contiguous (B (1 + K), rows,
@@ -247,16 +241,55 @@ def _candidate_stack(mats: np.ndarray, perms) -> np.ndarray:
 
 def klr_select(
     h,
-    k: int,
+    k: int | None,
     params: ReductionParams = ReductionParams(),
     rng: np.random.Generator | None = None,
-) -> KlrResult:
-    """Switched CLLL selection with k randomly sampled column permutations."""
-    h = as_matrix(h)
-    if rng is None:
-        rng = np.random.default_rng()
-    perms = sample_permutations(h.shape[1], k, rng)
-    return klr_select_with(h, perms, params)
+    *,
+    perms=None,
+    sigma_n=None,
+) -> KlrResult | KlrStack:
+    """The switched CLLL selection of a channel, a KlrResult, or of a (B,
+    rows, n) stack of them, a KlrStack whose member b is channel b's.
+
+    k None gives the identity (U = I: LR detection on it is the conventional
+    detector), 0 the CLLL baseline and k >= 1 the lowest-ODF of the first k
+    candidates where it strictly beats the baseline.  The candidates are
+    perms, a PermutationSet (for a stack, one per channel), or else k drawn
+    per channel, in channel order, by sample_permutations from rng.  sigma_n
+    (a value, or one per channel) selects on [H; sigma_n I], for MMSE.
+    Arguments that would be ignored raise ValidationError."""
+    mats = _as_stack(h)
+    lone = mats.ndim == 2
+    if mats.ndim > 3 or mats.size == 0:
+        raise ValidationError(f"expected a channel or a stack, got shape {mats.shape}")
+    mats = mats.reshape(-1, *mats.shape[-2:])
+    count, _, n = mats.shape
+    if k is not None and not (isinstance(k, (int, np.integer)) and k >= 0):
+        raise ValidationError(f"k must be None or an integer >= 0, got {k!r}")
+    if perms is not None:
+        sets = [perms] if lone else perms
+        if not k or rng is not None or isinstance(sets, PermutationSet) or (
+            len(sets) != count
+            or not all(isinstance(p, PermutationSet) and p.n == n for p in sets)
+            or min(len(p.perms) for p in sets) < k
+        ):
+            raise ValidationError(f"perms: for k >= 1, no rng; {count} sets of >= {k}")
+        groups = [p.perms[:k] for p in sets]
+    elif k:
+        rng = np.random.default_rng() if rng is None else rng
+        groups = [sample_permutations(n, k, rng).perms for _ in range(count)]
+    else:
+        groups = np.zeros((count, 0, n), dtype=np.intp)
+    extended = sigma_n is not None
+    if extended:
+        sigmas = np.asarray(sigma_n, dtype=np.float64)
+        if sigmas.shape not in ((), () if lone else (count,)):
+            raise ValidationError("sigma_n: a value, or one per channel of a stack")
+        sigmas = np.broadcast_to(sigmas, count)
+        mats = [extend_channel(m, s) for m, s in zip(mats, sigmas)]
+    mats = np.stack(mats)  # a new array, whichever the flavour
+    found = _select_all({extended: mats}, {extended: groups}, {extended: {k}}, params)
+    return found[extended, k][0] if lone else found[extended, k]
 
 
 def extend_channel(h, sigma_n) -> np.ndarray:
@@ -275,20 +308,6 @@ def extend_channel(h, sigma_n) -> np.ndarray:
     return np.concatenate([upper, lower], axis=-2)
 
 
-def klr_select_extended(
-    h,
-    sigma_n: float,
-    k: int,
-    params: ReductionParams = ReductionParams(),
-    rng: np.random.Generator | None = None,
-) -> KlrResult:
-    """Switched selection on the extended channel [H; sigma_n I] for MMSE."""
-    h = extend_channel(h, [sigma_n])
-    rng = np.random.default_rng() if rng is None else rng
-    perms = sample_permutations(h.shape[-1], k, rng).perms
-    return _select_all({True: h}, {True: [perms]}, {True: {k}}, params)[True, k][0]
-
-
 def _identity(mats) -> tuple:
     """What _selection takes for the identity selections of a (B, rows, n)
     stack of channels: U = I, no permutation and no candidates, on which LR
@@ -299,16 +318,3 @@ def _identity(mats) -> tuple:
     iters = np.zeros(count, dtype=np.intp)
     basis = _reduced_stack(mats, eye, eye.copy(), iters, with_q=True)
     return basis, (tuple(range(n)),) * count, basis.odf, ((),) * count
-
-
-def identity_result(h, extended: bool = False, sigma_n: float = 0.0) -> KlrResult:
-    """KlrResult with U = I and no permutation (reduction disabled): the
-    member of a stack of one from _select_all, as the sweep forms them.
-
-    Feeding this to the LR detectors reproduces the conventional detector of
-    the same kind.
-    """
-    h = as_matrix(h)
-    mats = extend_channel(h, [sigma_n]) if extended else h[np.newaxis].copy()
-    found = _select_all({extended: mats}, {}, {extended: {None}}, ReductionParams())
-    return found[extended, None][0]

@@ -51,7 +51,6 @@ from lrmimo.switched import (
     KlrResult,
     extend_channel,
     klr_select,
-    klr_select_extended,
     sample_permutations,
 )
 
@@ -108,15 +107,20 @@ def zf_sweep():
     return run_sweep(ZF_CONFIG)
 
 
-def _lr_zf_errors(ys, h, basis, perm, bits, x, spec):
-    """Bit and symbol errors per SNR block of ys for LR-ZF on one basis."""
-    klr = KlrResult(
+def _lone(basis, perm):
+    """The selection of one reduced basis of the channel's columns perm,
+    which no channel-level entry gives for a KZ or a chosen basis."""
+    return KlrResult(
         basis=basis,
         perm=perm,
         odf_selected=basis.odf_value,
         odf_baseline=basis.odf_value,
         candidate_odfs=(),
     )
+
+
+def _lr_zf_errors(ys, h, klr, bits, x, spec):
+    """Bit and symbol errors per SNR block of ys for LR-ZF on one selection."""
     n_snr = ys.shape[1] // x.shape[1]
     x_hat = lr_detect(ys, h, klr, "zf", spec)
     bit_hat = unmap_symbols(x_hat.T, spec).reshape((n_snr,) + bits.shape)
@@ -133,8 +137,9 @@ def zf_oracle(zf_sweep):
     Replays run_sweep's per-trial draws in its order (channel, bits, unit
     noise, then the permutations) and returns BerRecords for three curves:
 
-    - ``clr-zf``: the CLLL baseline.  Its counts must equal the sweep's row
-      for row, which proves the replay before any oracle number is used.
+    - ``clr-zf``: the CLLL baseline, ``klr_select`` at k = 0.  Its counts
+      must equal the sweep's row for row, which proves the replay before any
+      oracle number is used.
     - ``kz-zf``: the KZ basis, from KZ-reducing the CLLL basis (enumeration
       starts from its input, so CLLL first keeps it cheap) and composing both
       unimodular transforms.
@@ -167,14 +172,14 @@ def zf_oracle(zf_sweep):
             ]
         )
 
-        base = clll_reduce(h, params)
-        kz = kz_reduce(base.h_tilde, budget)
-        kz = replace(kz, u=base.u @ kz.u, u_inv=kz.u_inv @ base.u_inv)
-        cand = clll_reduce(h[:, list(perm)], params)
-        e_base = _lr_zf_errors(ys, h, base, ident, bits, x, spec)
-        e_cand = _lr_zf_errors(ys, h, cand, perm, bits, x, spec)
+        base = klr_select(h, 0, params)
+        kz = kz_reduce(base.basis.h_tilde, budget)
+        kz = replace(kz, u=base.basis.u @ kz.u, u_inv=kz.u_inv @ base.basis.u_inv)
+        cand = _lone(clll_reduce(h[:, list(perm)], params), perm)
+        e_base = _lr_zf_errors(ys, h, base, bits, x, spec)
+        e_cand = _lr_zf_errors(ys, h, cand, bits, x, spec)
         errs[("clr-zf", 0)] += e_base
-        errs[("kz-zf", 0)] += _lr_zf_errors(ys, h, kz, ident, bits, x, spec)
+        errs[("kz-zf", 0)] += _lr_zf_errors(ys, h, _lone(kz, ident), bits, x, spec)
         errs[("best-zf", 1)] += np.where(e_cand[0] < e_base[0], e_cand, e_base)
 
     bits_total = cfg.trials * cfg.packet_len * cfg.n_t * bps
@@ -443,7 +448,7 @@ def test_10_zero_noise_exactness():
     def run_all(h, x_cols, k):
         y = h @ x_cols
         plain = klr_select(h, k, rng=rng)
-        ext = klr_select_extended(h, 0.0, k, rng=rng)
+        ext = klr_select(h, k, rng=rng, sigma_n=0.0)
         fails = 0
         for klr, kind in (
             (plain, "zf"),

@@ -24,9 +24,7 @@ from lrmimo.reduction import ReductionParams
 from lrmimo.switched import (
     _select_all,
     extend_channel,
-    identity_result,
     klr_select,
-    klr_select_extended,
     sample_permutations,
 )
 
@@ -318,7 +316,7 @@ class TestLrDetect:
         errs = 0
         for _ in range(20):
             h = crandn(rng, 4, 4)
-            klr = klr_select_extended(h, sigma, 3, rng=rng)
+            klr = klr_select(h, 3, rng=rng, sigma_n=sigma)
             x = random_symbols(rng, QPSK, 4)
             y = h @ x + sigma * crandn(rng, 4)
             out = lr_detect(y, h, klr, kind, QPSK)
@@ -328,7 +326,7 @@ class TestLrDetect:
     def test_flavor_mismatch_rejected(self, rng):
         h = crandn(rng, 3, 3)
         plain = klr_select(h, 2, rng=rng)
-        ext = klr_select_extended(h, 0.1, 2, rng=rng)
+        ext = klr_select(h, 2, rng=rng, sigma_n=0.1)
         y = crandn(rng, 3)
         with pytest.raises(ValidationError):
             lr_detect(y, h, plain, "mmse", QPSK)
@@ -340,16 +338,14 @@ class TestLrDetect:
     def test_identity_reduction_reproduces_conventional_zf(self, rng):
         h = crandn(rng, 4, 4)
         y = h @ random_symbols(rng, QAM16, 4) + 0.3 * crandn(rng, 4)
-        out = lr_detect(y, h, identity_result(h), "zf", QAM16)
+        out = lr_detect(y, h, klr_select(h, None), "zf", QAM16)
         assert np.allclose(out, hard_slice(pseudoinverse(h) @ y, QAM16))
 
     def test_identity_reduction_reproduces_conventional_mmse(self, rng):
         sigma = 0.5
         h = crandn(rng, 4, 4)
         y = h @ random_symbols(rng, QPSK, 4) + sigma * crandn(rng, 4)
-        out = lr_detect(
-            y, h, identity_result(h, extended=True, sigma_n=sigma), "mmse", QPSK
-        )
+        out = lr_detect(y, h, klr_select(h, None, sigma_n=sigma), "mmse", QPSK)
         conv = hard_slice(mmse_filter_direct(h, sigma**2) @ y, QPSK)
         assert np.allclose(out, conv)
 
@@ -426,7 +422,7 @@ class TestLrDetect:
     def test_row_count_mismatch_rejected(self, rng, kind):
         h = crandn(rng, 3, 3)
         if kind in ("mmse", "sic-mmse"):
-            klr = klr_select_extended(h, 0.2, 2, rng=rng)
+            klr = klr_select(h, 2, rng=rng, sigma_n=0.2)
         else:
             klr = klr_select(h, 2, rng=rng)
         with pytest.raises(ValidationError):
@@ -450,7 +446,7 @@ class TestLrDetect:
             lr_detect(y[:, 0], h[:, :3], plain, "zf", QPSK)
         # an extended selection of a 4x4 channel (8x4 basis) and a 4x3 or
         # 4x5 channel
-        ext = klr_select_extended(h, 0.3, 2, rng=rng)
+        ext = klr_select(h, 2, rng=rng, sigma_n=0.3)
         for wrong in (h[:, :3], crandn(rng, 4, 5)):
             with pytest.raises(ValidationError):
                 lr_detect(y, wrong, ext, "mmse", QPSK)

@@ -34,7 +34,7 @@ from lrmimo.sim import (
 from lrmimo.switched import (
     PermutationSet,
     extend_channel,
-    klr_select_with,
+    klr_select,
     sample_permutations,
 )
 
@@ -260,7 +260,8 @@ def reference_sweep(cfg):
         )
 
         def select(mat, k, extended):
-            res = klr_select_with(mat, PermutationSet(cfg.n_t, perms[:k]), params)
+            sets = PermutationSet(cfg.n_t, perms[:k]) if k else None
+            res = klr_select(mat, k, params, perms=sets)
             return replace(res, extended=extended)
 
         for snr in cfg.snr_grid_db:

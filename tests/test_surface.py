@@ -9,15 +9,16 @@ import lrmimo
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# names the library no longer defines: merged into lr_detect, ml_detect or
-# sic_detect, deleted, or moved into tests/oracles.py (README, "Public
-# surface")
+# names the library no longer defines: merged into lr_detect, ml_detect,
+# sic_detect or klr_select, deleted, or moved into tests/oracles.py (README,
+# "Public surface")
 GONE = {
     "lr_detect_batch", "ml_detect_batch", "sic_detect_batch", "DetectionOutput",
     "zf_filter", "zf_error_covariance", "extend_system", "mmse_filter_direct",
     "hard_slice", "_slice_index", "shift_scale_quantize", "unmap_symbols",
     "_levels_to_bits", "round_gaussian", "singular_values", "condition_number",
     "demodulate", "as_vector", "_bit_distance", "_gray_encode",
+    "klr_select_with", "klr_select_extended", "identity_result",
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 from lrmimo import linalg, switched
 from lrmimo.errors import ValidationError
 from lrmimo.linalg import _pinv_from_qr
-from lrmimo.reduction import ReductionParams, is_unimodular
+from lrmimo.reduction import ReductionParams, clll_reduce, is_unimodular
 from lrmimo.switched import (
     KlrResult,
     PermutationSet,
@@ -15,10 +15,7 @@ from lrmimo.switched import (
     _k_limit,
     _select_all,
     extend_channel,
-    identity_result,
     klr_select,
-    klr_select_extended,
-    klr_select_with,
     sample_permutations,
 )
 
@@ -87,6 +84,31 @@ class TestSamplePermutations:
         with pytest.raises(ValidationError):
             PermutationSet(n=2, perms=((1, 0), (1, 0)))  # duplicates
 
+    def test_set_of_lists_and_arrays(self):
+        # each permutation becomes a tuple of Python ints, so a list or an
+        # array row makes the set that tuples make, and the checks apply
+        want = PermutationSet(3, ((1, 0, 2), (2, 1, 0)))
+        for perms in (
+            ([1, 0, 2], [2, 1, 0]),
+            [[1, 0, 2], (2, 1, 0)],
+            np.array([[1, 0, 2], [2, 1, 0]]),
+            (np.array([1, 0, 2], dtype=np.int32), np.array([2, 1, 0])),
+        ):
+            got = PermutationSet(3, perms)
+            assert got == want and hash(got) == hash(want)
+            assert all(type(v) is int for p in got.perms for v in p)
+        for bad in (
+            ([0, 1, 2],),  # identity
+            np.array([[0, 1, 2]]),
+            ([1, 0, 2], np.array([1, 0, 2])),  # duplicates
+            ([1.0, 0, 2],),  # not integers
+            np.array([[1.5, 0.0, 2.0]]),
+            ([1, 0, 3],),  # not a permutation
+            (1,),
+        ):
+            with pytest.raises(ValidationError):
+                PermutationSet(3, bad)
+
 
 class TestKlrSelect:
     def test_selected_never_worse(self, rng):
@@ -147,19 +169,20 @@ class TestKlrSelect:
         prev = np.inf
         for k in range(1, 11):
             subset = PermutationSet(n=5, perms=perms.perms[:k])
-            res = klr_select_with(h, subset)
+            res = klr_select(h, k, perms=subset)
             assert res.odf_selected <= prev + 1e-12
             prev = res.odf_selected
 
     def test_mismatched_permutation_size(self, rng):
         perms = sample_permutations(3, 2, rng)
         with pytest.raises(ValidationError):
-            klr_select_with(crandn(rng, 4, 4), perms)
+            klr_select(crandn(rng, 4, 4), 2, perms=perms)
 
 
 class TestStackedSelection:
     """_select_all on several channels, each with its own permutations, as
-    the sweep selects, against klr_select_with on each channel alone."""
+    the sweep selects, against klr_select on each channel alone with its
+    explicit permutations (what klr_select_with took)."""
 
     @pytest.mark.parametrize("extended", [False, True])
     @pytest.mark.parametrize("delta", [0.75, 0.99])
@@ -184,7 +207,8 @@ class TestStackedSelection:
             assert len(sel) == len(chans)
             for g, h in enumerate(chans):
                 got = sel[g]
-                want = klr_select_with(h, PermutationSet(n, groups[g][:k]), params)
+                sets = PermutationSet(n, groups[g][:k]) if k else None
+                want = klr_select(h, k, params, perms=sets)
                 assert got.extended == extended
                 assert got.perm == want.perm
                 assert got.odf_selected == want.odf_selected
@@ -297,10 +321,10 @@ class TestFormedOnce:
         [
             # CLLL's two R-only QRs, of the input and of H U, then Q
             (lambda h, rng: klr_select(h, 3, rng=rng), 3),
-            (lambda h, rng: klr_select_extended(h, 0.3, 3, rng=rng), 3),
+            (lambda h, rng: klr_select(h, 3, rng=rng, sigma_n=0.3), 3),
             # U = I: one QR of the channel gives Q and R
-            (lambda h, rng: identity_result(h), 1),
-            (lambda h, rng: identity_result(h, extended=True, sigma_n=0.3), 1),
+            (lambda h, rng: klr_select(h, None), 1),
+            (lambda h, rng: klr_select(h, None, sigma_n=0.3), 1),
         ],
         ids=["klr_select", "klr_select_extended", "identity", "identity_extended"],
     )
@@ -334,7 +358,7 @@ class TestFormedOnce:
 class TestKlrSelectExtended:
     def test_shape(self, rng):
         h = crandn(rng, 6, 6)
-        res = klr_select_extended(h, 0.3, 3, rng=rng)
+        res = klr_select(h, 3, rng=rng, sigma_n=0.3)
         assert res.extended
         assert res.basis.h_tilde.shape == (12, 6)
         assert res.odf_selected <= res.odf_baseline
@@ -342,14 +366,14 @@ class TestKlrSelectExtended:
     def test_zero_sigma_matches_plain(self, rng):
         h = crandn(rng, 4, 4)
         plain = klr_select(h, 3, rng=np.random.default_rng(21))
-        ext = klr_select_extended(h, 0.0, 3, rng=np.random.default_rng(21))
+        ext = klr_select(h, 3, rng=np.random.default_rng(21), sigma_n=0.0)
         assert ext.perm == plain.perm
         assert np.allclose(ext.basis.h_tilde[:4, :], plain.basis.h_tilde)
         assert np.allclose(ext.basis.h_tilde[4:, :], 0.0)
 
     def test_negative_sigma_rejected(self, rng):
         with pytest.raises(ValidationError):
-            klr_select_extended(crandn(rng, 3, 3), -0.1, 2, rng=rng)
+            klr_select(crandn(rng, 3, 3), 2, rng=rng, sigma_n=-0.1)
 
 
 class TestExtendChannel:
@@ -374,12 +398,122 @@ class TestExtendChannel:
 class TestIdentityResult:
     def test_identity_transform(self, rng):
         h = crandn(rng, 4, 4)
-        res = identity_result(h)
+        res = klr_select(h, None)
         assert np.array_equal(res.transform, np.eye(4).astype(complex))
         assert np.allclose(res.basis.h_tilde, h)
 
     def test_extended_flavor(self, rng):
         h = crandn(rng, 4, 4)
-        res = identity_result(h, extended=True, sigma_n=0.2)
+        res = klr_select(h, None, sigma_n=0.2)
         assert res.extended
         assert res.basis.h_tilde.shape == (8, 4)
+
+
+class TestOneEntry:
+    """klr_select on a channel or a stack: k None (the identity), 0 (the
+    CLLL baseline) or k >= 1, with explicit or sampled permutations, plain
+    or extended by sigma_n."""
+
+    FIELDS = ("h_tilde", "u", "u_inv", "r", "q", "odf_value", "iteration_count")
+    ARRAYS = ("transform", "transform_inv", "offset", "pinv")
+
+    @classmethod
+    def assert_same(cls, got, want):
+        """got and want hold the same selection, array for array in bytes."""
+        names = "perm", "odf_selected", "odf_baseline", "candidate_odfs", "extended"
+        for name in names:
+            assert getattr(got, name) == getattr(want, name), name
+        for name in cls.FIELDS:
+            a, b = getattr(got.basis, name), getattr(want.basis, name)
+            assert np.asarray(a).dtype == np.asarray(b).dtype, name
+            assert np.shape(a) == np.shape(b), name
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+        for name in cls.ARRAYS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("source", ["explicit", "sampled"])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_stack_members_equal_lone_calls(self, rng, extended, source):
+        n, count, params = 4, 5, ReductionParams(0.99)
+        chans = crandn(rng, count, 5, n)
+        sigmas = 0.1 + 0.1 * np.arange(count) if extended else [None] * count
+        sets = [sample_permutations(n, 6, rng) for _ in chans]
+        replaced = 0
+        for k in (None, 0, 1, 3, 6):
+            kw = {"sigma_n": sigmas} if extended else {}
+            if source == "explicit" and k:
+                stack = klr_select(chans, k, params, perms=sets, **kw)
+                lone = [
+                    klr_select(h, k, params, perms=p, sigma_n=s)
+                    for h, p, s in zip(chans, sets, sigmas)
+                ]
+            else:
+                # the stack draws its channels' permutations in channel
+                # order, as lone calls on one generator draw them
+                stack = klr_select(chans, k, params, np.random.default_rng(5), **kw)
+                draws = np.random.default_rng(5)
+                lone = [
+                    klr_select(h, k, params, draws, sigma_n=s)
+                    for h, s in zip(chans, sigmas)
+                ]
+            assert len(stack) == count and stack.extended == extended
+            for b in range(count):
+                self.assert_same(stack[b], lone[b])
+                assert stack[b].basis.h_tilde.shape == (5 + n * extended, n)
+                replaced += stack[b].perm != tuple(range(n))
+        assert replaced > 0
+
+    @pytest.mark.parametrize("sigma_n", [None, 0.3])
+    def test_baseline_is_clll_reduce(self, rng, sigma_n):
+        for rows, n in ((4, 4), (5, 3), (6, 6)):
+            h = crandn(rng, rows, n)
+            params = ReductionParams(0.99 if n == 3 else 0.75)
+            sel = klr_select(h, 0, params, sigma_n=sigma_n)
+            mat = h if sigma_n is None else extend_channel(h, sigma_n)
+            want = clll_reduce(mat, params)
+            for name in ("h_tilde", "u", "r"):
+                got = getattr(sel.basis, name)
+                assert got.tobytes() == getattr(want, name).tobytes(), name
+            assert sel.basis.odf_value == want.odf_value
+            assert sel.odf_selected == sel.odf_baseline == want.odf_value
+            assert sel.perm == tuple(range(n)) and sel.candidate_odfs == ()
+            assert sel.extended == (sigma_n is not None)
+
+    @pytest.mark.parametrize("k", [None, 0, 2])
+    def test_sigma_alone_selects_extended(self, rng, k):
+        h = crandn(rng, 4, 3)
+        res = klr_select(h, k, rng=rng, sigma_n=0.3)
+        assert res.extended
+        assert res.basis.h_tilde.shape == (4 + 3, 3)
+        assert not klr_select(h, k, rng=rng).extended
+        stack = klr_select(np.stack([h, h]), k, rng=rng, sigma_n=[0.3, 0.0])
+        assert stack.extended and stack.basis.h_tilde.shape == (2, 7, 3)
+        assert not np.any(stack.basis.h_tilde[1, 4:])  # sigma_n 0: a zero block
+
+    def test_ignored_or_mismatched_arguments_rejected(self, rng):
+        h = crandn(rng, 4, 3)
+        chans = crandn(rng, 2, 4, 3)
+        p2 = sample_permutations(3, 2, rng)
+        cases = [
+            lambda: klr_select(h, None, perms=p2),  # perms with the identity
+            lambda: klr_select(h, 0, perms=p2),  # perms with the baseline
+            lambda: klr_select(h, 3, perms=p2),  # fewer perms than k
+            lambda: klr_select(h, 2, rng=rng, perms=p2),  # rng and perms
+            lambda: klr_select(h, 2, perms=sample_permutations(4, 2, rng)),
+            lambda: klr_select(h, 2, perms=[p2]),  # a list for one channel
+            lambda: klr_select(chans, 2, perms=p2),  # one set for a stack
+            lambda: klr_select(chans, 2, perms=[p2]),  # a set short
+            lambda: klr_select(chans, 2, perms=[p2, (1, 0, 2)]),
+            lambda: klr_select(h, -1),
+            lambda: klr_select(h, 1.0),
+            lambda: klr_select(h, 2, rng=rng, sigma_n=[0.3]),  # 1-D, one channel
+            lambda: klr_select(chans, 2, rng=rng, sigma_n=[0.3, 0.2, 0.1]),
+            lambda: klr_select(chans, 2, rng=rng, sigma_n=[[0.3, 0.2]]),
+            lambda: klr_select(chans, None, sigma_n=[0.3, -0.2]),
+            lambda: klr_select(chans[np.newaxis], 2, rng=rng),  # 4-D
+            lambda: klr_select(chans[:0], 0),  # an empty stack
+        ]
+        for case in cases:
+            with pytest.raises(ValidationError):
+                case()
