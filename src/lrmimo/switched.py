@@ -287,7 +287,7 @@ def klr_select(
             raise ValidationError("sigma_n: a value, or one per channel of a stack")
         sigmas = np.broadcast_to(sigmas, count)
         mats = [extend_channel(m, s) for m, s in zip(mats, sigmas)]
-    mats = np.stack(mats)  # a new array, whichever the flavour
+    mats = np.stack(mats)  # a copy: the identity keeps it as its basis
     found = _select_all({extended: mats}, {extended: groups}, {extended: {k}}, params)
     return found[extended, k][0] if lone else found[extended, k]
 
