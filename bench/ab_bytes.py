@@ -87,7 +87,10 @@ The corpus:
   conventional detectors (zf, mmse, ml) beyond those: 64-QAM, a 3x4
   channel, a packet of several blocks per trial and delta 0.99, an
   ML-only sweep, and an ML-only 2x2 64-QAM sweep of one 2000-symbol
-  packet.
+  packet; and of five shapes of the blocks of SNR points that a trial is
+  detected in: a short last block, slice indices of 42 and 30 bytes per
+  point (not a multiple of 8), ml together with LR variants in one block,
+  and 256-QAM.
 
 No digest is stored: LAPACK bits may differ between hosts, so the tool
 compares two trees on one host, and the golden counts stay the portable
@@ -726,6 +729,36 @@ def corpus():
     configs["conventional/ml-64qam-long"] = SimConfig(
         n_t=2, n_r=2, m=64, snr_grid_db=(16.0, 24.0), detectors=("ml",),
         trials=1, packet_len=2000, seed=16,
+    )
+    # blocks of SNR points: 700 columns make blocks of 2 points, then a
+    # short last one of 1
+    configs["blocks/short-last"] = SimConfig(
+        n_t=3, n_r=4, m=16, snr_grid_db=(6.0, 12.0, 18.0),
+        detectors=("zf", "mmse", "clr-zf", "klr-zf", "clr-mmse", "klr-mmse-sic"),
+        k_candidates=(1, 3), trials=4, packet_len=700, seed=17,
+    )
+    # slice indices of n_t 2L bytes per point that are not a multiple of 8:
+    # 42 and 30
+    configs["blocks/odd-bytes-3x7"] = SimConfig(
+        n_t=3, n_r=3, m=4, snr_grid_db=(4.0, 10.0, 16.0),
+        detectors=("zf", "mmse", "clr-zf", "klr-zf", "clr-mmse-sic"),
+        k_candidates=(2,), trials=10, packet_len=7, seed=18,
+    )
+    configs["blocks/odd-bytes-5x3"] = SimConfig(
+        n_t=5, n_r=5, m=16, snr_grid_db=(10.0, 16.0),
+        detectors=("mmse", "clr-zf", "klr-mmse"), k_candidates=(3, 5),
+        trials=8, packet_len=3, seed=19,
+    )
+    # ml with LR variants in one block, clr-zf and klr-zf sharing detections
+    configs["blocks/ml-with-lr"] = SimConfig(
+        n_t=2, n_r=3, m=16, snr_grid_db=(5.0, 10.0, 15.0, 20.0),
+        detectors=("ml", "zf", "clr-zf", "klr-zf", "mmse", "klr-mmse", "clr-mmse-sic"),
+        k_candidates=(1,), trials=6, packet_len=40, seed=20,
+    )
+    configs["blocks/256qam"] = SimConfig(
+        n_t=3, n_r=3, m=256, snr_grid_db=(20.0, 26.0, 32.0),
+        detectors=("zf", "mmse", "clr-zf", "klr-zf", "clr-mmse-sic", "klr-mmse-sic"),
+        k_candidates=(1, 4), trials=6, packet_len=100, seed=21,
     )
     for name, cfg in configs.items():
         for rec in run_sweep(cfg):
