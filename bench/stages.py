@@ -58,11 +58,14 @@ from lrmimo import cli, clll_reduce, sim, switched  # noqa: E402
 
 SEED, PAIRS, LONE, CLI_SWEEPS = 5, 3, 99, 10
 # names run_sweep reaches through lrmimo.sim: the draws, the selections of a
-# chunk and the detection of a trial, each with the helpers it calls
+# chunk and the detection of a trial, each with the helpers it calls; per
+# block of SNR points, _decide and _lr_estimate once per distinct detection,
+# then _lattice_indices and _count_errors once for all of them
 SIM_STAGES = (
     "_draw_trial", "gen_channel", "_draw_packet", "sample_permutations",
     "_chunk_selections", "extend_channel", "_chunk_buffers", "_detect_trial",
-    "_packet_symbols", "_lr_estimate", "_lattice_indices", "_count_errors",
+    "_packet_symbols", "_decide", "_lr_estimate", "_lattice_indices",
+    "_count_errors",
 )
 # the stages of the chunk's selections, which switched._select_all reaches
 # through lrmimo.switched

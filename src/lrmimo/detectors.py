@@ -76,12 +76,23 @@ def _sic(
     Q^H y, written to out if given, row by row, each row read once before
     it is overwritten.  Each is rounded in place on the float view (ties
     to even, _rounded).
+
+    R's diagonal is real, and numpy divides a complex by one whose
+    imaginary part is zero as the product of each part with the real
+    part's reciprocal, so the division is that product on the float view.
+    The top row has nothing above it to cancel.
     """
     z = np.matmul(np.swapaxes(q.conj(), -1, -2), y, out=out)
-    for i in range(r.shape[-1] - 1, -1, -1):
+    n = r.shape[-1]
+    scale = 1.0 / np.diagonal(r, axis1=-2, axis2=-1).real[..., np.newaxis]
+    done = np.empty_like(z[..., :1, :])  # what the rows below cancel
+    for i in range(n - 1, -1, -1):
         zi = z[..., i, :]
-        zi -= (r[..., i, np.newaxis, i + 1 :] @ z[..., i + 1 :, :])[..., 0, :]
-        zi /= r[..., i, i, np.newaxis]
+        if i < n - 1:
+            above = r[..., i, np.newaxis, i + 1 :]
+            zi -= np.matmul(above, z[..., i + 1 :, :], out=done)[..., 0, :]
+        flat = zi.view(np.float64)
+        np.multiply(flat, scale[..., i, :], out=flat)
         _rounded(zi)
     return z
 
@@ -98,7 +109,8 @@ def _round_shifted(
 
 def _scaled(v: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
     """v / a for a complex array v and a real a > 0, with the same bits,
-    written to out (a contiguous complex array, v itself allowed) if given.
+    written to out (a complex array of v's shape whose last axis is
+    contiguous, v itself allowed) if given.
 
     numpy divides a complex array by a real scalar as a product with the
     scalar's reciprocal; this forms that product on the float view, without
@@ -116,21 +128,24 @@ def _lattice_indices(tm: np.ndarray, spec: ConstellationSpec, out=None) -> np.nd
     indices) of arrays to write the float slice values (tm's own float view
     allowed) and the indices to.
 
-    Each part of T m plus side/2 is the index of the level nearest to the
-    estimate a (T m + (1+j)/2), which lies half a level from a boundary, so
-    no tie arises; values beyond the grid clip to the outer levels, after
-    which the cast's truncation is the floor.  A NaN (a failed filter) has
-    no constellation index; it raises.
+    Each part of T m, an integer, plus side/2 is the index of the level
+    nearest to the estimate a (T m + (1+j)/2), which lies half a level from
+    a boundary, so no tie arises; values beyond the grid clip to the outer
+    levels, in the shifted domain [-side/2, side/2 - 1].  A NaN (a failed
+    filter) has no constellation index; it raises.
     """
     values, indices = out or (None, None)
+    half = spec.side // 2
     flat = np.ascontiguousarray(tm).view(np.float64)
-    if np.isnan(flat.max()):
+    t = np.clip(flat, -half, half - 1, out=values)  # NaN stays NaN
+    if np.isnan(t.max()):
         raise SingularMatrixError("NaN estimate has no constellation index")
-    t = np.add(flat, spec.side / 2, out=values)
-    np.clip(t, 0, spec.side - 1, out=t)
     if indices is None:
         indices = np.empty(t.shape, np.min_scalar_type(spec.side - 1))
-    np.copyto(indices, t, casting="unsafe")
+    # the clipped integers cast exactly to the signed type of the indices'
+    # width, then shifted by side/2 modulo 2^width
+    np.copyto(indices.view(f"i{indices.itemsize}"), t, casting="unsafe")
+    indices += half
     return indices
 
 
@@ -250,13 +265,18 @@ def _lr_estimate(
     Gaussian-integer decisions m and their integer image T m, both
     (S, n_t, batch).  The reduced-domain estimate is a (m + d) with
     d = sel.offset; _lattice_indices slices it from T m.  The filter, d and
-    T are arrays of sel, formed with it, so the estimate forms none of them.
+    T are arrays of sel (the filter formed on its first read, for the whole
+    stack), so the estimate forms none of them.  A linear MMSE estimate
+    multiplies y by the filter's columns of the received rows alone, since
+    the others would meet the zero rows of [y; 0].
 
     out is None, which allocates, or a triple (work, m, tm) of complex
     arrays to write to: m and tm of the results' shape, and work of the
-    basis's rows (S, rows, batch), which holds the padded input [y; 0] of
-    an extended selection or the scaled input of a SIC; it is read only
-    by those.  y is left alone.
+    basis's rows (S, rows, batch), which holds the input of a SIC, y / a
+    (with n zero rows below it for an extended selection) less H~ d; only
+    SIC reads it.  tm may be m itself where sel is the identity (T = I):
+    T m is then m, and no product is formed, and d is (1+j)/2.  y is left
+    alone.
     """
     if kind not in DETECTOR_KINDS:
         raise ValidationError(f"unknown detector kind {kind!r}")
@@ -272,22 +292,24 @@ def _lr_estimate(
         raise ValidationError(
             f"{y.shape[1]} received rows for a reduced channel of {rows}"
         )
-    d = sel.offset[..., np.newaxis]
     work, m, tm = out or (None, None, None)
-    if extended:  # [y; 0] in a buffer of its own
-        if work is None:
-            work = np.empty((len(y), rows, y.shape[2]), dtype=np.complex128)
-        work[:, : rows - n] = y
-        work[:, rows - n :] = 0
-        y = work
+    identity = tm is not None and tm is m
+    # T = I gives d = (1+j)/2 exactly, which numpy subtracts faster as a
+    # scalar than broadcast along the rows
+    d = 0.5 + 0.5j if identity else sel.offset[..., np.newaxis]
+    top = y.shape[1]  # the received rows; an extended basis pads n below
     if kind in ("zf", "mmse"):
-        m = np.matmul(sel.pinv, y, out=m)
+        m = np.matmul(sel.pinv[..., :top], y, out=m)
         m = _round_shifted(m, d, spec.a, out=m)
     else:
-        # scaled into work, in place if it holds the padded input already:
-        # the caller's y is never written
-        y = _scaled(y, spec.a, out=work)
-        y -= basis.h_tilde @ d
+        if work is None:
+            work = np.empty((len(y), rows, y.shape[2]), dtype=np.complex128)
+        # [y / a; 0] - H~ d, y never written: below y, each row is one
+        # value, 0 less its entry of H~ d
+        shift = basis.h_tilde @ d
+        _scaled(y, spec.a, out=work[:, :top])
+        work[:, :top] -= shift[..., :top, :]
+        work[:, top:] = 0 - shift[..., top:, :]
         # the basis carries the QR of h_tilde, so SIC does not factor it
-        m = _sic(basis.q, basis.r, y, out=m)
-    return m, np.matmul(sel.transform, m, out=tm)
+        m = _sic(basis.q, basis.r, work, out=m)
+    return m, m if identity else np.matmul(sel.transform, m, out=tm)

@@ -7,7 +7,7 @@ so no rounding ever occurs in U).  U^-1 is formed where it is read, and
 checked exactly against U.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -110,9 +110,10 @@ class ReducedStack:
     slice or an index array gives a ReducedStack (of copies, for an index
     array, as numpy indexing makes them) that keeps its part of a q or u_inv
     already formed, so a stack of which only a part is kept forms them for
-    that part alone.  An int index gives the ReducedBasis of one member, of
-    views of the stack's arrays, q and u_inv included.  Iteration yields the
-    members in order.
+    that part alone; it is built from the parts of the stack's arrays
+    alone, without __init__.  An int index gives the ReducedBasis of one
+    member, of views of the stack's arrays, q and u_inv included.
+    Iteration yields the members in order.
     """
 
     h_tilde: np.ndarray
@@ -134,10 +135,9 @@ class ReducedStack:
 
     def __getitem__(self, i):
         if isinstance(i, (slice, np.ndarray)):
-            part = ReducedStack(*(getattr(self, f.name)[i] for f in fields(self)))
-            for name in ("q", "u_inv"):  # the cached properties, once formed
-                if name in vars(self):
-                    vars(part)[name] = vars(self)[name][i]
+            # every array held, the cached properties once formed included
+            part = object.__new__(ReducedStack)
+            vars(part).update({name: a[i] for name, a in vars(self).items()})
             return part
         return ReducedBasis(
             self.h_tilde[i], self.u[i], self.u_inv[i], self.r[i],

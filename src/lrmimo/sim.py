@@ -48,12 +48,13 @@ DETECTORS = tuple(_DETECTOR_TABLE)
 # Received columns per detection call: the SNR points of a trial are detected
 # together until their blocks hold this many, which shares the fixed cost of
 # each numpy call among short packets and keeps the block arrays of a long
-# packet (_chunk_buffers) at the size of one point's.  Only the work that
-# differs per point runs per block (received signals, estimates, slicing,
-# error counts); what depends only on the trial (its symbols and sent
-# indices, H x, the ML table) is formed once per trial, however many blocks
-# its points take, and the filters of every selection, identity or LR,
-# once per chunk.
+# packet (_chunk_buffers) at the size of one point's per detection.  Only the
+# work that differs per point runs per block (received signals, estimates,
+# slicing, error counts), and the slicing and counting of all the block's
+# detections in one call each; what depends only on the trial (its symbols
+# and sent indices, H x, the ML table) is formed once per trial, however
+# many blocks its points take, and the Q and the filters of the selections,
+# identity or LR, once per chunk.
 _COLUMNS_PER_CALL = 2048
 
 # Bytes of the input stacks of one CLLL call (rows x n_t complex entries per
@@ -214,7 +215,10 @@ def _draw_packet(cfg: SimConfig, spec, rng) -> tuple:
     its complex buffer: the numbers of (a + 1j * b) / np.sqrt(2.0), without
     the temporaries.
     """
-    bits = rng.integers(0, 2, size=(cfg.packet_len, cfg.n_t, spec.bits_per_symbol))
+    # int32 entries take one 32-bit draw each, as int64 ones do: the same
+    # numbers from the same stream, in half the memory
+    shape = (cfg.packet_len, cfg.n_t, spec.bits_per_symbol)
+    bits = rng.integers(0, 2, size=shape, dtype=np.int32)
     idx = _level_index_pairs(bits, spec)  # (packet_len, n_t, 2)
     del bits  # its memory serves the noise draw
     noise_unit = np.empty((cfg.n_r, cfg.packet_len), dtype=np.complex128)
@@ -296,12 +300,15 @@ def _chunk_trials(cfg: SimConfig) -> int:
     return max(1, chunk)
 
 
-def _chunk_selections(trials, sigma2s, ks, params) -> list:
+def _chunk_selections(trials, sigma2s, ks, params, filtered=()) -> list:
     """Selections of each trial of a chunk, keyed (extended, k) as ks
     (_selection_ks) lists them, each a slice of one switched._select_all
     call over the chunk: one member per SNR point for the extended flavour
     (the trial's channel extended at each point, with the trial's
-    permutations), one that serves every point for the plain one."""
+    permutations), one that serves every point for the plain one.  The
+    filters of the keys in filtered, those a linear detector reads, are
+    formed for the whole chunk before it is split; a slice forms the
+    filters of the others when they are read (KlrStack.pinv)."""
     per = {False: 1, True: len(sigma2s)}  # channels per trial
     sigmas = np.sqrt(sigma2s)
     chans = {False: np.stack([h for h, *_ in trials])}
@@ -310,6 +317,8 @@ def _chunk_selections(trials, sigma2s, ks, params) -> list:
     perms = np.array([p for *_, p in trials], dtype=np.intp)
     perms = {f: np.repeat(perms, per[f], axis=0) for f in ks}  # per channel
     found = _select_all(chans, perms, ks, params)
+    for key in filtered:
+        found[key].pinv  # formed on this first read, for the whole chunk
     return [
         {(f, k): s[t * per[f] : (t + 1) * per[f]] for (f, k), s in found.items()}
         for t in range(len(trials))
@@ -320,13 +329,17 @@ def _chunk_buffers(cfg: SimConfig, spec) -> tuple:
     """The arrays a chunk's detection writes to, each the size of a block
     or of a trial's packet, for _detect_trial: the trial's symbols x (the
     transposed view of a contiguous array), its sent slice indices and
-    H x; then for a block of SNR points its received signals y, the padded
-    LR input [y; 0] (with no rows if no detector is extended), the LR
-    decisions m, the integer images T m of the LR or ML decisions, the
-    float slice values (the decisions' own float view: they are written
-    over the decisions) and the slice indices.  The block arrays
-    hold _COLUMNS_PER_CALL columns' worth of points, at least one and at
-    most the grid's; a shorter last block uses their leading points.
+    H x; then for a block of SNR points its received signals y, the SIC
+    input [y / a; 0] (with no rows if no detector runs SIC) and the LR
+    decisions m of a selection other than the identity; then, flat, for
+    each distinct detection of the block a row of the integer images of
+    its decisions (T m, or m itself for an identity selection; their float
+    view is written over with the slice values), of slice indices, and of
+    error words (_count_errors).  The block arrays hold _COLUMNS_PER_CALL
+    columns' worth of points, at least one and at most the grid's, and the
+    flat ones a row per variant, the most distinct detections a block can
+    have; a shorter last block and a block with fewer distinct detections
+    use their leading entries.
 
     run_sweep forms them once per chunk, after its selections, and frees
     them with the chunk: each trial and block writes into the same memory
@@ -336,17 +349,24 @@ def _chunk_buffers(cfg: SimConfig, spec) -> tuple:
     """
     n_t, n_r, length = cfg.n_t, cfg.n_r, cfg.packet_len
     points = min(len(cfg.snr_grid_db), max(1, _COLUMNS_PER_CALL // length))
+    rows = len(_variants(cfg)) * points  # (detection, point) rows at most
     index = np.min_scalar_type(spec.side - 1)
     x = np.empty((length, n_t), dtype=np.complex128).T
     sent = np.empty((n_t, 2 * length), dtype=index)
     hx = np.empty((n_r, length), dtype=np.complex128)
     y = np.empty((points, n_r, length), dtype=np.complex128)
+    sic = any(_DETECTOR_TABLE[d][1].startswith("sic") for d in cfg.detectors)
+    work = np.empty((points, n_r + n_t if sic else 0, length), dtype=np.complex128)
     est = np.empty((points, n_t, length), dtype=np.complex128)
-    tm = np.empty((points, n_t, length), dtype=np.complex128)
-    idx = np.empty((points, n_t, 2 * length), dtype=index)
-    rows = n_r + n_t if any(_DETECTOR_TABLE[d][0] for d in cfg.detectors) else 0
-    work = np.empty((points, rows, length), dtype=np.complex128)
-    return x, sent, hx, y, work, est, tm, est.view(np.float64), idx
+    tm = np.empty(rows * n_t * length, dtype=np.complex128)
+    idx = np.empty(rows * n_t * 2 * length, dtype=index)
+    words = np.empty((rows, _padded(n_t * 2 * length, index)), dtype=index)
+    return x, sent, hx, y, work, est, tm, idx, words
+
+
+def _padded(size: int, dtype) -> int:
+    """Entries of dtype that hold size of them in whole 8-byte words."""
+    return -(-size * dtype.itemsize // 8) * 8 // dtype.itemsize
 
 
 def run_sweep(cfg: SimConfig) -> list[BerRecord]:
@@ -357,13 +377,19 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     ks = _selection_ks(cfg)
     variants = _variants(cfg)
 
-    # per variant, bit and symbol errors at each SNR point
-    errs = {v: np.zeros((2, len(cfg.snr_grid_db)), dtype=np.int64) for v in variants}
+    # bit and symbol errors of each variant at each SNR point
+    errs = np.zeros((2, len(variants), len(cfg.snr_grid_db)), dtype=np.int64)
     ml = None  # the ML candidates and their integer images, T = I
     if "ml" in cfg.detectors:
         cands = ml_candidates(cfg.n_t, spec)
         ml = cands, _round_shifted(cands, 0.5 + 0.5j, spec.a)
 
+    # the selections whose filters a linear detector reads
+    filtered = {
+        (_DETECTOR_TABLE[det][0], k)
+        for det, k in variants
+        if _DETECTOR_TABLE[det][1] in ("zf", "mmse")
+    }
     sigma2s = [snr_config(snr, cfg)[0] for snr in cfg.snr_grid_db]
     chunk = _chunk_trials(cfg)
     for first in range(0, cfg.trials, chunk):
@@ -371,7 +397,7 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
             _draw_trial(cfg, t, spec, switched)
             for t in range(first, min(first + chunk, cfg.trials))
         ]
-        sels = _chunk_selections(trials, sigma2s, ks, params)
+        sels = _chunk_selections(trials, sigma2s, ks, params, filtered)
         bufs = _chunk_buffers(cfg, spec)
         for (h, rng, packet, _), sel in zip(trials, sels):
             packet = packet or _draw_packet(cfg, spec, rng)
@@ -382,10 +408,10 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
     records = []
     vectors = cfg.trials * cfg.packet_len
     bits_total = vectors * cfg.n_t * spec.bits_per_symbol
-    for det, k in variants:
+    for v, (det, k) in enumerate(variants):
         for i, snr in enumerate(cfg.snr_grid_db):
             sigma2, ebn0 = snr_config(snr, cfg)
-            be, se = (int(e) for e in errs[(det, k)][:, i])
+            be, se = (int(e) for e in errs[:, v, i])
             records.append(
                 BerRecord(
                     detector=det,
@@ -406,46 +432,54 @@ def run_sweep(cfg: SimConfig) -> list[BerRecord]:
 def _detect_trial(h, packet, sel, variants, sigma2s, spec, ml, errs, bufs):
     """Detect one trial, channel h and packet (level index pairs, unit
     noise), with every variant at every SNR point and add the bit and
-    symbol errors to errs.  sel holds the trial's selections, ml the ML
-    candidates and their images (None without the ml detector), bufs the
-    chunk's arrays (_chunk_buffers), which every array the size of a block
-    or of the packet is written to.
+    symbol errors to errs (2, variants, SNR points).  sel holds the trial's
+    selections, ml the ML candidates and their images (None without the ml
+    detector), bufs the chunk's arrays (_chunk_buffers), which every array
+    the size of a block or of the packet is written to.
 
     What depends only on the trial is formed once, before the blocks of
     SNR points: its symbols and sent indices, H x and the ML table.  The
     selections carry their filters and offsets, formed for the whole
     chunk, the identity ones of zf and mmse as the LR ones: the plain
     selections serve every block, the extended ones have a member per
-    point.  Each block forms its received signals, estimates, slice
-    indices and error counts.  Variants that run the same estimator on the
-    same selected bases (clr-zf and a klr-zf that kept the baseline, or two
-    K that chose the same candidate) share one detection.
+    point.  Each block forms its received signals, then the integer images
+    of each distinct detection in a row of its own, and slices and counts
+    all rows in one call each.  Variants that run the same estimator on
+    the same selected bases (clr-zf and a klr-zf that kept the baseline, or
+    two K that chose the same candidate) share one row.
     """
     pairs, noise_unit = packet
-    x, sent, hx, *block = bufs
+    x, sent, hx, y_all, work, est, tm_all, idx_all, words = bufs
     _packet_symbols(pairs, spec, out=(x, sent))
     search = None if ml is None else (ml[1], _ml_table(h, ml[0]))
-    # complex, as numpy casts them to scale the noise, so the product needs
-    # no cast buffer
-    sigmas = np.sqrt(sigma2s).astype(np.complex128)[:, np.newaxis, np.newaxis]
-    per_call = len(block[0])
+    # real: each part of the noise is scaled on the float view, the bits of
+    # the complex product with sigma + 0j
+    sigmas = np.sqrt(sigma2s)[:, np.newaxis, np.newaxis]
+    per_call = len(y_all)
     np.matmul(h, x, out=hx)
     for lo in range(0, len(sigma2s), per_call):
         pts = slice(lo, lo + per_call)
         # the leading points of the block arrays, fewer in a short last block
-        y, *out = (b[: len(sigmas[pts])] for b in block)
-        np.multiply(sigmas[pts], noise_unit, out=y)  # (points, n_r, packet_len)
+        points = len(sigmas[pts])
+        y = y_all[:points]  # (points, n_r, packet_len)
+        np.multiply(sigmas[pts], noise_unit.view(np.float64), out=y.view(np.float64))
         y += hx
         # the selections at these points: the extended stack has one member
         # per point, the plain one a member that serves them all
         at = {key: s[pts] if s.extended else s for key, s in sel.items()}
-        counts = {}
+        rows, row_of = {}, []  # the distinct detections, and each variant's
         for det, k in variants:
             key = _detection_key(det, k, at)
-            if key not in counts:
-                idx = _indices(det, k, y, spec, at, search, out)
-                counts[key] = _count_errors(idx, sent)
-            errs[det, k][:, pts] += counts[key]
+            row_of.append(rows.setdefault(key, (len(rows), det, k))[0])
+        shape = (len(rows), points, *x.shape)
+        tm = tm_all[: math.prod(shape)].reshape(shape)
+        for row, (_, det, k) in zip(tm, rows.values()):
+            _decide(det, k, y, spec, at, search, (work[:points], est[:points], row))
+        # the slice values over the images' float view, then their indices
+        values = tm.view(np.float64)
+        idx = idx_all[: values.size].reshape(values.shape)
+        counts = _count_errors(_lattice_indices(tm, spec, (values, idx)), sent, words)
+        errs[:, :, pts] += counts[:, row_of]
 
 
 def _detection_key(det, k, at):
@@ -459,45 +493,56 @@ def _detection_key(det, k, at):
     return kind, extended, k is None, at[(extended, k)].perms
 
 
-def _indices(det, k, y, spec, at, search, out) -> np.ndarray:
-    """Slice indices (points, n_t, 2 packet_len) of one detector variant at
-    some SNR points, whose received blocks are y, I and Q interleaved.  at
-    holds the selections at those points, search the ML candidates' images
-    and the trial's _ml_table (None without the ml detector).  out holds
-    the block's arrays after y (see _chunk_buffers): the decisions, their
-    integer images and indices are written to them.
+def _decide(det, k, y, spec, at, search, out) -> None:
+    """Write the integer images (points, n_t, packet_len) of one detector
+    variant's decisions on the received blocks y to row, out being (work,
+    m, row) of the block's arrays (_chunk_buffers): the ML decisions, or
+    T m of the LR ones.  An LR estimate writes m to m, but that of an
+    identity selection (k None), whose T m is m, straight to row.  at
+    holds the selections at those points, search the ML candidates'
+    images and the trial's _ml_table (None without the ml detector).
     """
-    work, est, tm, values, idx = out
+    work, m, row = out
     extended, kind = _DETECTOR_TABLE[det]
     if extended is None:
         images, table = search
-        for s, y_s in enumerate(y):
-            tm[s] = images[:, _ml_search(y_s, table)]
+        for y_s, row_s in zip(y, row):
+            np.take(images, _ml_search(y_s, table), axis=1, out=row_s, mode="clip")
     else:
-        _lr_estimate(y, at[(extended, k)], kind, spec, (work, est, tm))
-    return _lattice_indices(tm, spec, (values, idx))
+        m = row if k is None else m
+        _lr_estimate(y, at[(extended, k)], kind, spec, (work, m, row))
 
 
-def _count_errors(idx, sent) -> np.ndarray:
-    """Bit and symbol errors (2, points) of slice indices against the sent
-    ones, both unsigned with I and Q interleaved.
+def _count_errors(idx, sent, words=None) -> np.ndarray:
+    """Bit and symbol errors (2, ...) of a stack of slice indices
+    (..., n_t, 2 packet_len) against the sent ones (n_t, 2 packet_len),
+    both unsigned with I and Q interleaved: one count of each per leading
+    entry, a point or a (detection, point) pair.  words is None, which
+    allocates, or an array of idx's dtype with a row for each leading
+    entry, of _padded(sent.size) entries, to write the error words to.
 
     The bit errors of a level are the bits in which the Gray labels
-    g(i) = i ^ (i >> 1) of the decided and the sent index differ.  Gray
-    labelling is linear over XOR, so those bits are g(idx ^ sent).  Read as
-    one word twice as wide, a symbol's I and Q labels give its bit errors as
-    the word's set bits; the symbol is in error when the word is not zero.
+    g(i) = i ^ (i >> 1) of the decided and the sent index differ, the set
+    bits of g(idx) ^ g(sent).  Padded with zeros to whole 8-byte words,
+    each row's set bits are counted 8 bytes at a time.  Read as one word
+    twice as wide as an index, a symbol's I and Q labels give a word that
+    is not zero when the symbol is in error, since g is one to one.
     """
-    diff = idx ^ sent
-    diff ^= diff >> 1
-    words = diff.view(np.dtype(f"u{2 * diff.itemsize}"))
-    return np.stack(
-        [
-            np.bitwise_count(words).sum(axis=(1, 2), dtype=np.int64),
-            # count_nonzero is faster per point than along axes
-            [np.count_nonzero(w) for w in words],
-        ]
-    )
+    lead, size = idx.shape[:-2], sent.size
+    count = math.prod(lead)
+    if words is None:
+        words = np.empty((count, _padded(size, idx.dtype)), dtype=idx.dtype)
+    words = words[:count]
+    labels, flat = words[:, :size], idx.reshape(count, size)
+    np.right_shift(flat, 1, out=labels)
+    labels ^= flat
+    labels ^= sent.reshape(size) ^ (sent.reshape(size) >> 1)
+    words[:, size:] = 0
+    bits = np.bitwise_count(words.view(np.uint64)).sum(axis=1, dtype=np.int64)
+    symbols = words.view(np.dtype(f"u{2 * words.itemsize}"))
+    # count_nonzero is faster per row than along an axis
+    counts = np.stack([bits, [np.count_nonzero(w) for w in symbols]])
+    return counts.reshape(2, *lead)
 
 
 # --- persistence ---------------------------------------------------------------
@@ -513,17 +558,23 @@ def write_records(records, path) -> None:
 
 
 def load_complex_matrix(path) -> np.ndarray:
-    """Read a complex matrix from text: one row per line, entries like 1.5-0.5j."""
+    """Read a complex matrix from text: one row per line, entries like 1.5-0.5j.
+    A missing file raises FileNotFoundError; a path that cannot be read as
+    text, such as a directory or undecodable bytes, ValidationError."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([complex(tok.strip()) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ValidationError(f"bad matrix entry in {path}: {exc}") from exc
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rows.append([complex(tok.strip()) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ValidationError(f"bad matrix entry in {path}: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise ValidationError("matrix file rows must be nonempty and equal length")
     return np.array(rows, dtype=np.complex128)

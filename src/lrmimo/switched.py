@@ -10,6 +10,7 @@ recovers the original symbol order automatically.
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,16 +59,15 @@ def _offset(t_inv: np.ndarray) -> np.ndarray:
 
 
 def _lr_arrays(perms, basis: ReducedStack | ReducedBasis) -> tuple:
-    """What LR detection reads of each member of a stack of kept bases and
-    of its permutation perms[i], or of one basis and its permutation perms:
-    T = P U and T^-1 = U^-1 P^T (P's column j is unit vector perm[j]; the
-    matmuls keep the exact bits of the Gaussian integers, signed zeros
-    included), d = _offset(T^-1) and pinv, the LR-ZF/MMSE filter, from the
-    QR of the basis."""
+    """The transforms LR detection reads of each member of a stack of kept
+    bases and of its permutation perms[i], or of one basis and its
+    permutation perms: T = P U and T^-1 = U^-1 P^T (P's column j is unit
+    vector perm[j]; the matmuls keep the exact bits of the Gaussian
+    integers, signed zeros included) and d = _offset(T^-1).  The filter
+    comes from the QR of the basis (_pinv_from_qr)."""
     p_t = np.eye(basis.u.shape[-1], dtype=np.complex128)[np.array(perms, dtype=np.intp)]
     t_inv = basis.u_inv @ p_t
-    pinv = _pinv_from_qr(basis.q, basis.r)
-    return np.swapaxes(p_t, -1, -2) @ basis.u, t_inv, _offset(t_inv), pinv
+    return np.swapaxes(p_t, -1, -2) @ basis.u, t_inv, _offset(t_inv)
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,9 @@ class KlrResult:
     permutation and the unimodular matrix into a single unimodular transform on
     the original column order.  basis, transform, transform_inv, offset and
     pinv are views of those of its KlrStack; built without the last four, it
-    forms them with _lr_arrays on its lone basis.  dataclasses.replace
-    passes them on: it may change only extended and the ODF fields.
+    forms them with _lr_arrays and _pinv_from_qr on its lone basis.
+    dataclasses.replace passes them on: it may change only extended and the
+    ODF fields.
     """
 
     basis: ReducedBasis
@@ -96,7 +97,8 @@ class KlrResult:
     def __post_init__(self):
         if self.pinv is None:
             names = "transform", "transform_inv", "offset", "pinv"
-            for name, a in zip(names, _lr_arrays(self.perm, self.basis)):
+            pinv = _pinv_from_qr(self.basis.q, self.basis.r)
+            for name, a in zip(names, (*_lr_arrays(self.perm, self.basis), pinv)):
                 object.__setattr__(self, name, a)
 
 
@@ -108,8 +110,12 @@ class KlrStack:
     reduced bases (their Q factored), perms and candidate_odfs hold one
     tuple per member, odf_baseline is (B,), transform = P U and
     transform_inv = U^-1 P^T are (B, n, n), offset (B, n) and pinv
-    (B, n, rows).  An int index gives the KlrResult of one member and a
-    slice a KlrStack, both of views.
+    (B, n, rows).  pinv, the LR-ZF/MMSE filter, is formed on first access
+    from the QR of the bases, as ReducedStack.q is, so a stack that only
+    SIC reads forms none.  An int index gives the KlrResult of one member,
+    of views, and a slice a KlrStack of views, built from the parts of the
+    stack's fields without __init__, which keeps its part of a pinv already
+    formed.
     """
 
     basis: ReducedStack
@@ -119,7 +125,6 @@ class KlrStack:
     transform: np.ndarray
     transform_inv: np.ndarray
     offset: np.ndarray
-    pinv: np.ndarray
     extended: bool = False
 
     @property
@@ -127,20 +132,24 @@ class KlrStack:
         """(B,) ODF of each kept basis."""
         return self.basis.odf
 
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        return _pinv_from_qr(self.basis.q, self.basis.r)
+
     def __len__(self) -> int:
         return len(self.perms)
 
     def __getitem__(self, i):
-        arrays = self.transform, self.transform_inv, self.offset, self.pinv
-        lr = [a[i] for a in arrays]
         if isinstance(i, slice):
-            return KlrStack(
-                self.basis[i], self.perms[i], self.odf_baseline[i],
-                self.candidate_odfs[i], *lr, self.extended,
+            part = object.__new__(KlrStack)
+            vars(part).update(
+                {name: v if name == "extended" else v[i] for name, v in vars(self).items()}
             )
+            return part
         return KlrResult(
             self.basis[i], self.perms[i], float(self.basis.odf[i]),
-            float(self.odf_baseline[i]), self.candidate_odfs[i], self.extended, *lr,
+            float(self.odf_baseline[i]), self.candidate_odfs[i], self.extended,
+            self.transform[i], self.transform_inv[i], self.offset[i], self.pinv[i],
         )
 
 
@@ -195,8 +204,10 @@ def _pick(reduced: ReducedStack, perms, k: int) -> tuple:
 
 
 def _selection(kept: ReducedStack, chosen, base, cands, extended: bool) -> KlrStack:
-    """The KlrStack of what _pick took, its _lr_arrays formed for the whole
-    stack in one call each."""
+    """The KlrStack of what _pick took, its _lr_arrays and the Q of its
+    bases, which every LR detection reads (SIC, or the filter), formed for
+    the whole stack in one call each."""
+    kept.q  # formed on this first read, for the whole stack
     return KlrStack(kept, chosen, base, cands, *_lr_arrays(chosen, kept), extended)
 
 

@@ -472,9 +472,10 @@ class TestTrialInvariants:
         monkeypatch.setattr(sim, "_detect_trial", counting_detect)
         got = run_sweep(cfg)
         assert not conventional
-        # one chunk: one solve for each of its 4 selection stacks, the plain
-        # and extended identity ones and the plain and extended CLLL ones
-        assert solves == {"_pinv_from_qr": 4}
+        # one chunk: one solve for each of the 3 selection stacks a filter
+        # is read from, the plain and extended identity ones and the plain
+        # CLLL one; clr-mmse-sic reads the Q and R of the extended CLLL one
+        assert solves == {"_pinv_from_qr": 3}
         assert len(counts) == cfg.trials
         for c in counts:
             # 3 blocks of one point for each of the 4 estimators
@@ -749,6 +750,37 @@ class TestCountErrors:
         assert got[0, 0] == 0 and got[1, -1] > 0
 
 
+    @pytest.mark.parametrize("m", [4, 16, 256])
+    @pytest.mark.parametrize(
+        "n_t, length",
+        [(4, 2000), (4, 1), (3, 7), (5, 3), (1, 1), (2, 9)],  # 16000 ... 36 bytes
+    )
+    def test_stacks_of_detections(self, rng, m, n_t, length):
+        # (variants, points, n_t, 2L) slice indices; every length but 16000
+        # and 8 bytes per point is padded to whole 8-byte words
+        spec = ConstellationSpec(m)
+        side, table = spec.side, _bit_distance(spec)
+        dtype = np.min_scalar_type(side - 1)
+        sent = rng.integers(0, side, (n_t, 2 * length)).astype(dtype)
+        idx = np.repeat(sent[np.newaxis, np.newaxis], 12, axis=0).reshape(
+            3, 4, n_t, 2 * length
+        )
+        # each (variant, point) gets errors on its own share of the parts
+        share = np.arange(12).reshape(3, 4, 1, 1) / 12
+        wrong = rng.random(idx.shape) < share
+        idx[wrong] = rng.integers(0, side, int(wrong.sum()))
+        want = self.table_count(idx.reshape(12, n_t, -1), sent, table).reshape(2, 3, 4)
+        got = sim._count_errors(idx, sent)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        # into stale error words, rows to spare
+        width = sim._padded(sent.size, np.dtype(dtype))
+        assert width >= sent.size and width * dtype.itemsize % 8 == 0
+        words = np.full((20, width), np.iinfo(dtype).max, dtype=dtype)
+        assert np.array_equal(sim._count_errors(idx, sent, words), want)
+        # a lone point, as the sweep's (points, n_t, 2L) blocks were counted
+        assert np.array_equal(sim._count_errors(idx[1, 2], sent), want[:, 1, 2])
+
+
 class TestSharedDetections:
     def test_variants_with_one_selection_detect_once(self, monkeypatch):
         # 3 variants, both SNR points in one detection call per trial
@@ -782,6 +814,44 @@ class TestSharedDetections:
         # both chose the same candidate; 3: three distinct bases
         assert set(calls) == {1, 2, 3}
         assert got == reference_sweep(cfg)
+
+
+    def test_ml_shared_keys_and_a_short_last_block(self, monkeypatch):
+        # 700 columns: blocks of 2 points, then 1; ml and six LR variants
+        # slice and count in one call per block, clr-zf and klr-zf sharing
+        # rows where a K kept the baseline
+        cfg = SimConfig(
+            n_t=3,
+            n_r=3,
+            m=16,
+            snr_grid_db=(8.0, 14.0, 20.0),
+            detectors=("ml", "zf", "clr-zf", "klr-zf", "mmse", "clr-mmse-sic"),
+            k_candidates=(1, 3),
+            trials=4,
+            packet_len=700,
+            seed=2,
+        )
+        estimates, blocks = [], []
+        estimate, count = sim._lr_estimate, sim._count_errors
+
+        def counting_estimate(*args):
+            estimates.append(len(args[0]))
+            return estimate(*args)
+
+        def counting_count(idx, *args):
+            blocks.append(idx.shape[:2])
+            return count(idx, *args)
+
+        monkeypatch.setattr(sim, "_lr_estimate", counting_estimate)
+        monkeypatch.setattr(sim, "_count_errors", counting_count)
+        got = run_sweep(cfg)
+        assert got == reference_sweep(cfg)
+        assert [points for _, points in blocks] == [2, 1] * cfg.trials
+        # a row for ml and one per LR estimate, fewer than the 6 LR variants
+        # of each block where rows are shared
+        assert sum(rows for rows, _ in blocks) == len(blocks) + len(estimates)
+        assert len(estimates) < 6 * len(blocks)
+        assert all(r.bit_errors > 0 for r in got if r.snr_db == 8.0)
 
 
 class TestPersistence:
@@ -1005,6 +1075,20 @@ class TestCli:
 
     def test_reduce_missing_file(self, tmp_path, capsys):
         assert main(["reduce", "--in", str(tmp_path / "nope.txt")]) == EXIT_VALIDATION
+
+    def test_reduce_input_is_a_directory(self, tmp_path, capsys):
+        assert main(["reduce", "--in", str(tmp_path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read matrix file")
+        assert captured.out == ""
+
+    def test_reduce_undecodable_input(self, tmp_path, capsys):
+        path = tmp_path / "h.bin"
+        path.write_bytes(b"\xff\xfe1+0j,0\n")
+        assert main(["reduce", "--in", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read matrix file")
+        assert captured.out == ""
 
     def test_reduce_singular_matrix(self, tmp_path):
         path = tmp_path / "h.txt"

@@ -20,8 +20,8 @@ STAGES = {
     "_draw_trial", "gen_channel", "_draw_packet", "sample_permutations",
     "_chunk_selections", "extend_channel", "_candidate_stack",
     "clll_reduce_batch", "_pick", "_identity", "_selection", "_lr_arrays",
-    "_chunk_buffers", "_detect_trial", "_packet_symbols", "_lr_estimate",
-    "_lattice_indices", "_count_errors",
+    "_chunk_buffers", "_detect_trial", "_packet_symbols", "_decide",
+    "_lr_estimate", "_lattice_indices", "_count_errors",
 }
 
 
@@ -63,8 +63,11 @@ def test_stages_prints_its_figures():
         calls = figures["calls_per_trial"]
         assert set(calls) == STAGES
         assert all(v >= 0 for v in self_us.values()), (name, self_us)
-        # every trial draws its channel and is detected once
+        # every trial draws its channel and is detected once; each block
+        # of SNR points slices and counts all its detections in one call
         assert calls["gen_channel"] == calls["_detect_trial"] == 1, name
+        assert calls["_lattice_indices"] == calls["_count_errors"] >= 1, name
+        assert calls["_decide"] >= calls["_lr_estimate"], name
         assert self_us["clll_reduce_batch"] > 0, name
         sweep = figures["sweep_us_per_trial"]
         wrapped = figures["wrapped_us_per_trial"]
