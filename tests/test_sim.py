@@ -749,11 +749,11 @@ class TestCountErrors:
         assert np.array_equal(got, self.table_count(idx, sent, table))
         assert got[0, 0] == 0 and got[1, -1] > 0
 
-
     @pytest.mark.parametrize("m", [4, 16, 256])
     @pytest.mark.parametrize(
         "n_t, length",
-        [(4, 2000), (4, 1), (3, 7), (5, 3), (1, 1), (2, 9)],  # 16000 ... 36 bytes
+        # n_t 2L index bytes per point: 16000, 8, 42, 30, 2 and 36
+        [(4, 2000), (4, 1), (3, 7), (5, 3), (1, 1), (2, 9)],
     )
     def test_stacks_of_detections(self, rng, m, n_t, length):
         # (variants, points, n_t, 2L) slice indices; every length but 16000
@@ -814,7 +814,6 @@ class TestSharedDetections:
         # both chose the same candidate; 3: three distinct bases
         assert set(calls) == {1, 2, 3}
         assert got == reference_sweep(cfg)
-
 
     def test_ml_shared_keys_and_a_short_last_block(self, monkeypatch):
         # 700 columns: blocks of 2 points, then 1; ml and six LR variants
