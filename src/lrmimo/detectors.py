@@ -294,13 +294,13 @@ def _lr_estimate(
         )
     work, m, tm = out or (None, None, None)
     identity = tm is not None and tm is m
-    # T = I gives d = (1+j)/2 exactly, which numpy subtracts faster as a
-    # scalar than broadcast along the rows
-    d = 0.5 + 0.5j if identity else sel.offset[..., np.newaxis]
+    d = sel.offset[..., np.newaxis]
     top = y.shape[1]  # the received rows; an extended basis pads n below
     if kind in ("zf", "mmse"):
         m = np.matmul(sel.pinv[..., :top], y, out=m)
-        m = _round_shifted(m, d, spec.a, out=m)
+        # T = I gives d = (1+j)/2 exactly, which numpy subtracts faster as
+        # a scalar than broadcast along the rows
+        m = _round_shifted(m, 0.5 + 0.5j if identity else d, spec.a, out=m)
     else:
         if work is None:
             work = np.empty((len(y), rows, y.shape[2]), dtype=np.complex128)

@@ -5,6 +5,7 @@ import pytest
 
 from lrmimo import detectors
 from lrmimo.detectors import (
+    DETECTOR_KINDS,
     _lattice_indices,
     _lattice_symbols,
     _lr_estimate,
@@ -580,6 +581,24 @@ class TestSicInput:
                 assert m.tobytes() == m_ref.tobytes()
                 assert tm.tobytes() == tm_ref.tobytes()
             assert y.tobytes() == y_before.tobytes()  # the input is left alone
+
+
+class TestIdentityRow:
+    """An identity selection's m may be written where T m goes: its T m is
+    m, for every kind, whose parts are those of the allocating call."""
+
+    @pytest.mark.parametrize("kind", DETECTOR_KINDS)
+    def test_m_written_as_t_m(self, rng, kind):
+        sigma = 0.3 if kind in ("mmse", "sic-mmse") else None
+        h = crandn(rng, 4, 3)
+        sel = klr_select(h, None, sigma_n=sigma)
+        y = 2.0 * crandn(rng, 2, 4, 40)
+        m, tm = _lr_estimate(y, sel, kind, QAM16)
+        row = np.full((2, 3, 40), complex(np.nan, np.nan))
+        work = np.full((2, sel.basis.h_tilde.shape[0], 40), complex(np.nan, np.nan))
+        m_row, tm_row = _lr_estimate(y, sel, kind, QAM16, (work, row, row))
+        assert np.shares_memory(m_row, row) and np.shares_memory(tm_row, row)
+        assert np.array_equal(m_row, m) and np.array_equal(tm_row, tm)
 
 
 def _shear(rng, n):
