@@ -9,7 +9,8 @@ change first on odd i.  Each side uses the benchmark files of its own
 checkout.  Writes one JSON file with every run's end-to-end metrics
 (each a median over that run's sweeps), per metric the quartiles of each
 side, the change/parent ratio of the medians and of each pair, the pairs the
-change wins, and the host facts.  Run from the root of a checkout:
+change wins, and the host facts, among them the type and mount options of
+the file system that holds the checkout (a sweep rewrites its CSV there).  Run from the root of a checkout:
 
     python3 bench/compare.py --ref HEAD~1 --pairs 10 --out BENCH.json
 """
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -103,6 +105,28 @@ def summarise(runs: list) -> dict:
     return out
 
 
+def mount_facts(path: Path, mounts: Path = Path("/proc/self/mounts")) -> dict:
+    """Mount point, type and options of the file system that holds path:
+    the entry of the longest mount point containing it, the last of equal
+    ones (a later mount hides an earlier one).  Empty where mounts is absent."""
+    if not mounts.is_file():
+        return {}
+    path = str(path.resolve())
+    best = None
+    for line in mounts.read_text().splitlines():
+        fields = line.split()
+        if len(fields) < 4:
+            continue
+        # spaces and the like in a mount point are written as octal escapes
+        point = re.sub(r"\\([0-7]{3})", lambda m: chr(int(m.group(1), 8)), fields[1])
+        inside = path == point or path.startswith(point.rstrip("/") + "/")
+        if inside and (best is None or len(point) >= len(best[0])):
+            best = (point, fields[2], fields[3])
+    if best is None:
+        return {}
+    return {"fs_mount": best[0], "fs_type": best[1], "fs_options": best[2]}
+
+
 def host_facts() -> dict:
     import numpy
 
@@ -119,6 +143,7 @@ def host_facts() -> dict:
             if line.startswith("model name"):
                 facts["cpu_model"] = line.split(":", 1)[1].strip()
                 break
+    facts.update(mount_facts(ROOT))
     return facts
 
 

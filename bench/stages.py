@@ -18,6 +18,9 @@ workload:
   sweeps' time per trial; and `calls_per_trial` of each stage;
 - `sweep_us_per_trial` of the unwrapped sweeps and `minflt_per_trial`
   (their minor page faults per trial, by getrusage);
+- `cli_us_per_trial` of the timed `cli.main` sweeps: beside
+  `sweep_us_per_trial`, it shows the part of a benchmark sweep spent
+  outside `run_sweep` (argument parsing, config, the CSV write);
 - `clll_calls`, `bases_per_call`, `loop_steps` (per call, the largest
   iteration count of its bases, summed) and `basis_steps` (all iteration
   counts summed), which repeat exactly, and `peak_traced_mb`, the traced
@@ -137,26 +140,27 @@ def clll_counts(cfg) -> tuple:
     return iterations, first
 
 
-def cli_faults(wl) -> float:
-    """Minor page faults per trial of CLI_SWEEPS timed sweeps of benchmark
-    workload wl, run through cli.main after its golden sweep as the
-    benchmark's worker runs them."""
+def cli_sweeps(wl) -> tuple:
+    """(minor page faults, µs) per trial of CLI_SWEEPS timed sweeps of
+    benchmark workload wl, run through cli.main to one CSV path after its
+    golden sweep, as the benchmark's worker runs them."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp) / "sweep.csv"
         golden = cli.main(wl.argv(wl.golden_trials, wl.default_seed, out))
         seeds = [workloads.sweep_seed(0, i) for i in range(CLI_SWEEPS)]
-        f0 = minflt()
+        f0, t0 = minflt(), perf_counter()
         codes = [cli.main(wl.argv(wl.sweep_trials, seed, out)) for seed in seeds]
-        faults = minflt() - f0
+        elapsed, faults = perf_counter() - t0, minflt() - f0
     if golden or any(codes):
         raise RuntimeError(f"a {wl.name} sweep failed")
-    return round(faults / (CLI_SWEEPS * wl.sweep_trials), 2)
+    trials = CLI_SWEEPS * wl.sweep_trials
+    return round(faults / trials, 2), round(1e6 * elapsed / trials, 1)
 
 
 def figures(name: str) -> dict:
     """The figures of benchmark workload name (see the module docstring)."""
     wl = workloads.WORKLOADS[name]
-    cli_minflt = cli_faults(wl)
+    cli_minflt, cli_us = cli_sweeps(wl)
     cfg = sim.SimConfig(
         n_t=wl.n_t, n_r=wl.n_r, m=wl.m, snr_grid_db=wl.snr_points,
         detectors=wl.detectors, k_candidates=wl.k, trials=wl.sweep_trials,
@@ -190,6 +194,7 @@ def figures(name: str) -> dict:
         "stage_us_per_trial": stage_us,
         "calls_per_trial": {s: round(timer.calls[s] / trials, 3) for s in names},
         "sweep_us_per_trial": round(1e6 * sum(plain) / trials, 1),
+        "cli_us_per_trial": cli_us,
         "wrapped_us_per_trial": round(1e6 * sum(timed) / trials, 1),
         "minflt_per_trial": round(sum(faults) / trials, 2),
         "clll_calls": len(iterations),

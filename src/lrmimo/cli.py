@@ -14,6 +14,7 @@ from .sim import (
     SimConfig,
     format_complex_matrix,
     load_complex_matrix,
+    open_records,
     run_sweep,
     write_records,
 )
@@ -99,8 +100,14 @@ def _cmd_simulate(args) -> int:
         raise ValidationError(f"--out directory {str(out_dir)!r} does not exist")
     if Path(args.out).is_dir():
         raise ValidationError(f"--out {args.out!r} is a directory, not a file")
-    records = run_sweep(cfg)
-    write_records(records, args.out)
+    # opened once, here: an open-and-close probe would end a FIFO's stream
+    try:
+        out = open_records(args.out)
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out {args.out!r}: {exc}") from exc
+    with out:
+        records = run_sweep(cfg)
+        write_records(records, out)
     print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 

@@ -11,6 +11,8 @@ SNR point.
 import csv
 import math
 import numbers
+import os
+import stat
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -547,14 +549,31 @@ def _count_errors(idx, sent, words=None) -> np.ndarray:
 
 # --- persistence ---------------------------------------------------------------
 
-def write_records(records, path) -> None:
+def open_records(path):
+    """path opened as a text file for write_records: created if missing,
+    with the mode open(path, "w") gives it, but not truncated.  Truncating
+    a file that holds the last sweep's CSV can stall for tens of ms (ext4
+    mounted with discard); write_records cuts the old tail after it writes
+    instead, which leaves the same bytes and keeps the inode."""
+    return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="")
+
+
+def write_records(records, out) -> None:
     """Write BER records as CSV with the canonical header, one row of each
     record's fields; csv writes a float, numpy's too, as str gives it: the
-    shortest digits that read back as the same float."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER.split(","))
-        writer.writerows(astuple(rec) for rec in records)
+    shortest digits that read back as the same float.  out is a path, or a
+    file from open_records that is left open.  A regular file is cut at the
+    written end, so a longer old file keeps no tail; a device, FIFO or pipe
+    (/dev/null, /dev/stdout) cannot be cut and has no tail to cut."""
+    if isinstance(out, (str, os.PathLike)):
+        with open_records(out) as fh:
+            write_records(records, fh)
+        return
+    writer = csv.writer(out)
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows(astuple(rec) for rec in records)
+    if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+        out.truncate()
 
 
 def load_complex_matrix(path) -> np.ndarray:

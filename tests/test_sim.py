@@ -1,12 +1,15 @@
 import collections
 import csv
+import io
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -879,6 +882,99 @@ class TestPersistence:
         assert "np." not in paths[1].read_text()
         assert paths[1].read_text() == paths[0].read_text()
 
+    @staticmethod
+    def old_bytes(recs) -> bytes:
+        """The CSV as open(path, "w", newline="") and csv.writer wrote it."""
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows(astuple(rec) for rec in recs)
+        return buf.getvalue().encode()
+
+    def test_overwrites_a_longer_file(self, tmp_path):
+        # three blocks of an old file: the rewrite in place leaves no tail
+        recs = run_sweep(small_cfg())
+        out = tmp_path / "ber.csv"
+        out.write_bytes(b"x" * 9000)
+        write_records(recs, out)
+        assert out.read_bytes() == self.old_bytes(recs)
+
+    def test_bytes_of_the_old_writer(self, tmp_path):
+        recs = run_sweep(small_cfg(snr_grid_db=(0.0, 2.5, 7.25)))
+        out = tmp_path / "ber.csv"
+        write_records(recs, out)
+        assert out.read_bytes() == self.old_bytes(recs)
+        # and over a shorter file
+        out.write_bytes(b"y" * 10)
+        write_records(recs, out)
+        assert out.read_bytes() == self.old_bytes(recs)
+
+    def test_keeps_inode_and_mode(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        out.write_bytes(b"z" * 5000)
+        out.chmod(0o640)
+        before = out.stat()
+        write_records(run_sweep(small_cfg()), out)
+        after = out.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o640
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        recs = run_sweep(small_cfg())
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"w" * 9000)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_records(recs, link)
+        assert link.is_symlink()
+        assert target.read_bytes() == self.old_bytes(recs)
+
+    def test_never_truncates_on_open(self, tmp_path, monkeypatch):
+        # the stall this avoids is a matter of time; the flags are not
+        calls = []
+        real_open = os.open
+
+        def recording(path, flags, *args, **kwargs):
+            calls.append((str(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        out = tmp_path / "ber.csv"
+        write_records(run_sweep(small_cfg()), out)
+        out2 = tmp_path / "cli.csv"
+        args = ["simulate", "--nt", "2", "--nr", "2", "--snr", "10:10:20",
+                "--trials", "2", "--packet-len", "4", "--out", str(out2)]
+        assert main(args) == EXIT_OK
+        assert [p for p, _ in calls] == [str(out), str(out2)]
+        assert all(not flags & os.O_TRUNC for _, flags in calls)
+
+    def test_out_dev_null(self, capsys):
+        args = ["simulate", "--nt", "2", "--nr", "2", "--snr", "10:10:20",
+                "--trials", "2", "--packet-len", "4", "--out", os.devnull]
+        assert main(args) == EXIT_OK
+        assert "wrote 6 records" in capsys.readouterr().out
+
+    def test_out_fifo(self, tmp_path, capsys):
+        # a FIFO cannot be cut, and its reader gets the whole CSV
+        fifo = tmp_path / "ber.fifo"
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        args = ["simulate", "--nt", "2", "--nr", "2", "--snr", "10:10:20",
+                "--trials", "2", "--packet-len", "4", "--seed", "3", "--out", str(fifo)]
+        assert main(args) == EXIT_OK
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        cfg = small_cfg(snr_grid_db=(10.0, 20.0), detectors=("zf", "clr-zf", "klr-zf"),
+                        k_candidates=(1,), trials=2, seed=3)
+        assert got == [self.old_bytes(run_sweep(cfg))]
+
     def test_matrix_roundtrip(self, tmp_path):
         m = np.array([[1.5 - 0.5j, 2 + 1j], [0 + 0j, -3 - 2j]])
         path = tmp_path / "h.txt"
@@ -1036,6 +1132,21 @@ class TestCli:
         out = tmp_path / "x.csv"
         assert main(["simulate", "--nt", "2", "--nr", "2", "--out", str(out)]) == EXIT_OK
         assert len(calls) == 1
+
+    def test_simulate_unwritable_out(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: calls.append(cfg) or [])
+
+        def refusing(path, flags, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "open", refusing)
+        out = tmp_path / "x.csv"
+        code = main(["simulate", "--nt", "2", "--nr", "2", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: cannot write --out")
+        assert calls == []  # the sweep is never entered
+        assert not out.exists()
 
     def test_simulate_out_is_a_directory(self, tmp_path, capsys, monkeypatch):
         calls = []

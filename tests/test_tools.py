@@ -5,6 +5,7 @@ calls private functions of several modules, so a change to them shows up
 here as a failure rather than as a broken script.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -50,6 +51,7 @@ def test_stages_prints_its_figures():
             "stage_us_per_trial",
             "calls_per_trial",
             "sweep_us_per_trial",
+            "cli_us_per_trial",
             "wrapped_us_per_trial",
             "minflt_per_trial",
             "clll_calls",
@@ -75,6 +77,7 @@ def test_stages_prints_its_figures():
         assert sum(self_us.values()) == pytest.approx(wrapped, rel=1e-3, abs=1.0)
         assert sum(self_us.values()) - self_us["other"] <= wrapped + 1.0
         assert sweep > 0 and wrapped > 0 and figures["peak_traced_mb"] > 0
+        assert figures["cli_us_per_trial"] > 0
         assert figures["clll_calls"] == len(figures["bases_per_call"]) >= 1
         assert 0 < figures["loop_steps"] <= figures["basis_steps"]
     # a page fault count: none at all is a valid reading
@@ -163,3 +166,43 @@ def test_ab_time_prints_its_ratios():
         assert 0 <= figures["change_wins"] <= 2
         assert figures["ratio_q1"] <= figures["median_ratio"] <= figures["ratio_q3"]
         assert figures["parent_s"] > 0 and figures["change_s"] > 0
+
+
+def load_compare():
+    spec = importlib.util.spec_from_file_location("compare", ROOT / "bench" / "compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_host_facts_name_the_file_system():
+    facts = load_compare().host_facts()
+    fs = {"fs_mount", "fs_type", "fs_options"}
+    keys = {"platform", "machine", "cpu_count", "python", "numpy"}
+    if Path("/proc/self/mounts").is_file():
+        keys |= fs
+        assert ROOT.resolve().is_relative_to(facts["fs_mount"])
+    assert keys <= set(facts) <= keys | fs | {"cpu_model"}
+
+
+def test_compare_mount_facts_take_the_longest_mount_point(tmp_path):
+    mount_facts = load_compare().mount_facts
+    mounts = tmp_path / "mounts"
+    mounts.write_text(
+        "/dev/vda / ext4 rw,relatime,discard 0 0\n"
+        "tmpfs /data tmpfs rw 0 0\n"
+        "/dev/vdc /data\\040x xfs ro 0 0\n"
+        "tmpfs /dat tmpfs rw,size=1k 0 0\n"
+        "/dev/vdd /data ext4 rw,noatime 0 0\n"
+    )
+    cases = {
+        "/data/run": ("/data", "ext4", "rw,noatime"),  # the later of two
+        "/data x/run": ("/data x", "xfs", "ro"),
+        "/database": ("/", "ext4", "rw,relatime,discard"),
+        "/dat": ("/dat", "tmpfs", "rw,size=1k"),
+    }
+    for path, (point, kind, options) in cases.items():
+        assert mount_facts(Path(path), mounts) == {
+            "fs_mount": point, "fs_type": kind, "fs_options": options
+        }, path
+    assert mount_facts(Path("/data"), tmp_path / "absent") == {}
