@@ -10,7 +10,8 @@ checkout.  Writes one JSON file with every run's end-to-end metrics
 (each a median over that run's sweeps), per metric the quartiles of each
 side, the change/parent ratio of the medians and of each pair, the pairs the
 change wins, and the host facts, among them the type and mount options of
-the file system that holds the checkout (a sweep rewrites its CSV there).  Run from the root of a checkout:
+the file system that holds the checkout (a sweep rewrites its CSV there).
+Run from the root of a checkout:
 
     python3 bench/compare.py --ref HEAD~1 --pairs 10 --out BENCH.json
 """
