@@ -27,7 +27,13 @@ The corpus:
   n = 4 and 6, 6 and 12 rows, delta 0.75 and 0.99, lone and batched; the
   parts of a reduced stack read before the whole (an index array, as
   switched._pick keeps its bases, then a slice) and a member read by int
-  index: every array, U^-1 and Q included;
+  index: every array, U^-1 and Q included; and h_tilde alone of an index
+  array part, of a slice of it, of a slice and of a member, each read
+  before any other field and before the whole stack's;
+- `clll_reduce_batch` calls whose stacks span several QR blocks, with block
+  boundaries inside a stack: 700 extended 12x6 bases; 300 plain 6x6 beside
+  500 extended 12x6; 1500 plain 4x4 beside 700 extended 8x4, as in a
+  detect-16qam chunk; and an empty stack beside a nonempty one;
 - `qr_decompose` and `clll_reduce_batch` of stacks scaled by 1e+-150, of
   near rank-deficient stacks, of stacks with a NaN or +-inf entry (the
   error is digested) and of non-contiguous stacks;
@@ -386,6 +392,38 @@ def corpus():
         yield from stack_fields(f"{tag}/whole", stack)
         member = clll_reduce_batch([mats])[0][3]
         yield from selection(f"{tag}/member", member, MEMBER_FIELDS)
+
+    # h_tilde of parts read before any other field and before the whole
+    # stack's: an index array (as switched._pick keeps its bases), a slice
+    # of that part, a slice, then an int member
+    rng = np.random.default_rng(1420)
+    for rows, n in ((6, 4), (12, 6)):
+        stack = clll_reduce_batch([sheared(rng, 8, rows, n, 20)])[0]
+        tag = f"clll-h-first/{rows}x{n}"
+        picked = stack[np.array([6, 2, 6, 0])]
+        yield f"{tag}/index", "h_tilde", picked.h_tilde
+        yield f"{tag}/index-slice", "h_tilde", stack[np.array([7, 1, 4])][1:].h_tilde
+        yield f"{tag}/slice", "h_tilde", stack[1:5].h_tilde
+        yield f"{tag}/member", "h_tilde", stack[3].h_tilde
+        yield from stack_fields(f"{tag}/index", picked)
+        yield from stack_fields(f"{tag}/whole", stack)
+
+    # calls whose stacks span several QR blocks, with block boundaries
+    # inside a stack: 700 extended 12x6 bases alone; 300 plain 6x6 and 500
+    # extended 12x6 ones; 1500 plain 4x4 and 700 extended 8x4 ones, the
+    # flavours of a detect-16qam chunk; and an empty stack beside a
+    # nonempty one, either way round
+    rng = np.random.default_rng(1421)
+    calls = {
+        "12x6": [extended_all(crandn(rng, 700, 6, 6), 0.3)],
+        "6x6+12x6": [crandn(rng, 300, 6, 6), extended_all(crandn(rng, 500, 6, 6), 0.3)],
+        "4x4+8x4": [crandn(rng, 1500, 4, 4), extended_all(crandn(rng, 700, 4, 4), 0.3)],
+        "empty+4x4": [np.zeros((0, 8, 4), dtype=complex), crandn(rng, 5, 4, 4)],
+        "8x4+empty": [extended_all(crandn(rng, 5, 4, 4), 0.3), np.zeros((0, 4, 4))],
+    }
+    for name, stacks in calls.items():
+        for s, out in enumerate(clll_reduce_batch(stacks)):
+            yield from stack_fields(f"clll-blocks/{name}/stack{s}", out)
 
     # QR and CLLL of stacks scaled by 1e+-150, of near rank-deficient
     # stacks (column 2 = column 0 - 1j column 1 + eps noise), of stacks
