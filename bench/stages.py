@@ -21,6 +21,11 @@ workload:
 - `cli_us_per_trial` of the timed `cli.main` sweeps: beside
   `sweep_us_per_trial`, it shows the part of a benchmark sweep spent
   outside `run_sweep` (argument parsing, config, the CSV write);
+- `rss_mb_after_cli_sweeps`: the interpreter's peak resident set (MB, by
+  getrusage) right after the golden sweep and the CLI_SWEEPS timed ones,
+  a fixed number of sweeps, where the benchmark's `peak_rss_mb` follows
+  the time-bounded loop of its worker and so grows with the number of
+  sweeps a faster tree makes;
 - `clll_calls`, `bases_per_call`, `loop_steps` (per call, the largest
   iteration count of its bases, summed) and `basis_steps` (all iteration
   counts summed), which repeat exactly, and `peak_traced_mb`, the traced
@@ -161,6 +166,7 @@ def figures(name: str) -> dict:
     """The figures of benchmark workload name (see the module docstring)."""
     wl = workloads.WORKLOADS[name]
     cli_minflt, cli_us = cli_sweeps(wl)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     cfg = sim.SimConfig(
         n_t=wl.n_t, n_r=wl.n_r, m=wl.m, snr_grid_db=wl.snr_points,
         detectors=wl.detectors, k_candidates=wl.k, trials=wl.sweep_trials,
@@ -195,6 +201,7 @@ def figures(name: str) -> dict:
         "calls_per_trial": {s: round(timer.calls[s] / trials, 3) for s in names},
         "sweep_us_per_trial": round(1e6 * sum(plain) / trials, 1),
         "cli_us_per_trial": cli_us,
+        "rss_mb_after_cli_sweeps": round(rss_mb, 2),
         "wrapped_us_per_trial": round(1e6 * sum(timed) / trials, 1),
         "minflt_per_trial": round(sum(faults) / trials, 2),
         "clll_calls": len(iterations),

@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -25,6 +26,9 @@ _MODS = {"qpsk": 4, "16qam": 16, "64qam": 64}
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
+# what a shell reports of a process that SIGPIPE ended: the reader of its
+# output closed the pipe
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_snr_grid(text: str) -> tuple:
@@ -146,6 +150,15 @@ def main(argv=None) -> int:
     except (SingularMatrixError, BudgetExceededError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except BrokenPipeError:
+        # stdout goes to os.devnull, so that the interpreter's flush of it
+        # on exit finds no closed pipe to report
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout without a descriptor
+            pass
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -49,13 +49,15 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     return _qr(a, True)
 
 
-def _qr_r(a) -> np.ndarray:
-    """The R of qr_decompose(a), bitwise, without forming Q."""
-    return _qr(a, False)[1]
+def _qr_r(a, out=None) -> np.ndarray:
+    """The R of qr_decompose(a), bitwise, without forming Q; written into
+    out, a writable (..., cols, cols) array of any strides, where given."""
+    return _qr(a, False, out)[1]
 
 
-def _qr(a, with_q: bool) -> tuple:
-    """qr_decompose(a), or (None, R) without with_q.
+def _qr(a, with_q: bool, out=None) -> tuple:
+    """qr_decompose(a), or (None, R) without with_q, R written into out
+    where given.
 
     Both modes take R from the same Householder factorization (LAPACK
     geqrf); Q is formed from its reflectors only when asked for.
@@ -64,28 +66,37 @@ def _qr(a, with_q: bool) -> tuple:
     rows, cols = a.shape[-2:]
     if rows < cols:
         raise ValidationError(f"need rows >= cols, got {rows}x{cols}")
+    # before the factorization, whose copy of a would otherwise coexist with
+    # the temporaries of the norms
+    scale = np.sqrt(_max_col_norm2(a))
     if with_q:
         q, r = np.linalg.qr(a, mode="reduced")
     else:
         # mode "r" copies the triangle out of the factored copy of a; taking
         # it in place, with the zeros np.triu writes below the diagonal,
-        # gives the same bits and spares a square stack a second array
+        # gives the same bits and spares a square stack, or one written to
+        # out, a second array
         f = np.swapaxes(np.linalg.qr(a, mode="raw")[0], -1, -2)[..., :cols, :]
-        q, r = None, (f if rows == cols else f.copy())
+        q, r = None, (f if rows == cols or out is not None else f.copy())
         below = np.tril_indices(cols, -1)
         r[..., below[0], below[1]] = 0
     d = np.einsum("...ii->...i", r)  # a writable view of the diagonal
     abs_d = np.abs(d)
-    scale = np.sqrt(_max_col_norm2(a))
     if ((scale == 0.0) | (abs_d.min(axis=-1) <= _RANK_TOL * scale)).any():
         raise SingularMatrixError("matrix is numerically rank deficient")
     phase = d / abs_d
-    # in place: the factors of a large stack are its largest temporaries
+    # in place: the factors of a large stack are its largest temporaries;
+    # R row by row, since numpy buffers a product broadcast along the short
+    # rows of a whole stack in temporaries of up to three times its size
     if with_q:
         q *= phase[..., np.newaxis, :]
-    r *= np.conj(phase)[..., :, np.newaxis]
+    for i, p in enumerate(np.moveaxis(np.conj(phase), -1, 0)):
+        r[..., i, :] *= p[..., np.newaxis]
     # kill the O(eps) imaginary residue so the diagonal is exactly real
     d.imag = 0.0
+    if out is not None:
+        out[...] = r
+        r = out
     return q, r
 
 

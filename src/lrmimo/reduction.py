@@ -27,6 +27,13 @@ DEFAULT_DELTA = 0.75
 # random column shears took up to 623.
 MAX_ITERATIONS = 10_000
 
+# Bytes of the input bases each QR of clll_reduce_batch takes: the call's
+# state is its packed R and U, and its temporaries stay about the size of
+# one such block of input, not of the stack.  The 704 plain 6x6 bases of a
+# klr-zf chunk take two blocks, a klr-mmse chunk's 792 extended 12x6 ones
+# four.
+_QR_BLOCK_BYTES = 1 << 18
+
 # Refinement steps _inverse may take to confirm U^-1; a rounded float
 # inverse of a U with parts near 2e7 needs one.
 _INVERSE_STEPS = 4
@@ -105,22 +112,29 @@ class ReducedStack:
 
     h_tilde and q are (B, rows, n), u, u_inv and r are (B, n, n), odf and
     iterations are (B,); member i satisfies everything ReducedBasis states.
-    q is factored on first access, bitwise the Q of the QR whose R is r, and
-    u_inv is formed on first access (_inverse) where it was not given.  A
-    slice or an index array gives a ReducedStack (of copies, for an index
-    array, as numpy indexing makes them) that keeps its part of a q or u_inv
-    already formed, so a stack of which only a part is kept forms them for
-    that part alone; it is built from the parts of the stack's arrays
-    alone, without __init__.  An int index gives the ReducedBasis of one
-    member, of views of the stack's arrays, q and u_inv included.
-    Iteration yields the members in order.
+    clll_reduce_batch gives u and r as views of its packed state and keeps
+    the input stack, from which h_tilde = input @ u is formed on first
+    access (_reduced_stack gives h_tilde itself); q is factored on first access,
+    bitwise the Q of the QR whose R is r, and u_inv is formed on first
+    access (_inverse) where it was not given.  A slice or an index array
+    gives a ReducedStack (of copies, for an index array, as numpy indexing
+    makes them) that keeps its part of an h_tilde, q or u_inv already
+    formed, or of the input where h_tilde is not, so a stack of which only
+    a part is kept forms them for that part alone; it is built from the
+    parts of the stack's arrays alone, without __init__.  An int index
+    gives the ReducedBasis of one member, of views of the stack's arrays,
+    h_tilde, q and u_inv included.  Iteration yields the members in order.
     """
 
-    h_tilde: np.ndarray
     u: np.ndarray
     r: np.ndarray
     odf: np.ndarray
     iterations: np.ndarray
+
+    @cached_property
+    def h_tilde(self) -> np.ndarray:
+        # the input stack is held only until h_tilde replaces it
+        return vars(self).pop("_input") @ self.u
 
     @cached_property
     def q(self) -> np.ndarray:
@@ -157,8 +171,8 @@ def _reduced_stack(h_tilde, u, u_inv, iterations, with_q=False) -> ReducedStack:
     """
     q, r = qr_decompose(h_tilde) if with_q else (None, _qr_r(h_tilde))
     odfs = _odf(h_tilde, np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
-    stack = ReducedStack(h_tilde, u, r, odfs, np.asarray(iterations))
-    for name, a in (("q", q), ("u_inv", u_inv)):
+    stack = ReducedStack(u, r, odfs, np.asarray(iterations))
+    for name, a in (("h_tilde", h_tilde), ("q", q), ("u_inv", u_inv)):
         if a is not None:
             vars(stack)[name] = a
     return stack
@@ -206,8 +220,9 @@ def _inverse(u: np.ndarray) -> np.ndarray:
 
 def _largest_part(a: np.ndarray) -> np.ndarray:
     """The largest magnitude of a real or imaginary part of each matrix of
-    a complex (B, n, n) stack, (B,)."""
-    return np.abs(a.view(np.float64)).max(axis=(-2, -1))
+    a complex (B, n, n) stack, (B,), read without a temporary of its size."""
+    parts = a.view(np.float64)
+    return np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
 
 
 def is_clll_reduced(r, params: ReductionParams = ReductionParams()) -> tuple[bool, bool]:
@@ -305,9 +320,12 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     (effective CLLL; Ling and Howgrave-Graham, ISIT 2007); none of it reads
     U^-1, which each ReducedStack forms when read.  Every basis gets
     bitwise the result it gets alone.  Both QRs, of the input and of the
-    reduced bases, form R only.  Returns one ReducedStack per input stack,
-    in stack order (an empty one for an empty stack), whose Q is factored
-    when read.  Raises SingularMatrixError if any basis is numerically rank
+    reduced bases, form R only, a block of bases at a time (_blocks), and
+    write it into the state, which is allocated once and ends holding the
+    rows of the output R and U.  Returns one ReducedStack per input stack,
+    in stack order (an empty one for an empty stack): its r and u are views
+    of the state, and it keeps its input stack, from which h_tilde is
+    formed when read, as Q is factored.  Raises SingularMatrixError if any basis is numerically rank
     deficient, or if the output of any basis fails the CLLL conditions or
     exact U (_check_reduced); BudgetExceededError, naming the basis, if one
     needs more than MAX_ITERATIONS iterations.
@@ -316,10 +334,12 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
     if not hs or any(h.ndim != 3 or h.shape[2] != hs[0].shape[2] for h in hs):
         raise ValidationError("expected (batch, rows, n) stacks sharing n")
     n = hs[0].shape[2]
-    r = np.concatenate([_qr_r(h) for h in hs])  # raises on rank deficiency
-    b = r.shape[0]
-    cols = _columns(r, np.broadcast_to(np.eye(n, dtype=np.complex128), (b, n, n)))
-    del r  # cols carries R from here on
+    b = sum(map(len, hs))
+    # the packed state of every basis (_columns): R of its QR, then U = I
+    cols = np.empty((b, n, 2 * n), dtype=np.complex128)
+    cols[:, :, n:] = np.eye(n)
+    for part, h in _blocks(hs):
+        _qr_r(h, out=np.swapaxes(cols[part, :, :n], -1, -2))  # raises on rank deficiency
     iters = np.zeros(b, dtype=np.int64)
     # the running bases and their k, in basis order: every basis starts at
     # k = 1 and leaves once k = n
@@ -349,17 +369,41 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
             running = ~done
             act, k = act[running], k[running]
     _size_reduce_all(cols)
-    # R comes from the final QR below
-    u = np.ascontiguousarray(_split_columns(cols)[1])
-    del cols
+    # a block at a time, the state takes the rows of each U, then those of
+    # the R of the final QR of H U in place of the loop's R; ReducedStack.r
+    # and .u are views of its two halves
+    odfs = np.empty(b)
+    for part, h in _blocks(hs):
+        r, u = cols[part, :, :n], cols[part, :, n:]
+        u[...] = np.swapaxes(u, -1, -2)  # numpy copies the overlapping source
+        h_tilde = h @ u
+        _qr_r(h_tilde, out=r)
+        odfs[part] = _odf(h_tilde, np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
+        del h_tilde
 
     out, start = [], 0
     for h in hs:
-        part = slice(start, start + h.shape[0])
-        out.append(_reduced_stack(h @ u[part], u[part], None, iters[part]))
+        part = slice(start, start + len(h))
+        stack = ReducedStack(cols[part, :, n:], cols[part, :, :n], odfs[part], iters[part])
+        vars(stack)["_input"] = h
+        out.append(stack)
         start = part.stop
     _check_reduced(out, params.delta)
     return out
+
+
+def _blocks(hs):
+    """(part, block) of each block of bases of the stacks hs, in order:
+    part, a slice of the concatenated bases, and block, its bases in their
+    stack.  A block holds _QR_BLOCK_BYTES of its stack or one basis; an
+    empty stack is one empty block."""
+    start = 0
+    for h in hs:
+        step = max(1, _QR_BLOCK_BYTES // (h.itemsize * max(1, h.shape[1] * h.shape[2])))
+        for i in range(0, max(1, len(h)), step):
+            block = h[i : i + step]
+            yield slice(start + i, start + i + len(block)), block
+        start += len(h)
 
 
 def _named(hs, i) -> str:

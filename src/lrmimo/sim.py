@@ -13,7 +13,8 @@ import math
 import numbers
 import os
 import stat
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,17 +61,20 @@ DETECTORS = tuple(_DETECTOR_TABLE)
 _COLUMNS_PER_CALL = 2048
 
 # Bytes of the input stacks of one CLLL call (rows x n_t complex entries per
-# basis), what 512 extended 12x6 bases take: the channels of a chunk of
+# basis), what 800 extended 12x6 bases take: the channels of a chunk of
 # trials are drawn together and all their bases go through one
 # clll_reduce_batch call, which shares the fixed cost of each step of its
-# masked loop among them.  The call's state and output are a few times its
-# input, so this bounds its memory; a flavour with only identity
-# selections counts its channels, and every sweep, ml alone too, its plain
-# ones, which it draws before it detects them.  A call takes 5 trials of
-# 99 extended 12x6 bases (the klr-mmse benchmark shape), 93 of 11 plain
-# 6x6 bases (klr-zf) or 329 of one plain and three extended 4x4 channels
-# (detect-16qam).
-_CALL_BYTES = 512 * 12 * 6 * 16
+# masked loop among them.  The call holds its input, its packed state (2
+# n_t^2 entries per basis: as much as an extended basis, twice a square
+# one) and the temporaries of one block of bases (reduction._QR_BLOCK_BYTES,
+# about 0.7 MB), so this bounds its memory: 800 extended bases hold about
+# what 512 did in an engine that held 4.6 KB per basis.  A flavour with only
+# identity selections counts its channels, and every sweep, ml alone too,
+# its plain ones, which it draws before it detects them.  A call takes 8
+# trials of 99 extended 12x6 bases (the klr-mmse benchmark shape), 145 of
+# 11 plain 6x6 bases (klr-zf, whose packets cap it at 97) or 514 of one
+# plain and three extended 4x4 channels (detect-16qam).
+_CALL_BYTES = 800 * 12 * 6 * 16
 
 # Bytes of the packets a chunk of a switched sweep holds, each its level
 # index pairs and unit noise as _draw_packet gives them, from the chunk's
@@ -155,6 +159,11 @@ class BerRecord:
     bit_errors: int
     ber: float
     sym_errors: int
+
+
+# a record's fields in CSV order, as a tuple, without the deep copies of
+# dataclasses.astuple
+_record_row = attrgetter(*(f.name for f in fields(BerRecord)))
 
 
 def gen_channel(n_r: int, n_t: int, rng: np.random.Generator) -> np.ndarray:
@@ -571,7 +580,7 @@ def write_records(records, out) -> None:
         return
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER.split(","))
-    writer.writerows(astuple(rec) for rec in records)
+    writer.writerows(map(_record_row, records))
     if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
         out.truncate()
 

@@ -182,7 +182,7 @@ def _select_all(chans, perms, ks, params: ReductionParams) -> dict:
     for f in ks:
         if None in ks[f]:
             picks[f, None] = _identity(chans[f])
-    return {key: _selection(*pick, key[0]) for key, pick in picks.items()}
+    return {key: _selection(key[0], *pick) for key, pick in picks.items()}
 
 
 def _pick(reduced: ReducedStack, perms, k: int) -> tuple:
@@ -203,12 +203,14 @@ def _pick(reduced: ReducedStack, perms, k: int) -> tuple:
     return kept, tuple(chosen), base.copy(), tuple(map(tuple, cands.tolist()))
 
 
-def _selection(kept: ReducedStack, chosen, base, cands, extended: bool) -> KlrStack:
-    """The KlrStack of what _pick took, its _lr_arrays and the Q of its
-    bases, which every LR detection reads (SIC, or the filter), formed for
-    the whole stack in one call each."""
+def _selection(extended: bool, kept: ReducedStack, chosen, base, cands, lr=None) -> KlrStack:
+    """The KlrStack of what _pick or _identity took, its _lr_arrays (lr,
+    where _identity gives them) and the Q of its bases, which every LR
+    detection reads (SIC, or the filter), formed for the whole stack in one
+    call each."""
     kept.q  # formed on this first read, for the whole stack
-    return KlrStack(kept, chosen, base, cands, *_lr_arrays(chosen, kept), extended)
+    lr = _lr_arrays(chosen, kept) if lr is None else lr
+    return KlrStack(kept, chosen, base, cands, *lr, extended)
 
 
 def sample_permutations(n: int, k: int, rng: np.random.Generator) -> PermutationSet:
@@ -323,9 +325,12 @@ def _identity(mats) -> tuple:
     """What _selection takes for the identity selections of a (B, rows, n)
     stack of channels: U = I, no permutation and no candidates, on which LR
     detection is conventional ZF (on H) or MMSE (on [H; sigma_n I]).  One
-    QR of the channels gives both factors of the basis."""
+    QR of the channels gives both factors of the basis.  U, U^-1, T and
+    T^-1 are one read-only I broadcast along the stack, and the offset d
+    that of I broadcast too: the bits _lr_arrays forms, held once."""
     count, _, n = mats.shape
-    eye = np.repeat(np.eye(n, dtype=np.complex128)[np.newaxis], count, axis=0)
+    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (count, n, n))
     iters = np.zeros(count, dtype=np.intp)
-    basis = _reduced_stack(mats, eye, eye.copy(), iters, with_q=True)
-    return basis, (tuple(range(n)),) * count, basis.odf, ((),) * count
+    basis = _reduced_stack(mats, eye, eye, iters, with_q=True)
+    offset = np.broadcast_to(_offset(eye[0]), (count, n))
+    return basis, (tuple(range(n)),) * count, basis.odf, ((),) * count, (eye, eye, offset)

@@ -352,8 +352,10 @@ class TestReferenceReplay:
         assert got == reference_sweep(cfg)
         assert sum(r.bit_errors for r in got) > 0
 
-    def test_extended_trials_span_several_chunks(self):
-        # 3 extended channels per trial, each with 10 candidates: 33 bases
+    def test_extended_trials_span_several_chunks(self, monkeypatch):
+        # 3 extended channels per trial, each with 10 candidates: 33 bases;
+        # at 512 extended 12x6 bases per call, 15 trials per chunk
+        monkeypatch.setattr(sim, "_CALL_BYTES", 512 * 12 * 6 * 16)
         cfg = SimConfig(
             n_t=6,
             n_r=6,
@@ -1093,6 +1095,26 @@ class TestCli:
         )
         assert proc.returncode == EXIT_VALIDATION, proc.stderr
         assert "does not advance" in proc.stderr
+
+    def test_simulate_into_a_closed_pipe(self):
+        # 2001 rows, more than a pipe holds, so the writer meets the closed
+        # pipe whatever the timing: a nonzero exit, without a traceback or
+        # a message from the interpreter's exit
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+        args = ["--nt", "2", "--nr", "2", "--detectors", "zf", "--snr", "0:0.01:20"]
+        args += ["--trials", "1", "--packet-len", "1", "--out", "/dev/stdout"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lrmimo.cli", "simulate", *args],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline().startswith("detector,k,snr_db")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+        assert err == ""
 
     @pytest.mark.parametrize(
         "text, grid",

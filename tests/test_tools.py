@@ -52,6 +52,7 @@ def test_stages_prints_its_figures():
             "calls_per_trial",
             "sweep_us_per_trial",
             "cli_us_per_trial",
+            "rss_mb_after_cli_sweeps",
             "wrapped_us_per_trial",
             "minflt_per_trial",
             "clll_calls",
@@ -78,6 +79,7 @@ def test_stages_prints_its_figures():
         assert sum(self_us.values()) - self_us["other"] <= wrapped + 1.0
         assert sweep > 0 and wrapped > 0 and figures["peak_traced_mb"] > 0
         assert figures["cli_us_per_trial"] > 0
+        assert figures["rss_mb_after_cli_sweeps"] > 0
         assert figures["clll_calls"] == len(figures["bases_per_call"]) >= 1
         assert 0 < figures["loop_steps"] <= figures["basis_steps"]
     # a page fault count: none at all is a valid reading
