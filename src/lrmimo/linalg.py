@@ -13,8 +13,9 @@ from .errors import SingularMatrixError, ValidationError
 # Relative threshold under which an R diagonal entry counts as numerically zero.
 _RANK_TOL = 1e-12
 
-# Bytes of the matrices whose column norms _qr forms in one pass: its complex
-# temporaries stay this size, not the size of a large stack.
+# Bytes of the matrices whose column norms _qr forms in one pass, and of the
+# largest R it scales in one pass: its complex temporaries stay about this
+# size, not the size of a large stack.
 _NORM_BLOCK_BYTES = 1 << 16
 
 
@@ -85,13 +86,17 @@ def _qr(a, with_q: bool, out=None) -> tuple:
     if ((scale == 0.0) | (abs_d.min(axis=-1) <= _RANK_TOL * scale)).any():
         raise SingularMatrixError("matrix is numerically rank deficient")
     phase = d / abs_d
-    # in place: the factors of a large stack are its largest temporaries;
-    # R row by row, since numpy buffers a product broadcast along the short
-    # rows of a whole stack in temporaries of up to three times its size
+    # in place: the factors of a large stack are its largest temporaries
     if with_q:
         q *= phase[..., np.newaxis, :]
-    for i, p in enumerate(np.moveaxis(np.conj(phase), -1, 0)):
-        r[..., i, :] *= p[..., np.newaxis]
+    conj = np.conj(phase)[..., :, np.newaxis]
+    if r.nbytes <= _NORM_BLOCK_BYTES:
+        r *= conj
+    else:
+        # row by row: numpy buffers a product broadcast along the short rows
+        # of a whole stack in temporaries up to three times its size
+        for i in range(cols):
+            r[..., i, :] *= conj[..., i, :]
     # kill the O(eps) imaginary residue so the diagonal is exactly real
     d.imag = 0.0
     if out is not None:
