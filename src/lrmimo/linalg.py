@@ -14,8 +14,8 @@ from .errors import SingularMatrixError, ValidationError
 _RANK_TOL = 1e-12
 
 # Bytes of the matrices whose column norms _qr forms in one pass, and of the
-# largest R it scales in one pass: its complex temporaries stay about this
-# size, not the size of a large stack.
+# largest strided R it scales in one pass: its complex temporaries stay
+# about this size, not the size of a large stack.
 _NORM_BLOCK_BYTES = 1 << 16
 
 
@@ -90,11 +90,12 @@ def _qr(a, with_q: bool, out=None) -> tuple:
     if with_q:
         q *= phase[..., np.newaxis, :]
     conj = np.conj(phase)[..., :, np.newaxis]
-    if r.nbytes <= _NORM_BLOCK_BYTES:
+    if r.flags.c_contiguous or r.nbytes <= _NORM_BLOCK_BYTES:
         r *= conj
     else:
         # row by row: numpy buffers a product broadcast along the short rows
-        # of a whole stack in temporaries up to three times its size
+        # of a strided stack in three temporaries of up to np.getbufsize()
+        # entries each, a contiguous one in one
         for i in range(cols):
             r[..., i, :] *= conj[..., i, :]
     # kill the O(eps) imaginary residue so the diagonal is exactly real

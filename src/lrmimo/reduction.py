@@ -220,9 +220,8 @@ def _inverse(u: np.ndarray) -> np.ndarray:
 
 def _largest_part(a: np.ndarray) -> np.ndarray:
     """The largest magnitude of a real or imaginary part of each matrix of
-    a complex (B, n, n) stack, (B,), read without a temporary of its size."""
-    parts = a.view(np.float64)
-    return np.maximum(parts.max(axis=(-2, -1)), -parts.min(axis=(-2, -1)))
+    a complex (B, n, n) stack, (B,)."""
+    return np.abs(a.view(np.float64)).max(axis=(-2, -1))
 
 
 def is_clll_reduced(r, params: ReductionParams = ReductionParams()) -> tuple[bool, bool]:
