@@ -378,7 +378,7 @@ def clll_reduce_batch(stacks, params: ReductionParams = ReductionParams()) -> li
         h_tilde = h @ u
         _qr_r(h_tilde, out=r)
         odfs[part] = _odf(h_tilde, np.abs(np.diagonal(r, axis1=-2, axis2=-1)))
-        del h_tilde
+        del h_tilde  # before the next block's is formed
 
     out, start = [], 0
     for h in hs:
