@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,7 +298,6 @@ class TestClllReduceBatch:
         H U, the copy LAPACK factors and numpy's buffers, at most three
         blocks' bytes.  An engine that also held a stack-sized H U, a copy
         of U and its final QR's copies took about 4.6 KB per basis."""
-        tracemalloc = pytest.importorskip("tracemalloc")
         rng = np.random.default_rng(30)
         clll_reduce_batch([extend_channel(crandn(rng, 6, 6), 0.3)[np.newaxis]])
         tracemalloc.start()
